@@ -49,10 +49,9 @@ use upsilon_analysis::{RunConditionsSpec, RunSpec};
 use upsilon_core::shrink::ddmin_counted;
 use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::{
-    ops_commute, orbit_trace_fingerprint, resolve, run_stealing, trace_fingerprint, Access, AlgoFn,
-    EngineKind, FailurePattern, FdValue, FnvWrite, Key, Memory, OpSig, OrbitFingerprint, ProcessId,
-    ReplayToken, ResolvedOp, Run, Session, SessionSave, SessionStep, SimBuilder, StealJob,
-    StealScope, StepKind, Time, TraceLevel,
+    ops_commute, resolve, run_stealing, Access, AlgoFn, EngineKind, FailurePattern, FdValue,
+    FnvWrite, Key, Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave,
+    SessionStep, SimBuilder, StealJob, StealScope, StepKind, Time, TraceLevel,
 };
 
 /// One scheduling decision of the explorer.
@@ -160,8 +159,9 @@ pub struct CheckConfig<D: FdValue> {
     /// state-based, trace-closed specs this checker is built for (verdicts
     /// are functions of per-process projections, which equal fingerprints
     /// pin down); the differential suite locks verdict equality per
-    /// scenario. Requires `turbo` (fingerprints come from the live session)
-    /// and implies full trace detail so op responses enter the digest.
+    /// scenario. Requires `turbo`: fingerprints come from the live
+    /// session, which maintains them incrementally — op responses enter
+    /// its per-process digests at every step without full tracing.
     pub dedup: bool,
     /// Process-symmetry reduction (on by default; the identity unless
     /// [`CheckConfig::orbit`] is non-trivial): collapse crash injections to
@@ -673,21 +673,17 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
         let picks = vec![Vec::new(); cfg.n_plus_1];
         let oracle = MenuOracle::new(Arc::clone(&cfg.menu), cfg.n_plus_1, picks.clone());
         let log = oracle.log();
-        // Dedup digests must see op responses (two states that answered the
-        // same op differently must hash apart), which only the full trace
-        // records; without dedup the session matches the stateless replay's
-        // trace level byte for byte.
-        let trace_level = if cfg.dedup {
-            TraceLevel::Full
-        } else {
-            TraceLevel::Steps
-        };
-        let session = Session::new(
+        // The session records at the stateless replay's trace level, dedup
+        // or not. With dedup it maintains fingerprint digests, which capture
+        // op responses at every step (two states that answered the same op
+        // differently hash apart) without the full trace's `detail` strings.
+        let session = Session::with_fingerprints(
             FailurePattern::failure_free(cfg.n_plus_1),
             Arc::clone(&cfg.algos),
             Box::new(oracle),
-            trace_level,
+            TraceLevel::Steps,
             cfg.use_matrix,
+            cfg.dedup,
         );
         let saves = vec![session.save()];
         TurboCursor {
@@ -863,6 +859,14 @@ impl<'a, D: FdValue> Cursor<'a, D> {
         matches!(self, Cursor::Turbo(_))
     }
 
+    /// The live session of a turbo cursor.
+    fn session(&self) -> Option<&Session<D>> {
+        match self {
+            Cursor::Turbo(c) => Some(&c.session),
+            Cursor::Stateless(_) => None,
+        }
+    }
+
     /// Footprint of the node's last (just-pushed) step.
     fn last_footprint(&self, memo: &mut ResolveMemo) -> Footprint {
         match self {
@@ -888,30 +892,6 @@ impl<'a, D: FdValue> Cursor<'a, D> {
                 StepKind::Query(_) => c.top().queries.last().copied(),
                 _ => None,
             },
-        }
-    }
-
-    /// The canonical state fingerprint of the current node (see
-    /// [`trace_fingerprint`]).
-    fn fingerprint(&self) -> u64 {
-        match self {
-            Cursor::Turbo(c) => c.session.fingerprint(),
-            Cursor::Stateless(c) => {
-                let exec = c.top();
-                trace_fingerprint(&exec.run, &exec.memory)
-            }
-        }
-    }
-
-    /// The orbit-canonical state fingerprint of the current node (see
-    /// [`orbit_trace_fingerprint`]).
-    fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> OrbitFingerprint {
-        match self {
-            Cursor::Turbo(c) => c.session.orbit_fingerprint(class_of, extra),
-            Cursor::Stateless(c) => {
-                let exec = c.top();
-                orbit_trace_fingerprint(&exec.run, &exec.memory, class_of, extra)
-            }
         }
     }
 }
@@ -949,10 +929,78 @@ fn canon_crash_tag(path: &[Choice], canon_of: &[usize]) -> u64 {
 
 /// One fully-explored subtree in the dedup table: pruning a revisit is
 /// sound only against an entry whose exploration was at least as deep and
-/// at least as unrestricted.
+/// at least as unrestricted. `sleep` indexes its sleep set in
+/// [`Visited::sleeps`].
 struct StoredNode {
     remaining: usize,
-    sleep: Vec<(ProcessId, Footprint)>,
+    sleep: (u32, u32),
+}
+
+/// The dedup table: dedup key → fully-explored subtrees, populated
+/// post-order (a node enters only after its subtree completed un-truncated
+/// and violation-free, so every prune skips provably clean ground).
+///
+/// Sleep sets are stored as `(pid, footprint id)` pairs in one arena, with
+/// footprints interned per exploration, so an entry allocates nothing of
+/// its own: a table of tens of thousands of entries stays a few large
+/// blocks instead of a cloned `Vec` and `Key` per entry.
+#[derive(Default)]
+struct Visited {
+    /// `(dedup key, ordinal among entries with that key)` → entry.
+    nodes: BTreeMap<(u64, u32), StoredNode>,
+    sleeps: Vec<(ProcessId, u32)>,
+    /// Interned object footprints by key; id 0 is [`Footprint::Local`].
+    footprints: BTreeMap<Key, Vec<(Footprint, u32)>>,
+    interned: u32,
+}
+
+impl Visited {
+    /// The id of `f`: equal ids exactly for equal footprints.
+    fn intern(&mut self, f: &Footprint) -> u32 {
+        let Footprint::Obj { key, .. } = f else {
+            return 0;
+        };
+        if let Some(same_key) = self.footprints.get(key) {
+            if let Some((_, id)) = same_key.iter().find(|(g, _)| g == f) {
+                return *id;
+            }
+        }
+        self.interned += 1;
+        let id = self.interned;
+        self.footprints
+            .entry(key.clone())
+            .or_default()
+            .push((f.clone(), id));
+        id
+    }
+
+    fn entries(&self, key: u64) -> impl DoubleEndedIterator<Item = (&(u64, u32), &StoredNode)> {
+        self.nodes.range((key, 0)..=(key, u32::MAX))
+    }
+
+    /// Whether an entry under `key` explored at least `remaining` levels
+    /// with a sleep set contained in `sleep`.
+    fn covers(&self, key: u64, remaining: usize, sleep: &[(ProcessId, u32)]) -> bool {
+        self.entries(key).any(|(_, s)| {
+            let (start, end) = (s.sleep.0 as usize, s.sleep.1 as usize);
+            s.remaining >= remaining && self.sleeps[start..end].iter().all(|e| sleep.contains(e))
+        })
+    }
+
+    fn insert(&mut self, key: u64, remaining: usize, sleep: &[(ProcessId, u32)]) {
+        let ordinal = self
+            .entries(key)
+            .next_back()
+            .map_or(0, |((_, ordinal), _)| ordinal + 1);
+        let index = |len: usize| u32::try_from(len).expect("dedup table indices fit in u32");
+        let start = index(self.sleeps.len());
+        self.sleeps.extend_from_slice(sleep);
+        let node = StoredNode {
+            remaining,
+            sleep: (start, index(self.sleeps.len())),
+        };
+        self.nodes.insert((key, ordinal), node);
+    }
 }
 
 /// A deferred subtree handed to the work-stealing pool.
@@ -996,10 +1044,8 @@ struct Explorer<'a, D: FdValue, F: FnMut(FrontierJob)> {
     violations: Vec<CounterExample>,
     path: Vec<Choice>,
     cursor: Cursor<'a, D>,
-    /// Fingerprint → fully-explored subtrees, populated post-order (a node
-    /// enters only after its subtree completed un-truncated and violation-
-    /// free, so every prune skips provably clean ground).
-    visited: Option<BTreeMap<u64, Vec<StoredNode>>>,
+    /// The dedup table, when dedup is on.
+    visited: Option<Visited>,
     resolve_memo: ResolveMemo,
     frontier: Option<F>,
     /// The orbit class of every process (identity classes when symmetry is
@@ -1025,7 +1071,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             violations: Vec::new(),
             path: path.to_vec(),
             cursor: Cursor::at_path(cfg, path, picks),
-            visited: (cfg.dedup && turbo_active(cfg)).then(BTreeMap::new),
+            visited: (cfg.dedup && turbo_active(cfg)).then(Visited::default),
             resolve_memo: ResolveMemo::new(),
             frontier,
             class_of: cfg.orbit.class_of(cfg.n_plus_1),
@@ -1049,18 +1095,20 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
     /// the canonicalizing permutation, and that permutation is returned so
     /// [`Explorer::visit`] can canonicalize the sleep set the same way.
     fn dedup_key(&self, picks: &[Vec<u32>]) -> (u64, Option<Vec<usize>>) {
-        let run = self.cursor.run();
+        let session = self
+            .cursor
+            .session()
+            .expect("the visited table exists only on turbo cursors");
+        let run = session.run();
         let n = self.cfg.n_plus_1;
-        let mut qcounts = vec![0usize; n];
-        for (_, p, _) in run.fd_samples() {
-            qcounts[p.index()] += 1;
-        }
+        let qcounts = session.query_counts();
         // An explicit 0 and a missing entry play the same candidate:
         // strip trailing zeros so the two key identically.
         let suffix_of = |i: usize| -> &[u32] {
+            let served = usize::try_from(qcounts[i]).unwrap_or(usize::MAX);
             let suffix = picks
                 .get(i)
-                .map(|v| v.get(qcounts[i]..).unwrap_or(&[]))
+                .map(|v| v.get(served..).unwrap_or(&[]))
                 .unwrap_or(&[]);
             match suffix.iter().rposition(|&x| x != 0) {
                 Some(last) => &suffix[..=last],
@@ -1082,7 +1130,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
                     e.finish()
                 })
                 .collect();
-            let ofp = self.cursor.orbit_fingerprint(&self.class_of, &extra);
+            let ofp = session.orbit_fingerprint(&self.class_of, &extra);
             let mut h = FnvWrite::new();
             h.write_u64(ofp.fingerprint);
             h.write_u64(faults_in(&self.path) as u64);
@@ -1090,7 +1138,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             (h.finish(), Some(ofp.canon_of))
         } else {
             let mut h = FnvWrite::new();
-            h.write_u64(self.cursor.fingerprint());
+            h.write_u64(session.fingerprint());
             for i in 0..n {
                 h.write_u64(0x51);
                 for &x in suffix_of(i) {
@@ -1139,32 +1187,26 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             }
             return;
         }
-        let dedup_key = match &self.visited {
-            Some(visited) => {
-                let (key, canon) = self.dedup_key(picks);
-                // Sleep entries are compared (and stored) with their pids
-                // mapped through the canonical permutation, so symmetric
-                // nodes agree on the comparison as well as the key.
-                let canon_sleep: Vec<(ProcessId, Footprint)> = match &canon {
-                    Some(canon_of) => sleep
-                        .iter()
-                        .map(|(q, f)| (ProcessId(canon_of[q.index()]), f.clone()))
-                        .collect(),
-                    None => sleep.clone(),
-                };
-                let remaining = self.cfg.depth - steps_used;
-                let seen = visited.get(&key).is_some_and(|stored| {
-                    stored.iter().any(|s| {
-                        s.remaining >= remaining && s.sleep.iter().all(|e| canon_sleep.contains(e))
-                    })
-                });
-                if seen {
-                    self.stats.dedup_pruned += 1;
-                    return;
-                }
-                Some((key, canon_sleep))
+        let remaining = self.cfg.depth - steps_used;
+        let keyed = self.visited.is_some().then(|| self.dedup_key(picks));
+        let dedup_key = if let (Some((key, canon)), Some(visited)) = (keyed, &mut self.visited) {
+            // Sleep entries are compared (and stored) with their pids
+            // mapped through the canonical permutation, so symmetric
+            // nodes agree on the comparison as well as the key.
+            let canon_sleep: Vec<(ProcessId, u32)> = sleep
+                .iter()
+                .map(|(q, f)| {
+                    let q = canon.as_ref().map_or(*q, |c| ProcessId(c[q.index()]));
+                    (q, visited.intern(f))
+                })
+                .collect();
+            if visited.covers(key, remaining, &canon_sleep) {
+                self.stats.dedup_pruned += 1;
+                return;
             }
-            None => None,
+            Some((key, canon_sleep))
+        } else {
+            None
         };
         let violations_before = self.violations.len();
         self.expand(picks, sleep, steps_used);
@@ -1173,12 +1215,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
                 self.visited
                     .as_mut()
                     .expect("a dedup key implies a visited table")
-                    .entry(key)
-                    .or_default()
-                    .push(StoredNode {
-                        remaining: self.cfg.depth - steps_used,
-                        sleep: canon_sleep,
-                    });
+                    .insert(key, remaining, &canon_sleep);
             }
         }
     }

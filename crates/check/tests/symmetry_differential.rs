@@ -187,3 +187,16 @@ fn stable_report_reduces_states_at_least_2x() {
         on.stats.nodes
     );
 }
+
+/// The exact counts behind the ≥2× claim: dedup alone explores 385 states
+/// of stable-report at depth 10, the orbit-canonical key 109. Pinned so a
+/// cheaper fingerprint cannot silently weaken either reduction.
+#[test]
+fn stable_report_symmetry_counts_are_pinned() {
+    let cfg = samples::stable_report(3, 2, 10);
+    let off = run_with(cfg.clone(), |c| c.symmetry(false));
+    let on = run_with(cfg, |c| c.symmetry(true));
+    let counts = |r: &CheckReport| (r.stats.nodes, r.stats.dedup_pruned, r.stats.symmetry_pruned);
+    assert_eq!(counts(&off), (385, 141, 0));
+    assert_eq!(counts(&on), (109, 46, 0));
+}

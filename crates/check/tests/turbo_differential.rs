@@ -167,3 +167,46 @@ fn portfolio_reports_are_reproducible() {
         assert_eq!(a, b, "{name}: non-deterministic report");
     });
 }
+
+/// `(nodes, dedup_pruned, symmetry_pruned)` of one report.
+fn reduction_counts(r: &CheckReport) -> (u64, u64, u64) {
+    (r.stats.nodes, r.stats.dedup_pruned, r.stats.symmetry_pruned)
+}
+
+#[test]
+fn dedup_counts_are_pinned_on_stable_report() {
+    // The exact reduction dedup achieves on the write-race benchmark
+    // (symmetry off, so only fingerprint pruning is at work). A cheaper or
+    // coarser dedup key that merged fewer states would raise `nodes`; one
+    // that merged more would be unsound. Either way this fails loudly.
+    let cfg = samples::stable_report(3, 2, 10).symmetry(false);
+    let off = check(&cfg.clone().dedup(false));
+    let on = check(&cfg.dedup(true));
+    assert!(off.ok() && on.ok(), "stable-report explores clean");
+    assert_eq!(reduction_counts(&off), (1183, 0, 0));
+    assert_eq!(reduction_counts(&on), (385, 141, 0));
+}
+
+#[test]
+fn check_paper_counts_are_pinned() {
+    // The paper's Fig. 1 / Fig. 2 workloads at the benchmark's depths, under
+    // the checker defaults (dedup and symmetry on): no state there is ever
+    // revisited, so both reductions prune nothing — and must keep pruning
+    // nothing, with the node count unchanged, whatever the key's cost.
+    let cases = [
+        ("fig1 n3 d11 f1", check(&samples::fig1(3, 11, 1)), 16_414),
+        ("fig2 n3 d11 f1", check(&samples::fig2(3, 1, 11, 1)), 17_095),
+        (
+            "fig1-mutating n3 d13",
+            check(&samples::fig1_mutating(3, 13, 0, 1)),
+            15_842,
+        ),
+    ];
+    let mut total = 0;
+    for (name, report, nodes) in &cases {
+        assert!(report.ok() && !report.stats.truncated, "{name}: clean");
+        assert_eq!(reduction_counts(report), (*nodes, 0, 0), "{name}");
+        total += report.stats.nodes;
+    }
+    assert_eq!(total, 49_351);
+}

@@ -8,27 +8,45 @@
 //! * **shared state** enters via [`Memory::fingerprint64`], which combines
 //!   per-object digests of `key:type=Debug-state` with a commutative fold —
 //!   object *ids* are assigned at first touch and therefore vary across
-//!   equivalent interleavings, but key *names* do not;
+//!   equivalent interleavings, but key names do not;
 //! * **per-process control state** enters as one sequential digest per
 //!   process over that process's own event subsequence — kinds, object key
-//!   names, accesses, op signatures, `Debug`-rendered details and
+//!   names, accesses, op signatures, `op -> resp` renderings and
 //!   failure-detector samples, but **not** times: commuting swaps perturb
 //!   the global ordering (and thus times) while preserving each process's
 //!   subsequence. A deterministic algorithm that has seen the same
 //!   responses is in the same continuation state, so the digest is a sound
 //!   proxy for the suspended state machine — *provided responses are
-//!   captured*, i.e. the run was recorded at [`TraceLevel::Full`]
-//!   (`detail` carries `op -> resp`). The checker forces full tracing
-//!   whenever fingerprint dedup is enabled.
+//!   captured*. The batch function reads them from the events' `detail`,
+//!   so it needs a run recorded at [`TraceLevel::Full`];
 //! * **crash/finish status** enters as the crashed *set* and finished flags
 //!   (crash delivery times are path-determined and already reflected in the
 //!   per-process subsequences).
 //!
+//! # Batch and incremental digests
+//!
+//! [`trace_fingerprint`] and [`orbit_trace_fingerprint`] are the *batch*
+//! definitions: they re-hash the whole prefix and every memory object.
+//! A [`Session`](crate::Session) computes the same values incrementally.
+//! Its world carries one running [`FnvWrite`] per process, into which every
+//! step folds exactly the bytes the batch digest hashes for that event
+//! (the `invoke` site writes `op -> resp` straight into the digest, never
+//! building the `detail` string), and its memory keeps each object's fold
+//! term plus their sum, refreshing only the touched object's term per
+//! operation. [`Session::fingerprint`](crate::Session::fingerprint) and
+//! [`Session::orbit_fingerprint`](crate::Session::orbit_fingerprint) then
+//! combine `n + 1` cached words through the same code as the batch
+//! functions, so they are bit-identical to the batch fingerprint of a
+//! [`TraceLevel::Full`] replay of the session's schedule — whatever trace
+//! level the session itself records at.
+//!
 //! [`TraceLevel::Full`]: crate::TraceLevel::Full
 
-use crate::object::Memory;
+use crate::object::{Access, Key, Memory};
+use crate::opsig::OpSig;
 use crate::oracle::FdValue;
-use crate::trace::{Run, StepKind};
+use crate::process::ProcessId;
+use crate::trace::{Output, Run, StepKind};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -50,6 +68,14 @@ impl FnvWrite {
     /// A fresh accumulator at the FNV offset basis.
     pub fn new() -> Self {
         FnvWrite(FNV_OFFSET)
+    }
+
+    /// An accumulator that continues from a state earlier returned by
+    /// [`FnvWrite::finish`]: FNV-1a carries no state beyond the running
+    /// word, so absorbing more bytes into the resumed accumulator equals
+    /// absorbing them into the original.
+    pub(crate) fn resume(state: u64) -> Self {
+        FnvWrite(state)
     }
 
     /// Absorbs raw bytes.
@@ -77,9 +103,38 @@ impl fmt::Write for FnvWrite {
     }
 }
 
+// The per-event byte layout of a process digest. The batch digest below and
+// the incremental one maintained at the step sites (`runtime.rs`) both go
+// through these helpers, so the two cannot drift apart. Every event ends
+// with `;`; an `Op` event is `O/key/access[/sig][/op -> resp];`.
+
+/// Folds the head of an `Op` event, `O/key/access[/sig]`. The caller
+/// follows with `/op -> resp` (when responses are captured) and `;`.
+pub(crate) fn fold_op_head(w: &mut FnvWrite, key: &Key, access: Access, sig: Option<&OpSig>) {
+    let _ = write!(w, "O/{key}/{access}");
+    if let Some(sig) = sig {
+        let _ = write!(w, "/{sig:?}");
+    }
+}
+
+/// Folds a failure-detector query event.
+pub(crate) fn fold_query<D: FdValue>(w: &mut FnvWrite, d: &D) {
+    let _ = write!(w, "Q/{d:?};");
+}
+
+/// Folds an application-output event.
+pub(crate) fn fold_output(w: &mut FnvWrite, o: Output) {
+    let _ = write!(w, "P/{o};");
+}
+
+/// Folds a no-op event.
+pub(crate) fn fold_noop(w: &mut FnvWrite) {
+    w.write_bytes(b"N;");
+}
+
 /// Digest of one process's event subsequence (times excluded — see the
 /// module docs for why that is exactly the Mazurkiewicz-invariant choice).
-fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: crate::ProcessId) -> u64 {
+fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: ProcessId) -> u64 {
     let mut w = FnvWrite::new();
     for ev in run.events_of(p) {
         match &ev.kind {
@@ -89,38 +144,48 @@ fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: crate::ProcessId) -
                 sig,
                 detail,
             } => {
-                let _ = w.write_str("O/");
-                match memory.name_of(*object) {
-                    Some(key) => {
-                        let _ = write!(w, "{key}");
-                    }
-                    None => {
-                        // An object the final memory no longer knows cannot
-                        // occur (memory only grows); keep the id as a
-                        // defensive fallback rather than panicking mid-hash.
-                        let _ = write!(w, "{object}");
-                    }
-                }
-                let _ = write!(w, "/{access}");
-                if let Some(sig) = sig {
-                    let _ = write!(w, "/{sig:?}");
-                }
+                // Memory only grows, so every object a recorded op touched
+                // is named in the final memory.
+                let key = memory
+                    .name_of(*object)
+                    .expect("an op's object is allocated in the run's memory");
+                fold_op_head(&mut w, key, *access, sig.as_ref());
                 if let Some(detail) = detail {
                     let _ = w.write_str("/");
                     let _ = w.write_str(detail);
                 }
+                let _ = w.write_str(";");
             }
-            StepKind::Query(d) => {
-                let _ = write!(w, "Q/{d:?}");
-            }
-            StepKind::Output(o) => {
-                let _ = write!(w, "P/{o}");
-            }
-            StepKind::NoOp => {
-                let _ = w.write_str("N");
-            }
+            StepKind::Query(d) => fold_query(&mut w, d),
+            StepKind::Output(o) => fold_output(&mut w, *o),
+            StepKind::NoOp => fold_noop(&mut w),
         }
-        let _ = w.write_str(";");
+    }
+    w.finish()
+}
+
+/// Absorbs `p`'s crashed and finished flags.
+fn write_status<D: FdValue>(w: &mut FnvWrite, run: &Run<D>, p: ProcessId) {
+    let crashed = run.crash_observed(p).is_some();
+    let finished = run.finished(p);
+    w.write_bytes(&[u8::from(crashed), u8::from(finished)]);
+}
+
+/// Combines a memory digest and the per-process digests (`digest_of(i)` for
+/// process `i`) into [`trace_fingerprint`]'s value. Shared by the batch
+/// function and [`Session::fingerprint`](crate::Session::fingerprint).
+pub(crate) fn combine<D: FdValue>(
+    run: &Run<D>,
+    memory_fp: u64,
+    digest_of: impl Fn(usize) -> u64,
+) -> u64 {
+    let mut w = FnvWrite::new();
+    w.write_u64(memory_fp);
+    w.write_u64(run.n_plus_1() as u64);
+    for i in 0..run.n_plus_1() {
+        w.write_u64(i as u64);
+        w.write_u64(digest_of(i));
+        write_status(&mut w, run, ProcessId(i));
     }
     w.finish()
 }
@@ -130,18 +195,9 @@ fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: crate::ProcessId) -
 /// module docs for the soundness contract (full tracing required when used
 /// as a dedup key).
 pub fn trace_fingerprint<D: FdValue>(run: &Run<D>, memory: &Memory) -> u64 {
-    let mut w = FnvWrite::new();
-    w.write_u64(memory.fingerprint64());
-    w.write_u64(run.n_plus_1() as u64);
-    for i in 0..run.n_plus_1() {
-        let p = crate::ProcessId(i);
-        w.write_u64(i as u64);
-        w.write_u64(proc_digest(run, memory, p));
-        let crashed = run.crash_observed(p).is_some();
-        let finished = run.finished(p);
-        w.write_bytes(&[u8::from(crashed), u8::from(finished)]);
-    }
-    w.finish()
+    combine(run, memory.fingerprint64(), |i| {
+        proc_digest(run, memory, ProcessId(i))
+    })
 }
 
 /// An orbit-canonical fingerprint: the digest of a run prefix *up to
@@ -184,17 +240,33 @@ pub fn orbit_trace_fingerprint<D: FdValue>(
     class_of: &[u32],
     extra: &[u64],
 ) -> OrbitFingerprint {
+    combine_orbit(
+        run,
+        memory.fingerprint64(),
+        |i| proc_digest(run, memory, ProcessId(i)),
+        class_of,
+        extra,
+    )
+}
+
+/// [`orbit_trace_fingerprint`] over a precomputed memory digest and
+/// per-process digests. Shared by the batch function and
+/// [`Session::orbit_fingerprint`](crate::Session::orbit_fingerprint).
+pub(crate) fn combine_orbit<D: FdValue>(
+    run: &Run<D>,
+    memory_fp: u64,
+    digest_of: impl Fn(usize) -> u64,
+    class_of: &[u32],
+    extra: &[u64],
+) -> OrbitFingerprint {
     let n = run.n_plus_1();
     debug_assert_eq!(class_of.len(), n);
     debug_assert_eq!(extra.len(), n);
     let mut keyed: Vec<(u32, u64, u64, usize)> = (0..n)
         .map(|i| {
-            let p = crate::ProcessId(i);
             let mut w = FnvWrite::new();
-            w.write_u64(proc_digest(run, memory, p));
-            let crashed = run.crash_observed(p).is_some();
-            let finished = run.finished(p);
-            w.write_bytes(&[u8::from(crashed), u8::from(finished)]);
+            w.write_u64(digest_of(i));
+            write_status(&mut w, run, ProcessId(i));
             (
                 class_of.get(i).copied().unwrap_or(i as u32),
                 w.finish(),
@@ -209,7 +281,7 @@ pub fn orbit_trace_fingerprint<D: FdValue>(
     keyed.sort_unstable();
     let mut canon_of = vec![0usize; n];
     let mut w = FnvWrite::new();
-    w.write_u64(memory.fingerprint64());
+    w.write_u64(memory_fp);
     w.write_u64(n as u64);
     for (pos, (class, digest, ex, pid)) in keyed.iter().enumerate() {
         canon_of[*pid] = pos;

@@ -12,10 +12,11 @@
 //! state leak through.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
 use upsilon_sim::{
-    algo, Access, FailurePattern, Key, NullOracle, ObjectType, ProcessId, Session, SessionAlgos,
-    TraceLevel,
+    algo, orbit_trace_fingerprint, trace_fingerprint, Access, FailurePattern, Key, NullOracle,
+    ObjectType, ProcessId, Session, SessionAlgos, SessionSave, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -81,13 +82,50 @@ fn ring_algos(n: usize, rounds: usize) -> SessionAlgos<()> {
 }
 
 fn new_session(n: usize, rounds: usize) -> Session<()> {
+    session_at(n, rounds, TraceLevel::Full, true)
+}
+
+fn session_at(n: usize, rounds: usize, level: TraceLevel, sigs: bool) -> Session<()> {
     Session::new(
         FailurePattern::failure_free(n),
         ring_algos(n, rounds),
         Box::new(NullOracle),
-        TraceLevel::Full,
-        true,
+        level,
+        sigs,
     )
+}
+
+/// A schedule entry of the equality walk: grant a step, or crash.
+#[derive(Clone, Copy, Debug)]
+enum Move {
+    Step(ProcessId),
+    Crash(ProcessId),
+}
+
+/// The session's incremental fingerprints against the batch ones of a
+/// fresh full-trace session driven through the same moves.
+fn assert_fingerprints_match_batch(
+    session: &Session<()>,
+    moves: &[Move],
+    sigs: bool,
+) -> Result<(), TestCaseError> {
+    let n = session.n_plus_1();
+    let mut fresh = session_at(n, 4, TraceLevel::Full, sigs);
+    for m in moves {
+        match *m {
+            Move::Step(p) => {
+                fresh.step(p);
+            }
+            Move::Crash(p) => fresh.crash(p),
+        }
+    }
+    let batch = fresh.with_memory(|m| trace_fingerprint(fresh.run(), m));
+    prop_assert_eq!(session.fingerprint(), batch);
+    let class_of = vec![0u32; n];
+    let extra: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
+    let orbit = fresh.with_memory(|m| orbit_trace_fingerprint(fresh.run(), m, &class_of, &extra));
+    prop_assert_eq!(session.orbit_fingerprint(&class_of, &extra), orbit);
+    Ok(())
 }
 
 /// Grants each scheduled process in turn, skipping ineligible ones (the
@@ -177,6 +215,55 @@ fn nested_saves_restore_to_any_ancestor() {
 }
 
 proptest! {
+    /// Random walks of steps, crashes and restores to arbitrary ancestors,
+    /// at either trace level: at every node the incrementally maintained
+    /// fingerprints equal the batch definition over a full-trace replay.
+    #[test]
+    fn incremental_fingerprints_equal_batch_at_every_node(
+        walk in proptest::collection::vec((0u8..6, 0u8..=255), 0..40),
+        full in proptest::bool::ANY,
+        sigs in proptest::bool::ANY,
+    ) {
+        let level = if full { TraceLevel::Full } else { TraceLevel::Steps };
+        let mut session = session_at(3, 4, level, sigs);
+        let mut stack: Vec<(SessionSave, Vec<Move>)> = vec![(session.save(), Vec::new())];
+        assert_fingerprints_match_batch(&session, &[], sigs)?;
+        for (kind, arg) in walk {
+            let moves = stack.last().expect("root save").1.clone();
+            let eligible: Vec<ProcessId> =
+                (0..3).map(ProcessId).filter(|&p| session.eligible(p)).collect();
+            let crashed = moves.iter().filter(|m| matches!(m, Move::Crash(_))).count();
+            let pick = |ps: &[ProcessId]| ps[arg as usize % ps.len()];
+            let next = match kind {
+                0..=2 if !eligible.is_empty() => {
+                    let p = pick(&eligible);
+                    session.step(p);
+                    Some(Move::Step(p))
+                }
+                3 if crashed < 2 && !eligible.is_empty() => {
+                    let p = pick(&eligible);
+                    session.crash(p);
+                    Some(Move::Crash(p))
+                }
+                _ => None,
+            };
+            match next {
+                Some(m) => {
+                    let mut child = moves;
+                    child.push(m);
+                    stack.push((session.save(), child));
+                }
+                None => {
+                    stack.truncate(arg as usize % stack.len() + 1);
+                    let save = &stack.last().expect("root save").0;
+                    session.restore(save, Box::new(NullOracle));
+                }
+            }
+            let moves = &stack.last().expect("root save").1;
+            assert_fingerprints_match_batch(&session, moves, sigs)?;
+        }
+    }
+
     /// Any prefix/detour/suffix split: the resumed run must match the
     /// uninterrupted one byte for byte.
     #[test]
