@@ -1,26 +1,39 @@
 //! The packed executor: many suspended runs, one engine loop.
 //!
-//! [`run_packed_specs`] packs every instance of a shard into a `SwarmCell`
-//! arena (a vector of suspended [`RunCell`]s plus their fold parameters)
-//! and sweeps it round-robin, granting each live cell a bounded step quota
-//! per sweep. One thread therefore interleaves an arbitrary number of
-//! protocol instances with no per-instance thread, channel or context
-//! switch — the swarm pays one `poll` per granted step, exactly like a
-//! standalone run, plus a pointer chase per cell per sweep.
+//! [`run_packed_specs`] drives every instance of a shard through a slot
+//! vector of `SwarmCell`s (a suspended [`RunCell`] plus its fold
+//! parameters) and sweeps it round-robin, granting each live cell a
+//! bounded step quota per sweep. One thread therefore interleaves an
+//! arbitrary number of protocol instances with no per-instance thread,
+//! channel or context switch — the swarm pays one `poll` per granted step,
+//! exactly like a standalone run, plus a pointer chase per cell per sweep.
+//!
+//! Full-pack mode (`window = None`) builds every cell before the first
+//! sweep. Windowed mode admits lazily: a slot holds the index of its
+//! pending spec, and the cell is built right before its first quota, so
+//! the instance is built, stepped and — for the many that finish within
+//! one quota — folded while its memory is still in cache. A retiring
+//! slot takes the next spec index, not a pre-built cell.
 //!
 //! Batched stepping changes *when* an instance's steps happen relative to
 //! its neighbours but never *which* steps happen: cells share nothing, and
 //! a `RunCell` advanced in arbitrary quota slices is byte-identical to the
 //! one-shot run by construction (see `upsilon-sim`). The differential and
 //! property suites lock this: per-instance outcomes are invariant under
-//! instance count, batch size, packing order and worker count.
+//! instance count, batch size, packing order, window and worker count.
+//!
+//! A retiring cell is folded into only what the report sums
+//! ([`fold_outcome`]); the `trace_fingerprint` determinism witness is
+//! computed only when per-instance results are collected.
 //!
 //! Worker sharding is contiguous: `workers` jobs over `run_batch`, each
 //! packing and sweeping its own slice of the spec list, results merged in
 //! spec order. Instances are independent, so the pool parallelises across
 //! arena slices without perturbing any run.
 
-use crate::spec::{campaign_specs, fold_outcome, mix_to_string, InstanceResult, InstanceSpec};
+use crate::spec::{
+    campaign_specs, fold_outcome, fold_witnessed, mix_to_string, InstanceResult, InstanceSpec,
+};
 use upsilon_sim::{run_batch, ProcessSet, RunCell, StopReason};
 
 /// A swarm campaign: the mix, the arena size, stepping and sharding knobs.
@@ -41,12 +54,13 @@ pub struct SwarmConfig {
     /// The slice `[lo, hi)` of the campaign this process runs (an OS-level
     /// shard); `None` runs the whole campaign.
     pub range: Option<(u64, u64)>,
-    /// Live-cell window per worker: `None` packs the whole slice before
-    /// stepping (maximum residency — the "instances packed" headline);
-    /// `Some(w)` streams the slice through at most `w` resident cells,
-    /// admitting the next instance as one retires (bounded memory, cache-
-    /// resident working set — the throughput mode). Per-instance results
-    /// and every report field are window-invariant.
+    /// Live-cell window per worker: `None` builds every cell of the slice
+    /// before stepping (maximum residency — the "instances packed"
+    /// headline); `Some(w)` streams the slice through at most `w` slots,
+    /// each building its next instance right before that instance's first
+    /// step quota (bounded memory, cache-resident working set — the
+    /// throughput mode). Per-instance results and every report field are
+    /// window-invariant.
     pub window: Option<usize>,
 }
 
@@ -93,7 +107,8 @@ pub struct SwarmReport {
     /// Instances executed.
     pub instances: u64,
     /// Σ cell `approx_bytes` at admission, before the instance's first
-    /// step — in full-pack mode, the arena occupancy right after packing.
+    /// step — in full-pack mode, the arena occupancy right after packing;
+    /// in windowed mode, accrued as each cell is built at its first quota.
     pub packed_bytes: u64,
     /// Final arena occupancy: Σ cell `approx_bytes` at retirement — each
     /// cell's high-water mark, since accumulator capacity never shrinks.
@@ -129,16 +144,20 @@ impl SwarmReport {
             && self.finished == self.instances
     }
 
-    fn absorb(&mut self, other: &SwarmReport) {
-        self.instances += other.instances;
-        self.packed_bytes += other.packed_bytes;
-        self.arena_bytes += other.arena_bytes;
-        self.total_steps += other.total_steps;
-        self.decisions += other.decisions;
-        self.fd_queries += other.fd_queries;
-        self.spec_ok += other.spec_ok;
-        self.run_cond_ok += other.run_cond_ok;
-        self.finished += other.finished;
+    /// The field-wise sum of two reports, or `None` if any field
+    /// overflows.
+    pub(crate) fn checked_add(&self, other: &SwarmReport) -> Option<SwarmReport> {
+        Some(SwarmReport {
+            instances: self.instances.checked_add(other.instances)?,
+            packed_bytes: self.packed_bytes.checked_add(other.packed_bytes)?,
+            arena_bytes: self.arena_bytes.checked_add(other.arena_bytes)?,
+            total_steps: self.total_steps.checked_add(other.total_steps)?,
+            decisions: self.decisions.checked_add(other.decisions)?,
+            fd_queries: self.fd_queries.checked_add(other.fd_queries)?,
+            spec_ok: self.spec_ok.checked_add(other.spec_ok)?,
+            run_cond_ok: self.run_cond_ok.checked_add(other.run_cond_ok)?,
+            finished: self.finished.checked_add(other.finished)?,
+        })
     }
 }
 
@@ -149,22 +168,29 @@ struct SwarmCell {
     proposals: Vec<Option<u64>>,
 }
 
-/// Builds and suspends one instance.
-fn pack(spec: &InstanceSpec) -> SwarmCell {
-    let (builder, k, proposals) = spec.build();
-    SwarmCell {
-        cell: builder.into_cell(),
-        k,
-        proposals,
-    }
+/// One slot of the sweep: the spec index it serves and, once admitted,
+/// its cell. A windowed slot starts (and restarts after each retirement)
+/// with `cell: None` and builds it at its first grant.
+struct Slot {
+    idx: usize,
+    cell: Option<SwarmCell>,
 }
 
-/// Packs `specs` into one arena and sweeps it to completion on the calling
-/// thread. `window` bounds the live cells (`None` = pack everything up
-/// front); a retiring cell's slot immediately admits the next unpacked
-/// instance, so the sweep streams the slice through a bounded arena.
-/// Returns the aggregate report and, when `collect` is set, every
-/// instance's result in spec order.
+/// Builds and suspends one instance, accruing its admission occupancy
+/// into `packed_bytes`.
+fn pack(spec: &InstanceSpec, packed_bytes: &mut u64) -> SwarmCell {
+    let (builder, k, proposals) = spec.build();
+    let cell = builder.into_cell();
+    *packed_bytes += cell.approx_bytes() as u64;
+    SwarmCell { cell, k, proposals }
+}
+
+/// Sweeps `specs` to completion on the calling thread. `window = None`
+/// packs every cell before the first sweep; `Some(w)` streams the slice
+/// through `w` slots, each building its cell right before the cell's first
+/// quota and taking the next spec index when it retires. Returns the
+/// aggregate report and, when `collect` is set, every instance's result
+/// (fingerprint witness included) in spec order.
 fn run_shard(
     specs: &[InstanceSpec],
     batch: u64,
@@ -172,6 +198,7 @@ fn run_shard(
     collect: bool,
 ) -> (SwarmReport, Option<Vec<InstanceResult>>) {
     let batch = batch.max(1);
+    let eager = window.is_none();
     let window = window.map_or(specs.len(), |w| w.clamp(1, specs.len().max(1)));
     let mut report = SwarmReport {
         instances: specs.len() as u64,
@@ -180,36 +207,42 @@ fn run_shard(
     let mut results: Option<Vec<Option<InstanceResult>>> =
         collect.then(|| (0..specs.len()).map(|_| None).collect());
 
-    // Pack the first window before any step runs; full-pack mode admits
-    // the whole slice here. Each slot carries its spec index so results
-    // land in spec order whatever the retirement order.
-    let mut next = 0usize;
-    let mut slots: Vec<Option<(usize, SwarmCell)>> = Vec::with_capacity(window);
-    while next < specs.len() && slots.len() < window {
-        let packed = pack(&specs[next]);
-        report.packed_bytes += packed.cell.approx_bytes() as u64;
-        slots.push(Some((next, packed)));
-        next += 1;
-    }
+    // Seat the first window. Full-pack mode builds every cell here, before
+    // any step runs; windowed slots only note their spec index. Each slot
+    // carries that index so results land in spec order whatever the
+    // retirement order.
+    let mut next = window.min(specs.len());
+    let mut slots: Vec<Option<Slot>> = (0..next)
+        .map(|idx| {
+            let cell = eager.then(|| pack(&specs[idx], &mut report.packed_bytes));
+            Some(Slot { idx, cell })
+        })
+        .collect();
 
-    // Sweep: round-robin batched stepping until every cell retires and no
+    // Sweep: round-robin batched stepping until every slot retires and no
     // instance awaits admission.
     let mut live = slots.len();
     while live > 0 {
         for slot in &mut slots {
-            let Some((_, packed)) = slot.as_mut() else {
+            let Some(Slot { idx, cell }) = slot.as_mut() else {
                 continue;
             };
+            let packed = cell.get_or_insert_with(|| pack(&specs[*idx], &mut report.packed_bytes));
             if packed.cell.step_quota(batch).is_none() {
                 continue;
             }
-            let (idx, packed) = slot.take().expect("slot checked live above");
+            let Slot { idx, cell } = slot.take().expect("slot checked live above");
+            let packed = cell.expect("cell admitted above");
             report.arena_bytes += packed.cell.approx_bytes() as u64;
             let sim = packed.cell.finish();
             if sim.run.stop_reason() == StopReason::AllDone {
                 report.finished += 1;
             }
-            let res = fold_outcome(&sim, packed.k, &packed.proposals);
+            let res = if collect {
+                fold_witnessed(&sim, packed.k, &packed.proposals)
+            } else {
+                fold_outcome(&sim, packed.k, &packed.proposals)
+            };
             report.total_steps += res.outcome.total_steps;
             report.decisions += res.decisions();
             report.fd_queries += res.outcome.fd_queries as u64;
@@ -218,11 +251,13 @@ fn run_shard(
             if let Some(results) = results.as_mut() {
                 results[idx] = Some(res);
             }
-            // Streaming refill: the retired slot admits the next instance.
+            // Streaming refill: the retired slot takes the next spec index
+            // and builds its cell at its next grant.
             if next < specs.len() {
-                let fresh = pack(&specs[next]);
-                report.packed_bytes += fresh.cell.approx_bytes() as u64;
-                *slot = Some((next, fresh));
+                *slot = Some(Slot {
+                    idx: next,
+                    cell: None,
+                });
                 next += 1;
             } else {
                 live -= 1;
@@ -289,7 +324,9 @@ pub fn run_packed_specs(
     let mut report = SwarmReport::default();
     let mut results = collect.then(Vec::new);
     for (shard_report, shard_results) in outs {
-        report.absorb(&shard_report);
+        report = report
+            .checked_add(&shard_report)
+            .expect("one process's counters stay far below u64::MAX");
         if let (Some(all), Some(mut shard)) = (results.as_mut(), shard_results) {
             all.append(&mut shard);
         }
@@ -303,7 +340,8 @@ pub fn run_swarm(cfg: &SwarmConfig) -> SwarmReport {
     run_packed_specs(&specs, cfg.batch, cfg.workers, cfg.window, false).0
 }
 
-/// Runs a campaign slice and returns the report plus per-instance results.
+/// Runs a campaign slice and returns the report plus per-instance results,
+/// each carrying its fingerprint witness.
 pub fn run_swarm_collect(cfg: &SwarmConfig) -> (SwarmReport, Vec<InstanceResult>) {
     let specs = campaign_specs(&cfg.mix, cfg.campaign_seed, cfg.effective_range());
     let (report, results) = run_packed_specs(&specs, cfg.batch, cfg.workers, cfg.window, true);

@@ -12,10 +12,12 @@
 //! suites in `tests/`:
 //!
 //! * every instance's [`AgreementOutcome`](upsilon_core::experiment::AgreementOutcome)
-//!   and state fingerprint is **byte-identical** to the same spec run
-//!   standalone through `SimBuilder::run` / `run_batch`;
+//!   is **byte-identical** to the same spec run standalone through
+//!   `SimBuilder::run` / `run_batch`, witnessed by the run's state
+//!   fingerprint wherever per-instance results are collected
+//!   ([`run_swarm_collect`], [`run_standalone`]);
 //! * per-instance results are invariant under instance count, batch
-//!   size, packing order and worker count;
+//!   size, packing order, window and worker count;
 //! * campaign seeds are a pure function of `(campaign_seed, index)`, so
 //!   OS-level shards of one campaign agree on every instance without
 //!   coordination.

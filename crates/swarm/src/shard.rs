@@ -184,7 +184,11 @@ pub fn load_records(dir: &Path) -> io::Result<Vec<ShardRecord>> {
 /// Fails unless all records share one campaign key and their `[lo, hi)`
 /// ranges exactly partition `[0, instances)` — no gap, no overlap, no
 /// missing shard. Duplicate records (identical ranges, e.g. a shard saved
-/// from a re-run) are deduplicated only if byte-identical.
+/// from a re-run) are deduplicated only if byte-identical. Each record
+/// must also account for its whole range (`ran == hi − lo`) with
+/// `spec_ok`, `run_cond_ok` and `finished` each at most `ran`, so a torn
+/// or tampered record cannot shrink the campaign it claims to cover; a
+/// sum that overflows `u64` is an error, never a wrapped count.
 pub fn merge_records(records: &[ShardRecord]) -> Result<SwarmReport, String> {
     let first = records.first().ok_or("no shard records to merge")?;
     let key = first.campaign_key();
@@ -220,6 +224,23 @@ pub fn merge_records(records: &[ShardRecord]) -> Result<SwarmReport, String> {
         if rec.hi <= rec.lo {
             return Err(format!("empty or inverted range [{}, {})", rec.lo, rec.hi));
         }
+        let r = &rec.report;
+        if r.instances != rec.hi - rec.lo {
+            return Err(format!(
+                "record for [{}, {}) ran {} instances, not {}",
+                rec.lo,
+                rec.hi,
+                r.instances,
+                rec.hi - rec.lo
+            ));
+        }
+        if r.spec_ok.max(r.run_cond_ok).max(r.finished) > r.instances {
+            return Err(format!(
+                "record for [{}, {}) counts more clean instances than it ran: \
+                 ran={} spec_ok={} run_cond_ok={} finished={}",
+                rec.lo, rec.hi, r.instances, r.spec_ok, r.run_cond_ok, r.finished
+            ));
+        }
         expect = rec.hi;
     }
     if expect != first.instances {
@@ -228,21 +249,12 @@ pub fn merge_records(records: &[ShardRecord]) -> Result<SwarmReport, String> {
             first.instances
         ));
     }
-    let mut report = SwarmReport::default();
-    for rec in &unique {
-        report = SwarmReport {
-            instances: report.instances + rec.report.instances,
-            packed_bytes: report.packed_bytes + rec.report.packed_bytes,
-            arena_bytes: report.arena_bytes + rec.report.arena_bytes,
-            total_steps: report.total_steps + rec.report.total_steps,
-            decisions: report.decisions + rec.report.decisions,
-            fd_queries: report.fd_queries + rec.report.fd_queries,
-            spec_ok: report.spec_ok + rec.report.spec_ok,
-            run_cond_ok: report.run_cond_ok + rec.report.run_cond_ok,
-            finished: report.finished + rec.report.finished,
-        };
-    }
-    Ok(report)
+    unique
+        .iter()
+        .try_fold(SwarmReport::default(), |sum, rec| {
+            sum.checked_add(&rec.report)
+        })
+        .ok_or_else(|| "shard report sums overflow u64".to_string())
 }
 
 #[cfg(test)]
@@ -307,6 +319,42 @@ mod tests {
             "overlap"
         );
         assert!(merge_records(&[rec(10, 100, 2, 1)]).is_err(), "gap at head");
+    }
+
+    #[test]
+    fn merge_rejects_records_that_do_not_account_for_their_range() {
+        // A torn record claiming only 7 of its 50 instances, all clean.
+        let mut torn = rec(0, 50, 2, 0);
+        torn.report.instances = 7;
+        torn.report.spec_ok = 7;
+        torn.report.run_cond_ok = 7;
+        torn.report.finished = 7;
+        assert!(merge_records(&[torn, rec(50, 100, 2, 1)]).is_err());
+        for field in 0..3 {
+            let mut over = rec(0, 50, 2, 0);
+            let counter = match field {
+                0 => &mut over.report.spec_ok,
+                1 => &mut over.report.run_cond_ok,
+                _ => &mut over.report.finished,
+            };
+            *counter = 51;
+            assert!(
+                merge_records(&[over, rec(50, 100, 2, 1)]).is_err(),
+                "counter {field} above `ran` must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_reports_overflow_as_an_error() {
+        let mut a = rec(0, 50, 2, 0);
+        let mut b = rec(50, 100, 2, 1);
+        a.report.total_steps = u64::MAX;
+        b.report.total_steps = 1;
+        assert!(merge_records(&[a.clone(), b.clone()]).is_err());
+        a.report.total_steps = u64::MAX - 1;
+        let merged = merge_records(&[a, b]).expect("sums to exactly u64::MAX");
+        assert_eq!(merged.total_steps, u64::MAX);
     }
 
     #[test]

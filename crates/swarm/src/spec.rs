@@ -160,14 +160,18 @@ impl InstanceSpec {
 }
 
 /// One instance's final, comparable result: the full [`AgreementOutcome`]
-/// plus the canonical state fingerprint of its run against its final
-/// shared memory.
+/// and, where per-instance results are collected, the canonical state
+/// fingerprint of its run against its final shared memory.
 #[derive(Clone, PartialEq, Debug)]
 pub struct InstanceResult {
     /// Decisions, spec verdict, §3.3 run-condition verdict, step metrics.
     pub outcome: AgreementOutcome,
-    /// [`trace_fingerprint`] of the completed run.
-    pub fingerprint: u64,
+    /// [`trace_fingerprint`] of the completed run — the determinism
+    /// witness. Set by the paths that return per-instance results
+    /// ([`run_standalone`], `run_packed_specs(.., collect = true)`,
+    /// [`run_swarm_collect`](crate::run_swarm_collect)); `None` from
+    /// [`fold_outcome`], because no aggregate report reads it.
+    pub fingerprint: Option<u64>,
 }
 
 impl InstanceResult {
@@ -177,8 +181,9 @@ impl InstanceResult {
     }
 }
 
-/// Folds a completed run into its [`InstanceResult`] — the one fold both
-/// the standalone path and the packed executor apply.
+/// Folds a completed run into its [`InstanceResult`] without the
+/// fingerprint: everything a [`SwarmReport`](crate::SwarmReport) sums, and
+/// nothing more. The fold the counters-only sweep applies.
 pub fn fold_outcome(
     outcome: &SimOutcome<ProcessSet>,
     k: usize,
@@ -186,17 +191,31 @@ pub fn fold_outcome(
 ) -> InstanceResult {
     InstanceResult {
         outcome: AgreementOutcome::from_run(&outcome.run, &outcome.memory, k, proposals),
-        fingerprint: trace_fingerprint(&outcome.run, &outcome.memory),
+        fingerprint: None,
+    }
+}
+
+/// [`fold_outcome`] plus the [`trace_fingerprint`] witness — the one fold
+/// both the standalone path and the collecting executor apply, so their
+/// results compare field for field.
+pub(crate) fn fold_witnessed(
+    outcome: &SimOutcome<ProcessSet>,
+    k: usize,
+    proposals: &[Option<u64>],
+) -> InstanceResult {
+    InstanceResult {
+        fingerprint: Some(trace_fingerprint(&outcome.run, &outcome.memory)),
+        ..fold_outcome(outcome, k, proposals)
     }
 }
 
 /// Runs one instance standalone: build, drive to completion in one shot,
-/// fold. The reference the differential suite holds the packed executor
-/// against.
+/// fold with the fingerprint witness. The reference the differential suite
+/// holds the packed executor against.
 pub fn run_standalone(spec: &InstanceSpec) -> InstanceResult {
     let (builder, k, proposals) = spec.build();
     let outcome = builder.run();
-    fold_outcome(&outcome, k, &proposals)
+    fold_witnessed(&outcome, k, &proposals)
 }
 
 /// Runs many instances standalone over the [`run_batch`] worker pool;

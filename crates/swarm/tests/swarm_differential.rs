@@ -4,7 +4,8 @@
 //! the same spec driven to completion alone through `SimBuilder::run`.
 //! "Byte-identical" is the full `PartialEq` on the result: every decision,
 //! the k-set-agreement verdict, each §3.3 run-condition verdict, the step
-//! metrics and the canonical state fingerprint.
+//! metrics and the canonical state fingerprint — which both collecting
+//! paths must set, so the comparison is never `None == None`.
 //!
 //! The suite also pins the campaign layer: OS-style shard slices merged
 //! through the content-addressed store reproduce the whole-campaign
@@ -13,12 +14,12 @@
 use upsilon_swarm::{
     campaign_shard_range, campaign_specs, merge_records, mix_to_string, run_packed_specs,
     run_standalone, run_standalone_batch, run_swarm, run_swarm_collect, sample_specs, template,
-    InstanceSpec, ShardRecord, SwarmConfig, TEMPLATES,
+    InstanceResult, InstanceSpec, ShardRecord, SwarmConfig, TEMPLATES,
 };
 
 /// The packed-mode sweep of the acceptance criteria: worker counts 1/2/8
-/// crossed with batch quotas 1/16/4096, plus both window modes at the
-/// house batch.
+/// crossed with batch quotas 1/16/4096 in full-pack mode, and with windows
+/// 1/7/64 × batches 1/16/64 in streaming mode.
 const WORKERS: &[usize] = &[1, 2, 8];
 const BATCHES: &[u64] = &[1, 16, 4096];
 
@@ -34,6 +35,16 @@ fn mixed_specs(copies: u64) -> Vec<InstanceSpec> {
     specs
 }
 
+/// Asserts every result carries its fingerprint witness.
+fn assert_witnessed(results: &[InstanceResult], what: &str) {
+    for (i, res) in results.iter().enumerate() {
+        assert!(
+            res.fingerprint.is_some(),
+            "{what}: result {i} has no fingerprint witness"
+        );
+    }
+}
+
 /// Every template, standalone vs packed-with-neighbours, across the full
 /// worker × batch sweep: the per-instance results must be equal field for
 /// field, fingerprints included.
@@ -41,10 +52,12 @@ fn mixed_specs(copies: u64) -> Vec<InstanceSpec> {
 fn every_template_packed_equals_standalone() {
     let specs = mixed_specs(3);
     let standalone: Vec<_> = specs.iter().map(run_standalone).collect();
+    assert_witnessed(&standalone, "standalone");
     for &workers in WORKERS {
         for &batch in BATCHES {
             let (report, packed) = run_packed_specs(&specs, batch, workers, None, true);
             let packed = packed.expect("collect requested");
+            assert_witnessed(&packed, "packed");
             assert_eq!(report.instances as usize, specs.len());
             assert_eq!(
                 packed, standalone,
@@ -56,22 +69,33 @@ fn every_template_packed_equals_standalone() {
 
 /// The same sweep in streaming mode: a bounded window (smaller than the
 /// arena, including the degenerate window of one) changes residency, never
-/// results or counters.
+/// results or counters. Small quotas keep lazily admitted cells resident
+/// across several sweeps, so cells built at their first grant are stepped
+/// beside neighbours that were built sweeps earlier.
 #[test]
 fn windowed_streaming_equals_full_pack() {
     let specs = mixed_specs(2);
     let (full_report, full) = run_packed_specs(&specs, 64, 1, None, true);
+    let full = full.expect("collect requested");
+    assert_witnessed(&full, "full pack");
     for &workers in WORKERS {
         for window in [1usize, 7, 64] {
-            let (report, windowed) = run_packed_specs(&specs, 64, workers, Some(window), true);
-            assert_eq!(
-                windowed, full,
-                "workers={workers} window={window}: streaming diverged from full pack"
-            );
-            assert_eq!(
-                report, full_report,
-                "workers={workers} window={window}: report fields must be window-invariant"
-            );
+            for batch in [1u64, 16, 64] {
+                let (report, windowed) =
+                    run_packed_specs(&specs, batch, workers, Some(window), true);
+                let windowed = windowed.expect("collect requested");
+                assert_witnessed(&windowed, "windowed");
+                assert_eq!(
+                    windowed, full,
+                    "workers={workers} window={window} batch={batch}: \
+                     streaming diverged from full pack"
+                );
+                assert_eq!(
+                    report, full_report,
+                    "workers={workers} window={window} batch={batch}: \
+                     report fields must be window-invariant"
+                );
+            }
         }
     }
 }
@@ -128,8 +152,10 @@ fn campaign_results_equal_standalone_specs() {
     cfg.workers = 2;
     let (report, packed) = run_swarm_collect(&cfg);
     assert!(report.all_ok(), "campaign must be clean");
+    assert_witnessed(&packed, "collected");
     let specs = campaign_specs(&mix, cfg.campaign_seed, 0..180);
     let standalone: Vec<_> = specs.iter().map(run_standalone).collect();
+    assert_witnessed(&standalone, "standalone");
     assert_eq!(packed, standalone);
 }
 
