@@ -4,8 +4,8 @@
 //! ```text
 //! cargo run -p upsilon-analysis --bin analyze -- lint [--json]
 //! cargo run -p upsilon-analysis --bin analyze -- conform [--json]
-//! cargo run -p upsilon-analysis --bin analyze -- commute [--json]
-//! cargo run -p upsilon-analysis --bin analyze -- symmetry [--json]
+//! cargo run -p upsilon-analysis --bin analyze -- commute [--json | --emit]
+//! cargo run -p upsilon-analysis --bin analyze -- symmetry [--json | --emit]
 //! cargo run -p upsilon-analysis --bin analyze -- run-conditions [--json] \
 //!     [--seeds <count>] [--procs <n+1>]
 //! cargo run -p upsilon-analysis --bin analyze -- scenario [--json]
@@ -15,22 +15,32 @@
 //! (determinism lint over the simulator crates, §3.1 conformance over the
 //! algorithm crates, DPOR-soundness audit of the shared objects' `access()`
 //! classifications, and pid-parametricity audit plus orbit derivation over
-//! the protocol crates); all also exist as standalone bins. `run-conditions` is the dynamic pass: it
-//! drives a built-in leader workload over a seed sweep and validates every
-//! recorded run against the §3.3 run conditions with
+//! the protocol crates). They share one path: load the allowlist
+//! (`--allowlist`, default `crates/analysis/<mode>-allowlist.txt`; a
+//! missing file counts as empty), scan, print the human or `--json`
+//! report, and exit 0 when clean, 1 on findings, 2 on usage or I/O
+//! errors. `commute --emit` and `symmetry --emit` instead print the
+//! generated `crates/sim/src/{commute,symmetry}.rs`, and refuse (exit 1,
+//! nothing on stdout) when the audit fails. `run-conditions` is the
+//! dynamic pass: it drives a built-in leader workload over a seed sweep
+//! and validates every recorded run against the §3.3 run conditions with
 //! [`upsilon_analysis::check_run_for`]. `scenario` is the declarative-layer
 //! pass: it parses every `scenarios/*.toml` with the dependency-free schema
 //! crate (analysis sits below the runner), reports axis cardinalities and
 //! cell counts, and fails on orphans — parse failures or files whose `name`
 //! does not match the stem — and on missing required check samples.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use upsilon_analysis::{check_run_for, RunStats};
+use upsilon_analysis::{check_run_for, lint, RunStats};
+use upsilon_commute::known_rule_ids as known_commute;
+use upsilon_conform::{known_rule_ids as known_conform, Allowlist};
 use upsilon_mem::{RegOp, RegResp, RegisterObject};
 use upsilon_sim::{
     algo, run_batch, DummyOracle, FailurePattern, Key, ProcessId, SeededRandom, SimBuilder, Time,
 };
+use upsilon_symmetry::known_rule_ids as known_symmetry;
 
 fn usage() -> ! {
     eprintln!(
@@ -41,7 +51,11 @@ fn usage() -> ! {
          \x20 --json              machine-readable output\n\
          \n\
          lint / conform / commute / symmetry options:\n\
-         \x20 --allowlist <file>  audited-exception file (default under crates/analysis/)\n\
+         \x20 --allowlist <file>  audited-exception file\n\
+         \x20                     (default crates/analysis/<mode>-allowlist.txt)\n\
+         \n\
+         commute / symmetry options:\n\
+         \x20 --emit              print the generated crates/sim/src/<mode>.rs\n\
          \n\
          run-conditions options:\n\
          \x20 --seeds <count>     schedules per pattern (default 16)\n\
@@ -57,6 +71,7 @@ struct Opts {
     root: PathBuf,
     allowlist: Option<PathBuf>,
     json: bool,
+    emit: bool,
     seeds: u64,
     procs: usize,
 }
@@ -78,6 +93,7 @@ fn main() -> ExitCode {
                 opts.allowlist = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
             }
             "--json" => opts.json = true,
+            "--emit" => opts.emit = true,
             "--seeds" => {
                 opts.seeds = args
                     .next()
@@ -97,12 +113,16 @@ fn main() -> ExitCode {
             }
         }
     }
+    if opts.emit && !matches!(mode.as_str(), "commute" | "symmetry") {
+        eprintln!("--emit applies only to commute and symmetry");
+        usage();
+    }
 
     match mode.as_str() {
-        "lint" => lint(&opts),
-        "conform" => conform(&opts),
-        "commute" => commute(&opts),
-        "symmetry" => symmetry(&opts),
+        "lint" => run_static(&opts, "lint", &lint::known_rule_ids(), lint_scan),
+        "conform" => run_static(&opts, "conform", &known_conform(), conform_scan),
+        "commute" => run_static(&opts, "commute", &known_commute(), commute_scan),
+        "symmetry" => run_static(&opts, "symmetry", &known_symmetry(), symmetry_scan),
         "run-conditions" => run_conditions(&opts),
         "scenario" => scenario(&opts),
         "--help" | "-h" => usage(),
@@ -113,142 +133,173 @@ fn main() -> ExitCode {
     }
 }
 
-fn lint(opts: &Opts) -> ExitCode {
-    use upsilon_analysis::lint;
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/lint-allowlist.txt"));
-    let allow = match load_or_empty(&path, lint::Allowlist::load) {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let report = match lint::scan_workspace(&opts.root, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if opts.json {
-        print!("{}", report.to_json());
-    } else {
-        for finding in &report.violations {
-            println!("{finding}");
-        }
-        println!(
-            "lint: {} files scanned, {} violations, {} allowlisted",
-            report.files_scanned,
-            report.violations.len(),
-            report.suppressed.len()
-        );
-    }
-    pass_fail(report.is_clean())
+/// A static pass's scan, rendered for the shared print-and-exit path.
+struct Scan {
+    /// Whether no unsuppressed finding remains.
+    clean: bool,
+    /// Unsuppressed findings, one human-readable line each.
+    findings: Vec<String>,
+    /// Human lines printed after the findings: per-item rows, then the
+    /// summary line.
+    rows: Vec<String>,
+    /// The deterministic JSON report.
+    json: String,
+    /// The generated module `--emit` prints (commute and symmetry only).
+    generated: Option<String>,
 }
 
-fn conform(opts: &Opts) -> ExitCode {
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/conform-allowlist.txt"));
-    let allow = match load_or_empty(&path, upsilon_conform::load_allowlist) {
-        Ok(a) => a,
-        Err(code) => return code,
+/// The path every static pass shares: load the allowlist (a missing file
+/// counts as empty), scan, then print and exit 0/1/2.
+fn run_static(
+    opts: &Opts,
+    name: &str,
+    known: &[&str],
+    scan: impl FnOnce(&Path, &Allowlist) -> io::Result<Scan>,
+) -> ExitCode {
+    let path = opts.allowlist.clone().unwrap_or_else(|| {
+        opts.root
+            .join(format!("crates/analysis/{name}-allowlist.txt"))
+    });
+    let allow = if path.exists() {
+        match Allowlist::load(&path, known) {
+            Ok(a) => a,
+            Err(e) => {
+                eprintln!("analyze: bad allowlist {}: {e}", path.display());
+                return ExitCode::from(2);
+            }
+        }
+    } else {
+        Allowlist::empty()
     };
-    let report = match upsilon_conform::scan_workspace(&opts.root, &allow) {
-        Ok(r) => r,
+    let scan = match scan(&opts.root, &allow) {
+        Ok(s) => s,
         Err(e) => {
-            eprintln!("analyze conform: {e}");
+            eprintln!("analyze {name}: {e}");
             return ExitCode::from(2);
         }
     };
-    if opts.json {
-        print!("{}", report.to_json());
-    } else {
-        for finding in &report.findings {
-            println!("{finding}");
+    if opts.emit {
+        // A generated module is only ever produced from a clean audit: an
+        // unjustified classification or an undocumented symmetry break
+        // would otherwise be baked into the explorer's tables.
+        if !scan.clean {
+            for finding in &scan.findings {
+                eprintln!("{finding}");
+            }
+            eprintln!("analyze {name}: refusing to emit from a failing audit");
+            return ExitCode::FAILURE;
         }
-        println!(
-            "conform: {} files scanned, {} findings, {} allowlisted, {} routines bounded",
-            report.files.len(),
-            report.findings.len(),
-            report.suppressed.len(),
-            report.bounds.iter().filter(|b| b.bound.is_some()).count()
-        );
+        let module = scan
+            .generated
+            .expect("main admits --emit only for generating passes");
+        print!("{module}");
+        return ExitCode::SUCCESS;
     }
-    pass_fail(report.findings.is_empty())
+    if opts.json {
+        print!("{}", scan.json);
+    } else {
+        for line in scan.findings.iter().chain(&scan.rows) {
+            println!("{line}");
+        }
+    }
+    pass_fail(scan.clean)
 }
 
-fn commute(opts: &Opts) -> ExitCode {
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/commute-allowlist.txt"));
-    let allow = match load_or_empty(&path, upsilon_commute::load_allowlist) {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let report = match upsilon_commute::scan_workspace(&opts.root, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze commute: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if opts.json {
-        print!("{}", report.to_json());
-    } else {
-        for finding in &report.findings {
-            println!("{finding}");
-        }
-        println!(
-            "commute: {} files scanned, {} impls analyzed, {} findings, {} allowlisted",
-            report.files.len(),
-            report.impls.len(),
-            report.findings.len(),
-            report.suppressed.len()
-        );
-    }
-    pass_fail(report.is_clean())
+fn lint_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
+    let r = lint::scan_workspace(root, allow)?;
+    let summary = format!(
+        "lint: {} files scanned, {} violations, {} allowlisted",
+        r.files_scanned,
+        r.violations.len(),
+        r.suppressed.len()
+    );
+    Ok(Scan {
+        clean: r.is_clean(),
+        findings: r.violations.iter().map(ToString::to_string).collect(),
+        rows: vec![summary],
+        json: r.to_json(),
+        generated: None,
+    })
 }
 
-fn symmetry(opts: &Opts) -> ExitCode {
-    let path = opts
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| opts.root.join("crates/analysis/symmetry-allowlist.txt"));
-    let allow = match load_or_empty(&path, upsilon_symmetry::load_allowlist) {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let report = match upsilon_symmetry::scan_workspace(&opts.root, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze symmetry: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if opts.json {
-        print!("{}", report.to_json());
-    } else {
-        for finding in &report.findings {
-            println!("{finding}");
-        }
-        for orbit in &report.orbits {
-            println!("orbit: {} -> {}", orbit.sample, orbit.orbit.label());
-        }
-        println!(
-            "symmetry: {} files scanned, {} routines ({} symmetric), {} orbits, \
-             {} findings, {} allowlisted",
-            report.files.len(),
-            report.routines.len(),
-            report.routines.iter().filter(|v| v.symmetric).count(),
-            report.orbits.len(),
-            report.findings.len(),
-            report.suppressed.len()
-        );
-    }
-    pass_fail(report.is_clean())
+fn conform_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
+    let r = upsilon_conform::scan_workspace(root, allow)?;
+    let mut rows: Vec<String> = r
+        .bounds
+        .iter()
+        .filter_map(|row| match (&row.bound, &row.unbounded) {
+            (Some(b), _) => Some(format!(
+                "bound: {}:{} {} ≤ {b}{}",
+                row.file,
+                row.line,
+                row.name,
+                if row.wait_free { "  [wait_free]" } else { "" }
+            )),
+            (None, Some(why)) => Some(format!(
+                "bound: {}:{} {} unbounded ({why})",
+                row.file, row.line, row.name
+            )),
+            (None, None) => None,
+        })
+        .collect();
+    rows.push(format!(
+        "conform: {} files scanned, {} findings, {} allowlisted, {} routines bounded",
+        r.files.len(),
+        r.findings.len(),
+        r.suppressed.len(),
+        r.bounds.iter().filter(|b| b.bound.is_some()).count()
+    ));
+    Ok(Scan {
+        clean: r.findings.is_empty(),
+        findings: r.findings.iter().map(ToString::to_string).collect(),
+        rows,
+        json: r.to_json(),
+        generated: None,
+    })
+}
+
+fn commute_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
+    let r = upsilon_commute::scan_workspace(root, allow)?;
+    let summary = format!(
+        "commute: {} files scanned, {} impls analyzed, {} findings, {} allowlisted",
+        r.files.len(),
+        r.impls.len(),
+        r.findings.len(),
+        r.suppressed.len()
+    );
+    Ok(Scan {
+        clean: r.is_clean(),
+        findings: r.findings.iter().map(ToString::to_string).collect(),
+        rows: vec![summary],
+        json: r.to_json(),
+        generated: Some(upsilon_commute::emit::render(&r.impls)),
+    })
+}
+
+fn symmetry_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
+    let r = upsilon_symmetry::scan_workspace(root, allow)?;
+    let mut rows: Vec<String> = r
+        .orbits
+        .iter()
+        .map(|o| format!("orbit: {} -> {}", o.sample, o.orbit.label()))
+        .collect();
+    rows.push(format!(
+        "symmetry: {} files scanned, {} routines ({} symmetric), {} orbits, \
+         {} findings, {} allowlisted",
+        r.files.len(),
+        r.routines.len(),
+        r.routines.iter().filter(|v| v.symmetric).count(),
+        r.orbits.len(),
+        r.findings.len(),
+        r.suppressed.len()
+    ));
+    Ok(Scan {
+        clean: r.is_clean(),
+        findings: r.findings.iter().map(ToString::to_string).collect(),
+        rows,
+        json: r.to_json(),
+        generated: Some(upsilon_symmetry::emit::render(&r.orbits)),
+    })
 }
 
 /// The declarative-layer pass: schema-validate every checked-in scenario
@@ -392,21 +443,6 @@ fn scenario(opts: &Opts) -> ExitCode {
         );
     }
     pass_fail(clean)
-}
-
-/// Loads an allowlist file, treating a missing file as empty and a
-/// malformed one as a usage error.
-fn load_or_empty<A: Default>(
-    path: &std::path::Path,
-    load: impl Fn(&std::path::Path) -> std::io::Result<A>,
-) -> Result<A, ExitCode> {
-    if !path.exists() {
-        return Ok(A::default());
-    }
-    load(path).map_err(|e| {
-        eprintln!("analyze: bad allowlist {}: {e}", path.display());
-        ExitCode::from(2)
-    })
 }
 
 /// One seeded workload execution, producing (seed, crashy?, validated stats).

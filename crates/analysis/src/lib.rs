@@ -6,10 +6,8 @@
 //!    simulator crates banning constructs that silently break replayability
 //!    (unseeded hash collections, wall clocks, `thread_rng`, stray thread
 //!    spawns, bare `unwrap()` in simulator hot paths), with an allowlist
-//!    file for audited exceptions. Run as a binary:
-//!    `cargo run -p upsilon-analysis --bin lint`.
-//! 2. **§3.1 conformance checker** ([`upsilon_conform`], re-hosted here as
-//!    a binary: `cargo run -p upsilon-analysis --bin conform`) — a
+//!    file for audited exceptions.
+//! 2. **§3.1 conformance checker** ([`upsilon_conform`]) — a
 //!    purpose-built lexer/parser that walks every algorithm body in the
 //!    protocol crates and enforces the step-atomicity contract: one
 //!    `ctx`-mediated shared operation per await point (C1), no host APIs
@@ -32,9 +30,19 @@
 //! accessors, so a bug in the recorder and a bug in the checker would have
 //! to coincide to slip through.
 //!
-//! All passes are also reachable through one driver,
-//! `cargo run -p upsilon-analysis --bin analyze -- <lint|conform|run-conditions>`,
-//! which adds a shared `--json` flag for machine-readable reports.
+//! Every pass runs through `analyze`, the crate's only binary:
+//!
+//! ```text
+//! cargo run -p upsilon-analysis --bin analyze -- \
+//!     <lint|conform|commute|symmetry|run-conditions|scenario> [--json]
+//! ```
+//!
+//! The four static passes (lint, conform, and the [`upsilon_commute`] and
+//! [`upsilon_symmetry`] audits) share one path through it: one
+//! [`upsilon_conform::Allowlist`] format, `--json` or human output, and
+//! exit status 0 (clean), 1 (findings) or 2 (usage or I/O error).
+//! `commute --emit` and `symmetry --emit` print the generated
+//! `upsilon_sim::commute` and `upsilon_sim::symmetry` modules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +56,7 @@ pub mod spec;
 pub use linearizability::{
     check_linearizable, LinError, OpRecord, RegisterSpec, SeqSpec, SnapshotSpec,
 };
-pub use lint::{Allowlist, Finding, LintReport, Rule};
+pub use lint::{Finding, LintReport, Rule};
 pub use run_conditions::{
     check_fd_history, check_run, check_run_for, RunStats, RunView, RunViolation,
 };

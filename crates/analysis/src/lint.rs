@@ -13,9 +13,9 @@
 //! * bare `unwrap()` in non-test simulator code (panics without an
 //!   invariant message).
 //!
-//! Audited exceptions live in an allowlist file (one
-//! `<rule-id> <path> [comment]` entry per line); the shipped allowlist is
-//! empty and the intent is to keep it that way.
+//! Audited exceptions live in an [`Allowlist`] file (one `<rule-id> <path>`
+//! entry per line, `#` starts a comment), the same format and type every
+//! static pass uses.
 //!
 //! [`Time`]: upsilon_sim::Time
 
@@ -23,6 +23,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+
+pub use upsilon_conform::Allowlist;
 
 /// Crate directories under `crates/` that the lint scans.
 ///
@@ -59,9 +61,9 @@ const PATTERN_EXEMPT: &[&str] = &[
 ];
 
 /// Files exempt from [`Rule::ThreadSpawn`]: the thread-lockstep engine
-/// (one sanctioned spawn site per process) and the run-batch worker pool
-/// (parallelism *between* runs, never inside one).
-const SPAWN_EXEMPT: &[&str] = &["crates/sim/src/engine.rs", "crates/sim/src/batch.rs"];
+/// (one sanctioned spawn site per process). The worker pools use scoped
+/// threads, which the rule does not match.
+const SPAWN_EXEMPT: &[&str] = &["crates/sim/src/engine.rs"];
 
 /// The individual determinism rules.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -99,11 +101,6 @@ impl Rule {
         }
     }
 
-    /// Parses an allowlist rule identifier.
-    pub fn from_id(id: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.id() == id)
-    }
-
     /// One-line rationale shown with findings.
     pub fn why(self) -> &'static str {
         match self {
@@ -131,6 +128,11 @@ impl fmt::Display for Rule {
     }
 }
 
+/// All known rule identifiers, for allowlist validation.
+pub fn known_rule_ids() -> Vec<&'static str> {
+    Rule::ALL.iter().map(|r| r.id()).collect()
+}
+
 /// One matched occurrence of a banned construct.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Finding {
@@ -155,80 +157,6 @@ impl fmt::Display for Finding {
             self.excerpt,
             self.rule.why()
         )
-    }
-}
-
-/// Audited exceptions: entries of `<rule-id> <path>` that suppress findings.
-#[derive(Clone, Default, Debug)]
-pub struct Allowlist {
-    entries: Vec<(Rule, String)>,
-}
-
-impl Allowlist {
-    /// An allowlist permitting nothing.
-    pub fn empty() -> Self {
-        Allowlist::default()
-    }
-
-    /// Parses allowlist text: one `<rule-id> <path> [comment]` entry per
-    /// line; blank lines and lines starting with `#` are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed entry.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (rule_id, path) = match (parts.next(), parts.next()) {
-                (Some(r), Some(p)) => (r, p),
-                _ => {
-                    return Err(format!(
-                        "allowlist line {}: expected '<rule-id> <path>'",
-                        idx + 1
-                    ))
-                }
-            };
-            let rule = Rule::from_id(rule_id).ok_or_else(|| {
-                format!(
-                    "allowlist line {}: unknown rule '{rule_id}' (known: {})",
-                    idx + 1,
-                    Rule::ALL.map(Rule::id).join(", ")
-                )
-            })?;
-            entries.push((rule, path.to_string()));
-        }
-        Ok(Allowlist { entries })
-    }
-
-    /// Loads and parses an allowlist file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; malformed entries surface as
-    /// [`io::ErrorKind::InvalidData`].
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let text = fs::read_to_string(path)?;
-        Allowlist::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Whether `rule` findings in `file` are suppressed.
-    pub fn permits(&self, rule: Rule, file: &str) -> bool {
-        self.entries.iter().any(|(r, p)| *r == rule && p == file)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the allowlist has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -308,7 +236,7 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<LintReport> 
             let source = fs::read_to_string(&path)?;
             report.files_scanned += 1;
             for finding in scan_source(&rel, &source) {
-                if allow.permits(finding.rule, &finding.file) {
+                if allow.permits(finding.rule.id(), &finding.file) {
                     report.suppressed.push(finding);
                 } else {
                     report.violations.push(finding);
@@ -513,7 +441,10 @@ mod tests {
             vec![Rule::ThreadSpawn]
         );
         assert!(scan_source("crates/sim/src/engine.rs", src).is_empty());
-        assert!(scan_source("crates/sim/src/batch.rs", src).is_empty());
+        assert_eq!(
+            rules_of(&scan_source("crates/sim/src/batch.rs", src)),
+            vec![Rule::ThreadSpawn]
+        );
     }
 
     #[test]
@@ -563,23 +494,21 @@ fn f() {} // trailing .unwrap() comment
 
     #[test]
     fn allowlist_suppression_and_parsing() {
+        let known = known_rule_ids();
         let allow = Allowlist::parse(
-            "# audited exceptions\n\nhash-collections crates/mem/src/foo.rs keeps a cache\n",
+            "# audited exceptions\n\nhash-collections crates/mem/src/foo.rs # keeps a cache\n",
+            &known,
         )
         .expect("parses");
         assert_eq!(allow.len(), 1);
-        assert!(allow.permits(Rule::HashCollections, "crates/mem/src/foo.rs"));
-        assert!(!allow.permits(Rule::HashCollections, "crates/mem/src/bar.rs"));
-        assert!(!allow.permits(Rule::WallClock, "crates/mem/src/foo.rs"));
-        assert!(Allowlist::parse("no-such-rule crates/x.rs\n").is_err());
-        assert!(Allowlist::parse("hash-collections\n").is_err());
-    }
-
-    #[test]
-    fn rule_ids_round_trip() {
+        assert!(allow.permits(Rule::HashCollections.id(), "crates/mem/src/foo.rs"));
+        assert!(!allow.permits(Rule::HashCollections.id(), "crates/mem/src/bar.rs"));
+        assert!(!allow.permits(Rule::WallClock.id(), "crates/mem/src/foo.rs"));
+        assert!(Allowlist::parse("no-such-rule crates/x.rs\n", &known).is_err());
+        assert!(Allowlist::parse("hash-collections\n", &known).is_err());
         for rule in Rule::ALL {
-            assert_eq!(Rule::from_id(rule.id()), Some(rule));
+            let allow = Allowlist::parse(&format!("{rule} crates/x.rs"), &known).expect("known id");
+            assert!(allow.permits(rule.id(), "crates/x.rs"), "{rule}");
         }
-        assert_eq!(Rule::from_id("bogus"), None);
     }
 }

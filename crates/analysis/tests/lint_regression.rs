@@ -1,10 +1,10 @@
 //! End-to-end lint regression test: seed a determinism violation into a
 //! synthetic workspace and require [`scan_workspace`] to flag it, exactly
-//! as CI runs the `lint` binary against the real tree.
+//! as CI runs `analyze lint` against the real tree.
 
 use std::fs;
 use std::path::PathBuf;
-use upsilon_analysis::lint::{scan_workspace, Allowlist, Rule, SCANNED_CRATES};
+use upsilon_analysis::lint::{known_rule_ids, scan_workspace, Allowlist, Rule, SCANNED_CRATES};
 
 /// Builds a throwaway workspace skeleton under the test target dir and
 /// returns its root. Each test gets its own directory to stay independent.
@@ -47,7 +47,8 @@ fn allowlisted_violation_is_suppressed_but_counted() {
     .expect("seed violation");
 
     let allow = Allowlist::parse(
-        "# audited: fixture exception\nwall-clock crates/mem/src/lib.rs fixture justification\n",
+        "# audited: fixture exception\nwall-clock crates/mem/src/lib.rs # fixture justification\n",
+        &known_rule_ids(),
     )
     .expect("parse allowlist");
     let report = scan_workspace(&root, &allow).expect("scan");
@@ -73,12 +74,15 @@ fn clean_fixture_tree_passes() {
 }
 
 /// The real repository must be lint-clean with the checked-in (empty)
-/// allowlist — the same invariant CI enforces via the binary.
+/// allowlist — the same invariant CI enforces via `analyze lint`.
 #[test]
 fn real_tree_is_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let allow = Allowlist::load(&root.join("crates/analysis/lint-allowlist.txt"))
-        .expect("checked-in allowlist parses");
+    let allow = Allowlist::load(
+        &root.join("crates/analysis/lint-allowlist.txt"),
+        &known_rule_ids(),
+    )
+    .expect("checked-in allowlist parses");
     let report = scan_workspace(&root, &allow).expect("scan real tree");
     assert!(
         report.is_clean(),

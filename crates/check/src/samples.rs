@@ -1,16 +1,16 @@
 //! Ready-made exploration configurations over the paper's artifacts.
 //!
-//! **Entry path.** Direct use of these constructors is reserved for the
-//! `upsilon-scenario` registry (which calls back into this module) and
-//! its no-drift lock. Everything else — the checked-in `scenarios/*.toml`
-//! documents and the test suites in `crates/check` / `crates/fuzz` —
-//! selects workloads by protocol name through that registry, either via
-//! scenario files or the typed `upsilon_scenario::testkit` accessors. The
-//! constructors stay the single source of truth for what each workload
-//! *is*, while axis choices (n, depth, fault budgets, A/B arms) live in
-//! the declarative layer; the `testkit_drift` suite asserts the two paths
-//! never diverge. New workloads are added here **and** given a scenario
-//! file plus a `testkit` accessor.
+//! **Entry path.** These constructors are the single source of truth for
+//! what each workload *is*. Two callers use them: test suites (in
+//! `crates/check`, `crates/fuzz` and elsewhere) call them directly, and the
+//! `upsilon-scenario` registry calls them when it resolves a checked-in
+//! `scenarios/*.toml` cell by protocol name, with axis choices (n, depth,
+//! fault budgets, A/B arms) taken from the declarative layer. The
+//! registry adds no knob of its own, so both paths denote the same
+//! workload; `crates/scenario/tests/parity.rs` checks registry-resolved
+//! reports against direct calls for every constructor. New workloads are
+//! added here **and** given a registry entry plus a scenario file when a
+//! matrix or bench should run them.
 //!
 //! Three families:
 //!

@@ -2,8 +2,8 @@
 //! canonicalization bounds, counterexample shrinking and dual-engine token
 //! replay.
 
+use upsilon_check::samples;
 use upsilon_check::{check, replay_token, CheckConfig, ReplayToken};
-use upsilon_scenario::testkit as samples;
 use upsilon_sim::{EngineKind, FdValue};
 
 fn naive<D: FdValue>(mut cfg: CheckConfig<D>) -> CheckConfig<D> {

@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
+use upsilon_check::samples;
 use upsilon_check::{token_of, CheckConfig, Choice, MenuOracle};
-use upsilon_scenario::testkit as samples;
 use upsilon_sim::{
     orbit_trace_fingerprint, trace_fingerprint, FailurePattern, FdValue, ProcessId, Session,
     SessionSave, SessionStep, SimBuilder, TraceLevel,

@@ -3,8 +3,8 @@
 //! [`MutatingMenu`] whose mutation budget runs out in the middle of a run.
 
 use std::sync::Arc;
+use upsilon_check::samples;
 use upsilon_check::{check, run_token, FdMenu, FnMenu, MenuOracle, MutatingMenu};
-use upsilon_scenario::testkit as samples;
 use upsilon_sim::{EngineKind, ProcessId, ReplayToken, Time};
 
 /// `FdMenu::candidates` must be non-empty; an empty menu is a contract

@@ -10,8 +10,8 @@
 //! (n ≤ 3, depth ≤ 6) to keep the whole sweep in CI time.
 
 use proptest::prelude::*;
+use upsilon_check::samples;
 use upsilon_check::{check, ReplayToken};
-use upsilon_scenario::testkit as samples;
 
 proptest! {
     #![proptest_config(ProptestConfig {

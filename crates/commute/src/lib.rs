@@ -26,6 +26,10 @@
 //!    generated `upsilon_sim::commute` module ([`emit::render`]); CI diffs
 //!    the emitted text against the checked-in file.
 //!
+//! The crate is a library; `cargo run -p upsilon-analysis --bin analyze --
+//! commute [--json | --emit]` runs the audit and prints the report or the
+//! generated module.
+//!
 //! Everything the analyzer cannot model is treated as conflicting — an
 //! unrecognized construct can cost reduction, never soundness. The matrix's
 //! own soundness rests additionally on faithful `Debug` renderings of op
@@ -46,7 +50,6 @@ pub use audit::{derive, DerivedImpl, Verdict};
 pub use report::{CommuteReport, Finding, RuleId};
 pub use upsilon_conform::Allowlist;
 
-use std::fs;
 use std::io;
 use std::path::Path;
 
@@ -62,18 +65,6 @@ pub const SCANNED_CRATES: &[&str] = &["mem"];
 /// All known rule identifiers, for allowlist validation.
 pub fn known_rule_ids() -> Vec<&'static str> {
     RuleId::ALL.iter().map(|r| r.id()).collect()
-}
-
-/// Loads and parses an allowlist file.
-///
-/// # Errors
-///
-/// Propagates I/O failures; malformed entries surface as
-/// [`io::ErrorKind::InvalidData`].
-pub fn load_allowlist(path: &Path) -> io::Result<Allowlist> {
-    let text = fs::read_to_string(path)?;
-    Allowlist::parse(&text, &known_rule_ids())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Analyzes a set of already-loaded `(repo-relative path, source)` pairs.
@@ -126,46 +117,10 @@ pub fn check_sources(sources: &[(String, String)], allow: &Allowlist) -> Commute
 /// (the analyzer must not silently pass because it looked in the wrong
 /// place).
 pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<CommuteReport> {
-    let mut sources = Vec::new();
-    for krate in SCANNED_CRATES {
-        let dir = root.join("crates").join(krate).join("src");
-        if !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("scanned crate source directory missing: {}", dir.display()),
-            ));
-        }
-        let mut files = Vec::new();
-        collect_rust_files(&dir, &mut files)?;
-        files.sort();
-        for path in files {
-            let rel = relative_path(root, &path);
-            let source = fs::read_to_string(&path)?;
-            sources.push((rel, source));
-        }
-    }
-    Ok(check_sources(&sources, allow))
-}
-
-fn collect_rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rust_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-fn relative_path(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
+    Ok(check_sources(
+        &upsilon_conform::read_sources(root, SCANNED_CRATES)?,
+        allow,
+    ))
 }
 
 #[cfg(test)]

@@ -1,8 +1,13 @@
-//! A generic rule/path allowlist, shared by the conformance checker and
-//! (by delegation) the determinism lint in `upsilon-analysis`.
+//! The one rule/path allowlist, shared by all four static passes: the
+//! conformance checker, the commutativity and symmetry analyzers, and the
+//! determinism lint in `upsilon-analysis`.
 //!
 //! Format: one `<rule-id> <path>` pair per line; `#` starts a comment.
 //! Paths are repository-relative and matched exactly.
+
+use std::fs;
+use std::io;
+use std::path::Path;
 
 /// A parsed allowlist.
 #[derive(Clone, Default, Debug)]
@@ -43,6 +48,18 @@ impl Allowlist {
             entries.push((rule_id.to_string(), path.to_string()));
         }
         Ok(Allowlist { entries })
+    }
+
+    /// Loads and parses an allowlist file, validating rule ids against
+    /// `known`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures; malformed entries surface as
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn load(path: &Path, known: &[&str]) -> io::Result<Allowlist> {
+        let text = fs::read_to_string(path)?;
+        Allowlist::parse(&text, known).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Whether `(rule_id, file)` is suppressed.

@@ -29,13 +29,14 @@
 //!
 //! Findings are reported with file, line, rule id and a suggested fix,
 //! rendered either human-readably or as deterministic JSON (suitable for
-//! golden-file tests). Audited exceptions live in an allowlist shared
-//! with the determinism lint's format: `<rule-id> <path>` per line.
+//! golden-file tests). Audited exceptions live in an [`Allowlist`]
+//! (`<rule-id> <path>` per line), the one allowlist type all four static
+//! passes share.
 //!
-//! The checker is wired into `upsilon-analysis` (`cargo run -p
-//! upsilon-analysis --bin conform`) and CI; the `crates/conform/fixtures`
-//! crate holds deliberately nonconforming algorithms that pin down each
-//! rule as a negative golden test.
+//! The checker runs through `analyze`, the `upsilon-analysis` binary
+//! (`cargo run -p upsilon-analysis --bin analyze -- conform`), and CI; the
+//! `crates/conform/fixtures` crate holds deliberately nonconforming
+//! algorithms that pin down each rule as a negative golden test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,18 +74,6 @@ pub const SCANNED_CRATES: &[&str] = &["agreement", "check", "converge", "extract
 /// All known rule identifiers, for allowlist validation.
 pub fn known_rule_ids() -> Vec<&'static str> {
     RuleId::ALL.iter().map(|r| r.id()).collect()
-}
-
-/// Loads and parses an allowlist file.
-///
-/// # Errors
-///
-/// Propagates I/O failures; malformed entries surface as
-/// [`io::ErrorKind::InvalidData`].
-pub fn load_allowlist(path: &Path) -> io::Result<Allowlist> {
-    let text = fs::read_to_string(path)?;
-    Allowlist::parse(&text, &known_rule_ids())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Analyzes a set of already-loaded `(repo-relative path, source)` pairs.
@@ -155,8 +144,21 @@ pub fn check_sources(sources: &[(String, String)], allow: &Allowlist) -> Conform
 /// (the checker must not silently pass because it looked in the wrong
 /// place).
 pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<ConformReport> {
+    Ok(check_sources(&read_sources(root, SCANNED_CRATES)?, allow))
+}
+
+/// Reads every `.rs` file under `root/crates/<krate>/src` for each of
+/// `crates`, as `(repo-relative path, source)` pairs in path order: the
+/// input of [`check_sources`] and of the commute and symmetry analyzers.
+///
+/// # Errors
+///
+/// Propagates filesystem errors; a missing crate directory is an error
+/// (an analyzer must not silently pass because it looked in the wrong
+/// place).
+pub fn read_sources(root: &Path, crates: &[&str]) -> io::Result<Vec<(String, String)>> {
     let mut sources = Vec::new();
-    for krate in SCANNED_CRATES {
+    for krate in crates {
         let dir = root.join("crates").join(krate).join("src");
         if !dir.is_dir() {
             return Err(io::Error::new(
@@ -173,7 +175,7 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<ConformRepor
             sources.push((rel, source));
         }
     }
-    Ok(check_sources(&sources, allow))
+    Ok(sources)
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {

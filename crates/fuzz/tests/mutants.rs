@@ -11,9 +11,9 @@
 
 use std::fs;
 use std::path::PathBuf;
+use upsilon_check::samples;
 use upsilon_check::{replay_token, run_token, CheckConfig};
 use upsilon_fuzz::{fuzz, FuzzConfig, FuzzViolation};
-use upsilon_scenario::testkit as samples;
 use upsilon_sim::{EngineKind, FdValue, ProcessId};
 
 fn golden_path(name: &str) -> PathBuf {

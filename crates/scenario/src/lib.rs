@@ -30,7 +30,6 @@
 pub mod experiment;
 pub mod matrix;
 pub mod registry;
-pub mod testkit;
 
 use std::path::{Path, PathBuf};
 

@@ -9,11 +9,13 @@ use upsilon_check::samples;
 use upsilon_fuzz::{fuzz, FuzzConfig};
 use upsilon_scenario::matrix::run_one;
 use upsilon_scenario::registry::{resolve_check, resolve_fuzz, AnyCheck, AnyFuzz};
-use upsilon_scenario::{load, Expect};
-use upsilon_sim::EngineKind;
+use upsilon_scenario::{load, Cell, Expect, Scalar};
+use upsilon_sim::{EngineKind, ProcessId};
 
 /// Each of the six required check samples, resolved through the scenario
-/// registry, produces a report equal to the direct sample call.
+/// registry, produces a report equal to the direct sample call; so do the
+/// `fig2-dropped` (faithful and dropping) and `converge-offby1` (slack 0
+/// and 1) mutant samples, resolved from hand-built cells.
 #[test]
 fn check_samples_match_direct_construction() {
     // (scenario, cell index, direct construction)
@@ -81,6 +83,44 @@ fn check_samples_match_direct_construction() {
             assert_eq!(check(&cfg), check(&samples::stable_report(3, 2, 7)))
         }
         AnyCheck::Set(_) => panic!("stable-report is a unit sample"),
+    }
+
+    // The two mutant samples have no scenario file of their own: resolve
+    // the cell a file binding these axes would expand to.
+    let cell = |protocol: &str, bindings: &[(&str, i64)]| Cell {
+        arm: "default".into(),
+        protocol: protocol.into(),
+        expect: Expect::Pass,
+        bindings: bindings
+            .iter()
+            .map(|&(axis, v)| (axis.to_string(), Scalar::Int(v)))
+            .collect(),
+    };
+    for dropper in [None, Some(1)] {
+        let mut bindings = vec![("n_plus_1", 2), ("f", 1), ("depth", 8), ("max_faults", 0)];
+        bindings.extend(dropper.map(|p| ("dropper", p)));
+        let direct =
+            samples::fig2_dropped_write(2, 1, 8, 0, dropper.map(|p| ProcessId(p as usize)));
+        match resolve_check(&cell("fig2-dropped", &bindings)).expect("resolves") {
+            AnyCheck::Set(cfg) => {
+                assert_eq!(
+                    check(&cfg),
+                    check(&direct),
+                    "fig2-dropped dropper={dropper:?}"
+                )
+            }
+            AnyCheck::Unit(_) => panic!("fig2-dropped is a ProcessSet sample"),
+        }
+    }
+    for slack in [0, 1] {
+        let bindings = [("n_plus_1", 2), ("k", 1), ("depth", 8), ("slack", slack)];
+        let direct = samples::converge_offby1(2, 1, 8, slack as usize);
+        match resolve_check(&cell("converge-offby1", &bindings)).expect("resolves") {
+            AnyCheck::Unit(cfg) => {
+                assert_eq!(check(&cfg), check(&direct), "converge-offby1 slack={slack}")
+            }
+            AnyCheck::Set(_) => panic!("converge-offby1 is a unit sample"),
+        }
     }
 }
 

@@ -19,7 +19,7 @@ pub fn render(orbits: &[SampleOrbit]) -> String {
          //! GENERATED by `upsilon-symmetry` — do not edit by hand. Regenerate with:\n\
          //!\n\
          //! ```text\n\
-         //! cargo run -p upsilon-symmetry -- --emit > crates/sim/src/symmetry.rs\n\
+         //! cargo run -p upsilon-analysis --bin analyze -- symmetry --emit > crates/sim/src/symmetry.rs\n\
          //! ```\n\
          //!\n\
          //! An orbit declares which processes of a checked protocol are\n\

@@ -12,9 +12,9 @@
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use upsilon_symmetry::{
-    check_sources, emit, load_allowlist, scan_workspace, Allowlist, RuleId, SymmetryReport,
+    check_sources, emit, known_rule_ids, scan_workspace, Allowlist, RuleId, SymmetryReport,
 };
 
 /// Loads one fixture file under the repo-relative path the scanner would
@@ -130,11 +130,18 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root")
 }
 
+fn checked_in_allowlist(root: &Path) -> Allowlist {
+    Allowlist::load(
+        &root.join("crates/analysis/symmetry-allowlist.txt"),
+        &known_rule_ids(),
+    )
+    .expect("allowlist")
+}
+
 #[test]
 fn workspace_scan_is_quiet_under_checked_in_allowlist() {
     let root = workspace_root();
-    let allow =
-        load_allowlist(&root.join("crates/analysis/symmetry-allowlist.txt")).expect("allowlist");
+    let allow = checked_in_allowlist(&root);
     let report = scan_workspace(&root, &allow).expect("scan");
     assert!(
         report.findings.is_empty(),
@@ -171,8 +178,7 @@ fn workspace_scan_is_quiet_under_checked_in_allowlist() {
 #[test]
 fn emitted_orbit_table_matches_checked_in_file() {
     let root = workspace_root();
-    let allow =
-        load_allowlist(&root.join("crates/analysis/symmetry-allowlist.txt")).expect("allowlist");
+    let allow = checked_in_allowlist(&root);
     let report = scan_workspace(&root, &allow).expect("scan");
     assert!(
         report.findings.is_empty(),
@@ -184,7 +190,7 @@ fn emitted_orbit_table_matches_checked_in_file() {
     assert_eq!(
         emitted, checked_in,
         "crates/sim/src/symmetry.rs has drifted from the analyzer's output; \
-         regenerate with `cargo run -p upsilon-symmetry -- --emit > crates/sim/src/symmetry.rs`"
+         regenerate with `cargo run -p upsilon-analysis --bin analyze -- symmetry --emit > crates/sim/src/symmetry.rs`"
     );
 }
 
@@ -194,8 +200,7 @@ fn emitted_orbit_table_matches_checked_in_file() {
 #[test]
 fn generated_sample_orbit_agrees_with_analysis() {
     let root = workspace_root();
-    let allow =
-        load_allowlist(&root.join("crates/analysis/symmetry-allowlist.txt")).expect("allowlist");
+    let allow = checked_in_allowlist(&root);
     let report = scan_workspace(&root, &allow).expect("scan");
     for orbit in &report.orbits {
         let live = upsilon_sim::symmetry::sample_orbit(&orbit.sample);

@@ -7,7 +7,7 @@
 //! ```
 
 use std::path::PathBuf;
-use upsilon_symmetry::{load_allowlist, scan_workspace};
+use upsilon_symmetry::{known_rule_ids, scan_workspace, Allowlist};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -19,8 +19,11 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn workspace_report_is_golden() {
     let root = workspace_root();
-    let allow =
-        load_allowlist(&root.join("crates/analysis/symmetry-allowlist.txt")).expect("allowlist");
+    let allow = Allowlist::load(
+        &root.join("crates/analysis/symmetry-allowlist.txt"),
+        &known_rule_ids(),
+    )
+    .expect("allowlist");
     let report = scan_workspace(&root, &allow).expect("scan");
     let got = report.to_json();
 

@@ -103,14 +103,17 @@ fn risky(v: Option<u32>) -> u32 {
     // the allowlisted suppression is exercised too.
     let findings = lint::scan_source("crates/sim/src/demo.rs", src);
     assert!(!findings.is_empty(), "the synthetic source must trip rules");
-    let allow = lint::Allowlist::parse("bare-unwrap crates/sim/src/demo.rs pinned suppression")
-        .expect("valid allowlist");
+    let allow = Allowlist::parse(
+        "bare-unwrap crates/sim/src/demo.rs # pinned suppression",
+        &lint::known_rule_ids(),
+    )
+    .expect("valid allowlist");
     let mut report = lint::LintReport {
         files_scanned: 1,
         ..Default::default()
     };
     for f in findings {
-        if allow.permits(f.rule, &f.file) {
+        if allow.permits(f.rule.id(), &f.file) {
             report.suppressed.push(f);
         } else {
             report.violations.push(f);
