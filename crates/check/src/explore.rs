@@ -51,7 +51,7 @@ use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::{
     ops_commute, resolve, run_stealing, Access, AlgoFn, EngineKind, FailurePattern, FdValue,
     FnvWrite, Key, Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave,
-    SessionStep, SimBuilder, StealJob, StealScope, StepKind, Time, TraceLevel,
+    SessionStep, SimBuilder, StealJob, StealScope, StepKind, Time, TokenError, TraceLevel,
 };
 
 /// One scheduling decision of the explorer.
@@ -150,26 +150,29 @@ pub struct CheckConfig<D: FdValue> {
     /// to stateless re-execution under [`EngineKind::Threads`] (thread
     /// state machines cannot be rewound).
     pub turbo: bool,
-    /// State-fingerprint deduplication (on by default since the PR 8
-    /// differential suite proved verdict/token preservation): prune a node
-    /// whose canonical fingerprint — object states plus per-process trace
-    /// digests plus the unserved pick script, crash context and remaining
-    /// budgets — was already fully explored with an equal-or-looser sleep
-    /// set and an equal-or-deeper remaining depth. Sound for the
-    /// state-based, trace-closed specs this checker is built for (verdicts
-    /// are functions of per-process projections, which equal fingerprints
-    /// pin down); the differential suite locks verdict equality per
-    /// scenario. Requires `turbo`: fingerprints come from the live
-    /// session, which maintains them incrementally — op responses enter
-    /// its per-process digests at every step without full tracing.
+    /// State-fingerprint deduplication (off by default; opt in where it
+    /// prunes): prune a node whose canonical fingerprint — object states
+    /// plus per-process trace digests plus the unserved pick script, crash
+    /// context and remaining budgets — was already fully explored with an
+    /// equal-or-looser sleep set and an equal-or-deeper remaining depth.
+    /// Sound for the state-based, trace-closed specs this checker is built
+    /// for (verdicts are functions of per-process projections, which equal
+    /// fingerprints pin down); the differential suite locks verdict
+    /// equality per scenario. On the paper's Fig. 1 and Fig. 2 configs it
+    /// prunes no node, yet every step pays for the digests. Requires
+    /// `turbo`: fingerprints come from the live session, which maintains
+    /// them incrementally — op responses enter its per-process digests at
+    /// every step without full tracing.
     pub dedup: bool,
-    /// Process-symmetry reduction (on by default; the identity unless
+    /// Process-symmetry reduction (off by default; the identity unless
     /// [`CheckConfig::orbit`] is non-trivial): collapse crash injections to
     /// one representative per orbit class, skip duplicate failure-detector
     /// candidates, and canonicalize dedup fingerprints up to within-class
     /// process renaming. Sound only for configurations whose orbit the
     /// static audit (`upsilon-symmetry`) certifies; the differential suite
     /// locks verdict and token equality against the unreduced search.
+    /// Costs a menu re-fetch at every detector query even when nothing is
+    /// skipped.
     pub symmetry: bool,
     /// The certified orbit classes of this configuration's processes
     /// (default [`Orbit::Trivial`], under which the symmetry reduction is
@@ -179,11 +182,12 @@ pub struct CheckConfig<D: FdValue> {
     /// menu really are invariant under class-preserving permutations.
     pub orbit: Orbit,
     /// Refine the conflict relation through the generated per-op-pair
-    /// commutativity matrix (`upsilon_sim::commute`): op signatures are
-    /// recorded on every node and lattice conflicts the matrix proves
-    /// independent stop waking sleeping processes. `false` reverts to the
-    /// coarse `Access` lattice (the pre-matrix behaviour, benchmarked as
-    /// the `lattice` mode).
+    /// commutativity matrix (`upsilon_sim::commute`), off by default: op
+    /// signatures are recorded on every node and lattice conflicts the
+    /// matrix proves independent stop waking sleeping processes. `false`
+    /// (the default) keeps the coarse `Access` lattice, which prunes just
+    /// as much on the paper's Fig. 1 and Fig. 2 configs without rendering
+    /// a signature per step.
     pub use_matrix: bool,
     /// Engine each node runs under.
     pub engine: EngineKind,
@@ -217,8 +221,11 @@ impl<D: FdValue> std::fmt::Debug for CheckConfig<D> {
 }
 
 impl<D: FdValue> CheckConfig<D> {
-    /// A serial, reduction-enabled configuration with no crash injection and
-    /// a one-counterexample budget.
+    /// A serial configuration with sleep sets over the `Access` lattice, no
+    /// crash injection and a one-counterexample budget. Dedup, symmetry and
+    /// the commutativity matrix start off; samples whose state space they
+    /// shrink opt in with [`CheckConfig::dedup`], [`CheckConfig::symmetry`]
+    /// and [`CheckConfig::matrix`].
     pub fn new(
         n_plus_1: usize,
         depth: usize,
@@ -234,10 +241,10 @@ impl<D: FdValue> CheckConfig<D> {
             algos,
             reduction: true,
             turbo: true,
-            dedup: true,
-            symmetry: true,
+            dedup: false,
+            symmetry: false,
             orbit: Orbit::Trivial,
-            use_matrix: true,
+            use_matrix: false,
             engine: EngineKind::Inline,
             workers: 0,
             split_depth: 0,
@@ -271,14 +278,14 @@ impl<D: FdValue> CheckConfig<D> {
         self
     }
 
-    /// Enables or disables state-fingerprint deduplication (on by
+    /// Enables or disables state-fingerprint deduplication (off by
     /// default; effective only with `turbo` on an inline engine).
     pub fn dedup(mut self, on: bool) -> Self {
         self.dedup = on;
         self
     }
 
-    /// Enables or disables the process-symmetry reduction (on by default;
+    /// Enables or disables the process-symmetry reduction (off by default;
     /// the identity unless a non-trivial [`CheckConfig::orbit`] is set).
     pub fn symmetry(mut self, on: bool) -> Self {
         self.symmetry = on;
@@ -293,7 +300,7 @@ impl<D: FdValue> CheckConfig<D> {
     }
 
     /// Enables or disables the per-op-pair commutativity refinement of the
-    /// conflict relation (on by default).
+    /// conflict relation (off by default).
     pub fn matrix(mut self, on: bool) -> Self {
         self.use_matrix = on;
         self
@@ -426,12 +433,26 @@ pub fn token_of(n_plus_1: usize, path: &[Choice], picks: &[Vec<u32>]) -> ReplayT
 
 /// Executes the run a token describes under `engine`, with the
 /// configuration's algorithms and menu.
+///
+/// # Errors
+///
+/// Returns a [`TokenError`] when the token's process count differs from
+/// the configuration's: such a token belongs to another system.
 pub fn run_token<D: FdValue>(
     cfg: &CheckConfig<D>,
     token: &ReplayToken,
     engine: EngineKind,
+) -> Result<Exec<D>, TokenError> {
+    token.check_process_count(cfg.n_plus_1)?;
+    Ok(run_checked_token(cfg, token, engine))
+}
+
+/// [`run_token`] for a token whose process count matches the config.
+fn run_checked_token<D: FdValue>(
+    cfg: &CheckConfig<D>,
+    token: &ReplayToken,
+    engine: EngineKind,
 ) -> Exec<D> {
-    assert_eq!(token.n_plus_1, cfg.n_plus_1, "token/config process count");
     let oracle = MenuOracle::new(
         Arc::clone(&cfg.menu),
         cfg.n_plus_1,
@@ -468,12 +489,17 @@ pub struct ReplayOutcome<D: FdValue> {
 
 /// Replays a counterexample token under `engine` and re-checks every spec —
 /// the round-trip used by regression tests and bug reports.
+///
+/// # Panics
+///
+/// Panics when the token's process count differs from the
+/// configuration's; [`run_token`] reports that as a [`TokenError`].
 pub fn replay_token<D: FdValue>(
     cfg: &CheckConfig<D>,
     token: &ReplayToken,
     engine: EngineKind,
 ) -> ReplayOutcome<D> {
-    let exec = run_token(cfg, token, engine);
+    let exec = run_token(cfg, token, engine).unwrap_or_else(|e| panic!("{e}"));
     let mut verdicts = vec![(
         "run-conditions".to_string(),
         RunConditionsSpec.check(&exec.run),
@@ -488,7 +514,7 @@ pub fn replay_token<D: FdValue>(
 }
 
 fn execute<D: FdValue>(cfg: &CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Exec<D> {
-    run_token(cfg, &token_of(cfg.n_plus_1, path, picks), cfg.engine)
+    run_checked_token(cfg, &token_of(cfg.n_plus_1, path, picks), cfg.engine)
 }
 
 /// First failing spec on a run: the §3.3 run-condition validator first,

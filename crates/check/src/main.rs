@@ -25,8 +25,8 @@ struct Args {
     k: Option<usize>,
     naive: bool,
     no_turbo: bool,
-    no_dedup: bool,
-    no_symmetry: bool,
+    dedup: bool,
+    symmetry: bool,
     workers: usize,
     split: usize,
     max_violations: usize,
@@ -44,8 +44,8 @@ const USAGE: &str = "usage: upsilon-check [options]
   --k N                agreement parameter for commit configs (default n-1)
   --naive              disable the sleep-set reduction
   --no-turbo           disable snapshot-resume execution (replay from root)
-  --no-dedup           keep revisits (fingerprint dedup is on by default)
-  --no-symmetry        disable the process-symmetry reduction
+  --dedup              enable fingerprint dedup (on for pinned)
+  --symmetry           enable the process-symmetry reduction (on for pinned)
   --split N            fan subtrees out at path length N (default 0 = serial)
   --workers N          worker threads for --split (default 0 = auto)
   --max-violations N   stop after N counterexamples (default 16)
@@ -55,7 +55,7 @@ const USAGE: &str = "usage: upsilon-check [options]
   --json PATH          write a machine-readable report
   --help               this text";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         config: "fig1".to_string(),
         n: 3,
@@ -64,8 +64,8 @@ fn parse_args() -> Result<Args, String> {
         k: None,
         naive: false,
         no_turbo: false,
-        no_dedup: false,
-        no_symmetry: false,
+        dedup: false,
+        symmetry: false,
         workers: 0,
         split: 0,
         max_violations: 16,
@@ -74,7 +74,7 @@ fn parse_args() -> Result<Args, String> {
         min_states_per_sec: 0.0,
         json: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
@@ -95,8 +95,8 @@ fn parse_args() -> Result<Args, String> {
             "--k" => args.k = Some(value("--k")?.parse().map_err(|e| format!("--k: {e}"))?),
             "--naive" => args.naive = true,
             "--no-turbo" => args.no_turbo = true,
-            "--no-dedup" => args.no_dedup = true,
-            "--no-symmetry" => args.no_symmetry = true,
+            "--dedup" => args.dedup = true,
+            "--symmetry" => args.symmetry = true,
             "--workers" => {
                 args.workers = value("--workers")?
                     .parse()
@@ -136,8 +136,8 @@ fn parse_args() -> Result<Args, String> {
 fn tune<D: FdValue>(mut cfg: CheckConfig<D>, args: &Args) -> CheckConfig<D> {
     cfg.reduction = !args.naive;
     cfg.turbo = !args.no_turbo;
-    cfg.dedup = !args.no_dedup;
-    cfg.symmetry = !args.no_symmetry;
+    cfg.dedup |= args.dedup;
+    cfg.symmetry |= args.symmetry;
     cfg.workers = args.workers;
     cfg.split_depth = args.split;
     cfg.max_violations = args.max_violations;
@@ -208,7 +208,7 @@ fn json_report(report: &CheckReport, states_per_sec: f64) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             if msg.is_empty() {
@@ -291,5 +291,27 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Args {
+        parse_args(flags.iter().map(|f| f.to_string())).expect("valid flags")
+    }
+
+    #[test]
+    fn reduction_flags_only_turn_reductions_on() {
+        let plain = args(&[]);
+        let cfg = tune(samples::fig1(3, 6, 0), &plain);
+        assert!(!cfg.dedup && !cfg.symmetry && !cfg.use_matrix);
+        // A sample that opts in keeps its reductions without any flag.
+        let cfg = tune(samples::pinned_upsilon(3, 1, 6), &plain);
+        assert!(cfg.dedup && cfg.symmetry && cfg.use_matrix);
+        let cfg = tune(samples::fig1(3, 6, 0), &args(&["--dedup", "--symmetry"]));
+        assert!(cfg.dedup && cfg.symmetry && !cfg.use_matrix);
+        assert!(parse_args(["--no-dedup".to_string()]).is_err());
     }
 }

@@ -44,7 +44,7 @@ use upsilon_converge::{ConvergeFaults, ConvergeInstance};
 use upsilon_extract::{pinned_history, UpsilonFaithfulSpec};
 use upsilon_mem::{distinct_values, NativeSnapshot, Register, Snapshot};
 use upsilon_sim::symmetry::sample_orbit;
-use upsilon_sim::{algo, AlgoFn, Key, Output, ProcessId, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, FdValue, Key, Output, ProcessId, ProcessSet};
 
 /// Distinct proposals `0, 1, …, n` — the hard case for set agreement.
 fn proposals(n_plus_1: usize) -> Vec<Option<u64>> {
@@ -141,7 +141,7 @@ pub fn pinned_upsilon(n_plus_1: usize, f: usize, depth: usize) -> CheckConfig<Pr
             })
             .collect()
     });
-    CheckConfig::new(n_plus_1, depth, factory, menu)
+    reduced(CheckConfig::new(n_plus_1, depth, factory, menu))
         .max_faults(f)
         .orbit(sample_orbit("pinned_upsilon"))
         .spec(UpsilonFaithfulSpec::constant(f))
@@ -232,7 +232,7 @@ pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConf
             .collect()
     });
     let menu = Arc::new(ConstantMenu(()));
-    CheckConfig::new(n_plus_1, depth, factory, menu).orbit(sample_orbit("stable_report"))
+    reduced(CheckConfig::new(n_plus_1, depth, factory, menu)).orbit(sample_orbit("stable_report"))
 }
 
 /// The **off-by-one mutant** of the k-converge commit check: each process
@@ -323,4 +323,12 @@ pub fn fig2_dropped_write(
             k: f,
             proposals: proposals(n_plus_1),
         })
+}
+
+/// Opts a sample into every reduction layered on sleep sets: the
+/// commutativity matrix, fingerprint dedup and process symmetry. Only
+/// [`pinned_upsilon`] and [`stable_report`] use it — the samples with a
+/// non-trivial certified orbit, where these reductions prune nodes.
+fn reduced<D: FdValue>(cfg: CheckConfig<D>) -> CheckConfig<D> {
+    cfg.matrix(true).dedup(true).symmetry(true)
 }

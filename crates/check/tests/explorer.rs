@@ -2,13 +2,57 @@
 //! canonicalization bounds, counterexample shrinking and dual-engine token
 //! replay.
 
+use std::sync::Arc;
 use upsilon_check::samples;
-use upsilon_check::{check, replay_token, CheckConfig, ReplayToken};
+use upsilon_check::{check, replay_token, run_token, CheckConfig, ConstantMenu, ReplayToken};
 use upsilon_sim::{EngineKind, FdValue};
 
 fn naive<D: FdValue>(mut cfg: CheckConfig<D>) -> CheckConfig<D> {
     cfg.reduction = false;
     cfg
+}
+
+/// `(matrix, dedup, symmetry)` of a configuration.
+fn opt_in_switches<D: FdValue>(cfg: &CheckConfig<D>) -> (bool, bool, bool) {
+    (cfg.use_matrix, cfg.dedup, cfg.symmetry)
+}
+
+#[test]
+fn new_configs_run_sleep_sets_alone() {
+    let cfg: CheckConfig<()> = CheckConfig::new(
+        2,
+        4,
+        Arc::new(|| vec![None, None]),
+        Arc::new(ConstantMenu(())),
+    );
+    assert!(cfg.reduction && cfg.turbo);
+    assert_eq!(opt_in_switches(&cfg), (false, false, false));
+    // The paper's protocols keep the defaults; only the two samples whose
+    // reductions prune opt in.
+    for cfg in [
+        samples::fig1(3, 11, 1),
+        samples::fig2(3, 1, 11, 1),
+        samples::fig1_mutating(3, 13, 0, 1),
+    ] {
+        assert_eq!(opt_in_switches(&cfg), (false, false, false));
+    }
+    assert_eq!(
+        opt_in_switches(&samples::pinned_upsilon(3, 1, 6)),
+        (true, true, true)
+    );
+    assert_eq!(
+        opt_in_switches(&samples::stable_report(3, 1, 8)),
+        (true, true, true)
+    );
+}
+
+#[test]
+fn a_token_of_another_process_count_is_rejected() {
+    let cfg = samples::fig1(3, 8, 0);
+    let token = ReplayToken::parse("UCHK1:n=5;c=-,-,-,-,3;q=-|-|-|-|-;s=4,3,0,4").unwrap();
+    let err = run_token(&cfg, &token, EngineKind::Inline).unwrap_err();
+    assert!(err.to_string().contains("token has 5 processes"), "{err}");
+    assert!(run_token(&cfg, &token, EngineKind::Threads).is_err());
 }
 
 #[test]

@@ -59,7 +59,7 @@ fn mutating_menu_exhausts_mid_run() {
             .flatten()
             .collect(),
     };
-    let exec = run_token(&cfg, &token, EngineKind::Inline);
+    let exec = run_token(&cfg, &token, EngineKind::Inline).expect("3-process token");
     let exhausted: Vec<_> = exec.queries.iter().filter(|q| q.k >= 1).collect();
     assert!(
         !exhausted.is_empty(),
@@ -113,7 +113,7 @@ fn query_log_is_engine_independent() {
             ProcessId(1),
         ],
     };
-    let a = run_token(&cfg, &token, EngineKind::Inline);
-    let b = run_token(&cfg, &token, EngineKind::Threads);
+    let a = run_token(&cfg, &token, EngineKind::Inline).expect("2-process token");
+    let b = run_token(&cfg, &token, EngineKind::Threads).expect("2-process token");
     assert_eq!(a.queries, b.queries);
 }

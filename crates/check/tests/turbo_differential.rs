@@ -141,9 +141,9 @@ fn split_exploration_matches_serial() {
             serial.violations, split.violations,
             "{name}: split changed a verdict or token"
         );
-        // Under the shipping defaults (dedup on) the *answers* still agree.
-        let serial = run_with(cfg.clone(), |c| c);
-        let split = run_with(cfg, |c| c.parallel(2, 8));
+        // With dedup on the *answers* still agree.
+        let serial = run_with(cfg.clone(), |c| c.dedup(true));
+        let split = run_with(cfg, |c| c.dedup(true).parallel(2, 8));
         assert_eq!(
             serial.violations, split.violations,
             "{name}: split with dedup changed a verdict or token"
@@ -189,24 +189,32 @@ fn dedup_counts_are_pinned_on_stable_report() {
 
 #[test]
 fn check_paper_counts_are_pinned() {
-    // The paper's Fig. 1 / Fig. 2 workloads at the benchmark's depths, under
-    // the checker defaults (dedup and symmetry on): no state there is ever
-    // revisited, so both reductions prune nothing — and must keep pruning
-    // nothing, with the node count unchanged, whatever the key's cost.
+    // The paper's Fig. 1 / Fig. 2 workloads at the benchmark's depths.
+    // Under the checker defaults (sleep sets alone) the node counts are
+    // pinned. With the matrix, dedup and symmetry all switched on, no state
+    // is ever revisited and no orbit is non-trivial, so the search is the
+    // same tree: equal counters, nothing pruned by dedup or symmetry, and
+    // the same verdicts — the reason those reductions are opt-in.
     let cases = [
-        ("fig1 n3 d11 f1", check(&samples::fig1(3, 11, 1)), 16_414),
-        ("fig2 n3 d11 f1", check(&samples::fig2(3, 1, 11, 1)), 17_095),
+        ("fig1 n3 d11 f1", samples::fig1(3, 11, 1), 16_414),
+        ("fig2 n3 d11 f1", samples::fig2(3, 1, 11, 1), 17_095),
         (
             "fig1-mutating n3 d13",
-            check(&samples::fig1_mutating(3, 13, 0, 1)),
+            samples::fig1_mutating(3, 13, 0, 1),
             15_842,
         ),
     ];
-    let mut total = 0;
-    for (name, report, nodes) in &cases {
-        assert!(report.ok() && !report.stats.truncated, "{name}: clean");
-        assert_eq!(reduction_counts(report), (*nodes, 0, 0), "{name}");
-        total += report.stats.nodes;
+    let (mut total, mut sleep_pruned) = (0, 0);
+    for (name, cfg, nodes) in cases {
+        let default = check(&cfg);
+        let all_on = check(&cfg.matrix(true).dedup(true).symmetry(true));
+        assert!(default.ok() && !default.stats.truncated, "{name}: clean");
+        assert_eq!(reduction_counts(&default), (nodes, 0, 0), "{name}");
+        assert_eq!(reduction_counts(&all_on), (nodes, 0, 0), "{name}: all on");
+        assert_eq!(default.stats, all_on.stats, "{name}: same search tree");
+        assert_eq!(default.violations, all_on.violations, "{name}");
+        total += default.stats.nodes;
+        sleep_pruned += default.stats.sleep_pruned;
     }
-    assert_eq!(total, 49_351);
+    assert_eq!((total, sleep_pruned), (49_351, 31_652));
 }

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use upsilon_check::{run_token, shrink_violation, violation_of, CheckConfig, ShrinkResult};
 use upsilon_sim::{
     conflict_coverage, run_stealing, EngineKind, FdValue, Fnv64, ReplayToken, RunArena, StealJob,
+    TokenError,
 };
 
 /// Configuration of one fuzzing campaign.
@@ -183,14 +184,19 @@ impl FuzzReport {
 
 /// Replays a token under `engine` and returns its coverage fingerprint —
 /// the round-trip used by corpus integrity checks and property tests.
+///
+/// # Errors
+///
+/// Returns a [`TokenError`] when the token's process count differs from
+/// the target's.
 pub fn coverage_of_token<D: FdValue>(
     target: &CheckConfig<D>,
     token: &ReplayToken,
     window: usize,
     engine: EngineKind,
-) -> Vec<u64> {
-    let exec = run_token(target, token, engine);
-    conflict_coverage(&exec.run, &exec.memory, window)
+) -> Result<Vec<u64>, TokenError> {
+    let exec = run_token(target, token, engine)?;
+    Ok(conflict_coverage(&exec.run, &exec.memory, window))
 }
 
 /// Per-execution RNG seed: a stable hash of campaign seed and index.
@@ -342,10 +348,9 @@ pub fn fuzz<D: FdValue>(cfg: &FuzzConfig<D>, seeds: &[ReplayToken]) -> FuzzRepor
     // Prime coverage from the seed corpus (serial; corpora are small
     // relative to a round).
     for tok in seeds {
-        if tok.n_plus_1 != cfg.target.n_plus_1 {
+        let Ok(exec) = run_token(&cfg.target, tok, cfg.target.engine) else {
             continue;
-        }
-        let exec = run_token(&cfg.target, tok, cfg.target.engine);
+        };
         let coverage = conflict_coverage(&exec.run, &exec.memory, cfg.window);
         let violation = violation_of(&cfg.target, &exec.run);
         merger.absorb(Shipped {

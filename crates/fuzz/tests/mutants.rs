@@ -72,8 +72,8 @@ fn hunt<D: FdValue>(
 
     // The shrunk token must re-execute bit-identically under both engines
     // and still violate the spec there.
-    let inline = run_token(cfg, &v.token, EngineKind::Inline);
-    let threads = run_token(cfg, &v.token, EngineKind::Threads);
+    let inline = run_token(cfg, &v.token, EngineKind::Inline).expect("campaign token");
+    let threads = run_token(cfg, &v.token, EngineKind::Threads).expect("campaign token");
     assert_eq!(
         inline.run.events(),
         threads.run.events(),

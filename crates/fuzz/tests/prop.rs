@@ -90,6 +90,7 @@ proptest! {
         for tok in &report.corpus {
             let inline = coverage_of_token(&target, tok, cfg.window, EngineKind::Inline);
             let threads = coverage_of_token(&target, tok, cfg.window, EngineKind::Threads);
+            prop_assert!(inline.is_ok(), "token {} rejected", tok);
             prop_assert_eq!(&inline, &threads, "token {}", tok);
         }
     }

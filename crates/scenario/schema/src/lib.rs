@@ -364,6 +364,10 @@ fn parse_range(s: &str) -> Option<(i64, i64)> {
     Some((lo, hi))
 }
 
+/// The most values one `"A..B"` range may span. Ranges are expanded at
+/// parse time, so an unbounded one would exhaust memory.
+const MAX_RANGE_VALUES: i128 = 1 << 16;
+
 /// Expands a raw axis value: scalars stay single-valued, arrays keep their
 /// order, and a `"A..B"` string becomes the integer range `A..B`.
 fn axis_values(raw: &RawValue, line: u32, col: u32) -> Result<Vec<Scalar>, Diag> {
@@ -383,7 +387,15 @@ fn axis_values(raw: &RawValue, line: u32, col: u32) -> Result<Vec<Scalar>, Diag>
                     format!("empty range {s:?} (need A < B)"),
                 ));
             }
-            (lo..hi).map(Scalar::Int).collect()
+            if i128::from(hi) - i128::from(lo) > MAX_RANGE_VALUES {
+                return Err(Diag::new(
+                    line,
+                    col,
+                    format!("range {s:?} spans more than {MAX_RANGE_VALUES} values"),
+                ));
+            }
+            // Distinct by construction: skip the quadratic duplicate scan.
+            return Ok((lo..hi).map(Scalar::Int).collect());
         }
         RawValue::Scalar(s) => vec![s.clone()],
         RawValue::Array(items) => items.clone(),
@@ -1023,6 +1035,20 @@ depth = 7
         )
         .expect_err("empty range");
         assert!(d.msg.contains("empty range"), "{d}");
+
+        // Ranges expand at parse time, so a huge one is refused up front
+        // instead of exhausting memory; the widest allowed one expands.
+        let seeds = |range: &str| {
+            ScenarioDoc::parse(&format!(
+                "name = \"x\"\nkind = \"check\"\nprotocol = \"fig1\"\nseeds = \"{range}\"\n"
+            ))
+        };
+        let d = seeds("0..9223372036854775807").expect_err("huge range");
+        assert_eq!((d.line, d.col), (4, 9));
+        assert!(d.msg.contains("spans more than 65536 values"), "{d}");
+        assert!(seeds("-9223372036854775808..9223372036854775807").is_err());
+        assert!(seeds("0..65537").is_err());
+        assert_eq!(seeds("0..65536").expect("widest range").seeds.len(), 65_536);
     }
 
     #[test]

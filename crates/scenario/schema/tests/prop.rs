@@ -1,14 +1,17 @@
-//! Property tests for the scenario DSL (ISSUE 7 satellite):
+//! Property tests for the scenario DSL:
 //!
 //! * parse → serialize → parse is the identity on [`ScenarioDoc`];
 //! * axis expansion is order-deterministic and duplicate-free, with the
 //!   cell count equal to the product of merged axis cardinalities per arm;
 //! * invalid scenarios produce *stable* span-carrying diagnostics — the
 //!   same bad input yields the identical `Diag` on every parse, pointing
-//!   at a real line of the input.
+//!   at a real line of the input;
+//! * the parser never panics: arbitrary bytes and mutated checked-in
+//!   documents parse to `Ok` or to an `Err` with a 1-based span.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use upsilon_scenario_schema::{
     AxisDecl, Cell, EngineSel, Expect, FuzzBlock, Kind, Scalar, ScenarioDoc, SwarmBlock, Variant,
     FUZZ_KEYS, KNOWN_PROTOCOLS, SWARM_KEYS,
@@ -291,5 +294,75 @@ proptest! {
         prop_assert!(d1.col >= 1, "columns are 1-based");
         let prefix = format!("line {}, col ", d1.line);
         prop_assert!(d1.to_string().starts_with(&prefix), "rendering drifted: {}", d1);
+    }
+}
+
+/// Characters that sit on the TOML-subset parser's edges: brackets,
+/// quotes, the key/value and range separators, comments, line ends,
+/// digits, and non-ASCII or control characters.
+const EDGE_CHARS: &[char] = &[
+    '[', ']', '"', '\'', '\\', '=', '.', ',', '#', '\n', '\r', '\t', ' ', '0', '9', '-', 'a', 'é',
+    '\u{0}', '\u{feff}',
+];
+
+/// Checked-in scenario documents, the bases the mutation arm edits: a
+/// two-arm check, a seed range, a fuzz block and a swarm block.
+const CHECKED_IN: &[&str] = &[
+    include_str!("../../../../scenarios/snapshot-commit.toml"),
+    include_str!("../../../../scenarios/e9-baseline.toml"),
+    include_str!("../../../../scenarios/fuzz-commit.toml"),
+    include_str!("../../../../scenarios/swarm-smoke.toml"),
+];
+
+/// Parses `text`; a rejection must carry a 1-based span and render it.
+fn check_parse(text: &str) -> Result<(), TestCaseError> {
+    if let Err(d) = ScenarioDoc::parse(text) {
+        prop_assert!(d.line >= 1 && d.col >= 1, "spans are 1-based: {}", d);
+        let prefix = format!("line {}, col {}: ", d.line, d.col);
+        prop_assert!(
+            d.to_string().starts_with(&prefix),
+            "rendering drifted: {}",
+            d
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    // Parsing is microseconds per case; many cases are cheap.
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes (decoded lossily) and arbitrary edge-character
+    /// strings parse to `Ok` or `Err`, never panic.
+    #[test]
+    fn parse_never_panics_on_arbitrary_text(
+        bytes in vec(0u8..=255, 0..160),
+        chars in vec(0usize..EDGE_CHARS.len(), 0..80),
+    ) {
+        check_parse(&String::from_utf8_lossy(&bytes))?;
+        check_parse(&chars.iter().map(|&i| EDGE_CHARS[i]).collect::<String>())?;
+    }
+
+    /// Checked-in documents parse, and stay panic-free under character
+    /// insertions, deletions and replacements.
+    #[test]
+    fn mutated_scenarios_never_panic(
+        base in 0usize..CHECKED_IN.len(),
+        edits in vec((0usize..600, 0u8..3, 0usize..EDGE_CHARS.len()), 1..8),
+    ) {
+        prop_assert!(ScenarioDoc::parse(CHECKED_IN[base]).is_ok());
+        let mut chars: Vec<char> = CHECKED_IN[base].chars().collect();
+        for (at, op, c) in edits {
+            let at = at % (chars.len() + 1);
+            match op {
+                0 => chars.insert(at, EDGE_CHARS[c]),
+                1 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ if at < chars.len() => chars[at] = EDGE_CHARS[c],
+                _ => chars.push(EDGE_CHARS[c]),
+            }
+        }
+        check_parse(&chars.into_iter().collect::<String>())?;
     }
 }

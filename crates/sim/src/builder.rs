@@ -170,7 +170,8 @@ impl<D: FdValue> SimBuilder<D> {
     /// `Debug`-rendered operation) on every `Op` event. Off by default —
     /// rendering costs an allocation per op step; consumers that refine
     /// conflicts through the [`commute`](crate::commute) matrix (the
-    /// `upsilon-check` explorer, coverage-guided fuzzing) switch it on.
+    /// `upsilon-check` explorer when its matrix is switched on) switch it
+    /// on.
     pub fn record_op_sigs(mut self, yes: bool) -> Self {
         self.record_sigs = yes;
         self

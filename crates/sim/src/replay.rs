@@ -206,6 +206,24 @@ impl ReplayToken {
         })
     }
 
+    /// Checks that the token describes a system of `n_plus_1` processes —
+    /// the guard before replaying it against a configuration: a token with
+    /// another process count belongs to another system.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TokenError`] naming both counts when they differ.
+    pub fn check_process_count(&self, n_plus_1: usize) -> Result<(), TokenError> {
+        if self.n_plus_1 == n_plus_1 {
+            Ok(())
+        } else {
+            Err(bad(format!(
+                "token has {} processes, the configuration {}",
+                self.n_plus_1, n_plus_1
+            )))
+        }
+    }
+
     /// The failure pattern `F` the token describes.
     pub fn pattern(&self) -> FailurePattern {
         let mut b = FailurePattern::builder(self.n_plus_1);
