@@ -28,13 +28,10 @@ pub use upsilon_conform::Allowlist;
 
 /// Crate directories under `crates/` that the lint scans.
 ///
-/// `bench` is deliberately absent: benches measure wall time, so
-/// `Instant`-based code is legitimate there and nothing in `bench` feeds
-/// back into simulated behaviour. `conform` is absent for the same reason
-/// `analysis` exempts its own pattern tables (`PATTERN_EXEMPT`): its rule
-/// tables name the banned constructs as
-/// string patterns (and it is itself a source analyzer with its own test
-/// gauntlet).
+/// `conform` is absent for the same reason `analysis` exempts its own
+/// pattern tables (`PATTERN_EXEMPT`): its rule tables name the banned
+/// constructs as string patterns (and it is itself a source analyzer with
+/// its own test gauntlet).
 pub const SCANNED_CRATES: &[&str] = &[
     "sim",
     "mem",
@@ -50,6 +47,7 @@ pub const SCANNED_CRATES: &[&str] = &[
     "symmetry",
     "scenario",
     "swarm",
+    "bench",
 ];
 
 /// Files exempt from the whole scan because they *name* the banned

@@ -118,6 +118,48 @@ impl Footprint {
     }
 }
 
+/// An axis outside its range: the axis, named as scenario files name it,
+/// and the rule its value broke. Returned by [`CheckConfig::validate`] and
+/// [`crate::samples::shape`] so that front ends reject outside input with
+/// a message instead of panicking.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AxisError {
+    /// The offending axis (`n_plus_1`, `max_faults`, `k`, `depth`, …).
+    pub axis: &'static str,
+    /// The broken rule, with the value that broke it.
+    pub rule: String,
+}
+
+impl AxisError {
+    /// An error on `axis` breaking `rule`.
+    pub fn new(axis: &'static str, rule: impl Into<String>) -> Self {
+        AxisError {
+            axis,
+            rule: rule.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for AxisError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "axis `{}` {}", self.axis, self.rule)
+    }
+}
+
+impl std::error::Error for AxisError {}
+
+/// The rule that a count axis is at least 1.
+///
+/// # Errors
+///
+/// Returns the [`AxisError`] for `axis` when `value` is zero.
+pub fn positive(axis: &'static str, value: u64) -> Result<(), AxisError> {
+    if value == 0 {
+        return Err(AxisError::new(axis, "must be at least 1, got 0"));
+    }
+    Ok(())
+}
+
 /// Produces the per-process algorithms of one run; called once per explored
 /// node (stateless re-execution), so it must be deterministic. `None`
 /// entries do not participate.
@@ -317,6 +359,26 @@ impl<D: FdValue> CheckConfig<D> {
     pub fn max_violations(mut self, v: usize) -> Self {
         self.max_violations = v;
         self
+    }
+
+    /// Checks the range rule [`check`] relies on: the crash budget must
+    /// leave at least one process correct.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`AxisError`] for `max_faults` when it is not below
+    /// `n_plus_1`.
+    pub fn validate(&self) -> Result<(), AxisError> {
+        if self.max_faults >= self.n_plus_1 {
+            return Err(AxisError::new(
+                "max_faults",
+                format!(
+                    "must leave a correct process: below n_plus_1 = {}, got {}",
+                    self.n_plus_1, self.max_faults
+                ),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1395,16 +1457,20 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
 /// same report at any worker count — frontier subtrees run on a
 /// work-stealing pool ([`run_stealing`]) and merge by spawn-sequence
 /// coordinate, which reproduces the serial discovery order byte for byte.
+///
+/// # Panics
+///
+/// Panics if [`CheckConfig::validate`] rejects the configuration, or if
+/// the algorithm factory does not cover every process.
 pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     let participants: Vec<bool> = (cfg.algos)().iter().map(Option::is_some).collect();
     assert_eq!(
         participants.len(),
         cfg.n_plus_1,
         "algo factory must cover every process"
-    );
-    assert!(
-        cfg.max_faults < cfg.n_plus_1,
-        "at least one process must stay correct"
     );
     let root_picks: Vec<Vec<u32>> = vec![Vec::new(); cfg.n_plus_1];
 

@@ -35,9 +35,9 @@ pub mod menu;
 pub mod samples;
 
 pub use explore::{
-    check, path_of_token, replay_token, run_token, shrink_violation, token_of, violation_of,
-    AlgoFactory, CheckConfig, CheckReport, CheckStats, Choice, CounterExample, Exec, Footprint,
-    ReplayOutcome, ShrinkResult,
+    check, path_of_token, positive, replay_token, run_token, shrink_violation, token_of,
+    violation_of, AlgoFactory, AxisError, CheckConfig, CheckReport, CheckStats, Choice,
+    CounterExample, Exec, Footprint, ReplayOutcome, ShrinkResult,
 };
 pub use menu::{ConstantMenu, FdMenu, FnMenu, MenuOracle, MutatingMenu, QueryRecord};
 

@@ -145,35 +145,36 @@ fn tune<D: FdValue>(mut cfg: CheckConfig<D>, args: &Args) -> CheckConfig<D> {
     cfg
 }
 
+/// Tunes a validated sample and explores it.
+fn run<D: FdValue>(cfg: CheckConfig<D>, args: &Args) -> Result<CheckReport, String> {
+    let cfg = tune(cfg, args);
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(check(&cfg))
+}
+
+/// Builds the `--config` sample from the flags and explores it; axes out
+/// of range come back as an error, before any sample is built.
 fn explore(args: &Args) -> Result<CheckReport, String> {
     let n = args.n;
     let faults = args.faults.unwrap_or(0);
-    let k = args.k.unwrap_or(n.saturating_sub(1)).max(1);
-    let report = match args.config.as_str() {
-        "fig1" => check(&tune(samples::fig1(n, args.depth, faults), args)),
-        "fig1-mutating" => check(&tune(
-            samples::fig1_mutating(n, args.depth, faults, 1),
-            args,
-        )),
-        "fig2" => {
-            let f = args.faults.unwrap_or(1).max(1);
-            check(&tune(samples::fig2(n, f, args.depth, f), args))
-        }
-        "pinned" => {
-            let f = args.faults.unwrap_or(1).max(1);
-            check(&tune(samples::pinned_upsilon(n, f, args.depth), args))
-        }
-        "commit-sound" => check(&tune(
-            samples::snapshot_commit(n, k, args.depth, false),
-            args,
-        )),
-        "commit-buggy" => check(&tune(
-            samples::snapshot_commit(n, k, args.depth, true),
-            args,
-        )),
+    let k = args.k.unwrap_or(n.saturating_sub(1));
+    let f = args.faults.unwrap_or(1).max(1);
+    let agreement = match args.config.as_str() {
+        "fig1" | "fig1-mutating" => None,
+        "fig2" | "pinned" => Some(("f", f)),
+        "commit-sound" | "commit-buggy" => Some(("k", k)),
         other => return Err(format!("unknown config {other:?}")),
     };
-    Ok(report)
+    samples::shape(n, agreement).map_err(|e| e.to_string())?;
+    match args.config.as_str() {
+        "fig1" => run(samples::fig1(n, args.depth, faults), args),
+        "fig1-mutating" => run(samples::fig1_mutating(n, args.depth, faults, 1), args),
+        "fig2" => run(samples::fig2(n, f, args.depth, f), args),
+        "pinned" => run(samples::pinned_upsilon(n, f, args.depth), args),
+        "commit-sound" => run(samples::snapshot_commit(n, k, args.depth, false), args),
+        "commit-buggy" => run(samples::snapshot_commit(n, k, args.depth, true), args),
+        _ => unreachable!("matched above"),
+    }
 }
 
 fn json_report(report: &CheckReport, states_per_sec: f64) -> String {
@@ -313,5 +314,32 @@ mod tests {
         let cfg = tune(samples::fig1(3, 6, 0), &args(&["--dedup", "--symmetry"]));
         assert!(cfg.dedup && cfg.symmetry && !cfg.use_matrix);
         assert!(parse_args(["--no-dedup".to_string()]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_axes_are_errors_naming_the_axis() {
+        for (flags, axis) in [
+            (&["--n", "0"][..], "`n_plus_1`"),
+            (&["--n", "1"][..], "`n_plus_1`"),
+            (
+                &["--config", "fig2", "--n", "2", "--faults", "5"][..],
+                "`f`",
+            ),
+            (
+                &["--config", "commit-sound", "--n", "3", "--k", "0"][..],
+                "`k`",
+            ),
+            (
+                &["--config", "commit-buggy", "--n", "3", "--k", "3"][..],
+                "`k`",
+            ),
+            (&["--config", "pinned", "--n", "1"][..], "`n_plus_1`"),
+            (&["--n", "3", "--faults", "3"][..], "`max_faults`"),
+        ] {
+            let err = explore(&args(flags)).expect_err("out of range");
+            assert!(err.contains(axis), "{flags:?}: {err}");
+        }
+        let report = explore(&args(&["--n", "2", "--depth", "0"])).expect("depth 0 is a root");
+        assert!(report.ok());
     }
 }

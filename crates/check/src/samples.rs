@@ -1,16 +1,13 @@
 //! Ready-made exploration configurations over the paper's artifacts.
 //!
 //! **Entry path.** These constructors are the single source of truth for
-//! what each workload *is*. Two callers use them: test suites (in
-//! `crates/check`, `crates/fuzz` and elsewhere) call them directly, and the
+//! what each workload *is*. Test suites call them directly, and the
 //! `upsilon-scenario` registry calls them when it resolves a checked-in
-//! `scenarios/*.toml` cell by protocol name, with axis choices (n, depth,
-//! fault budgets, A/B arms) taken from the declarative layer. The
-//! registry adds no knob of its own, so both paths denote the same
-//! workload; `crates/scenario/tests/parity.rs` checks registry-resolved
-//! reports against direct calls for every constructor. New workloads are
-//! added here **and** given a registry entry plus a scenario file when a
-//! matrix or bench should run them.
+//! `scenarios/*.toml` cell, with axis choices taken from the declarative
+//! layer; `crates/scenario/tests/parity.rs` checks that both paths give
+//! the same reports. New workloads get a registry entry and a scenario
+//! file when a matrix should run them. Constructors panic on axes
+//! [`shape`] rejects; callers holding outside input check it first.
 //!
 //! Three families:
 //!
@@ -31,10 +28,10 @@
 //!   sound variant is safe in every schedule (the last announcing decider
 //!   sees every decider's value).
 //! * [`stable_report`] — the Fig. 1 instability-reporting fragment in
-//!   isolation: same-value register write races, the benchmark target for
-//!   the per-op-pair commutativity refinement of the conflict relation.
+//!   isolation: same-value register write races, where the per-op-pair
+//!   commutativity refinement of the conflict relation prunes.
 
-use crate::explore::{AlgoFactory, CheckConfig};
+use crate::explore::{positive, AlgoFactory, AxisError, CheckConfig};
 use crate::menu::{ConstantMenu, MutatingMenu};
 use std::sync::Arc;
 use upsilon_agreement::fig1::{algorithms, Fig1Config};
@@ -66,6 +63,7 @@ fn fig1_factory(n_plus_1: usize) -> AlgoFactory<ProcessSet> {
 /// Fig. 1 under a faithful pinned Υ history (`U = Π − {p_{n+1}}`), checked
 /// for `n`-set agreement with up to `max_faults` injected crashes.
 pub fn fig1(n_plus_1: usize, depth: usize, max_faults: usize) -> CheckConfig<ProcessSet> {
+    assert_shape(shape(n_plus_1, None));
     let menu = Arc::new(ConstantMenu(pinned_history(n_plus_1)));
     CheckConfig::new(n_plus_1, depth, fig1_factory(n_plus_1), menu)
         .max_faults(max_faults)
@@ -85,6 +83,7 @@ pub fn fig1_mutating(
     max_faults: usize,
     budget: usize,
 ) -> CheckConfig<ProcessSet> {
+    assert_shape(shape(n_plus_1, None));
     let menu = Arc::new(MutatingMenu {
         base: pinned_history(n_plus_1),
         mutants: vec![ProcessSet::all(n_plus_1)],
@@ -103,7 +102,7 @@ pub fn fig1_mutating(
 /// pinned history, checked for `f`-set agreement. Like Fig. 1, safety never
 /// trusts the detector, so exploration must come back clean.
 pub fn fig2(n_plus_1: usize, f: usize, depth: usize, max_faults: usize) -> CheckConfig<ProcessSet> {
-    assert!(f >= 1 && f < n_plus_1);
+    assert_shape(shape(n_plus_1, Some(("f", f))));
     let menu = Arc::new(ConstantMenu(pinned_history(n_plus_1)));
     let props = proposals(n_plus_1);
     let factory: AlgoFactory<ProcessSet> = Arc::new(move || {
@@ -128,6 +127,7 @@ pub fn fig2(n_plus_1: usize, f: usize, depth: usize, max_faults: usize) -> Check
 /// finds the paper's pivot: crash `p_{n+1}` and the pinned `U` equals
 /// `correct(F)`, which Υ forbids.
 pub fn pinned_upsilon(n_plus_1: usize, f: usize, depth: usize) -> CheckConfig<ProcessSet> {
+    assert_shape(shape(n_plus_1, Some(("f", f))));
     let menu = Arc::new(ConstantMenu(pinned_history(n_plus_1)));
     let factory: AlgoFactory<ProcessSet> = Arc::new(move || {
         (0..n_plus_1)
@@ -165,7 +165,7 @@ pub fn pinned_upsilon(n_plus_1: usize, f: usize, depth: usize) -> CheckConfig<Pr
 /// included. Dropping `p_1`'s announcement removes its value from that
 /// count, and `k + 1` distinct decisions become reachable.
 pub fn snapshot_commit(n_plus_1: usize, k: usize, depth: usize, buggy: bool) -> CheckConfig<()> {
-    assert!(k >= 1 && k < n_plus_1);
+    assert_shape(shape(n_plus_1, Some(("k", k))));
     let factory: AlgoFactory<()> = Arc::new(move || {
         (0..n_plus_1)
             .map(|i| {
@@ -211,10 +211,10 @@ pub fn snapshot_commit(n_plus_1: usize, k: usize, depth: usize, buggy: bool) -> 
 /// equal-value register writes commute, while the value-blind `Access`
 /// lattice must order every write pair. Correctness is just the §3.3 run
 /// conditions (always checked); the interesting number is explored states,
-/// benchmarked as `BENCH_check`'s `stable-report` entry with the matrix on
-/// and off.
+/// pinned with the matrix on and off by the check crate's
+/// `turbo_differential` suite.
 pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConfig<()> {
-    assert!(reports >= 1);
+    assert_shape(shape(n_plus_1, None).and_then(|()| positive("reports", reports as u64)));
     let factory: AlgoFactory<()> = Arc::new(move || {
         (0..n_plus_1)
             .map(|_| {
@@ -249,7 +249,7 @@ pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConf
 /// interleaved schedules still come back dirty, which makes the violation
 /// genuinely schedule-dependent (a search target, not a constant failure).
 pub fn converge_offby1(n_plus_1: usize, k: usize, depth: usize, slack: usize) -> CheckConfig<()> {
-    assert!(k >= 1 && k < n_plus_1);
+    assert_shape(shape(n_plus_1, Some(("k", k))));
     let faults = ConvergeFaults {
         drop_announce: None,
         clean_slack: slack,
@@ -300,7 +300,7 @@ pub fn fig2_dropped_write(
     max_faults: usize,
     dropper: Option<ProcessId>,
 ) -> CheckConfig<ProcessSet> {
-    assert!(f >= 1 && f < n_plus_1);
+    assert_shape(shape(n_plus_1, Some(("f", f))));
     let menu = Arc::new(ConstantMenu(pinned_history(n_plus_1)));
     let props = proposals(n_plus_1);
     let faults = ConvergeFaults {
@@ -331,4 +331,38 @@ pub fn fig2_dropped_write(
 /// non-trivial certified orbit, where these reductions prune nodes.
 fn reduced<D: FdValue>(cfg: CheckConfig<D>) -> CheckConfig<D> {
     cfg.matrix(true).dedup(true).symmetry(true)
+}
+
+/// The range rules the sample constructors place on their axes: at least
+/// two processes and, where the sample has one, an agreement parameter
+/// (`k` or `f`, named by the caller) in `1..n_plus_1`. The crash budget's
+/// rule belongs to [`CheckConfig::validate`].
+///
+/// # Errors
+///
+/// Returns the [`AxisError`] of the first axis out of range.
+pub fn shape(n_plus_1: usize, agreement: Option<(&'static str, usize)>) -> Result<(), AxisError> {
+    if n_plus_1 < 2 {
+        return Err(AxisError::new(
+            "n_plus_1",
+            format!("must be at least 2, got {n_plus_1}"),
+        ));
+    }
+    if let Some((axis, v)) = agreement {
+        positive(axis, v as u64)?;
+        if v >= n_plus_1 {
+            return Err(AxisError::new(
+                axis,
+                format!("must be below n_plus_1 = {n_plus_1}, got {v}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Panics with the error of a failed shape check, for the constructors.
+fn assert_shape(checked: Result<(), AxisError>) {
+    if let Err(e) = checked {
+        panic!("{e}");
+    }
 }

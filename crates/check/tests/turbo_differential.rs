@@ -15,9 +15,15 @@
 //! * **worker count 1 vs 2 vs 8** — the work-stealing frontier merges by
 //!   coordinate, so reports are `assert_eq!`-identical whatever the
 //!   parallelism, with and without dedup.
+//!
+//! Exact counts pin what each reduction buys: nodes per conflict relation
+//! (naive, lattice, matrix), dedup and default-vs-all-on counts on the
+//! paper configs, and the world builds turbo saves over stateless replay.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use upsilon_check::samples;
-use upsilon_check::{check, CheckConfig, CheckReport};
+use upsilon_check::{check, AlgoFactory, CheckConfig, CheckReport};
 
 use upsilon_sim::FdValue;
 
@@ -217,4 +223,84 @@ fn check_paper_counts_are_pinned() {
         sleep_pruned += default.stats.sleep_pruned;
     }
     assert_eq!((total, sleep_pruned), (49_351, 31_652));
+}
+
+/// The three conflict relations of one workload, each with dedup and
+/// symmetry off: naive (no sleep sets), the coarse `Access` lattice, and
+/// the lattice refined by the commutativity matrix.
+fn reduction_modes<D: FdValue>(cfg: CheckConfig<D>) -> [CheckReport; 3] {
+    let plain = cfg.dedup(false).symmetry(false);
+    [
+        check(&plain.clone().reduction(false).matrix(false)),
+        check(&plain.clone().matrix(false)),
+        check(&plain.matrix(true)),
+    ]
+}
+
+#[test]
+fn reduction_counts_are_pinned() {
+    // Node counts under each conflict relation on five workloads at
+    // n+1 = 3 without crashes: naive / lattice / matrix. An exact count is
+    // a tighter gate than a reduction-ratio floor: a relation that ordered
+    // more pairs would raise a count, one that ordered fewer would be
+    // unsound. The matrix refines the lattice only on stable-report's
+    // same-value write races. Every mode must reach the same verdict.
+    let mut got = Vec::new();
+    let mut record = |name: &'static str, reports: [CheckReport; 3]| {
+        for r in &reports {
+            assert!(r.ok() && !r.stats.truncated, "{name}: explores clean");
+            assert_eq!(r.violations, reports[0].violations, "{name}");
+        }
+        got.push((name, reports.map(|r| r.stats.nodes)));
+    };
+    record("fig1 d9", reduction_modes(samples::fig1(3, 9, 0)));
+    record(
+        "fig1-mutating d9",
+        reduction_modes(samples::fig1_mutating(3, 9, 0, 1)),
+    );
+    record("fig2 f1 d7", reduction_modes(samples::fig2(3, 1, 7, 0)));
+    record(
+        "snapshot-commit k2 d10",
+        reduction_modes(samples::snapshot_commit(3, 2, 10, false)),
+    );
+    record(
+        "stable-report r2 d10",
+        reduction_modes(samples::stable_report(3, 2, 10)),
+    );
+    assert_eq!(
+        got,
+        [
+            ("fig1 d9", [28_999, 1_549, 1_549]),
+            ("fig1-mutating d9", [29_287, 1_579, 1_579]),
+            ("fig2 f1 d7", [3_277, 495, 495]),
+            ("snapshot-commit k2 d10", [74_830, 2_392, 2_392]),
+            ("stable-report r2 d10", [40_951, 12_217, 1_183]),
+        ]
+    );
+}
+
+/// Explores `cfg` and counts how many times it built the algorithms of a
+/// fresh world: once up front, then once per root replay.
+fn world_builds<D: FdValue>(cfg: CheckConfig<D>) -> (CheckReport, u64) {
+    let builds = Arc::new(AtomicU64::new(0));
+    let (inner, counter) = (Arc::clone(&cfg.algos), Arc::clone(&builds));
+    let algos: AlgoFactory<D> = Arc::new(move || {
+        counter.fetch_add(1, Ordering::Relaxed);
+        inner()
+    });
+    let report = check(&CheckConfig { algos, ..cfg });
+    (report, builds.load(Ordering::Relaxed))
+}
+
+#[test]
+fn turbo_world_builds_are_pinned() {
+    // Stateless exploration rebuilds the world at every node (1,549 nodes
+    // plus the up-front build); snapshot-resume rebuilds it only when a
+    // backtrack cannot be served from a saved session. Same report either
+    // way.
+    let cfg = samples::fig1(3, 9, 0);
+    let (turbo, turbo_builds) = world_builds(cfg.clone());
+    let (stateless, stateless_builds) = world_builds(cfg.turbo(false));
+    assert_eq!(turbo, stateless, "turbo vs stateless diverged");
+    assert_eq!((turbo_builds, stateless_builds), (682, 1_550));
 }

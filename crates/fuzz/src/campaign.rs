@@ -26,7 +26,9 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
-use upsilon_check::{run_token, shrink_violation, violation_of, CheckConfig, ShrinkResult};
+use upsilon_check::{
+    positive, run_token, shrink_violation, violation_of, AxisError, CheckConfig, ShrinkResult,
+};
 use upsilon_sim::{
     conflict_coverage, run_stealing, EngineKind, FdValue, Fnv64, ReplayToken, RunArena, StealJob,
     TokenError,
@@ -126,6 +128,21 @@ impl<D: FdValue> FuzzConfig<D> {
     pub fn max_violations(mut self, v: usize) -> Self {
         self.max_violations = v;
         self
+    }
+
+    /// Checks the range rules [`fuzz`] relies on: the target's own
+    /// ([`CheckConfig::validate`]), and a positive schedule horizon,
+    /// coverage window, chunk size and round size.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`AxisError`] of the first axis out of range.
+    pub fn validate(&self) -> Result<(), AxisError> {
+        self.target.validate()?;
+        positive("depth", self.target.depth as u64)?;
+        positive("window", self.window as u64)?;
+        positive("chunk", self.chunk)?;
+        positive("execs_per_round", self.execs_per_round)
     }
 }
 
@@ -325,17 +342,11 @@ impl<D: FdValue> Merger<'_, D> {
 ///
 /// # Panics
 ///
-/// Panics if the target's fault budget leaves no correct process, or if
-/// `window`, `chunk`, `depth` or `execs_per_round` is zero.
+/// Panics if [`FuzzConfig::validate`] rejects the configuration.
 pub fn fuzz<D: FdValue>(cfg: &FuzzConfig<D>, seeds: &[ReplayToken]) -> FuzzReport {
-    assert!(
-        cfg.target.max_faults < cfg.target.n_plus_1,
-        "at least one process must stay correct"
-    );
-    assert!(cfg.target.depth >= 1, "schedule horizon must be positive");
-    assert!(cfg.window >= 1, "coverage window must be positive");
-    assert!(cfg.chunk >= 1, "chunk size must be positive");
-    assert!(cfg.execs_per_round >= 1, "rounds must run executions");
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
 
     let mut merger = Merger {
         cfg,

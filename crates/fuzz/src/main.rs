@@ -68,7 +68,7 @@ const USAGE: &str = "usage: upsilon-fuzz [options]
   --json PATH          write a machine-readable report
   --help               this text";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         config: "fig1".to_string(),
         n: 3,
@@ -91,7 +91,7 @@ fn parse_args() -> Result<Args, String> {
         min_execs_per_sec: 0.0,
         json: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         fn num<T: std::str::FromStr>(name: &str, v: String) -> Result<T, String>
@@ -160,6 +160,7 @@ fn run_campaign<D: FdValue>(
     target: FuzzConfig<D>,
     seeds: &mut Vec<String>,
 ) -> Result<FuzzReport, String> {
+    target.validate().map_err(|e| e.to_string())?;
     let loaded = match &args.corpus {
         Some(dir) => load_corpus(dir).map_err(|e| format!("--corpus: {e}"))?,
         None => Vec::new(),
@@ -174,10 +175,19 @@ fn run_campaign<D: FdValue>(
     Ok(report)
 }
 
+/// Builds the `--config` sample from the flags and runs the campaign;
+/// axes out of range come back as an error, before any sample is built.
 fn campaign(args: &Args, seeds: &mut Vec<String>) -> Result<FuzzReport, String> {
     let n = args.n;
     let faults = args.faults.unwrap_or(0);
-    let k = args.k.unwrap_or(n.saturating_sub(1)).max(1);
+    let k = args.k.unwrap_or(n.saturating_sub(1));
+    let agreement = match args.config.as_str() {
+        "fig1" | "fig1-mutating" => None,
+        "fig2" | "pinned" | "fig2-dropped" => Some(("f", args.faults.unwrap_or(1).max(1))),
+        "commit-sound" | "commit-buggy" | "converge-offby1" => Some(("k", k)),
+        other => return Err(format!("unknown config {other:?}")),
+    };
+    samples::shape(n, agreement).map_err(|e| e.to_string())?;
     match args.config.as_str() {
         "fig1" => run_campaign(
             args,
@@ -227,7 +237,7 @@ fn campaign(args: &Args, seeds: &mut Vec<String>) -> Result<FuzzReport, String> 
                 seeds,
             )
         }
-        other => Err(format!("unknown config {other:?}")),
+        _ => unreachable!("matched above"),
     }
 }
 
@@ -265,7 +275,7 @@ fn json_report(report: &FuzzReport, execs_per_sec: f64) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             if msg.is_empty() {
@@ -347,5 +357,34 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_of_range_axes_are_errors_naming_the_axis() {
+        for (flags, axis) in [
+            (&["--n", "0"][..], "`n_plus_1`"),
+            (
+                &["--config", "fig2", "--n", "2", "--faults", "5"][..],
+                "`f`",
+            ),
+            (&["--config", "commit-sound", "--k", "0"][..], "`k`"),
+            (&["--config", "pinned", "--n", "1"][..], "`n_plus_1`"),
+            (&["--config", "fig2-dropped", "--n", "0"][..], "`n_plus_1`"),
+            (&["--faults", "3"][..], "`max_faults`"),
+            (&["--execs", "0"][..], "`execs_per_round`"),
+            (&["--chunk", "0"][..], "`chunk`"),
+            (&["--window", "0"][..], "`window`"),
+            (&["--depth", "0"][..], "`depth`"),
+        ] {
+            let argv = flags.iter().map(|f| f.to_string());
+            let args = parse_args(argv).expect("valid flags");
+            let err = campaign(&args, &mut Vec::new()).expect_err("out of range");
+            assert!(err.contains(axis), "{flags:?}: {err}");
+        }
     }
 }

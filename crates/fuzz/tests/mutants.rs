@@ -117,7 +117,9 @@ fn finds_fig2_dropped_write() {
 #[test]
 fn sound_baselines_stay_clean() {
     // The faithful twins of each mutant survive the same budgets — the
-    // suite detects the mutation, not noise in the harness.
+    // suite detects the mutation, not noise in the harness. The
+    // stable-report reference campaign (n+1 = 2, depth 8, 4 rounds of
+    // 4096) must come back clean too.
     for (name, report) in [
         (
             "commit-sound",
@@ -143,6 +145,15 @@ fn sound_baselines_stay_clean() {
                 &FuzzConfig::new(samples::fig2_dropped_write(2, 1, 16, 0, None))
                     .seed(3)
                     .budget(2, 512),
+                &[],
+            ),
+        ),
+        (
+            "stable-report",
+            fuzz(
+                &FuzzConfig::new(samples::stable_report(2, 2, 8))
+                    .seed(42)
+                    .budget(4, 4096),
                 &[],
             ),
         ),

@@ -1,7 +1,7 @@
 //! # upsilon-scenario-schema
 //!
 //! The declarative scenario DSL shared by the model checker, the fuzzer,
-//! the bench bins and the experiment loops: a TOML-subset parser
+//! the swarm executor and the experiment loops: a TOML-subset parser
 //! ([`toml::Diag`]-carrying), the validated [`ScenarioDoc`] model, and
 //! order-deterministic axis expansion into [`Cell`]s.
 //!
@@ -16,7 +16,7 @@
 //!
 //! ```toml
 //! name = "fig2"             # must match the file stem
-//! kind = "check"            # check | fuzz | experiment | bench
+//! kind = "check"            # check | fuzz | experiment | swarm
 //! protocol = "fig2"         # one of KNOWN_PROTOCOLS
 //! engine = "inline"         # inline | threads | both
 //! expect = "pass"           # pass | violation
@@ -64,7 +64,6 @@ pub const KNOWN_PROTOCOLS: &[&str] = &[
     "e9-baseline",
     "e10-converge",
     "e11-snapshots",
-    "bench-suite",
     "swarm",
 ];
 
@@ -88,8 +87,6 @@ pub enum Kind {
     Fuzz,
     /// The E9–E11 style simulation experiment loops.
     Experiment,
-    /// The bench-bin suites (`bench_check` / `bench_fuzz`).
-    Bench,
     /// Packed multi-tenant campaigns (`upsilon-swarm`).
     Swarm,
 }
@@ -101,7 +98,6 @@ impl Kind {
             Kind::Check => "check",
             Kind::Fuzz => "fuzz",
             Kind::Experiment => "experiment",
-            Kind::Bench => "bench",
             Kind::Swarm => "swarm",
         }
     }
@@ -111,7 +107,6 @@ impl Kind {
             "check" => Some(Kind::Check),
             "fuzz" => Some(Kind::Fuzz),
             "experiment" => Some(Kind::Experiment),
-            "bench" => Some(Kind::Bench),
             "swarm" => Some(Kind::Swarm),
             _ => None,
         }
@@ -485,9 +480,7 @@ impl ScenarioDoc {
                         Diag::new(
                             line,
                             col,
-                            format!(
-                                "unknown kind {s:?} (check | fuzz | experiment | bench | swarm)"
-                            ),
+                            format!("unknown kind {s:?} (check | fuzz | experiment | swarm)"),
                         )
                     })?);
                 }

@@ -59,12 +59,11 @@ fn doc_from(
     variants_raw: Vec<(u64, u64, u64, Vec<(u64, Vec<u64>)>)>,
     fuzz_mask: u64,
 ) -> ScenarioDoc {
-    let kind = match kind_i % 5 {
+    let kind = match kind_i % 4 {
         0 => Kind::Check,
         1 => Kind::Fuzz,
         2 => Kind::Experiment,
-        3 => Kind::Swarm,
-        _ => Kind::Bench,
+        _ => Kind::Swarm,
     };
     let mut seeds: Vec<u64> = Vec::new();
     for s in seeds_raw {

@@ -3,8 +3,8 @@
 //! The scenario registry and experiment matrix runner: one declarative
 //! `.toml` format (parsed by the dependency-free
 //! [`upsilon_scenario_schema`] crate) drives the exhaustive checker, the
-//! coverage-guided fuzzer, the E9–E11 experiment loops and the reduction
-//! benchmarks from a single source of truth under `scenarios/`.
+//! coverage-guided fuzzer, the E9–E11 experiment loops and the swarm
+//! executor from a single source of truth under `scenarios/`.
 //!
 //! The pipeline:
 //!

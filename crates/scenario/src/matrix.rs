@@ -215,11 +215,6 @@ pub fn run_one(
                 ]),
             })
         }
-        Kind::Bench => Err(format!(
-            "scenario `{}`: bench scenarios run through the bench bins \
-             (`bench_check --scenario`), not the matrix driver",
-            doc.name
-        )),
     }
 }
 
@@ -238,9 +233,6 @@ pub fn validate_cells(doc: &ScenarioDoc) -> Result<Vec<Cell>, String> {
             Kind::Swarm => {
                 registry::resolve_swarm(doc, cell, 0)?;
             }
-            Kind::Bench => {
-                registry::bench_workload_of(cell)?;
-            }
         }
     }
     Ok(cells)
@@ -254,13 +246,6 @@ pub fn validate_cells(doc: &ScenarioDoc) -> Result<Vec<Cell>, String> {
 /// returns results in job order regardless of the worker count, so the
 /// record stream is deterministic.
 pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, String> {
-    if doc.kind == Kind::Bench {
-        return Err(format!(
-            "scenario `{}`: bench scenarios run through the bench bins \
-             (`bench_check --scenario`), not the matrix driver",
-            doc.name
-        ));
-    }
     let cells = validate_cells(doc)?;
     let engines = engines_of(doc.engine);
 

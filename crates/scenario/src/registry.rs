@@ -4,16 +4,18 @@
 //! This is the single place where protocol names from scenario files meet
 //! the sample constructors in [`upsilon_check::samples`]. Binding keys are
 //! validated *strictly*: a cell may only bind the axes its protocol
-//! understands, and required axes must be present — a typo in a checked-in
-//! `.toml` fails resolution with a message naming the cell, instead of
-//! silently falling back to a default.
+//! understands, required axes must be present, and values must lie in the
+//! range the sample allows ([`samples::shape`], [`CheckConfig::validate`],
+//! [`FuzzConfig::validate`]) — a typo in a checked-in `.toml` fails
+//! resolution with a message naming the cell and the axis, instead of
+//! silently falling back to a default or panicking in a constructor.
 //!
 //! The check samples split over two detector value types (`ProcessSet` for
 //! the Υ-based figures, `()` for the detector-free commit/report targets),
 //! so resolution returns [`AnyCheck`] / [`AnyFuzz`] sums that erase the
 //! type parameter while keeping the full typed API reachable.
 
-use upsilon_check::explore::{check, CheckConfig, CheckReport};
+use upsilon_check::explore::{check, positive, AxisError, CheckConfig, CheckReport};
 use upsilon_check::samples;
 use upsilon_fuzz::{fuzz, FuzzConfig, FuzzReport};
 use upsilon_scenario_schema::{Cell, Kind, Scalar, ScenarioDoc};
@@ -181,37 +183,45 @@ impl<'a> Binds<'a> {
 
 /// Resolves a check-protocol cell into a runnable configuration.
 ///
-/// Errors if the cell's protocol is not a check sample or its bindings are
-/// missing, mistyped, or unknown to the protocol.
+/// Errors if the cell's protocol is not a check sample, its bindings are
+/// missing, mistyped, or unknown to the protocol, or an axis is out of the
+/// range [`samples::shape`] and [`CheckConfig::validate`] allow.
 pub fn resolve_check(cell: &Cell) -> Result<AnyCheck, String> {
     let mut b = Binds::new(cell);
+    let in_cell = |e: AxisError| format!("cell `{}`: {e}", cell.label());
+    let shape = |n, agreement| samples::shape(n, agreement).map_err(in_cell);
     let cfg = match cell.protocol.as_str() {
         "fig1" => {
             let (n, d) = (b.usize_req("n_plus_1")?, b.usize_req("depth")?);
             let faults = b.usize_or("max_faults", 0)?;
+            shape(n, None)?;
             AnyCheck::Set(samples::fig1(n, d, faults))
         }
         "fig1-mutating" => {
             let (n, d) = (b.usize_req("n_plus_1")?, b.usize_req("depth")?);
             let faults = b.usize_or("max_faults", 0)?;
             let budget = b.usize_or("budget", 1)?;
+            shape(n, None)?;
             AnyCheck::Set(samples::fig1_mutating(n, d, faults, budget))
         }
         "fig2" => {
             let (n, f) = (b.usize_req("n_plus_1")?, b.usize_req("f")?);
             let d = b.usize_req("depth")?;
             let faults = b.usize_or("max_faults", 0)?;
+            shape(n, Some(("f", f)))?;
             AnyCheck::Set(samples::fig2(n, f, d, faults))
         }
         "pinned-upsilon" => {
             let (n, f) = (b.usize_req("n_plus_1")?, b.usize_req("f")?);
             let d = b.usize_req("depth")?;
+            shape(n, Some(("f", f)))?;
             AnyCheck::Set(samples::pinned_upsilon(n, f, d))
         }
         "fig2-dropped" => {
             let (n, f) = (b.usize_req("n_plus_1")?, b.usize_req("f")?);
             let d = b.usize_req("depth")?;
             let faults = b.usize_or("max_faults", 0)?;
+            shape(n, Some(("f", f)))?;
             let dropper = match b.raw("dropper") {
                 None => None,
                 Some(Scalar::Int(p)) if *p >= 0 && (*p as usize) < n => {
@@ -230,17 +240,21 @@ pub fn resolve_check(cell: &Cell) -> Result<AnyCheck, String> {
             let (n, k) = (b.usize_req("n_plus_1")?, b.usize_req("k")?);
             let d = b.usize_req("depth")?;
             let buggy = b.bool_or("buggy", false)?;
+            shape(n, Some(("k", k)))?;
             AnyCheck::Unit(samples::snapshot_commit(n, k, d, buggy))
         }
         "stable-report" => {
             let (n, r) = (b.usize_req("n_plus_1")?, b.usize_req("reports")?);
             let d = b.usize_req("depth")?;
+            shape(n, None)?;
+            positive("reports", r as u64).map_err(in_cell)?;
             AnyCheck::Unit(samples::stable_report(n, r, d))
         }
         "converge-offby1" => {
             let (n, k) = (b.usize_req("n_plus_1")?, b.usize_req("k")?);
             let d = b.usize_req("depth")?;
             let slack = b.usize_or("slack", 1)?;
+            shape(n, Some(("k", k)))?;
             AnyCheck::Unit(samples::converge_offby1(n, k, d, slack))
         }
         other => {
@@ -251,68 +265,20 @@ pub fn resolve_check(cell: &Cell) -> Result<AnyCheck, String> {
         }
     };
     b.finish()?;
-    Ok(cfg)
-}
-
-/// Resolves a `bench-suite` cell into `(workload, target, floor)`: the
-/// `workload` axis names the check protocol being measured, the remaining
-/// bindings are that protocol's axes, and the optional `floor` axis
-/// overrides the bench's per-workload matrix-gain floor.
-///
-/// Bench scenarios are *resolved* here but *measured* by
-/// `bench_check --scenario`, which re-runs the target under its three
-/// reduction modes; the matrix driver refuses them.
-pub fn bench_workload_of(cell: &Cell) -> Result<(String, AnyCheck, Option<f64>), String> {
-    if cell.protocol != "bench-suite" {
-        return Err(format!(
-            "cell `{}`: protocol `{}` is not a bench suite",
-            cell.label(),
-            cell.protocol
-        ));
+    match &cfg {
+        AnyCheck::Set(c) => c.validate(),
+        AnyCheck::Unit(c) => c.validate(),
     }
-    let mut bindings = cell.bindings.clone();
-    let mut take = |key: &str| -> Option<Scalar> {
-        let at = bindings.iter().position(|(k, _)| k == key)?;
-        Some(bindings.remove(at).1)
-    };
-    let workload = match take("workload") {
-        Some(Scalar::Str(w)) => w,
-        Some(other) => {
-            return Err(format!(
-                "cell `{}`: axis `workload` must be a string, got {other}",
-                cell.label()
-            ))
-        }
-        None => {
-            return Err(format!(
-                "cell `{}`: missing required axis `workload`",
-                cell.label()
-            ))
-        }
-    };
-    let floor = match take("floor") {
-        None => None,
-        Some(Scalar::Float(f)) => Some(f),
-        Some(Scalar::Int(i)) => Some(i as f64),
-        Some(other) => {
-            return Err(format!(
-                "cell `{}`: axis `floor` must be a number, got {other}",
-                cell.label()
-            ))
-        }
-    };
-    let target = resolve_check(&Cell {
-        arm: cell.arm.clone(),
-        protocol: workload.clone(),
-        expect: cell.expect,
-        bindings,
-    })?;
-    Ok((workload, target, floor))
+    .map_err(in_cell)?;
+    Ok(cfg)
 }
 
 /// Resolves a fuzz-kind scenario cell into a campaign: the target comes
 /// from [`resolve_check`], the knobs from the scenario's `[fuzz]` block,
 /// and the campaign seed from the matrix seed axis.
+///
+/// Errors like [`resolve_check`], and when a knob is out of the range
+/// [`FuzzConfig::validate`] allows.
 pub fn resolve_fuzz(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<AnyFuzz, String> {
     if doc.kind != Kind::Fuzz {
         return Err(format!(
@@ -352,6 +318,8 @@ pub fn resolve_fuzz(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<AnyFuzz
                     }
                 }
             }
+            cfg.validate()
+                .map_err(|e| format!("cell `{}`: fuzz {e}", cell.label()))?;
             cfg
         }};
     }

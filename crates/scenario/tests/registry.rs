@@ -1,14 +1,13 @@
 //! Registry ↔ schema ↔ checked-in-files synchronization:
 //!
 //! * every protocol in [`KNOWN_PROTOCOLS`] is resolvable by exactly one
-//!   layer of the runner (check registry, experiment runners, bench
-//!   suite);
+//!   layer of the runner (check registry, experiment runners, swarm);
 //! * every required sample has a checked-in scenario file whose `kind` is
 //!   `check` and whose protocol matches;
 //! * the repeats axis re-runs coordinates without perturbing them.
 
 use upsilon_scenario::matrix::{run_matrix, validate_cells};
-use upsilon_scenario::registry::bench_workload_of;
+use upsilon_scenario::registry::{resolve_check, resolve_fuzz};
 use upsilon_scenario::{
     load, load_all, Cell, Expect, Kind, Scalar, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
 };
@@ -28,18 +27,16 @@ fn every_known_protocol_has_exactly_one_runner() {
         "fig2-dropped",
     ];
     let experiment = ["e9-baseline", "e10-converge", "e11-snapshots"];
-    let bench = ["bench-suite"];
     let swarm = ["swarm"];
     for p in KNOWN_PROTOCOLS {
         let owners = usize::from(check.contains(p))
             + usize::from(experiment.contains(p))
-            + usize::from(bench.contains(p))
             + usize::from(swarm.contains(p));
         assert_eq!(owners, 1, "protocol `{p}` must have exactly one runner");
     }
     assert_eq!(
         KNOWN_PROTOCOLS.len(),
-        check.len() + experiment.len() + bench.len() + swarm.len(),
+        check.len() + experiment.len() + swarm.len(),
         "a runner claims a protocol the schema does not know"
     );
 }
@@ -73,34 +70,6 @@ fn checked_in_files_cover_the_required_surface() {
     for (path, doc) in &docs {
         validate_cells(doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
-}
-
-/// The bench suite resolves each workload onto the check registry and
-/// carries its per-workload floor.
-#[test]
-fn bench_suite_cells_resolve_with_floors() {
-    let doc = load("bench-check").expect("checked-in scenario");
-    let cells = doc.expand();
-    assert_eq!(cells.len(), 5, "the five benched workloads");
-    for cell in &cells {
-        let (workload, target, floor) = bench_workload_of(cell).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(workload, cell.arm, "arm names the workload");
-        assert_eq!(target.n_plus_1(), 3);
-        assert!(floor.is_some(), "every benched workload pins a floor");
-    }
-}
-
-/// A malformed bench cell is rejected, not defaulted.
-#[test]
-fn bench_suite_rejects_unknown_workloads() {
-    let cell = Cell {
-        arm: "x".into(),
-        protocol: "bench-suite".into(),
-        expect: Expect::Pass,
-        bindings: vec![("workload".into(), Scalar::Str("warble".into()))],
-    };
-    let err = bench_workload_of(&cell).expect_err("unknown workload");
-    assert!(err.contains("not a check protocol"), "{err}");
 }
 
 /// The checked-in swarm scenario runs through the matrix driver, and its
@@ -139,4 +108,84 @@ fn repeats_are_deterministic() {
         .records
         .iter()
         .all(|r| r.out == report.records[0].out));
+}
+
+/// Axes out of range are an `Err` naming the cell and the axis, never a
+/// panic inside a sample constructor or the checker.
+#[test]
+fn out_of_range_cells_are_errors_naming_cell_and_axis() {
+    let cell = |protocol: &str, bindings: &[(&str, i64)]| Cell {
+        arm: "default".into(),
+        protocol: protocol.into(),
+        expect: Expect::Pass,
+        bindings: bindings
+            .iter()
+            .map(|&(k, v)| (k.to_string(), Scalar::Int(v)))
+            .collect(),
+    };
+    let cases = [
+        (cell("fig1", &[("n_plus_1", 0), ("depth", 4)]), "n_plus_1"),
+        (
+            cell(
+                "fig1-mutating",
+                &[("n_plus_1", 3), ("depth", 4), ("max_faults", 3)],
+            ),
+            "max_faults",
+        ),
+        (
+            cell("fig2", &[("n_plus_1", 2), ("f", 5), ("depth", 4)]),
+            "f",
+        ),
+        (
+            cell("pinned-upsilon", &[("n_plus_1", 1), ("f", 1), ("depth", 4)]),
+            "n_plus_1",
+        ),
+        (
+            cell("fig2-dropped", &[("n_plus_1", 0), ("f", 1), ("depth", 4)]),
+            "n_plus_1",
+        ),
+        (
+            cell(
+                "snapshot-commit",
+                &[("n_plus_1", 3), ("k", 0), ("depth", 4)],
+            ),
+            "k",
+        ),
+        (
+            cell(
+                "stable-report",
+                &[("n_plus_1", 2), ("reports", 0), ("depth", 4)],
+            ),
+            "reports",
+        ),
+        (
+            cell(
+                "converge-offby1",
+                &[("n_plus_1", 2), ("k", 2), ("depth", 4)],
+            ),
+            "k",
+        ),
+    ];
+    for (cell, axis) in &cases {
+        let err = resolve_check(cell).expect_err("out of range");
+        assert!(
+            err.contains(&format!("cell `{}`", cell.label())) && err.contains(&format!("`{axis}`")),
+            "{err}"
+        );
+    }
+
+    // A fuzz knob out of range is caught the same way.
+    let base = load("fuzz-commit").expect("checked-in scenario");
+    let cell = base.expand().remove(0);
+    for knob in ["window", "chunk", "execs_per_round"] {
+        let mut doc = base.clone();
+        let block = doc.fuzz.as_mut().expect("a [fuzz] block");
+        block.entries.retain(|(k, _)| k != knob);
+        block.entries.push((knob.to_string(), Scalar::Int(0)));
+        let err = resolve_fuzz(&doc, &cell, 0).expect_err("zero knob");
+        assert!(
+            err.contains(&format!("cell `{}`", cell.label())) && err.contains(&format!("`{knob}`")),
+            "{err}"
+        );
+    }
 }

@@ -12,7 +12,7 @@
 //! * `merge` — merge the records already in a store.
 //!
 //! The CLI prints counters only — never wall-clock rates; timing lives in
-//! `upsilon-bench`'s `bench_swarm`, outside the determinism-lint scan set.
+//! `paperbench`'s `swarm-paper` workload, outside the workspace.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

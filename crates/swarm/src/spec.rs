@@ -34,8 +34,7 @@ pub enum SwarmProtocol {
     /// The degenerate tenant: every process decides its own proposal in
     /// a single step. With proposals capped at one distinct value this is
     /// a trivially correct 1-set-agreement instance whose entire cost is
-    /// the swarm machinery itself — the probe `bench_swarm` uses to
-    /// measure executor overhead per decision.
+    /// the swarm machinery itself.
     Echo,
     /// One bare k-converge round (Yang–Neiger–Gafni): every process
     /// invokes `k-converge` with its proposal and decides the picked

@@ -6,7 +6,8 @@
 //!   on any practical campaign range);
 //! * memory accounting is monotone: retirement occupancy dominates
 //!   admission occupancy, both are positive sums over instances, and
-//!   growing the arena never shrinks either;
+//!   growing the arena never shrinks either; a full pack's byte sums are
+//!   pinned;
 //! * the parsers of outside input never panic: `ShardRecord::parse`
 //!   followed by `merge_records`, and `parse_mix`, return `Ok` or `Err` on
 //!   arbitrary bytes and on mutated valid input — and what they accept is
@@ -16,7 +17,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use upsilon_swarm::{
     instance_seed, merge_records, mix_to_string, parse_mix, run_packed_specs, run_standalone,
-    InstanceSpec, ShardRecord, SwarmReport, TEMPLATES,
+    run_swarm, InstanceSpec, ShardRecord, SwarmConfig, SwarmReport, TEMPLATES,
 };
 
 /// A random instance: any checked-in template under a small seed. Small
@@ -136,6 +137,29 @@ proptest! {
         // And the byte sums themselves are window-invariant.
         let (full_pack, _) = run_packed_specs(&specs, 64, 1, None, false);
         prop_assert_eq!(whole, full_pack);
+    }
+}
+
+/// Residency of a full pack: a converge-pair campaign with every cell
+/// admitted before the first sweep occupies exactly these byte sums at
+/// any worker count — 504 bytes per instance at admission and 1,912 at
+/// retirement, linear in the instance count — inside a 4 KiB budget.
+#[test]
+fn full_pack_residency_is_pinned() {
+    const INSTANCES: u64 = 4096;
+    for workers in [1, 2] {
+        let mut cfg = SwarmConfig::new(vec![("converge-pair".to_string(), 1)], INSTANCES);
+        cfg.window = None;
+        cfg.workers = workers;
+        let report = run_swarm(&cfg);
+        assert!(report.all_ok(), "workers {workers}: {report:?}");
+        assert_eq!(report.instances, INSTANCES);
+        assert_eq!(
+            (report.packed_bytes, report.arena_bytes),
+            (2_064_384, 7_831_552),
+            "workers {workers}"
+        );
+        assert!(report.bytes_per_instance() <= 4096);
     }
 }
 

@@ -9,7 +9,7 @@
 
 use upsilon_check::explore::{replay_token, token_of, Choice};
 use upsilon_scenario::matrix::run_one;
-use upsilon_scenario::registry::{bench_workload_of, resolve_check, AnyCheck};
+use upsilon_scenario::registry::{resolve_check, AnyCheck};
 use upsilon_scenario::{load_all, Kind, ScenarioDoc};
 use upsilon_sim::{EngineKind, ProcessId};
 
@@ -23,7 +23,6 @@ fn check_target_of(doc: &ScenarioDoc) -> Option<AnyCheck> {
     let cell = doc.expand().into_iter().next().expect("at least one cell");
     match doc.kind {
         Kind::Check | Kind::Fuzz => Some(resolve_check(&cell).expect("cell resolves")),
-        Kind::Bench => Some(bench_workload_of(&cell).expect("cell resolves").1),
         Kind::Experiment | Kind::Swarm => None,
     }
 }
