@@ -5,23 +5,21 @@
 //! cargo run -p upsilon-analysis --bin analyze -- lint [--json]
 //! cargo run -p upsilon-analysis --bin analyze -- conform [--json]
 //! cargo run -p upsilon-analysis --bin analyze -- commute [--json | --emit]
-//! cargo run -p upsilon-analysis --bin analyze -- symmetry [--json | --emit]
 //! cargo run -p upsilon-analysis --bin analyze -- run-conditions [--json] \
 //!     [--seeds <count>] [--procs <n+1>]
 //! cargo run -p upsilon-analysis --bin analyze -- scenario [--json]
 //! ```
 //!
-//! `lint`, `conform`, `commute` and `symmetry` are the static passes
-//! (determinism lint over the simulator crates, §3.1 conformance over the
-//! algorithm crates, DPOR-soundness audit of the shared objects' `access()`
-//! classifications, and pid-parametricity audit plus orbit derivation over
-//! the protocol crates). They share one path: load the allowlist
+//! `lint`, `conform` and `commute` are the static passes (determinism
+//! lint over the simulator crates, §3.1 conformance over the algorithm
+//! crates, and DPOR-soundness audit of the shared objects' `access()`
+//! classifications). They share one path: load the allowlist
 //! (`--allowlist`, default `crates/analysis/<mode>-allowlist.txt`; a
 //! missing file counts as empty), scan, print the human or `--json`
 //! report, and exit 0 when clean, 1 on findings, 2 on usage or I/O
-//! errors. `commute --emit` and `symmetry --emit` instead print the
-//! generated `crates/sim/src/{commute,symmetry}.rs`, and refuse (exit 1,
-//! nothing on stdout) when the audit fails. `run-conditions` is the
+//! errors. `commute --emit` instead prints the generated
+//! `crates/sim/src/commute.rs`, and refuses (exit 1, nothing on stdout)
+//! when the audit fails. `run-conditions` is the
 //! dynamic pass: it drives a built-in leader workload over a seed sweep
 //! and validates every recorded run against the §3.3 run conditions with
 //! [`upsilon_analysis::check_run_for`]. `scenario` is the declarative-layer
@@ -40,22 +38,21 @@ use upsilon_mem::{RegOp, RegResp, RegisterObject};
 use upsilon_sim::{
     algo, run_batch, DummyOracle, FailurePattern, Key, ProcessId, SeededRandom, SimBuilder, Time,
 };
-use upsilon_symmetry::known_rule_ids as known_symmetry;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: analyze <lint|conform|commute|symmetry|run-conditions|scenario> [options]\n\
+        "usage: analyze <lint|conform|commute|run-conditions|scenario> [options]\n\
          \n\
          common options:\n\
          \x20 --root <dir>        workspace root (default .)\n\
          \x20 --json              machine-readable output\n\
          \n\
-         lint / conform / commute / symmetry options:\n\
+         lint / conform / commute options:\n\
          \x20 --allowlist <file>  audited-exception file\n\
          \x20                     (default crates/analysis/<mode>-allowlist.txt)\n\
          \n\
-         commute / symmetry options:\n\
-         \x20 --emit              print the generated crates/sim/src/<mode>.rs\n\
+         commute options:\n\
+         \x20 --emit              print the generated crates/sim/src/commute.rs\n\
          \n\
          run-conditions options:\n\
          \x20 --seeds <count>     schedules per pattern (default 16)\n\
@@ -113,8 +110,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.emit && !matches!(mode.as_str(), "commute" | "symmetry") {
-        eprintln!("--emit applies only to commute and symmetry");
+    if opts.emit && mode != "commute" {
+        eprintln!("--emit applies only to commute");
         usage();
     }
 
@@ -122,7 +119,6 @@ fn main() -> ExitCode {
         "lint" => run_static(&opts, "lint", &lint::known_rule_ids(), lint_scan),
         "conform" => run_static(&opts, "conform", &known_conform(), conform_scan),
         "commute" => run_static(&opts, "commute", &known_commute(), commute_scan),
-        "symmetry" => run_static(&opts, "symmetry", &known_symmetry(), symmetry_scan),
         "run-conditions" => run_conditions(&opts),
         "scenario" => scenario(&opts),
         "--help" | "-h" => usage(),
@@ -144,7 +140,7 @@ struct Scan {
     rows: Vec<String>,
     /// The deterministic JSON report.
     json: String,
-    /// The generated module `--emit` prints (commute and symmetry only).
+    /// The generated module `--emit` prints (commute only).
     generated: Option<String>,
 }
 
@@ -180,8 +176,8 @@ fn run_static(
     };
     if opts.emit {
         // A generated module is only ever produced from a clean audit: an
-        // unjustified classification or an undocumented symmetry break
-        // would otherwise be baked into the explorer's tables.
+        // unjustified classification would otherwise be baked into the
+        // explorer's tables.
         if !scan.clean {
             for finding in &scan.findings {
                 eprintln!("{finding}");
@@ -273,32 +269,6 @@ fn commute_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
         rows: vec![summary],
         json: r.to_json(),
         generated: Some(upsilon_commute::emit::render(&r.impls)),
-    })
-}
-
-fn symmetry_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
-    let r = upsilon_symmetry::scan_workspace(root, allow)?;
-    let mut rows: Vec<String> = r
-        .orbits
-        .iter()
-        .map(|o| format!("orbit: {} -> {}", o.sample, o.orbit.label()))
-        .collect();
-    rows.push(format!(
-        "symmetry: {} files scanned, {} routines ({} symmetric), {} orbits, \
-         {} findings, {} allowlisted",
-        r.files.len(),
-        r.routines.len(),
-        r.routines.iter().filter(|v| v.symmetric).count(),
-        r.orbits.len(),
-        r.findings.len(),
-        r.suppressed.len()
-    ));
-    Ok(Scan {
-        clean: r.is_clean(),
-        findings: r.findings.iter().map(ToString::to_string).collect(),
-        rows,
-        json: r.to_json(),
-        generated: Some(upsilon_symmetry::emit::render(&r.orbits)),
     })
 }
 

@@ -34,15 +34,14 @@
 //!
 //! ```text
 //! cargo run -p upsilon-analysis --bin analyze -- \
-//!     <lint|conform|commute|symmetry|run-conditions|scenario> [--json]
+//!     <lint|conform|commute|run-conditions|scenario> [--json]
 //! ```
 //!
-//! The four static passes (lint, conform, and the [`upsilon_commute`] and
-//! [`upsilon_symmetry`] audits) share one path through it: one
-//! [`upsilon_conform::Allowlist`] format, `--json` or human output, and
-//! exit status 0 (clean), 1 (findings) or 2 (usage or I/O error).
-//! `commute --emit` and `symmetry --emit` print the generated
-//! `upsilon_sim::commute` and `upsilon_sim::symmetry` modules.
+//! The three static passes (lint, conform and the [`upsilon_commute`]
+//! audit) share one path through it: one [`upsilon_conform::Allowlist`]
+//! format, `--json` or human output, and exit status 0 (clean), 1
+//! (findings) or 2 (usage or I/O error). `commute --emit` prints the
+//! generated `upsilon_sim::commute` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

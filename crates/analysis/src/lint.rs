@@ -44,7 +44,6 @@ pub const SCANNED_CRATES: &[&str] = &[
     "fuzz",
     "analysis",
     "commute",
-    "symmetry",
     "scenario",
     "swarm",
     "bench",

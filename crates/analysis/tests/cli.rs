@@ -1,6 +1,6 @@
 //! Contract of the `analyze` binary: exit status 0 when a pass is clean,
-//! 1 on findings, 2 on usage or I/O errors; `--emit` prints exactly the
-//! checked-in generated modules and prints nothing from a failing audit.
+//! 1 on findings, 2 on usage or I/O errors; `commute --emit` prints exactly
+//! the checked-in generated module and prints nothing from a failing audit.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,7 +39,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn every_static_pass_is_clean_on_the_workspace() {
     let root = workspace_root();
-    for mode in ["lint", "conform", "commute", "symmetry"] {
+    for mode in ["lint", "conform", "commute"] {
         let out = analyze(&root, &[mode]);
         assert_eq!(
             code(&out),
@@ -54,49 +54,35 @@ fn every_static_pass_is_clean_on_the_workspace() {
 #[test]
 fn emit_prints_the_checked_in_generated_modules() {
     let root = workspace_root();
-    for mode in ["commute", "symmetry"] {
-        let out = analyze(&root, &[mode, "--emit"]);
-        assert_eq!(code(&out), 0, "analyze {mode} --emit");
-        let checked_in = fs::read_to_string(root.join(format!("crates/sim/src/{mode}.rs")))
-            .expect("checked-in generated file");
-        assert!(
-            out.stdout == checked_in.as_bytes(),
-            "analyze {mode} --emit drifted from crates/sim/src/{mode}.rs"
-        );
-    }
+    let out = analyze(&root, &["commute", "--emit"]);
+    assert_eq!(code(&out), 0, "analyze commute --emit");
+    let checked_in =
+        fs::read_to_string(root.join("crates/sim/src/commute.rs")).expect("checked-in module");
+    assert!(
+        out.stdout == checked_in.as_bytes(),
+        "analyze commute --emit drifted from crates/sim/src/commute.rs"
+    );
 }
 
 /// A misclassified `ObjectType` (an M1 fixture: a `Read` claim on an op
 /// that writes) fails the commute audit, so `--emit` must refuse and leave
-/// stdout empty; likewise an S1 fixture for symmetry.
+/// stdout empty.
 #[test]
 fn emit_refuses_a_failing_audit() {
     let repo = workspace_root();
-    let cases = [
-        ("commute", "m1_read_writes.rs", &["mem"][..]),
-        (
-            "symmetry",
-            "s1_concrete_pid.rs",
-            &["agreement", "check", "converge", "extract", "fd"][..],
-        ),
-    ];
-    for (mode, fixture, crates) in cases {
-        let root = temp_dir(&format!("emit-{mode}"));
-        for krate in crates {
-            fs::create_dir_all(root.join("crates").join(krate).join("src")).expect("crate dir");
-        }
-        fs::copy(
-            repo.join(format!("crates/{mode}/fixtures/src/{fixture}")),
-            root.join(format!("crates/{}/src/{fixture}", crates[0])),
-        )
-        .expect("copy fixture");
+    let root = temp_dir("emit-commute");
+    fs::create_dir_all(root.join("crates/mem/src")).expect("crate dir");
+    fs::copy(
+        repo.join("crates/commute/fixtures/src/m1_read_writes.rs"),
+        root.join("crates/mem/src/m1_read_writes.rs"),
+    )
+    .expect("copy fixture");
 
-        let out = analyze(&root, &[mode, "--emit"]);
-        assert_eq!(code(&out), 1, "analyze {mode} --emit over a failing audit");
-        assert!(out.stdout.is_empty(), "{mode}: nothing may be emitted");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("refusing to emit"), "{stderr}");
-    }
+    let out = analyze(&root, &["commute", "--emit"]);
+    assert_eq!(code(&out), 1, "analyze commute --emit over a failing audit");
+    assert!(out.stdout.is_empty(), "nothing may be emitted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("refusing to emit"), "{stderr}");
 }
 
 #[test]
@@ -110,7 +96,6 @@ fn malformed_allowlist_is_a_usage_error() {
         ),
         ("conform", "C9 crates/mem/src/lib.rs\n"),
         ("commute", "M1\n"),
-        ("symmetry", "S1 a.rs b.rs\n"),
     ] {
         let path = dir.join(format!("{mode}.txt"));
         fs::write(&path, text).expect("write allowlist");
@@ -129,6 +114,7 @@ fn unknown_modes_and_misplaced_emit_are_usage_errors() {
     let root = workspace_root();
     for args in [
         &["bogus"][..],
+        &["symmetry"],
         &["lint", "--emit"],
         &["conform", "--emit"],
         &["scenario", "--emit"],

@@ -47,11 +47,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use upsilon_analysis::{RunConditionsSpec, RunSpec};
 use upsilon_core::shrink::ddmin_counted;
-use upsilon_sim::symmetry::Orbit;
 use upsilon_sim::{
-    ops_commute, resolve, run_stealing, Access, AlgoFn, EngineKind, FailurePattern, FdValue,
-    FnvWrite, Key, Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave,
-    SessionStep, SimBuilder, StealJob, StealScope, StepKind, Time, TokenError, TraceLevel,
+    ops_commute, resolve, run_stealing, Access, AlgoFn, EngineKind, FailurePattern, FdValue, Key,
+    Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave, SessionStep,
+    SimBuilder, StealJob, StealScope, StepKind, Time, TokenError, TraceLevel,
 };
 
 /// One scheduling decision of the explorer.
@@ -192,37 +191,6 @@ pub struct CheckConfig<D: FdValue> {
     /// to stateless re-execution under [`EngineKind::Threads`] (thread
     /// state machines cannot be rewound).
     pub turbo: bool,
-    /// State-fingerprint deduplication (off by default; opt in where it
-    /// prunes): prune a node whose canonical fingerprint — object states
-    /// plus per-process trace digests plus the unserved pick script, crash
-    /// context and remaining budgets — was already fully explored with an
-    /// equal-or-looser sleep set and an equal-or-deeper remaining depth.
-    /// Sound for the state-based, trace-closed specs this checker is built
-    /// for (verdicts are functions of per-process projections, which equal
-    /// fingerprints pin down); the differential suite locks verdict
-    /// equality per scenario. On the paper's Fig. 1 and Fig. 2 configs it
-    /// prunes no node, yet every step pays for the digests. Requires
-    /// `turbo`: fingerprints come from the live session, which maintains
-    /// them incrementally — op responses enter its per-process digests at
-    /// every step without full tracing.
-    pub dedup: bool,
-    /// Process-symmetry reduction (off by default; the identity unless
-    /// [`CheckConfig::orbit`] is non-trivial): collapse crash injections to
-    /// one representative per orbit class, skip duplicate failure-detector
-    /// candidates, and canonicalize dedup fingerprints up to within-class
-    /// process renaming. Sound only for configurations whose orbit the
-    /// static audit (`upsilon-symmetry`) certifies; the differential suite
-    /// locks verdict and token equality against the unreduced search.
-    /// Costs a menu re-fetch at every detector query even when nothing is
-    /// skipped.
-    pub symmetry: bool,
-    /// The certified orbit classes of this configuration's processes
-    /// (default [`Orbit::Trivial`], under which the symmetry reduction is
-    /// the identity). Samples set this from the generated
-    /// `upsilon_sim::symmetry::sample_orbit` table; hand-built configs must
-    /// only claim a non-trivial orbit when algorithms, inputs, specs and
-    /// menu really are invariant under class-preserving permutations.
-    pub orbit: Orbit,
     /// Refine the conflict relation through the generated per-op-pair
     /// commutativity matrix (`upsilon_sim::commute`), off by default: op
     /// signatures are recorded on every node and lattice conflicts the
@@ -254,9 +222,6 @@ impl<D: FdValue> std::fmt::Debug for CheckConfig<D> {
             .field("max_faults", &self.max_faults)
             .field("reduction", &self.reduction)
             .field("turbo", &self.turbo)
-            .field("dedup", &self.dedup)
-            .field("symmetry", &self.symmetry)
-            .field("orbit", &self.orbit)
             .field("split_depth", &self.split_depth)
             .finish_non_exhaustive()
     }
@@ -264,10 +229,9 @@ impl<D: FdValue> std::fmt::Debug for CheckConfig<D> {
 
 impl<D: FdValue> CheckConfig<D> {
     /// A serial configuration with sleep sets over the `Access` lattice, no
-    /// crash injection and a one-counterexample budget. Dedup, symmetry and
-    /// the commutativity matrix start off; samples whose state space they
-    /// shrink opt in with [`CheckConfig::dedup`], [`CheckConfig::symmetry`]
-    /// and [`CheckConfig::matrix`].
+    /// crash injection and a one-counterexample budget. The commutativity
+    /// matrix starts off; samples whose state space it shrinks opt in with
+    /// [`CheckConfig::matrix`].
     pub fn new(
         n_plus_1: usize,
         depth: usize,
@@ -283,9 +247,6 @@ impl<D: FdValue> CheckConfig<D> {
             algos,
             reduction: true,
             turbo: true,
-            dedup: false,
-            symmetry: false,
-            orbit: Orbit::Trivial,
             use_matrix: false,
             engine: EngineKind::Inline,
             workers: 0,
@@ -317,27 +278,6 @@ impl<D: FdValue> CheckConfig<D> {
     /// Enables or disables snapshot-resume execution (on by default).
     pub fn turbo(mut self, on: bool) -> Self {
         self.turbo = on;
-        self
-    }
-
-    /// Enables or disables state-fingerprint deduplication (off by
-    /// default; effective only with `turbo` on an inline engine).
-    pub fn dedup(mut self, on: bool) -> Self {
-        self.dedup = on;
-        self
-    }
-
-    /// Enables or disables the process-symmetry reduction (off by default;
-    /// the identity unless a non-trivial [`CheckConfig::orbit`] is set).
-    pub fn symmetry(mut self, on: bool) -> Self {
-        self.symmetry = on;
-        self
-    }
-
-    /// Declares the certified orbit classes of this configuration's
-    /// processes (default [`Orbit::Trivial`]).
-    pub fn orbit(mut self, orbit: Orbit) -> Self {
-        self.orbit = orbit;
         self
     }
 
@@ -397,13 +337,11 @@ pub struct CheckStats {
     pub depth_leaves: u64,
     /// Step children that produced no step (the process finished instantly).
     pub no_step_children: u64,
-    /// Nodes pruned because an equal state fingerprint was already fully
-    /// explored (always 0 unless [`CheckConfig::dedup`] is on).
+    /// Always 0: no reduction prunes by state fingerprint any more. Kept
+    /// until the benchmark stops reading it.
     pub dedup_pruned: u64,
-    /// Children skipped by the process-symmetry reduction: crash injections
-    /// collapsed to one representative per orbit class and duplicate
-    /// failure-detector candidates (always 0 unless
-    /// [`CheckConfig::symmetry`] is on).
+    /// Always 0: no reduction prunes by process symmetry any more. Kept
+    /// until the benchmark stops reading it.
     pub symmetry_pruned: u64,
     /// Whether a node or violation budget cut the search short.
     pub truncated: bool,
@@ -417,8 +355,6 @@ impl CheckStats {
         self.fd_variant_nodes += other.fd_variant_nodes;
         self.depth_leaves += other.depth_leaves;
         self.no_step_children += other.no_step_children;
-        self.dedup_pruned += other.dedup_pruned;
-        self.symmetry_pruned += other.symmetry_pruned;
         self.truncated |= other.truncated;
     }
 }
@@ -761,17 +697,13 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
         let picks = vec![Vec::new(); cfg.n_plus_1];
         let oracle = MenuOracle::new(Arc::clone(&cfg.menu), cfg.n_plus_1, picks.clone());
         let log = oracle.log();
-        // The session records at the stateless replay's trace level, dedup
-        // or not. With dedup it maintains fingerprint digests, which capture
-        // op responses at every step (two states that answered the same op
-        // differently hash apart) without the full trace's `detail` strings.
-        let session = Session::with_fingerprints(
+        // The session records at the stateless replay's trace level.
+        let session = Session::new(
             FailurePattern::failure_free(cfg.n_plus_1),
             Arc::clone(&cfg.algos),
             Box::new(oracle),
             TraceLevel::Steps,
             cfg.use_matrix,
-            cfg.dedup,
         );
         let saves = vec![session.save()];
         TurboCursor {
@@ -947,14 +879,6 @@ impl<'a, D: FdValue> Cursor<'a, D> {
         matches!(self, Cursor::Turbo(_))
     }
 
-    /// The live session of a turbo cursor.
-    fn session(&self) -> Option<&Session<D>> {
-        match self {
-            Cursor::Turbo(c) => Some(&c.session),
-            Cursor::Stateless(_) => None,
-        }
-    }
-
     /// Footprint of the node's last (just-pushed) step.
     fn last_footprint(&self, memo: &mut ResolveMemo) -> Footprint {
         match self {
@@ -981,113 +905,6 @@ impl<'a, D: FdValue> Cursor<'a, D> {
                 _ => None,
             },
         }
-    }
-}
-
-/// Which crash children the canonical-representative rule admits below a
-/// node — a property of the path's *shape*, not of the reached state, so it
-/// must join the dedup key (`crash_allowed` consults exactly this).
-fn crash_tag(path: &[Choice]) -> u64 {
-    match path.last() {
-        None => 1,
-        Some(Choice::Step(p)) => 2 + 2 * p.index() as u64,
-        Some(Choice::Crash(q)) if path.iter().all(|c| matches!(c, Choice::Crash(_))) => {
-            3 + 2 * q.index() as u64
-        }
-        Some(Choice::Crash(_)) => 0,
-    }
-}
-
-/// [`crash_tag`] with the distinguishing pid mapped through the canonical
-/// permutation of an orbit fingerprint, so two nodes that are images of
-/// each other under a class-preserving renaming carry equal tags. Sound
-/// because position-equal entries of two equal canonical fingerprints have
-/// equal (class, digest, extra) triples — the renaming that witnesses the
-/// fingerprint match can always be chosen to align the tagged pids.
-fn canon_crash_tag(path: &[Choice], canon_of: &[usize]) -> u64 {
-    match path.last() {
-        None => 1,
-        Some(Choice::Step(p)) => 2 + 2 * canon_of[p.index()] as u64,
-        Some(Choice::Crash(q)) if path.iter().all(|c| matches!(c, Choice::Crash(_))) => {
-            3 + 2 * canon_of[q.index()] as u64
-        }
-        Some(Choice::Crash(_)) => 0,
-    }
-}
-
-/// One fully-explored subtree in the dedup table: pruning a revisit is
-/// sound only against an entry whose exploration was at least as deep and
-/// at least as unrestricted. `sleep` indexes its sleep set in
-/// [`Visited::sleeps`].
-struct StoredNode {
-    remaining: usize,
-    sleep: (u32, u32),
-}
-
-/// The dedup table: dedup key → fully-explored subtrees, populated
-/// post-order (a node enters only after its subtree completed un-truncated
-/// and violation-free, so every prune skips provably clean ground).
-///
-/// Sleep sets are stored as `(pid, footprint id)` pairs in one arena, with
-/// footprints interned per exploration, so an entry allocates nothing of
-/// its own: a table of tens of thousands of entries stays a few large
-/// blocks instead of a cloned `Vec` and `Key` per entry.
-#[derive(Default)]
-struct Visited {
-    /// `(dedup key, ordinal among entries with that key)` → entry.
-    nodes: BTreeMap<(u64, u32), StoredNode>,
-    sleeps: Vec<(ProcessId, u32)>,
-    /// Interned object footprints by key; id 0 is [`Footprint::Local`].
-    footprints: BTreeMap<Key, Vec<(Footprint, u32)>>,
-    interned: u32,
-}
-
-impl Visited {
-    /// The id of `f`: equal ids exactly for equal footprints.
-    fn intern(&mut self, f: &Footprint) -> u32 {
-        let Footprint::Obj { key, .. } = f else {
-            return 0;
-        };
-        if let Some(same_key) = self.footprints.get(key) {
-            if let Some((_, id)) = same_key.iter().find(|(g, _)| g == f) {
-                return *id;
-            }
-        }
-        self.interned += 1;
-        let id = self.interned;
-        self.footprints
-            .entry(key.clone())
-            .or_default()
-            .push((f.clone(), id));
-        id
-    }
-
-    fn entries(&self, key: u64) -> impl DoubleEndedIterator<Item = (&(u64, u32), &StoredNode)> {
-        self.nodes.range((key, 0)..=(key, u32::MAX))
-    }
-
-    /// Whether an entry under `key` explored at least `remaining` levels
-    /// with a sleep set contained in `sleep`.
-    fn covers(&self, key: u64, remaining: usize, sleep: &[(ProcessId, u32)]) -> bool {
-        self.entries(key).any(|(_, s)| {
-            let (start, end) = (s.sleep.0 as usize, s.sleep.1 as usize);
-            s.remaining >= remaining && self.sleeps[start..end].iter().all(|e| sleep.contains(e))
-        })
-    }
-
-    fn insert(&mut self, key: u64, remaining: usize, sleep: &[(ProcessId, u32)]) {
-        let ordinal = self
-            .entries(key)
-            .next_back()
-            .map_or(0, |((_, ordinal), _)| ordinal + 1);
-        let index = |len: usize| u32::try_from(len).expect("dedup table indices fit in u32");
-        let start = index(self.sleeps.len());
-        self.sleeps.extend_from_slice(sleep);
-        let node = StoredNode {
-            remaining,
-            sleep: (start, index(self.sleeps.len())),
-        };
-        self.nodes.insert((key, ordinal), node);
     }
 }
 
@@ -1132,16 +949,8 @@ struct Explorer<'a, D: FdValue, F: FnMut(FrontierJob)> {
     violations: Vec<CounterExample>,
     path: Vec<Choice>,
     cursor: Cursor<'a, D>,
-    /// The dedup table, when dedup is on.
-    visited: Option<Visited>,
     resolve_memo: ResolveMemo,
     frontier: Option<F>,
-    /// The orbit class of every process (identity classes when symmetry is
-    /// off or the orbit is trivial).
-    class_of: Vec<u32>,
-    /// Whether the symmetry reduction can do anything here: `cfg.symmetry`
-    /// with a non-trivial certified orbit.
-    sym_active: bool,
 }
 
 impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
@@ -1159,90 +968,13 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             violations: Vec::new(),
             path: path.to_vec(),
             cursor: Cursor::at_path(cfg, path, picks),
-            visited: (cfg.dedup && turbo_active(cfg)).then(Visited::default),
             resolve_memo: ResolveMemo::new(),
             frontier,
-            class_of: cfg.orbit.class_of(cfg.n_plus_1),
-            sym_active: cfg.symmetry && !cfg.orbit.is_trivial(),
         }
     }
 
     fn over_budget(&self) -> bool {
         self.stats.nodes >= self.cfg.max_nodes || self.violations.len() >= self.cfg.max_violations
-    }
-
-    /// The dedup key: the canonical state fingerprint joined with everything
-    /// *else* that steers the subtree — the unserved pick suffixes (served
-    /// picks are already baked into the state), the spent fault budget, the
-    /// crash times (specs may read them) and the path-shape crash tag.
-    ///
-    /// With the symmetry reduction active the key is computed up to
-    /// within-class process renaming: the per-process extras (pick suffix
-    /// plus crash time) ride inside the orbit-canonical fingerprint instead
-    /// of being hashed in pid order, the crash tag's pid is mapped through
-    /// the canonicalizing permutation, and that permutation is returned so
-    /// [`Explorer::visit`] can canonicalize the sleep set the same way.
-    fn dedup_key(&self, picks: &[Vec<u32>]) -> (u64, Option<Vec<usize>>) {
-        let session = self
-            .cursor
-            .session()
-            .expect("the visited table exists only on turbo cursors");
-        let run = session.run();
-        let n = self.cfg.n_plus_1;
-        let qcounts = session.query_counts();
-        // An explicit 0 and a missing entry play the same candidate:
-        // strip trailing zeros so the two key identically.
-        let suffix_of = |i: usize| -> &[u32] {
-            let served = usize::try_from(qcounts[i]).unwrap_or(usize::MAX);
-            let suffix = picks
-                .get(i)
-                .map(|v| v.get(served..).unwrap_or(&[]))
-                .unwrap_or(&[]);
-            match suffix.iter().rposition(|&x| x != 0) {
-                Some(last) => &suffix[..=last],
-                None => &[],
-            }
-        };
-        if self.sym_active {
-            let extra: Vec<u64> = (0..n)
-                .map(|i| {
-                    let mut e = FnvWrite::new();
-                    e.write_u64(0x51);
-                    for &x in suffix_of(i) {
-                        e.write_u64(u64::from(x) + 1);
-                    }
-                    e.write_u64(match run.crash_observed(ProcessId(i)) {
-                        Some(t) => t.0 + 1,
-                        None => 0,
-                    });
-                    e.finish()
-                })
-                .collect();
-            let ofp = session.orbit_fingerprint(&self.class_of, &extra);
-            let mut h = FnvWrite::new();
-            h.write_u64(ofp.fingerprint);
-            h.write_u64(faults_in(&self.path) as u64);
-            h.write_u64(canon_crash_tag(&self.path, &ofp.canon_of));
-            (h.finish(), Some(ofp.canon_of))
-        } else {
-            let mut h = FnvWrite::new();
-            h.write_u64(session.fingerprint());
-            for i in 0..n {
-                h.write_u64(0x51);
-                for &x in suffix_of(i) {
-                    h.write_u64(u64::from(x) + 1);
-                }
-            }
-            h.write_u64(faults_in(&self.path) as u64);
-            h.write_u64(crash_tag(&self.path));
-            for i in 0..n {
-                h.write_u64(match run.crash_observed(ProcessId(i)) {
-                    Some(t) => t.0 + 1,
-                    None => 0,
-                });
-            }
-            (h.finish(), None)
-        }
     }
 
     /// Executes specs on the node the cursor sits at; on violation, records
@@ -1275,37 +1007,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             }
             return;
         }
-        let remaining = self.cfg.depth - steps_used;
-        let keyed = self.visited.is_some().then(|| self.dedup_key(picks));
-        let dedup_key = if let (Some((key, canon)), Some(visited)) = (keyed, &mut self.visited) {
-            // Sleep entries are compared (and stored) with their pids
-            // mapped through the canonical permutation, so symmetric
-            // nodes agree on the comparison as well as the key.
-            let canon_sleep: Vec<(ProcessId, u32)> = sleep
-                .iter()
-                .map(|(q, f)| {
-                    let q = canon.as_ref().map_or(*q, |c| ProcessId(c[q.index()]));
-                    (q, visited.intern(f))
-                })
-                .collect();
-            if visited.covers(key, remaining, &canon_sleep) {
-                self.stats.dedup_pruned += 1;
-                return;
-            }
-            Some((key, canon_sleep))
-        } else {
-            None
-        };
-        let violations_before = self.violations.len();
         self.expand(picks, sleep, steps_used);
-        if let Some((key, canon_sleep)) = dedup_key {
-            if !self.stats.truncated && self.violations.len() == violations_before {
-                self.visited
-                    .as_mut()
-                    .expect("a dedup key implies a visited table")
-                    .insert(key, remaining, &canon_sleep);
-            }
-        }
     }
 
     /// Generates and explores the children of the node the cursor sits at:
@@ -1328,26 +1030,10 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
         };
 
         if faults_in(&self.path) < self.cfg.max_faults {
-            // Symmetry reduction: when several crash candidates are admitted
-            // at this node, processes of one orbit class are interchangeable
-            // — nobody has stepped yet wherever multiple candidates exist
-            // (the canonical-representative rule admits more than one crash
-            // only at the empty path or after an all-crash prefix), so
-            // crashing any of them yields π-isomorphic subtrees. Keep one
-            // representative per class.
-            let mut crash_classes_seen: Vec<u32> = Vec::new();
             for i in 0..self.cfg.n_plus_1 {
                 let p = ProcessId(i);
                 if crashed_in(&self.path, p) || !crash_allowed(&self.path, p) {
                     continue;
-                }
-                if self.sym_active {
-                    let class = self.class_of[i];
-                    if crash_classes_seen.contains(&class) {
-                        self.stats.symmetry_pruned += 1;
-                        continue;
-                    }
-                    crash_classes_seen.push(class);
                 }
                 if self.over_budget() {
                     self.stats.truncated = true;
@@ -1393,23 +1079,7 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             // Sibling branches for the unexplored detector candidates.
             if let Some(rec) = query {
                 debug_assert_eq!(rec.pid, p);
-                // Symmetry reduction: a menu may offer the same candidate
-                // value more than once (e.g. `{p} ∪ Π` when `p ∈ Π`); equal
-                // values produce value-identical runs, so explore the first
-                // occurrence only. The menu contract (deterministic,
-                // schedule-independent) makes this re-fetch safe.
-                let menu_cands = self
-                    .cfg
-                    .symmetry
-                    .then(|| self.cfg.menu.candidates(p, rec.k as usize));
                 for j in 1..rec.candidates {
-                    if let Some(cands) = &menu_cands {
-                        let ju = j as usize;
-                        if ju < cands.len() && cands[..ju].iter().any(|c| *c == cands[ju]) {
-                            self.stats.symmetry_pruned += 1;
-                            continue;
-                        }
-                    }
                     let mut vpicks = picks.to_vec();
                     vpicks[i].resize(rec.k as usize, 0);
                     vpicks[i].push(j);

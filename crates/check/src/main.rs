@@ -25,8 +25,6 @@ struct Args {
     k: Option<usize>,
     naive: bool,
     no_turbo: bool,
-    dedup: bool,
-    symmetry: bool,
     workers: usize,
     split: usize,
     max_violations: usize,
@@ -44,8 +42,6 @@ const USAGE: &str = "usage: upsilon-check [options]
   --k N                agreement parameter for commit configs (default n-1)
   --naive              disable the sleep-set reduction
   --no-turbo           disable snapshot-resume execution (replay from root)
-  --dedup              enable fingerprint dedup (on for pinned)
-  --symmetry           enable the process-symmetry reduction (on for pinned)
   --split N            fan subtrees out at path length N (default 0 = serial)
   --workers N          worker threads for --split (default 0 = auto)
   --max-violations N   stop after N counterexamples (default 16)
@@ -64,8 +60,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         k: None,
         naive: false,
         no_turbo: false,
-        dedup: false,
-        symmetry: false,
         workers: 0,
         split: 0,
         max_violations: 16,
@@ -95,8 +89,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--k" => args.k = Some(value("--k")?.parse().map_err(|e| format!("--k: {e}"))?),
             "--naive" => args.naive = true,
             "--no-turbo" => args.no_turbo = true,
-            "--dedup" => args.dedup = true,
-            "--symmetry" => args.symmetry = true,
             "--workers" => {
                 args.workers = value("--workers")?
                     .parse()
@@ -136,8 +128,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 fn tune<D: FdValue>(mut cfg: CheckConfig<D>, args: &Args) -> CheckConfig<D> {
     cfg.reduction = !args.naive;
     cfg.turbo = !args.no_turbo;
-    cfg.dedup |= args.dedup;
-    cfg.symmetry |= args.symmetry;
     cfg.workers = args.workers;
     cfg.split_depth = args.split;
     cfg.max_violations = args.max_violations;
@@ -193,14 +183,12 @@ fn json_report(report: &CheckReport, states_per_sec: f64) -> String {
         })
         .collect();
     format!(
-        "{{\n  \"nodes\": {},\n  \"sleep_pruned\": {},\n  \"crash_nodes\": {},\n  \"fd_variant_nodes\": {},\n  \"depth_leaves\": {},\n  \"dedup_pruned\": {},\n  \"symmetry_pruned\": {},\n  \"truncated\": {},\n  \"frontier_jobs\": {},\n  \"states_per_sec\": {:.1},\n  \"violations\": [{}]\n}}\n",
+        "{{\n  \"nodes\": {},\n  \"sleep_pruned\": {},\n  \"crash_nodes\": {},\n  \"fd_variant_nodes\": {},\n  \"depth_leaves\": {},\n  \"truncated\": {},\n  \"frontier_jobs\": {},\n  \"states_per_sec\": {:.1},\n  \"violations\": [{}]\n}}\n",
         report.stats.nodes,
         report.stats.sleep_pruned,
         report.stats.crash_nodes,
         report.stats.fd_variant_nodes,
         report.stats.depth_leaves,
-        report.stats.dedup_pruned,
-        report.stats.symmetry_pruned,
         report.stats.truncated,
         report.frontier_jobs,
         states_per_sec,
@@ -237,15 +225,13 @@ fn main() -> ExitCode {
         args.config, args.n, args.depth, !args.naive
     );
     println!(
-        "nodes={} sleep_pruned={} crash_nodes={} fd_variants={} depth_leaves={} dedup_pruned={} \
-         symmetry_pruned={} truncated={} frontier_jobs={} states/sec={:.0}",
+        "nodes={} sleep_pruned={} crash_nodes={} fd_variants={} depth_leaves={} truncated={} \
+         frontier_jobs={} states/sec={:.0}",
         report.stats.nodes,
         report.stats.sleep_pruned,
         report.stats.crash_nodes,
         report.stats.fd_variant_nodes,
         report.stats.depth_leaves,
-        report.stats.dedup_pruned,
-        report.stats.symmetry_pruned,
         report.stats.truncated,
         report.frontier_jobs,
         states_per_sec
@@ -307,13 +293,11 @@ mod tests {
     fn reduction_flags_only_turn_reductions_on() {
         let plain = args(&[]);
         let cfg = tune(samples::fig1(3, 6, 0), &plain);
-        assert!(!cfg.dedup && !cfg.symmetry && !cfg.use_matrix);
-        // A sample that opts in keeps its reductions without any flag.
+        assert!(!cfg.use_matrix);
+        // A sample that opts in keeps the matrix without any flag.
         let cfg = tune(samples::pinned_upsilon(3, 1, 6), &plain);
-        assert!(cfg.dedup && cfg.symmetry && cfg.use_matrix);
-        let cfg = tune(samples::fig1(3, 6, 0), &args(&["--dedup", "--symmetry"]));
-        assert!(cfg.dedup && cfg.symmetry && !cfg.use_matrix);
-        assert!(parse_args(["--no-dedup".to_string()]).is_err());
+        assert!(cfg.use_matrix);
+        assert!(parse_args(["--bogus".to_string()]).is_err());
     }
 
     #[test]

@@ -40,8 +40,7 @@ use upsilon_agreement::KSetAgreementSpec;
 use upsilon_converge::{ConvergeFaults, ConvergeInstance};
 use upsilon_extract::{pinned_history, UpsilonFaithfulSpec};
 use upsilon_mem::{distinct_values, NativeSnapshot, Register, Snapshot};
-use upsilon_sim::symmetry::sample_orbit;
-use upsilon_sim::{algo, AlgoFn, FdValue, Key, Output, ProcessId, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Key, Output, ProcessId, ProcessSet};
 
 /// Distinct proposals `0, 1, …, n` — the hard case for set agreement.
 fn proposals(n_plus_1: usize) -> Vec<Option<u64>> {
@@ -67,7 +66,6 @@ pub fn fig1(n_plus_1: usize, depth: usize, max_faults: usize) -> CheckConfig<Pro
     let menu = Arc::new(ConstantMenu(pinned_history(n_plus_1)));
     CheckConfig::new(n_plus_1, depth, fig1_factory(n_plus_1), menu)
         .max_faults(max_faults)
-        .orbit(sample_orbit("fig1"))
         .spec(KSetAgreementSpec {
             k: n_plus_1 - 1,
             proposals: proposals(n_plus_1),
@@ -91,7 +89,6 @@ pub fn fig1_mutating(
     });
     CheckConfig::new(n_plus_1, depth, fig1_factory(n_plus_1), menu)
         .max_faults(max_faults)
-        .orbit(sample_orbit("fig1_mutating"))
         .spec(KSetAgreementSpec {
             k: n_plus_1 - 1,
             proposals: proposals(n_plus_1),
@@ -115,7 +112,6 @@ pub fn fig2(n_plus_1: usize, f: usize, depth: usize, max_faults: usize) -> Check
     });
     CheckConfig::new(n_plus_1, depth, factory, menu)
         .max_faults(max_faults)
-        .orbit(sample_orbit("fig2"))
         .spec(KSetAgreementSpec {
             k: f,
             proposals: proposals(n_plus_1),
@@ -141,9 +137,9 @@ pub fn pinned_upsilon(n_plus_1: usize, f: usize, depth: usize) -> CheckConfig<Pr
             })
             .collect()
     });
-    reduced(CheckConfig::new(n_plus_1, depth, factory, menu))
+    CheckConfig::new(n_plus_1, depth, factory, menu)
+        .matrix(true)
         .max_faults(f)
-        .orbit(sample_orbit("pinned_upsilon"))
         .spec(UpsilonFaithfulSpec::constant(f))
 }
 
@@ -194,12 +190,10 @@ pub fn snapshot_commit(n_plus_1: usize, k: usize, depth: usize, buggy: bool) -> 
             .collect()
     });
     let menu = Arc::new(ConstantMenu(()));
-    CheckConfig::new(n_plus_1, depth, factory, menu)
-        .orbit(sample_orbit("snapshot_commit"))
-        .spec(KSetAgreementSpec {
-            k,
-            proposals: proposals(n_plus_1),
-        })
+    CheckConfig::new(n_plus_1, depth, factory, menu).spec(KSetAgreementSpec {
+        k,
+        proposals: proposals(n_plus_1),
+    })
 }
 
 /// The Fig. 1 **instability-reporting fragment** in isolation (protocol
@@ -232,7 +226,7 @@ pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConf
             .collect()
     });
     let menu = Arc::new(ConstantMenu(()));
-    reduced(CheckConfig::new(n_plus_1, depth, factory, menu)).orbit(sample_orbit("stable_report"))
+    CheckConfig::new(n_plus_1, depth, factory, menu).matrix(true)
 }
 
 /// The **off-by-one mutant** of the k-converge commit check: each process
@@ -276,12 +270,10 @@ pub fn converge_offby1(n_plus_1: usize, k: usize, depth: usize, slack: usize) ->
             .collect()
     });
     let menu = Arc::new(ConstantMenu(()));
-    CheckConfig::new(n_plus_1, depth, factory, menu)
-        .orbit(sample_orbit("converge_offby1"))
-        .spec(KSetAgreementSpec {
-            k,
-            proposals: proposals(n_plus_1),
-        })
+    CheckConfig::new(n_plus_1, depth, factory, menu).spec(KSetAgreementSpec {
+        k,
+        proposals: proposals(n_plus_1),
+    })
 }
 
 /// The **dropped-write mutant of Fig. 2**: the full Fig. 2 protocol under a
@@ -318,19 +310,10 @@ pub fn fig2_dropped_write(
     });
     CheckConfig::new(n_plus_1, depth, factory, menu)
         .max_faults(max_faults)
-        .orbit(sample_orbit("fig2_dropped_write"))
         .spec(KSetAgreementSpec {
             k: f,
             proposals: proposals(n_plus_1),
         })
-}
-
-/// Opts a sample into every reduction layered on sleep sets: the
-/// commutativity matrix, fingerprint dedup and process symmetry. Only
-/// [`pinned_upsilon`] and [`stable_report`] use it — the samples with a
-/// non-trivial certified orbit, where these reductions prune nodes.
-fn reduced<D: FdValue>(cfg: CheckConfig<D>) -> CheckConfig<D> {
-    cfg.matrix(true).dedup(true).symmetry(true)
 }
 
 /// The range rules the sample constructors place on their axes: at least

@@ -12,11 +12,6 @@ fn naive<D: FdValue>(mut cfg: CheckConfig<D>) -> CheckConfig<D> {
     cfg
 }
 
-/// `(matrix, dedup, symmetry)` of a configuration.
-fn opt_in_switches<D: FdValue>(cfg: &CheckConfig<D>) -> (bool, bool, bool) {
-    (cfg.use_matrix, cfg.dedup, cfg.symmetry)
-}
-
 #[test]
 fn new_configs_run_sleep_sets_alone() {
     let cfg: CheckConfig<()> = CheckConfig::new(
@@ -25,25 +20,18 @@ fn new_configs_run_sleep_sets_alone() {
         Arc::new(|| vec![None, None]),
         Arc::new(ConstantMenu(())),
     );
-    assert!(cfg.reduction && cfg.turbo);
-    assert_eq!(opt_in_switches(&cfg), (false, false, false));
-    // The paper's protocols keep the defaults; only the two samples whose
-    // reductions prune opt in.
+    assert!(cfg.reduction && cfg.turbo && !cfg.use_matrix);
+    // The paper's protocols keep the defaults; only `pinned_upsilon` and
+    // `stable_report` opt in to the commutativity matrix.
     for cfg in [
         samples::fig1(3, 11, 1),
         samples::fig2(3, 1, 11, 1),
         samples::fig1_mutating(3, 13, 0, 1),
     ] {
-        assert_eq!(opt_in_switches(&cfg), (false, false, false));
+        assert!(!cfg.use_matrix);
     }
-    assert_eq!(
-        opt_in_switches(&samples::pinned_upsilon(3, 1, 6)),
-        (true, true, true)
-    );
-    assert_eq!(
-        opt_in_switches(&samples::stable_report(3, 1, 8)),
-        (true, true, true)
-    );
+    assert!(samples::pinned_upsilon(3, 1, 6).use_matrix);
+    assert!(samples::stable_report(3, 1, 8).use_matrix);
 }
 
 #[test]

@@ -1,24 +1,21 @@
 //! Differential equivalence suite for the turbo explorer: every execution
 //! strategy the checker offers must produce the *same answers*.
 //!
-//! Three axes are swept against each other over a portfolio of clean and
+//! Two axes are swept against each other over a portfolio of clean and
 //! buggy sample configurations:
 //!
 //! * **turbo vs stateless** — snapshot-resume execution against
 //!   replay-from-root; byte-identical `CheckReport`s (stats, verdicts, and
 //!   shrunk `UCHK1` tokens alike), since turbo changes only *how* nodes
 //!   are executed, never which nodes exist;
-//! * **dedup on vs off** — fingerprint pruning may only *remove* explored
-//!   nodes (`nodes` + `dedup_pruned` conserved against the un-deduped
-//!   count on crash-free configs), and must preserve every verdict and
-//!   every minimized counterexample token;
 //! * **worker count 1 vs 2 vs 8** — the work-stealing frontier merges by
 //!   coordinate, so reports are `assert_eq!`-identical whatever the
-//!   parallelism, with and without dedup.
+//!   parallelism.
 //!
 //! Exact counts pin what each reduction buys: nodes per conflict relation
-//! (naive, lattice, matrix), dedup and default-vs-all-on counts on the
-//! paper configs, and the world builds turbo saves over stateless replay.
+//! (naive, lattice, matrix), default-vs-matrix counts on the paper configs
+//! at n+1 = 3 and 4, and the world builds turbo saves over stateless
+//! replay.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,69 +73,27 @@ macro_rules! for_each_sample {
 #[test]
 fn turbo_and_stateless_reports_are_identical() {
     for_each_sample!(name, cfg, {
-        let turbo = run_with(cfg.clone(), |c| c.turbo(true).dedup(false));
-        let stateless = run_with(cfg, |c| c.turbo(false).dedup(false));
+        let turbo = run_with(cfg.clone(), |c| c.turbo(true));
+        let stateless = run_with(cfg, |c| c.turbo(false));
         assert_eq!(turbo, stateless, "{name}: turbo vs stateless diverged");
     });
 }
 
 #[test]
-fn dedup_preserves_verdicts_and_tokens() {
-    for_each_sample!(name, cfg, {
-        let base = run_with(cfg.clone(), |c| c.turbo(true).dedup(false));
-        let dedup = run_with(cfg, |c| c.turbo(true).dedup(true));
-        assert_eq!(
-            base.violations, dedup.violations,
-            "{name}: dedup changed a verdict or a shrunk token"
-        );
-        assert_eq!(base.ok(), dedup.ok(), "{name}: dedup flipped the verdict");
-        assert!(
-            dedup.stats.nodes <= base.stats.nodes,
-            "{name}: dedup executed more nodes ({} > {})",
-            dedup.stats.nodes,
-            base.stats.nodes
-        );
-    });
-}
-
-#[test]
-fn dedup_actually_prunes_somewhere() {
-    // The guard that dedup is not vacuous: on at least one portfolio
-    // config, fingerprint pruning must fire and shrink the node count.
-    let mut pruned_total = 0;
-    let mut saved_total = 0i64;
-    for_each_sample!(_name, cfg, {
-        let base = run_with(cfg.clone(), |c| c.turbo(true).dedup(false));
-        let dedup = run_with(cfg, |c| c.turbo(true).dedup(true));
-        pruned_total += dedup.stats.dedup_pruned;
-        saved_total += base.stats.nodes as i64 - dedup.stats.nodes as i64;
-    });
-    assert!(pruned_total > 0, "dedup never pruned a single node");
-    assert!(saved_total > 0, "dedup never saved an executed node");
-}
-
-#[test]
 fn worker_sweep_reports_are_assert_eq_identical() {
-    for dedup in [false, true] {
-        for_each_sample!(name, cfg, {
-            let at =
-                |workers: usize| run_with(cfg.clone(), |c| c.dedup(dedup).parallel(2, workers));
-            let one = at(1);
-            assert_eq!(one, at(2), "{name}: workers 1 vs 2 (dedup={dedup})");
-            assert_eq!(one, at(8), "{name}: workers 1 vs 8 (dedup={dedup})");
-        });
-    }
+    for_each_sample!(name, cfg, {
+        let at = |workers: usize| run_with(cfg.clone(), |c| c.parallel(2, workers));
+        let one = at(1);
+        assert_eq!(one, at(2), "{name}: workers 1 vs 2");
+        assert_eq!(one, at(8), "{name}: workers 1 vs 8");
+    });
 }
 
 #[test]
 fn split_exploration_matches_serial() {
     for_each_sample!(name, cfg, {
-        // Counters can match byte for byte only without dedup: the serial
-        // search keeps one global fingerprint table while every frontier
-        // job starts its own, so pruning opportunities differ (soundly) in
-        // the split run.
-        let serial = run_with(cfg.clone(), |c| c.dedup(false));
-        let split = run_with(cfg.clone(), |c| c.dedup(false).parallel(2, 8));
+        let serial = run_with(cfg.clone(), |c| c);
+        let split = run_with(cfg, |c| c.parallel(2, 8));
         assert_eq!(
             serial.stats, split.stats,
             "{name}: split changed the search counters"
@@ -146,18 +101,6 @@ fn split_exploration_matches_serial() {
         assert_eq!(
             serial.violations, split.violations,
             "{name}: split changed a verdict or token"
-        );
-        // With dedup on the *answers* still agree.
-        let serial = run_with(cfg.clone(), |c| c.dedup(true));
-        let split = run_with(cfg, |c| c.dedup(true).parallel(2, 8));
-        assert_eq!(
-            serial.violations, split.violations,
-            "{name}: split with dedup changed a verdict or token"
-        );
-        assert_eq!(
-            serial.ok(),
-            split.ok(),
-            "{name}: split with dedup flipped the verdict"
         );
     });
 }
@@ -174,66 +117,69 @@ fn portfolio_reports_are_reproducible() {
     });
 }
 
-/// `(nodes, dedup_pruned, symmetry_pruned)` of one report.
-fn reduction_counts(r: &CheckReport) -> (u64, u64, u64) {
-    (r.stats.nodes, r.stats.dedup_pruned, r.stats.symmetry_pruned)
-}
-
-#[test]
-fn dedup_counts_are_pinned_on_stable_report() {
-    // The exact reduction dedup achieves on the write-race benchmark
-    // (symmetry off, so only fingerprint pruning is at work). A cheaper or
-    // coarser dedup key that merged fewer states would raise `nodes`; one
-    // that merged more would be unsound. Either way this fails loudly.
-    let cfg = samples::stable_report(3, 2, 10).symmetry(false);
-    let off = check(&cfg.clone().dedup(false));
-    let on = check(&cfg.dedup(true));
-    assert!(off.ok() && on.ok(), "stable-report explores clean");
-    assert_eq!(reduction_counts(&off), (1183, 0, 0));
-    assert_eq!(reduction_counts(&on), (385, 141, 0));
+/// Explores each `(name, config, nodes, sleep_pruned)` case under the
+/// checker defaults and again with the commutativity matrix on, and
+/// requires a clean, complete search with the pinned counters and the same
+/// stats and verdicts in both arms.
+fn assert_matrix_arm_matches<D: FdValue>(cases: Vec<(&str, CheckConfig<D>, u64, u64)>) {
+    for (name, cfg, nodes, pruned) in cases {
+        let default = check(&cfg);
+        let matrix = check(&cfg.matrix(true));
+        assert!(default.ok() && !default.stats.truncated, "{name}: clean");
+        assert_eq!(
+            (default.stats.nodes, default.stats.sleep_pruned),
+            (nodes, pruned),
+            "{name}"
+        );
+        assert_eq!(default.stats, matrix.stats, "{name}: same search tree");
+        assert_eq!(default.violations, matrix.violations, "{name}");
+    }
 }
 
 #[test]
 fn check_paper_counts_are_pinned() {
     // The paper's Fig. 1 / Fig. 2 workloads at the benchmark's depths.
-    // Under the checker defaults (sleep sets alone) the node counts are
-    // pinned. With the matrix, dedup and symmetry all switched on, no state
-    // is ever revisited and no orbit is non-trivial, so the search is the
-    // same tree: equal counters, nothing pruned by dedup or symmetry, and
-    // the same verdicts — the reason those reductions are opt-in.
-    let cases = [
-        ("fig1 n3 d11 f1", samples::fig1(3, 11, 1), 16_414),
-        ("fig2 n3 d11 f1", samples::fig2(3, 1, 11, 1), 17_095),
+    // Under the checker defaults (sleep sets over the `Access` lattice) the
+    // counts are pinned; the matrix refines no conflict on these
+    // protocols, so switching it on explores the same tree.
+    let cases = vec![
+        ("fig1 n3 d11 f1", samples::fig1(3, 11, 1), 16_414, 9_522),
+        ("fig2 n3 d11 f1", samples::fig2(3, 1, 11, 1), 17_095, 10_269),
         (
             "fig1-mutating n3 d13",
             samples::fig1_mutating(3, 13, 0, 1),
             15_842,
+            11_861,
         ),
     ];
-    let (mut total, mut sleep_pruned) = (0, 0);
-    for (name, cfg, nodes) in cases {
-        let default = check(&cfg);
-        let all_on = check(&cfg.matrix(true).dedup(true).symmetry(true));
-        assert!(default.ok() && !default.stats.truncated, "{name}: clean");
-        assert_eq!(reduction_counts(&default), (nodes, 0, 0), "{name}");
-        assert_eq!(reduction_counts(&all_on), (nodes, 0, 0), "{name}: all on");
-        assert_eq!(default.stats, all_on.stats, "{name}: same search tree");
-        assert_eq!(default.violations, all_on.violations, "{name}");
-        total += default.stats.nodes;
-        sleep_pruned += default.stats.sleep_pruned;
-    }
-    assert_eq!((total, sleep_pruned), (49_351, 31_652));
+    assert_matrix_arm_matches(cases);
 }
 
-/// The three conflict relations of one workload, each with dedup and
-/// symmetry off: naive (no sleep sets), the coarse `Access` lattice, and
-/// the lattice refined by the commutativity matrix.
+#[test]
+fn check_paper_counts_are_pinned_at_four_processes() {
+    // The same three protocols at n+1 = 4: sleep sets alone prune every
+    // redundant interleaving here too, and the matrix adds nothing.
+    let cases = vec![
+        ("fig1 n4 d9 f1", samples::fig1(4, 9, 1), 56_449, 43_968),
+        ("fig2 n4 d9 f1", samples::fig2(4, 1, 9, 1), 56_797, 44_112),
+        (
+            "fig1-mutating n4 d10",
+            samples::fig1_mutating(4, 10, 0, 1),
+            26_575,
+            23_600,
+        ),
+    ];
+    assert_matrix_arm_matches(cases);
+}
+
+/// The three conflict relations of one workload: naive (no sleep sets),
+/// the coarse `Access` lattice, and the lattice refined by the
+/// commutativity matrix.
 fn reduction_modes<D: FdValue>(cfg: CheckConfig<D>) -> [CheckReport; 3] {
-    let plain = cfg.dedup(false).symmetry(false);
     [
-        check(&plain.clone().reduction(false).matrix(false)),
-        check(&plain.clone().matrix(false)),
-        check(&plain.matrix(true)),
+        check(&cfg.clone().reduction(false).matrix(false)),
+        check(&cfg.clone().matrix(false)),
+        check(&cfg.matrix(true)),
     ]
 }
 

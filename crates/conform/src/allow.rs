@@ -1,6 +1,6 @@
-//! The one rule/path allowlist, shared by all four static passes: the
-//! conformance checker, the commutativity and symmetry analyzers, and the
-//! determinism lint in `upsilon-analysis`.
+//! The one rule/path allowlist, shared by all three static passes: the
+//! conformance checker, the commutativity analyzer, and the determinism
+//! lint in `upsilon-analysis`.
 //!
 //! Format: one `<rule-id> <path>` pair per line; `#` starts a comment.
 //! Paths are repository-relative and matched exactly.

@@ -30,7 +30,7 @@
 //! Findings are reported with file, line, rule id and a suggested fix,
 //! rendered either human-readably or as deterministic JSON (suitable for
 //! golden-file tests). Audited exceptions live in an [`Allowlist`]
-//! (`<rule-id> <path>` per line), the one allowlist type all four static
+//! (`<rule-id> <path>` per line), the one allowlist type all three static
 //! passes share.
 //!
 //! The checker runs through `analyze`, the `upsilon-analysis` binary
@@ -149,7 +149,7 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<ConformRepor
 
 /// Reads every `.rs` file under `root/crates/<krate>/src` for each of
 /// `crates`, as `(repo-relative path, source)` pairs in path order: the
-/// input of [`check_sources`] and of the commute and symmetry analyzers.
+/// input of [`check_sources`] and of the commute analyzer.
 ///
 /// # Errors
 ///

@@ -263,7 +263,6 @@ impl<D: FdValue> SimBuilder<D> {
             oracle: self.oracle,
             trace_level: self.trace_level,
             record_sigs: self.record_sigs,
-            proc_digests: None,
         };
         let algos = std::mem::take(&mut self.algos);
         let has_algo: Vec<bool> = algos.iter().map(|a| a.is_some()).collect();

@@ -1,4 +1,5 @@
-//! Canonical run fingerprints — the dedup key of the turbo explorer.
+//! Canonical run fingerprints: a 64-bit digest of a run prefix that is
+//! invariant under commuting independent steps.
 //!
 //! [`trace_fingerprint`] digests a run prefix into 64 bits such that two
 //! Mazurkiewicz-equivalent prefixes (equal up to reordering of commuting
@@ -17,36 +18,23 @@
 //!   subsequence. A deterministic algorithm that has seen the same
 //!   responses is in the same continuation state, so the digest is a sound
 //!   proxy for the suspended state machine — *provided responses are
-//!   captured*. The batch function reads them from the events' `detail`,
-//!   so it needs a run recorded at [`TraceLevel::Full`];
+//!   captured*. They are read from the events' `detail`, so only a run
+//!   recorded at [`TraceLevel::Full`] has them in its fingerprint;
 //! * **crash/finish status** enters as the crashed *set* and finished flags
 //!   (crash delivery times are path-determined and already reflected in the
 //!   per-process subsequences).
 //!
-//! # Batch and incremental digests
-//!
-//! [`trace_fingerprint`] and [`orbit_trace_fingerprint`] are the *batch*
-//! definitions: they re-hash the whole prefix and every memory object.
-//! A [`Session`](crate::Session) computes the same values incrementally.
-//! Its world carries one running [`FnvWrite`] per process, into which every
-//! step folds exactly the bytes the batch digest hashes for that event
-//! (the `invoke` site writes `op -> resp` straight into the digest, never
-//! building the `detail` string), and its memory keeps each object's fold
-//! term plus their sum, refreshing only the touched object's term per
-//! operation. [`Session::fingerprint`](crate::Session::fingerprint) and
-//! [`Session::orbit_fingerprint`](crate::Session::orbit_fingerprint) then
-//! combine `n + 1` cached words through the same code as the batch
-//! functions, so they are bit-identical to the batch fingerprint of a
-//! [`TraceLevel::Full`] replay of the session's schedule — whatever trace
-//! level the session itself records at.
+//! The fingerprint is computed in one pass over the prefix and every
+//! memory object. Swarm's packed-vs-standalone differential compares runs
+//! by it, and [`Session::fingerprint`](crate::Session::fingerprint)
+//! applies it to a session's live run and memory.
 //!
 //! [`TraceLevel::Full`]: crate::TraceLevel::Full
 
-use crate::object::{Access, Key, Memory};
-use crate::opsig::OpSig;
+use crate::object::Memory;
 use crate::oracle::FdValue;
 use crate::process::ProcessId;
-use crate::trace::{Output, Run, StepKind};
+use crate::trace::{Run, StepKind};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -68,14 +56,6 @@ impl FnvWrite {
     /// A fresh accumulator at the FNV offset basis.
     pub fn new() -> Self {
         FnvWrite(FNV_OFFSET)
-    }
-
-    /// An accumulator that continues from a state earlier returned by
-    /// [`FnvWrite::finish`]: FNV-1a carries no state beyond the running
-    /// word, so absorbing more bytes into the resumed accumulator equals
-    /// absorbing them into the original.
-    pub(crate) fn resume(state: u64) -> Self {
-        FnvWrite(state)
     }
 
     /// Absorbs raw bytes.
@@ -103,37 +83,10 @@ impl fmt::Write for FnvWrite {
     }
 }
 
-// The per-event byte layout of a process digest. The batch digest below and
-// the incremental one maintained at the step sites (`runtime.rs`) both go
-// through these helpers, so the two cannot drift apart. Every event ends
-// with `;`; an `Op` event is `O/key/access[/sig][/op -> resp];`.
-
-/// Folds the head of an `Op` event, `O/key/access[/sig]`. The caller
-/// follows with `/op -> resp` (when responses are captured) and `;`.
-pub(crate) fn fold_op_head(w: &mut FnvWrite, key: &Key, access: Access, sig: Option<&OpSig>) {
-    let _ = write!(w, "O/{key}/{access}");
-    if let Some(sig) = sig {
-        let _ = write!(w, "/{sig:?}");
-    }
-}
-
-/// Folds a failure-detector query event.
-pub(crate) fn fold_query<D: FdValue>(w: &mut FnvWrite, d: &D) {
-    let _ = write!(w, "Q/{d:?};");
-}
-
-/// Folds an application-output event.
-pub(crate) fn fold_output(w: &mut FnvWrite, o: Output) {
-    let _ = write!(w, "P/{o};");
-}
-
-/// Folds a no-op event.
-pub(crate) fn fold_noop(w: &mut FnvWrite) {
-    w.write_bytes(b"N;");
-}
-
 /// Digest of one process's event subsequence (times excluded — see the
 /// module docs for why that is exactly the Mazurkiewicz-invariant choice).
+/// Every event ends with `;`; an `Op` event is `O/key/access[/sig][/op ->
+/// resp];`.
 fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: ProcessId) -> u64 {
     let mut w = FnvWrite::new();
     for ev in run.events_of(p) {
@@ -149,150 +102,42 @@ fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: ProcessId) -> u64 {
                 let key = memory
                     .name_of(*object)
                     .expect("an op's object is allocated in the run's memory");
-                fold_op_head(&mut w, key, *access, sig.as_ref());
-                if let Some(detail) = detail {
-                    let _ = w.write_str("/");
-                    let _ = w.write_str(detail);
+                let _ = write!(w, "O/{key}/{access}");
+                if let Some(sig) = sig {
+                    let _ = write!(w, "/{sig:?}");
                 }
-                let _ = w.write_str(";");
+                if let Some(detail) = detail {
+                    let _ = write!(w, "/{detail}");
+                }
             }
-            StepKind::Query(d) => fold_query(&mut w, d),
-            StepKind::Output(o) => fold_output(&mut w, *o),
-            StepKind::NoOp => fold_noop(&mut w),
+            StepKind::Query(d) => {
+                let _ = write!(w, "Q/{d:?}");
+            }
+            StepKind::Output(o) => {
+                let _ = write!(w, "P/{o}");
+            }
+            StepKind::NoOp => w.write_bytes(b"N"),
         }
-    }
-    w.finish()
-}
-
-/// Absorbs `p`'s crashed and finished flags.
-fn write_status<D: FdValue>(w: &mut FnvWrite, run: &Run<D>, p: ProcessId) {
-    let crashed = run.crash_observed(p).is_some();
-    let finished = run.finished(p);
-    w.write_bytes(&[u8::from(crashed), u8::from(finished)]);
-}
-
-/// Combines a memory digest and the per-process digests (`digest_of(i)` for
-/// process `i`) into [`trace_fingerprint`]'s value. Shared by the batch
-/// function and [`Session::fingerprint`](crate::Session::fingerprint).
-pub(crate) fn combine<D: FdValue>(
-    run: &Run<D>,
-    memory_fp: u64,
-    digest_of: impl Fn(usize) -> u64,
-) -> u64 {
-    let mut w = FnvWrite::new();
-    w.write_u64(memory_fp);
-    w.write_u64(run.n_plus_1() as u64);
-    for i in 0..run.n_plus_1() {
-        w.write_u64(i as u64);
-        w.write_u64(digest_of(i));
-        write_status(&mut w, run, ProcessId(i));
+        w.write_bytes(b";");
     }
     w.finish()
 }
 
 /// The canonical 64-bit fingerprint of a run prefix against its final
 /// shared memory. Equal across Mazurkiewicz-equivalent prefixes; see the
-/// module docs for the soundness contract (full tracing required when used
-/// as a dedup key).
+/// module docs for what it captures at each trace level.
 pub fn trace_fingerprint<D: FdValue>(run: &Run<D>, memory: &Memory) -> u64 {
-    combine(run, memory.fingerprint64(), |i| {
-        proc_digest(run, memory, ProcessId(i))
-    })
-}
-
-/// An orbit-canonical fingerprint: the digest of a run prefix *up to
-/// within-class process renaming*, plus the canonicalizing permutation.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct OrbitFingerprint {
-    /// The canonical 64-bit digest (pid-order independent within classes).
-    pub fingerprint: u64,
-    /// `canon_of[p]` is the canonical position assigned to process `p`.
-    pub canon_of: Vec<usize>,
-}
-
-/// The orbit-canonical fingerprint of a run prefix.
-///
-/// Like [`trace_fingerprint`], but instead of hashing per-process digests
-/// in pid order, processes are sorted into a canonical order — by orbit
-/// class (`class_of`), then per-process digest (including crash/finish
-/// status), then the caller-supplied `extra` word (explorer-side state
-/// such as unserved FD picks and crash timing that lives outside the
-/// [`Run`]) — and their pids are *excluded* from the hash. Two prefixes
-/// that differ only by a permutation of same-class processes therefore
-/// hash identically, provided the permuted processes really are
-/// behaviourally interchangeable:
-///
-/// * equal `class_of` entries must be certified by the static symmetry
-///   audit (`upsilon-symmetry`): identical pid-parametric code, uniform
-///   inputs, spec and FD menu;
-/// * anything pid-*keyed* in shared memory still enters via
-///   [`Memory::fingerprint64`] uncanonicalized, so such states simply
-///   never collide — a missed reduction, never an unsound merge (and the
-///   audit's S3 rule downgrades those protocols to the trivial orbit
-///   anyway).
-///
-/// With `class_of = [0, 1, …, n-1]` (the trivial orbit) the canonical
-/// order is pid order and this degenerates to [`trace_fingerprint`]
-/// plus the `extra` words.
-pub fn orbit_trace_fingerprint<D: FdValue>(
-    run: &Run<D>,
-    memory: &Memory,
-    class_of: &[u32],
-    extra: &[u64],
-) -> OrbitFingerprint {
-    combine_orbit(
-        run,
-        memory.fingerprint64(),
-        |i| proc_digest(run, memory, ProcessId(i)),
-        class_of,
-        extra,
-    )
-}
-
-/// [`orbit_trace_fingerprint`] over a precomputed memory digest and
-/// per-process digests. Shared by the batch function and
-/// [`Session::orbit_fingerprint`](crate::Session::orbit_fingerprint).
-pub(crate) fn combine_orbit<D: FdValue>(
-    run: &Run<D>,
-    memory_fp: u64,
-    digest_of: impl Fn(usize) -> u64,
-    class_of: &[u32],
-    extra: &[u64],
-) -> OrbitFingerprint {
-    let n = run.n_plus_1();
-    debug_assert_eq!(class_of.len(), n);
-    debug_assert_eq!(extra.len(), n);
-    let mut keyed: Vec<(u32, u64, u64, usize)> = (0..n)
-        .map(|i| {
-            let mut w = FnvWrite::new();
-            w.write_u64(digest_of(i));
-            write_status(&mut w, run, ProcessId(i));
-            (
-                class_of.get(i).copied().unwrap_or(i as u32),
-                w.finish(),
-                extra.get(i).copied().unwrap_or(0),
-                i,
-            )
-        })
-        .collect();
-    // The pid is the last sort key purely for determinism: processes tied
-    // on (class, digest, extra) contribute identical triples to the hash,
-    // so their relative order cannot affect the fingerprint.
-    keyed.sort_unstable();
-    let mut canon_of = vec![0usize; n];
     let mut w = FnvWrite::new();
-    w.write_u64(memory_fp);
-    w.write_u64(n as u64);
-    for (pos, (class, digest, ex, pid)) in keyed.iter().enumerate() {
-        canon_of[*pid] = pos;
-        w.write_u64(u64::from(*class));
-        w.write_u64(*digest);
-        w.write_u64(*ex);
+    w.write_u64(memory.fingerprint64());
+    w.write_u64(run.n_plus_1() as u64);
+    for i in 0..run.n_plus_1() {
+        let p = ProcessId(i);
+        w.write_u64(i as u64);
+        w.write_u64(proc_digest(run, memory, p));
+        let crashed = run.crash_observed(p).is_some();
+        w.write_bytes(&[u8::from(crashed), u8::from(run.finished(p))]);
     }
-    OrbitFingerprint {
-        fingerprint: w.finish(),
-        canon_of,
-    }
+    w.finish()
 }
 
 #[cfg(test)]

@@ -96,7 +96,6 @@ mod runtime;
 mod sched;
 mod session;
 mod steal;
-pub mod symmetry;
 mod time;
 mod trace;
 
@@ -106,7 +105,7 @@ pub use coverage::{conflict_coverage, conflict_pairs, ConflictPair, Fnv64};
 pub use engine::EngineKind;
 pub use error::{AlgoResult, Crashed};
 pub use failure::{Environment, FailurePattern, FailurePatternBuilder};
-pub use fingerprint::{orbit_trace_fingerprint, trace_fingerprint, FnvWrite, OrbitFingerprint};
+pub use fingerprint::{trace_fingerprint, FnvWrite};
 pub use object::{Access, Key, Memory, ObjectId, ObjectType};
 pub use opsig::{base_type_name, ops_commute, resolve, sigs_commute, OpSig, ResolvedOp};
 pub use oracle::{DummyOracle, FdValue, MappedOracle, NullOracle, Oracle};

@@ -214,6 +214,7 @@ impl<O: ObjectType> AnyObject for O {
 /// (taken once per snapshot by the turbo explorer) is a handful of
 /// reference-count bumps, and an object's state is physically duplicated
 /// only the first time it is mutated while a snapshot still shares it.
+#[derive(Clone)]
 pub struct Memory {
     // BTreeMap, not HashMap: iteration order must not depend on the hasher —
     // the determinism lint (`upsilon-analysis`) enforces this workspace-wide.
@@ -222,57 +223,6 @@ pub struct Memory {
     by_key: Arc<BTreeMap<TypeId, BTreeMap<Key, ObjectId>>>,
     objects: Vec<Arc<dyn AnyObject>>,
     names: Arc<Vec<Key>>,
-    /// The incremental [`Memory::fingerprint64`], when tracked (sessions
-    /// only; see [`Memory::track_fingerprint`]).
-    tracked: Option<TrackedDigest>,
-}
-
-/// The incremental state of [`Memory::fingerprint64`]: each object's fold
-/// term (indexed by id) and their wrapping sum — the fingerprint itself.
-#[derive(Clone)]
-struct TrackedDigest {
-    terms: Vec<u64>,
-    sum: u64,
-}
-
-impl TrackedDigest {
-    /// Replaces object `i`'s term (appending it when `i` is newly
-    /// allocated).
-    fn set(&mut self, i: usize, term: u64) {
-        match self.terms.get_mut(i) {
-            Some(old) => {
-                self.sum = self.sum.wrapping_sub(*old).wrapping_add(term);
-                *old = term;
-            }
-            None => {
-                debug_assert_eq!(i, self.terms.len(), "objects are allocated densely");
-                self.terms.push(term);
-                self.sum = self.sum.wrapping_add(term);
-            }
-        }
-    }
-}
-
-/// One object's contribution to [`Memory::fingerprint64`]: the FNV digest
-/// of `key:type=state`, whitened so the commutative sum of terms does not
-/// cancel structure.
-fn fold_term(name: &Key, o: &dyn AnyObject) -> u64 {
-    let mut w = FnvWrite::new();
-    let _ = write!(w, "{name}:{}=", o.type_name());
-    let _ = o.write_state(&mut w);
-    let h = w.finish();
-    h ^ h.rotate_left(31)
-}
-
-impl Clone for Memory {
-    fn clone(&self) -> Self {
-        Memory {
-            by_key: Arc::clone(&self.by_key),
-            objects: self.objects.clone(),
-            names: Arc::clone(&self.names),
-            tracked: self.tracked.clone(),
-        }
-    }
 }
 
 impl Memory {
@@ -281,37 +231,6 @@ impl Memory {
             by_key: Arc::new(BTreeMap::new()),
             objects: Vec::new(),
             names: Arc::new(Vec::new()),
-            tracked: None,
-        }
-    }
-
-    /// Starts maintaining [`Memory::fingerprint64`] incrementally: from now
-    /// on every allocation and operation refreshes the touched object's
-    /// fold term, and [`Memory::tracked_fingerprint64`] reads the sum in
-    /// O(1). Clones carry the terms along.
-    pub(crate) fn track_fingerprint(&mut self) {
-        let mut tracked = TrackedDigest {
-            terms: Vec::with_capacity(self.objects.len()),
-            sum: 0,
-        };
-        for (i, (o, name)) in self.objects.iter().zip(self.names.iter()).enumerate() {
-            tracked.set(i, fold_term(name, o.as_ref()));
-        }
-        self.tracked = Some(tracked);
-    }
-
-    /// The incrementally maintained [`Memory::fingerprint64`], if
-    /// [`Memory::track_fingerprint`] was called; always equal to the batch
-    /// value.
-    pub(crate) fn tracked_fingerprint64(&self) -> Option<u64> {
-        self.tracked.as_ref().map(|t| t.sum)
-    }
-
-    /// Refreshes object `id`'s fold term when the digest is tracked.
-    fn refresh_term(&mut self, id: ObjectId) {
-        if let Some(tracked) = &mut self.tracked {
-            let i = id.0 as usize;
-            tracked.set(i, fold_term(&self.names[i], self.objects[i].as_ref()));
         }
     }
 
@@ -332,7 +251,6 @@ impl Memory {
             .entry(tid)
             .or_default()
             .insert(key.clone(), id);
-        self.refresh_term(id);
         id
     }
 
@@ -359,9 +277,7 @@ impl Memory {
             .as_any_mut()
             .downcast_mut::<O>()
             .expect("operation type mismatch");
-        let resp = obj.invoke(caller, op);
-        self.refresh_term(id);
-        resp
+        obj.invoke(caller, op)
     }
 
     /// Post-run inspection: a typed view of the object named `key`, if it was
@@ -410,12 +326,16 @@ impl Memory {
     /// (object ids are assigned at first touch, which varies across
     /// equivalent interleavings; key names do not).
     pub fn fingerprint64(&self) -> u64 {
-        self.objects
-            .iter()
-            .zip(self.names.iter())
-            .fold(0u64, |acc, (o, name)| {
-                acc.wrapping_add(fold_term(name, o.as_ref()))
-            })
+        let mut acc = 0u64;
+        for (i, o) in self.objects.iter().enumerate() {
+            let mut w = FnvWrite::new();
+            let _ = write!(w, "{}:{}=", self.names[i], o.type_name());
+            let _ = o.write_state(&mut w);
+            // Whitened so the commutative sum does not cancel structure.
+            let h = w.finish();
+            acc = acc.wrapping_add(h ^ h.rotate_left(31));
+        }
+        acc
     }
 
     /// Iterates over `(id, key, type name)` for every allocated object.

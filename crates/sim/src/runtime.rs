@@ -21,7 +21,6 @@
 //! adversary's choices.
 
 use crate::error::Crashed;
-use crate::fingerprint::{fold_noop, fold_op_head, fold_output, fold_query, FnvWrite};
 use crate::object::{Key, Memory, ObjectType};
 use crate::opsig::OpSig;
 use crate::oracle::{FdValue, Oracle};
@@ -29,7 +28,6 @@ use crate::process::ProcessId;
 use crate::time::Time;
 use crate::trace::{Output, StepKind, TraceLevel};
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -60,19 +58,6 @@ pub(crate) struct World<D: FdValue> {
     pub(crate) oracle: Box<dyn Oracle<D>>,
     pub(crate) trace_level: TraceLevel,
     pub(crate) record_sigs: bool,
-    /// One running fingerprint digest per process, when the world carries
-    /// them ([`Session`](crate::Session) worlds do; one-shot runs and swarm
-    /// cells do not): every step folds the bytes the batch
-    /// [`trace_fingerprint`](crate::trace_fingerprint) hashes for its event,
-    /// `op -> resp` included whatever the trace level.
-    pub(crate) proc_digests: Option<Vec<FnvWrite>>,
-}
-
-impl<D: FdValue> World<D> {
-    /// `pid`'s running digest, if the world carries digests.
-    fn digest(&mut self, pid: ProcessId) -> Option<&mut FnvWrite> {
-        self.proc_digests.as_mut().map(|d| &mut d[pid.index()])
-    }
 }
 
 /// A type-erased clone of one step's result value, recorded so a suspended
@@ -313,17 +298,7 @@ impl<D: FdValue> Ctx<D> {
                 TraceLevel::Full => Some(format!("{op:?}")),
                 TraceLevel::Steps => None,
             };
-            // The digest takes `/op -> ` now (the op moves into the object)
-            // and `resp;` after: the `/detail;` tail of the batch layout.
-            let mut digest = world.proc_digests.as_mut().map(|d| &mut d[pid.index()]);
-            if let Some(w) = digest.as_deref_mut() {
-                fold_op_head(w, key, access, sig.as_ref());
-                let _ = write!(w, "/{op:?} -> ");
-            }
             let resp = world.memory.invoke::<O>(id, pid, op);
-            if let Some(w) = digest {
-                let _ = write!(w, "{resp:?};");
-            }
             let detail = detail_prefix.map(|p| format!("{p} -> {resp:?}").into_boxed_str());
             (
                 StepKind::Op {
@@ -347,9 +322,6 @@ impl<D: FdValue> Ctx<D> {
     pub async fn query_fd(&self) -> Result<D, Crashed> {
         self.step(|world, pid, t| {
             let v = world.oracle.output(pid, t);
-            if let Some(w) = world.digest(pid) {
-                fold_query(w, &v);
-            }
             (StepKind::Query(v.clone()), v)
         })
         .await
@@ -365,13 +337,8 @@ impl<D: FdValue> Ctx<D> {
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
     pub async fn output(&self, out: Output) -> Result<(), Crashed> {
-        self.step(move |world, pid, _t| {
-            if let Some(w) = world.digest(pid) {
-                fold_output(w, out);
-            }
-            (StepKind::Output(out), ())
-        })
-        .await
+        self.step(move |_world, _pid, _t| (StepKind::Output(out), ()))
+            .await
     }
 
     /// Decides `v` — sugar for `output(Output::Decide(v))`.
@@ -390,13 +357,7 @@ impl<D: FdValue> Ctx<D> {
     ///
     /// Returns [`Crashed`] if this process crashed or the run ended.
     pub async fn yield_step(&self) -> Result<(), Crashed> {
-        self.step(|world, pid, _t| {
-            if let Some(w) = world.digest(pid) {
-                fold_noop(w);
-            }
-            (StepKind::NoOp, ())
-        })
-        .await
+        self.step(|_world, _pid, _t| (StepKind::NoOp, ())).await
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! [`SimBuilder::run`](crate::SimBuilder::run) executes a complete schedule
 //! in one shot; a [`Session`] exposes the same drive loop *one step at a
-//! time*, with four extra powers:
+//! time*, with three extra powers:
 //!
 //! * **In-place stepping** — [`Session::step`] grants exactly one step and
 //!   maintains the [`Run`] bookkeeping identically to the one-shot loop, so
@@ -21,11 +21,6 @@
 //!   into its future — one poll per completed step, no shared-memory
 //!   traffic, no step reports. Determinism of algorithms makes the rebuilt
 //!   machine bit-identical to the lost one.
-//! * **Incremental fingerprints** — the session's world carries one running
-//!   digest per process and its memory tracks per-object fold terms, so
-//!   [`Session::fingerprint`] costs O(n+1), not a re-hash of the prefix,
-//!   and equals the batch [`trace_fingerprint`](crate::trace_fingerprint)
-//!   of a full-trace replay.
 //!
 //! The restore contract mirrors the replay-token contract: the caller
 //! supplies a fresh [`Oracle`] positioned as it was at the save point
@@ -38,7 +33,7 @@
 use crate::builder::AlgoFn;
 use crate::engine::{Engine as _, EngineShutdown, InlineEngine, ProcStatus};
 use crate::failure::FailurePattern;
-use crate::fingerprint::{combine, combine_orbit, FnvWrite};
+use crate::fingerprint::trace_fingerprint;
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
@@ -70,8 +65,6 @@ pub enum SessionStep {
 struct ProcSave {
     steps_by: u64,
     query_count: u64,
-    /// The process's running fingerprint digest (0 without digests).
-    digest: u64,
     log_len: usize,
     last_output: Option<Output>,
     crash_observed: Option<Time>,
@@ -143,29 +136,12 @@ impl<D: FdValue> fmt::Debug for Session<D> {
 impl<D: FdValue> Session<D> {
     /// Starts a session: instantiates the algorithms, delivers any time-zero
     /// crashes, and computes the initial stop status (the empty run).
-    /// The session maintains its fingerprint incrementally (see
-    /// [`Session::fingerprint`]).
     pub fn new(
         pattern: FailurePattern,
         algos: SessionAlgos<D>,
         oracle: Box<dyn Oracle<D>>,
         trace_level: TraceLevel,
         record_sigs: bool,
-    ) -> Self {
-        Self::with_fingerprints(pattern, algos, oracle, trace_level, record_sigs, true)
-    }
-
-    /// [`Session::new`], choosing whether to maintain fingerprint digests.
-    /// Without them each step skips the digest work, and
-    /// [`Session::fingerprint`] and [`Session::orbit_fingerprint`] panic —
-    /// for callers that never deduplicate.
-    pub fn with_fingerprints(
-        pattern: FailurePattern,
-        algos: SessionAlgos<D>,
-        oracle: Box<dyn Oracle<D>>,
-        trace_level: TraceLevel,
-        record_sigs: bool,
-        fingerprints: bool,
     ) -> Self {
         let n_plus_1 = pattern.n_plus_1();
         let instances = algos();
@@ -175,16 +151,11 @@ impl<D: FdValue> Session<D> {
             "factory must yield one algorithm slot per process"
         );
         let has_algo: Vec<bool> = instances.iter().map(Option::is_some).collect();
-        let mut memory = Memory::new();
-        if fingerprints {
-            memory.track_fingerprint();
-        }
         let world = World {
-            memory,
+            memory: Memory::new(),
             oracle,
             trace_level,
             record_sigs,
-            proc_digests: fingerprints.then(|| vec![FnvWrite::new(); n_plus_1]),
         };
         let mut engine = InlineEngine::launch(world, instances);
         engine.set_recording(true);
@@ -246,50 +217,12 @@ impl<D: FdValue> Session<D> {
         f(&self.engine.world().borrow().memory)
     }
 
-    /// Recorded failure-detector queries per process so far.
-    pub fn query_counts(&self) -> &[u64] {
-        &self.query_counts
-    }
-
-    /// The canonical fingerprint of the current run prefix, combined from
-    /// the incrementally maintained digests in O(n+1): bit-identical to
-    /// [`trace_fingerprint`](crate::trace_fingerprint) of a
-    /// [`TraceLevel::Full`] replay of this session's schedule, at any
-    /// trace level the session records.
+    /// The canonical fingerprint of the current run prefix:
+    /// [`trace_fingerprint`] of the recorded run against the live memory.
+    /// Op responses enter it only when the session records at
+    /// [`TraceLevel::Full`].
     pub fn fingerprint(&self) -> u64 {
-        let world = self.engine.world().borrow();
-        let digests = Self::digests(&world.proc_digests);
-        combine(&self.run, Self::memory_digest(&world.memory), |i| {
-            digests[i].finish()
-        })
-    }
-
-    /// The orbit-canonical fingerprint of the current run prefix, combined
-    /// from the incremental digests: bit-identical (`canon_of` included) to
-    /// [`orbit_trace_fingerprint`](crate::orbit_trace_fingerprint) of a
-    /// [`TraceLevel::Full`] replay of this session's schedule.
-    pub fn orbit_fingerprint(&self, class_of: &[u32], extra: &[u64]) -> crate::OrbitFingerprint {
-        let world = self.engine.world().borrow();
-        let digests = Self::digests(&world.proc_digests);
-        combine_orbit(
-            &self.run,
-            Self::memory_digest(&world.memory),
-            |i| digests[i].finish(),
-            class_of,
-            extra,
-        )
-    }
-
-    fn digests(proc_digests: &Option<Vec<FnvWrite>>) -> &[FnvWrite] {
-        proc_digests
-            .as_deref()
-            .expect("fingerprints need a session built with them")
-    }
-
-    fn memory_digest(memory: &Memory) -> u64 {
-        memory
-            .tracked_fingerprint64()
-            .expect("fingerprints need a session built with them")
+        self.with_memory(|memory| trace_fingerprint(&self.run, memory))
     }
 
     /// Grants one step to `p` (which must be [`eligible`](Session::eligible))
@@ -364,13 +297,10 @@ impl<D: FdValue> Session<D> {
     /// Captures the current state as a restore point.
     pub fn save(&self) -> SessionSave {
         let crash_at = self.run.pattern.crash_times();
-        let world = self.engine.world().borrow();
-        let digests = world.proc_digests.as_deref().unwrap_or(&[]);
         let procs = (0..self.n_plus_1())
             .map(|i| ProcSave {
                 steps_by: self.run.steps_by[i],
                 query_count: self.query_counts[i],
-                digest: digests.get(i).map_or(0, FnvWrite::finish),
                 log_len: self.logs[i].len(),
                 last_output: self.last_output[i],
                 crash_observed: self.run.crash_observed[i],
@@ -381,7 +311,7 @@ impl<D: FdValue> Session<D> {
             })
             .collect();
         SessionSave {
-            memory: world.memory.clone(),
+            memory: self.with_memory(Memory::clone),
             t: self.t,
             total_steps: self.run.total_steps,
             events_len: self.run.events.len(),
@@ -403,11 +333,6 @@ impl<D: FdValue> Session<D> {
         let n_plus_1 = self.n_plus_1();
         assert_eq!(save.procs.len(), n_plus_1);
         self.engine.reset_world(save.memory.clone(), oracle);
-        if let Some(digests) = &mut self.engine.world().borrow_mut().proc_digests {
-            for (d, p) in digests.iter_mut().zip(&save.procs) {
-                *d = FnvWrite::resume(p.digest);
-            }
-        }
         // A suspended future's state is a function of its *own* step log
         // alone (steps are the only awaits), so only processes whose log or
         // liveness moved past the save point need the rebuild-and-replay

@@ -1,7 +1,7 @@
-//! Property tests for [`trace_fingerprint`], the dedup key of the turbo
-//! explorer.
+//! Property tests for [`trace_fingerprint`], the canonical digest of a run
+//! prefix.
 //!
-//! The soundness contract the checker's fingerprint dedup relies on:
+//! The contract a fingerprint comparison relies on:
 //!
 //! * **Mazurkiewicz invariance** — two interleavings of the same
 //!   per-process operation sequences over *disjoint* objects (every
@@ -14,30 +14,15 @@
 //! * **state sensitivity** — runs that differ only in a written value
 //!   fingerprint differently;
 //! * **engine independence** — the inline and threads engines produce the
-//!   same fingerprint for the same scripted schedule, so dedup decisions
-//!   are engine-agnostic.
+//!   same fingerprint for the same scripted schedule.
 //!
-//! Runs are recorded at [`TraceLevel::Full`] throughout: that is the
-//! level the checker forces whenever dedup is on (responses must be part
-//! of the per-process digests for the control-state proxy to be sound).
-
-//! The orbit-canonical variant ([`orbit_trace_fingerprint`]) adds the
-//! symmetry contract on top:
-//!
-//! * **within-class invariance** — renaming same-class processes (same
-//!   permutation applied to the schedule, the per-process extras and the
-//!   plans) leaves the fingerprint unchanged;
-//! * **cross-class sensitivity** — the *same* renaming becomes visible the
-//!   moment the renamed processes sit in different orbit classes, so a
-//!   wrong class table cannot silently merge distinguishable states;
-//! * **behaviour and extra sensitivity** — a changed written value or a
-//!   changed explorer-side extra word moves the fingerprint exactly as it
-//!   does for the pid-ordered digest.
+//! Runs are recorded at [`TraceLevel::Full`] throughout, so responses are
+//! part of the per-process digests.
 
 use proptest::prelude::*;
 use upsilon_sim::{
-    algo, orbit_trace_fingerprint, trace_fingerprint, Access, EngineKind, FailurePattern, Key,
-    ObjectType, OrbitFingerprint, ProcessId, RoundRobin, Scripted, SimBuilder, TraceLevel,
+    algo, trace_fingerprint, Access, EngineKind, FailurePattern, Key, ObjectType, ProcessId,
+    RoundRobin, Scripted, SimBuilder, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -105,74 +90,6 @@ fn fingerprint_of(n: usize, plans: &[Vec<PlannedOp>], script: &[usize], engine: 
     }
     let outcome = builder.run();
     trace_fingerprint(&outcome.run, &outcome.memory)
-}
-
-/// Like [`fingerprint_of`], but returns the orbit-canonical fingerprint
-/// under the given class table and per-process extra words.
-fn orbit_fp_of(
-    n: usize,
-    plans: &[Vec<PlannedOp>],
-    script: &[usize],
-    class_of: &[u32],
-    extra: &[u64],
-) -> OrbitFingerprint {
-    let script: Vec<ProcessId> = script.iter().map(|&i| ProcessId(i)).collect();
-    let mut builder = SimBuilder::<()>::new(FailurePattern::failure_free(n))
-        .adversary(Scripted::then(script, RoundRobin::new()))
-        .engine(EngineKind::Inline)
-        .trace_level(TraceLevel::Full)
-        .max_steps(64);
-    for (i, plan) in plans.iter().enumerate() {
-        let plan = plan.clone();
-        builder = builder.spawn(
-            ProcessId(i),
-            algo(move |ctx| {
-                let plan = plan.clone();
-                async move {
-                    for (key, write) in plan {
-                        let op = match write {
-                            Some(v) => Op::Write(v),
-                            None => Op::Read,
-                        };
-                        ctx.invoke(&Key::new("r").at(key), Cell::default, op)
-                            .await?;
-                    }
-                    Ok(())
-                }
-            }),
-        );
-    }
-    let outcome = builder.run();
-    orbit_trace_fingerprint(&outcome.run, &outcome.memory, class_of, extra)
-}
-
-/// The six permutations of `[0, 1, 2]`.
-const PERMS3: [[usize; 3]; 6] = [
-    [0, 1, 2],
-    [0, 2, 1],
-    [1, 0, 2],
-    [1, 2, 0],
-    [2, 0, 1],
-    [2, 1, 0],
-];
-
-/// Builds a complete schedule granting process `i` exactly `quotas[i]`
-/// steps, steering by `picks` (falling back to the next process with
-/// budget left). Covering *every* step keeps renamed runs fully scripted —
-/// no schedule tail an applied permutation could miss.
-fn interleave_n(quotas: &[usize], picks: &[usize]) -> Vec<usize> {
-    let mut left = quotas.to_vec();
-    let total: usize = quotas.iter().sum();
-    let mut script = Vec::with_capacity(total);
-    for k in 0..total {
-        let mut chosen = picks.get(k).copied().unwrap_or(0) % quotas.len();
-        while left[chosen] == 0 {
-            chosen = (chosen + 1) % quotas.len();
-        }
-        left[chosen] -= 1;
-        script.push(chosen);
-    }
-    script
 }
 
 /// Splices two per-process op counts into an interleaving: `choices[k]`
@@ -264,97 +181,8 @@ proptest! {
         prop_assert!(a != b, "fingerprints collide: {a:#x}");
     }
 
-    /// Within-class renaming is invisible: three identical pid-parametric
-    /// processes race on one shared register; applying any permutation π
-    /// to the schedule and the extra words (the plans are already equal)
-    /// yields the π-renamed run, and the orbit-canonical fingerprint of
-    /// the renamed run equals the original's. The pid-ordered
-    /// [`trace_fingerprint`] has no such invariance — which is exactly
-    /// why the explorer needs the orbit variant.
-    #[test]
-    fn within_class_renaming_is_invisible(
-        v1 in 0u64..8,
-        v2 in 0u64..8,
-        extras in proptest::collection::vec(0u64..1_000_000, 3),
-        picks in proptest::collection::vec(0usize..3, 9),
-        perm_idx in 0usize..6,
-    ) {
-        let perm = PERMS3[perm_idx];
-        // Identical plans: two writes and a read-back on the shared r[0].
-        let plan: Vec<PlannedOp> = vec![(0, Some(v1)), (0, Some(v2)), (0, None)];
-        let plans = vec![plan.clone(), plan.clone(), plan];
-        let script = interleave_n(&[3, 3, 3], &picks);
-        let renamed_script: Vec<usize> = script.iter().map(|&i| perm[i]).collect();
-        let mut renamed_extras = [0u64; 3];
-        for i in 0..3 {
-            renamed_extras[perm[i]] = extras[i];
-        }
-        let class_of = [0u32, 0, 0];
-        let a = orbit_fp_of(3, &plans, &script, &class_of, &extras);
-        let b = orbit_fp_of(3, &plans, &renamed_script, &class_of, &renamed_extras);
-        prop_assert_eq!(a.fingerprint, b.fingerprint);
-        // The canonicalizing permutation is always a true permutation.
-        let mut seen = [false; 3];
-        for &pos in &a.canon_of {
-            prop_assert!(pos < 3 && !seen[pos]);
-            seen[pos] = true;
-        }
-    }
-
-    /// The same renaming becomes visible across classes: two processes
-    /// with *distinct* behaviour collide under one shared class (the
-    /// renamed run is the mirror image), but split the moment the class
-    /// table separates them — a wrong orbit would be caught, not merged.
-    #[test]
-    fn cross_class_renaming_is_visible(v in 0u64..32, delta in 1u64..32) {
-        let plans = vec![vec![(0, Some(v))], vec![(1, Some(v + delta))]];
-        let renamed_plans = vec![vec![(1, Some(v + delta))], vec![(0, Some(v))]];
-        let extra = [0u64, 0];
-        let a_same = orbit_fp_of(2, &plans, &[0, 1], &[0, 0], &extra);
-        let b_same = orbit_fp_of(2, &renamed_plans, &[1, 0], &[0, 0], &extra);
-        prop_assert_eq!(a_same.fingerprint, b_same.fingerprint,
-            "a same-class renaming must be invisible");
-        let a_split = orbit_fp_of(2, &plans, &[0, 1], &[0, 1], &extra);
-        let b_split = orbit_fp_of(2, &renamed_plans, &[1, 0], &[0, 1], &extra);
-        prop_assert!(a_split.fingerprint != b_split.fingerprint,
-            "distinct classes must keep renamed runs apart: {:#x}", a_split.fingerprint);
-    }
-
-    /// A changed written value under the same schedule and classes moves
-    /// the orbit fingerprint, exactly like the pid-ordered digest.
-    #[test]
-    fn orbit_fingerprint_sees_behaviour_changes(v in 0u64..32, delta in 1u64..32) {
-        let extra = [0u64, 0];
-        let a = orbit_fp_of(
-            2,
-            &[vec![(0, Some(v))], vec![(0, None)]],
-            &[0, 1],
-            &[0, 0],
-            &extra,
-        );
-        let b = orbit_fp_of(
-            2,
-            &[vec![(0, Some(v + delta))], vec![(0, None)]],
-            &[0, 1],
-            &[0, 0],
-            &extra,
-        );
-        prop_assert!(a.fingerprint != b.fingerprint, "collide: {:#x}", a.fingerprint);
-    }
-
-    /// The caller-supplied extra words (unserved FD picks, crash timing)
-    /// are part of the canonical digest: changing one process's word
-    /// changes the fingerprint.
-    #[test]
-    fn orbit_fingerprint_sees_extra_words(e in 0u64..1_000_000, delta in 1u64..1024) {
-        let plans = vec![vec![(0, Some(1))], vec![(0, None)]];
-        let a = orbit_fp_of(2, &plans, &[0, 1], &[0, 0], &[e, 7]);
-        let b = orbit_fp_of(2, &plans, &[0, 1], &[0, 0], &[e.wrapping_add(delta), 7]);
-        prop_assert!(a.fingerprint != b.fingerprint, "collide: {:#x}", a.fingerprint);
-    }
-
-    /// Both engines produce the same fingerprint for the same script —
-    /// dedup keys never depend on which engine recorded the run.
+    /// Both engines produce the same fingerprint for the same script:
+    /// the digest never depends on which engine recorded the run.
     #[test]
     fn engines_agree_on_fingerprints(
         vals0 in proptest::collection::vec(0u64..8, 1..3),
