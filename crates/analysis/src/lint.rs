@@ -58,8 +58,8 @@ const PATTERN_EXEMPT: &[&str] = &[
 ];
 
 /// Files exempt from [`Rule::ThreadSpawn`]: the thread-lockstep engine
-/// (one sanctioned spawn site per process). The worker pools use scoped
-/// threads, which the rule does not match.
+/// (one sanctioned spawn site per process). The worker pool (`run_batch`)
+/// uses scoped threads, which the rule does not match.
 const SPAWN_EXEMPT: &[&str] = &["crates/sim/src/engine.rs"];
 
 /// The individual determinism rules.

@@ -1,13 +1,10 @@
 #![forbid(unsafe_code)]
 //! # upsilon-bench
 //!
-//! Benchmarks and the `experiments` binary for the reproduction of *"On
-//! the weakest failure detector ever"*. Each Criterion bench and each
-//! section of the `experiments` binary regenerates one paper artifact; see
-//! DESIGN.md's experiment index (E1–E16) and EXPERIMENTS.md for the
-//! paper-vs-measured record.
-
-pub use upsilon_core as core_api;
+//! The `experiments` and `stress` binaries for the reproduction of *"On
+//! the weakest failure detector ever"*. Each section of the `experiments`
+//! binary regenerates one paper artifact; see DESIGN.md's experiment index
+//! (E1–E16) and EXPERIMENTS.md for the paper-vs-measured record.
 
 use upsilon_core::experiment::{AgreementConfig, Sched};
 use upsilon_core::fd::UpsilonNoise;

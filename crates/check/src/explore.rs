@@ -48,9 +48,9 @@ use std::sync::{Arc, Mutex};
 use upsilon_analysis::{RunConditionsSpec, RunSpec};
 use upsilon_core::shrink::ddmin_counted;
 use upsilon_sim::{
-    ops_commute, resolve, run_stealing, Access, AlgoFn, EngineKind, FailurePattern, FdValue, Key,
+    ops_commute, resolve, run_batch, Access, AlgoFn, EngineKind, FailurePattern, FdValue, Key,
     Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave, SessionStep,
-    SimBuilder, StealJob, StealScope, StepKind, Time, TokenError, TraceLevel,
+    SimBuilder, StepKind, Time, TokenError, TraceLevel,
 };
 
 /// One scheduling decision of the explorer.
@@ -203,8 +203,8 @@ pub struct CheckConfig<D: FdValue> {
     pub engine: EngineKind,
     /// Worker threads for the frontier fan-out (`0` = default pool).
     pub workers: usize,
-    /// Path length at which subtrees are fanned out over
-    /// `run_stealing`; `0` explores serially.
+    /// Path length at which the serial prefix walk stops and collects each
+    /// subtree for the worker pool (`run_batch`); `0` explores serially.
     pub split_depth: usize,
     /// Node budget (per frontier job when fanned out).
     pub max_nodes: u64,
@@ -908,7 +908,8 @@ impl<'a, D: FdValue> Cursor<'a, D> {
     }
 }
 
-/// A deferred subtree handed to the work-stealing pool.
+/// A subtree the serial prefix walk deferred at the split depth; the
+/// collected subtrees run as one batch on the worker pool.
 struct FrontierJob {
     path: Vec<Choice>,
     picks: Vec<Vec<u32>>,
@@ -942,7 +943,7 @@ fn node_violation<D: FdValue>(
     }
 }
 
-struct Explorer<'a, D: FdValue, F: FnMut(FrontierJob)> {
+struct Explorer<'a, D: FdValue> {
     cfg: &'a CheckConfig<D>,
     participants: &'a [bool],
     stats: CheckStats,
@@ -950,16 +951,18 @@ struct Explorer<'a, D: FdValue, F: FnMut(FrontierJob)> {
     path: Vec<Choice>,
     cursor: Cursor<'a, D>,
     resolve_memo: ResolveMemo,
-    frontier: Option<F>,
+    /// `Some` on the prefix walk: nodes at the split depth land here
+    /// instead of being expanded.
+    frontier: Option<Vec<FrontierJob>>,
 }
 
-impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
+impl<'a, D: FdValue> Explorer<'a, D> {
     fn at(
         cfg: &'a CheckConfig<D>,
         participants: &'a [bool],
         path: &[Choice],
         picks: &[Vec<u32>],
-        frontier: Option<F>,
+        frontier: Option<Vec<FrontierJob>>,
     ) -> Self {
         Explorer {
             cfg,
@@ -995,17 +998,16 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
             self.stats.depth_leaves += 1;
             return;
         }
-        if self.frontier.is_some() && self.path.len() >= self.cfg.split_depth {
-            let job = FrontierJob {
-                path: self.path.clone(),
-                picks: picks.to_vec(),
-                sleep,
-                steps_used,
-            };
-            if let Some(spawn) = self.frontier.as_mut() {
-                spawn(job);
+        if let Some(frontier) = self.frontier.as_mut() {
+            if self.path.len() >= self.cfg.split_depth {
+                frontier.push(FrontierJob {
+                    path: self.path.clone(),
+                    picks: picks.to_vec(),
+                    sleep,
+                    steps_used,
+                });
+                return;
             }
-            return;
         }
         self.expand(picks, sleep, steps_used);
     }
@@ -1124,9 +1126,11 @@ impl<'a, D: FdValue, F: FnMut(FrontierJob)> Explorer<'a, D, F> {
 
 /// Runs the exploration a [`CheckConfig`] describes and reports every
 /// counterexample found. Deterministic: the same configuration yields the
-/// same report at any worker count — frontier subtrees run on a
-/// work-stealing pool ([`run_stealing`]) and merge by spawn-sequence
-/// coordinate, which reproduces the serial discovery order byte for byte.
+/// same report at any worker count. With `split_depth > 0` a serial prefix
+/// walk collects every subtree at the split depth, the subtrees run on the
+/// worker pool ([`run_batch`]), and results merge as the prefix walk's
+/// first, then each subtree's in discovery order — which reproduces the
+/// serial discovery order byte for byte.
 ///
 /// # Panics
 ///
@@ -1143,71 +1147,34 @@ pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
         "algo factory must cover every process"
     );
     let root_picks: Vec<Vec<u32>> = vec![Vec::new(); cfg.n_plus_1];
+    let frontier = (cfg.split_depth > 0).then(Vec::new);
+    let mut explorer = Explorer::at(cfg, &participants, &[], &root_picks, frontier);
+    explorer.visit(&root_picks, Vec::new(), 0);
+    let Explorer {
+        mut stats,
+        mut violations,
+        frontier,
+        ..
+    } = explorer;
+    let frontier = frontier.unwrap_or_default();
+    let frontier_jobs = frontier.len();
 
-    if cfg.split_depth == 0 {
-        let mut explorer = Explorer::at(
-            cfg,
-            &participants,
-            &[],
-            &root_picks,
-            None::<fn(FrontierJob)>,
-        );
-        explorer.visit(&root_picks, Vec::new(), 0);
-        let Explorer {
-            stats, violations, ..
-        } = explorer;
-        return CheckReport {
-            stats,
-            violations,
-            frontier_jobs: 0,
-        };
-    }
-
-    // Streaming frontier: the serial prefix walk runs as the pool's first
-    // job and spawns every deferred subtree the moment it is discovered, so
-    // workers descend into subtrees while the prefix is still being carved.
-    type JobResult = (CheckStats, Vec<CounterExample>, usize);
-    let participants_ref: &[bool] = &participants;
-    let root: StealJob<'_, JobResult> = StealJob {
-        coord: vec![0],
-        run: Box::new(move |scope: &mut StealScope<'_, '_, JobResult>| {
-            let mut seq: u32 = 0;
-            let mut spawn = |job: FrontierJob| {
-                seq += 1;
-                scope(StealJob {
-                    coord: vec![seq],
-                    run: Box::new(move |_: &mut StealScope<'_, '_, JobResult>| {
-                        let mut sub = Explorer::at(
-                            cfg,
-                            participants_ref,
-                            &job.path,
-                            &job.picks,
-                            None::<fn(FrontierJob)>,
-                        );
-                        sub.expand(&job.picks, job.sleep, job.steps_used);
-                        (sub.stats, sub.violations, 0)
-                    }),
-                });
-            };
-            let root_picks: Vec<Vec<u32>> = vec![Vec::new(); cfg.n_plus_1];
-            let mut explorer =
-                Explorer::at(cfg, participants_ref, &[], &root_picks, Some(&mut spawn));
-            explorer.visit(&root_picks, Vec::new(), 0);
-            let Explorer {
-                stats, violations, ..
-            } = explorer;
-            (stats, violations, seq as usize)
-        }),
-    };
-    let results = run_stealing(vec![root], cfg.workers);
-
-    let mut stats = CheckStats::default();
-    let mut violations = Vec::new();
-    let mut frontier_jobs = 0;
-    for (s, v, jobs) in results {
+    // Boxed, so the pool is not monomorphised over the subtree body.
+    type SubtreeJob<'j> = Box<dyn FnOnce() -> (CheckStats, Vec<CounterExample>) + Send + 'j>;
+    let participants: &[bool] = &participants;
+    let jobs: Vec<SubtreeJob<'_>> = frontier
+        .into_iter()
+        .map(|job| -> SubtreeJob<'_> {
+            Box::new(move || {
+                let mut sub = Explorer::at(cfg, participants, &job.path, &job.picks, None);
+                sub.expand(&job.picks, job.sleep, job.steps_used);
+                (sub.stats, sub.violations)
+            })
+        })
+        .collect();
+    for (s, v) in run_batch(jobs, cfg.workers) {
         stats.absorb(s);
         violations.extend(v);
-        frontier_jobs += jobs;
     }
     if violations.len() > cfg.max_violations {
         violations.truncate(cfg.max_violations);

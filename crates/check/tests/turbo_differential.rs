@@ -8,8 +8,8 @@
 //!   replay-from-root; byte-identical `CheckReport`s (stats, verdicts, and
 //!   shrunk `UCHK1` tokens alike), since turbo changes only *how* nodes
 //!   are executed, never which nodes exist;
-//! * **worker count 1 vs 2 vs 8** — the work-stealing frontier merges by
-//!   coordinate, so reports are `assert_eq!`-identical whatever the
+//! * **worker count 1 vs 2 vs 8** — the collected frontier merges in
+//!   discovery order, so reports are `assert_eq!`-identical whatever the
 //!   parallelism.
 //!
 //! Exact counts pin what each reduction buys: nodes per conflict relation

@@ -1,6 +1,6 @@
 //! The experiment harness: one runner per paper artifact (see DESIGN.md's
-//! experiment index E1–E12), shared by the Criterion benches, the
-//! `experiments` binary and the integration tests.
+//! experiment index E1–E12), shared by the `experiments` binary, the
+//! scenario layer and the integration tests.
 
 use upsilon_agreement::{
     baseline, boost, check_k_set_agreement, consensus, fig1, fig2, Fig1Config, Fig2Config,

@@ -5,13 +5,12 @@
 //!
 //! Each execution's RNG is seeded from `(campaign seed, execution index)`
 //! alone. A round snapshots the corpus, fans its executions out over the
-//! work-stealing pool ([`run_stealing`]) in fixed-size chunks keyed by
-//! their position in the round, and merges chunk results *in coordinate
-//! order*; whether one worker or sixteen processed the chunks cannot change
-//! the report. Within a chunk, executions are gated against a chunk-local
-//! coverage set (so most boring runs are dropped on the worker), and the
-//! merger re-gates survivors against the global set — corpus membership is
-//! therefore a pure function of the configuration.
+//! worker pool ([`run_batch`]) in fixed-size chunks, and merges chunk
+//! results *in chunk order*; whether one worker or sixteen processed the
+//! chunks cannot change the report. Within a chunk, executions are gated
+//! against a chunk-local coverage set (so most boring runs are dropped on
+//! the worker), and the merger re-gates survivors against the global set —
+//! corpus membership is therefore a pure function of the configuration.
 //!
 //! # Corpus discipline
 //!
@@ -30,8 +29,7 @@ use upsilon_check::{
     positive, run_token, shrink_violation, violation_of, AxisError, CheckConfig, ShrinkResult,
 };
 use upsilon_sim::{
-    conflict_coverage, run_stealing, EngineKind, FdValue, Fnv64, ReplayToken, RunArena, StealJob,
-    TokenError,
+    conflict_coverage, run_batch, EngineKind, FdValue, Fnv64, ReplayToken, RunArena, TokenError,
 };
 
 /// Configuration of one fuzzing campaign.
@@ -58,7 +56,7 @@ pub struct FuzzConfig<D: FdValue> {
     pub mutate_share: u32,
     /// Conflict-pair window length for coverage hashes.
     pub window: usize,
-    /// Executions per [`run_stealing`] job (fixed, so chunk boundaries —
+    /// Executions per [`run_batch`] job (fixed, so chunk boundaries —
     /// and hence the report — do not depend on worker count).
     pub chunk: u64,
     /// Worker threads (`0` = default pool).
@@ -381,22 +379,18 @@ pub fn fuzz<D: FdValue>(cfg: &FuzzConfig<D>, seeds: &[ReplayToken]) -> FuzzRepor
         }
         let snapshot: Arc<[ReplayToken]> = merger.corpus.clone().into();
         let round_end = execs + cfg.execs_per_round;
-        let mut jobs: Vec<StealJob<'_, Vec<Shipped>>> = Vec::new();
+        // Boxed, so the pool is not monomorphised over the chunk body.
+        let mut jobs: Vec<Box<dyn FnOnce() -> Vec<Shipped> + Send + '_>> = Vec::new();
         let mut start = execs;
         while start < round_end {
             let end = (start + cfg.chunk).min(round_end);
             let snap = Arc::clone(&snapshot);
-            // The chunk's position in the round is its merge coordinate:
-            // the work-stealing pool returns results in coordinate order,
-            // so the merge below is identical for any worker count.
-            let coord = vec![((start - execs) / cfg.chunk) as u32];
-            jobs.push(StealJob {
-                coord,
-                run: Box::new(move |_spawn| run_chunk(cfg, &snap, start..end)),
-            });
+            jobs.push(Box::new(move || run_chunk(cfg, &snap, start..end)));
             start = end;
         }
-        for shipped in run_stealing(jobs, cfg.workers) {
+        // The pool returns results in job order, so the merge below is
+        // identical for any worker count.
+        for shipped in run_batch(jobs, cfg.workers) {
             for ship in shipped {
                 merger.absorb(ship);
             }

@@ -27,11 +27,10 @@
 //!   tokens that re-execute bit-identically under both engines.
 //!
 //! Campaigns are deterministic: each execution's randomness derives only
-//! from `(campaign seed, execution index)`, jobs fan out over the
-//! work-stealing pool ([`run_stealing`](upsilon_sim::run_stealing)) in
-//! fixed chunks keyed by their position in the round, and results merge in
-//! coordinate order — the same configuration yields the same report
-//! regardless of worker count.
+//! from `(campaign seed, execution index)`, jobs fan out over the worker
+//! pool ([`run_batch`](upsilon_sim::run_batch)) in fixed chunks, and
+//! results merge in chunk order — the same configuration yields the same
+//! report regardless of worker count.
 //!
 //! ```
 //! use upsilon_check::samples;

@@ -44,8 +44,8 @@ proptest! {
     }
 
     /// Same configuration, same report — including when the worker count
-    /// changes, which is the whole point of the stealing pool's
-    /// coordinate-ordered merge.
+    /// changes, which is the whole point of the worker pool's job-ordered
+    /// merge.
     #[test]
     fn campaign_is_deterministic_per_seed(seed in 0u64..1_000, workers in 1usize..=4) {
         let target = samples::fig1(3, 16, 1);
@@ -62,7 +62,7 @@ proptest! {
 
     /// The explicit 1/2/8 sweep on a violating target: reports (verdicts,
     /// shrunk tokens, coverage, corpus) are `assert_eq!`-identical for
-    /// every worker count the stealing pool is given.
+    /// every worker count the worker pool is given.
     #[test]
     fn worker_sweep_1_2_8_is_identical(seed in 0u64..200) {
         let at = |workers: usize| {

@@ -51,8 +51,16 @@ pub fn default_workers() -> usize {
 ///
 /// Jobs are claimed from a shared queue, so stragglers don't leave workers
 /// idle; ordering is restored when results are written back to each job's
-/// own slot. A panicking job propagates the panic to the caller after the
-/// pool drains (remaining jobs still run).
+/// own slot.
+///
+/// # Panics
+///
+/// With `workers <= 1` (after clamping to the job count) jobs run in place
+/// on the caller's thread: a panicking job unwinds straight to the caller
+/// with its own payload, and the jobs after it never run. With more
+/// workers, a panicking job ends its worker thread, the surviving workers
+/// drain the queue, and then this function panics with "a batch job
+/// panicked" (the original payload is not re-raised).
 pub fn run_batch<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
     T: Send,

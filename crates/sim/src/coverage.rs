@@ -24,6 +24,7 @@ use crate::opsig::{self, OpSig};
 use crate::oracle::FdValue;
 use crate::process::ProcessId;
 use crate::trace::{Run, StepKind};
+use std::fmt;
 
 /// One scheduling-relevant dependency observed in a run: on object `key`,
 /// `later` performed `later_access` after `earlier` performed a
@@ -45,8 +46,10 @@ pub struct ConflictPair {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental 64-bit FNV-1a, the dependency-free hash behind coverage
-/// fingerprints (stable across platforms and releases, unlike `DefaultHasher`).
+/// Incremental 64-bit FNV-1a, the dependency-free hash behind coverage and
+/// trace fingerprints (stable across platforms and releases, unlike
+/// `DefaultHasher`). It implements [`fmt::Write`], so `Debug`/`Display`
+/// renderings hash without materializing strings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Fnv64(u64);
 
@@ -78,6 +81,13 @@ impl Fnv64 {
     /// The current hash value.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -352,5 +362,15 @@ mod tests {
         h.write(b"upsilon");
         // Pinned so coverage hashes stay comparable across releases.
         assert_eq!(h.finish(), 0xd837_5cb5_5d00_468d);
+    }
+
+    #[test]
+    fn fmt_write_is_byte_equivalent() {
+        use std::fmt::Write as _;
+        let mut a = Fnv64::new();
+        a.write(b"k[3]=7");
+        let mut b = Fnv64::new();
+        let _ = write!(b, "k[{}]={}", 3, 7);
+        assert_eq!(a.finish(), b.finish());
     }
 }

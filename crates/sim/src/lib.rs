@@ -95,7 +95,6 @@ mod replay;
 mod runtime;
 mod sched;
 mod session;
-mod steal;
 mod time;
 mod trace;
 
@@ -105,7 +104,7 @@ pub use coverage::{conflict_coverage, conflict_pairs, ConflictPair, Fnv64};
 pub use engine::EngineKind;
 pub use error::{AlgoResult, Crashed};
 pub use failure::{Environment, FailurePattern, FailurePatternBuilder};
-pub use fingerprint::{trace_fingerprint, FnvWrite};
+pub use fingerprint::trace_fingerprint;
 pub use object::{Access, Key, Memory, ObjectId, ObjectType};
 pub use opsig::{base_type_name, ops_commute, resolve, sigs_commute, OpSig, ResolvedOp};
 pub use oracle::{DummyOracle, FdValue, MappedOracle, NullOracle, Oracle};
@@ -118,6 +117,5 @@ pub use sched::{
     WeightedRandom,
 };
 pub use session::{Session, SessionAlgos, SessionSave, SessionStep};
-pub use steal::{run_stealing, StealJob, StealScope};
 pub use time::Time;
 pub use trace::{Event, InducedTrace, Output, Run, RunArena, StepKind, StopReason, TraceLevel};

@@ -13,7 +13,7 @@
 //! first operation that touches its key; creation is deterministic because
 //! every process derives the initial state from the protocol itself.
 
-use crate::fingerprint::FnvWrite;
+use crate::coverage::Fnv64;
 use crate::process::ProcessId;
 use std::any::{Any, TypeId};
 use std::borrow::Cow;
@@ -328,7 +328,7 @@ impl Memory {
     pub fn fingerprint64(&self) -> u64 {
         let mut acc = 0u64;
         for (i, o) in self.objects.iter().enumerate() {
-            let mut w = FnvWrite::new();
+            let mut w = Fnv64::new();
             let _ = write!(w, "{}:{}=", self.names[i], o.type_name());
             let _ = o.write_state(&mut w);
             // Whitened so the commutative sum does not cancel structure.

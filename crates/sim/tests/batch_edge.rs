@@ -1,13 +1,11 @@
-//! Edge-case hardening for [`run_batch`] and [`run_stealing`]: degenerate
-//! batch sizes, worker-count extremes, deterministic ordering under
-//! contention and dynamic spawning, and panic propagation semantics
-//! (remaining jobs still run, pool drains).
+//! Edge-case hardening for [`run_batch`]: degenerate batch sizes,
+//! worker-count extremes, deterministic ordering under contention, and
+//! panic propagation semantics (threaded pools drain, the in-place
+//! single-worker path stops at the panic).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use upsilon_sim::{
-    algo, run_batch, run_stealing, FailurePattern, SeededRandom, SimBuilder, StealJob,
-};
+use upsilon_sim::{algo, run_batch, FailurePattern, SeededRandom, SimBuilder};
 
 #[test]
 fn zero_jobs_returns_empty_for_any_worker_count() {
@@ -138,118 +136,4 @@ fn panicking_single_job_on_one_worker_also_propagates() {
     let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![Box::new(|| panic!("solo boom"))];
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(jobs, 1)));
     assert!(result.is_err());
-}
-
-/// Simulation sub-jobs fanned out through the stealing pool: each top-level
-/// job spawns three children, and results must come back in lexicographic
-/// coordinate order whatever the worker count.
-fn stealing_sim_sweep(workers: usize) -> Vec<u64> {
-    let jobs: Vec<StealJob<'static, u64>> = (0..6u32)
-        .map(|i| StealJob {
-            coord: vec![i, 0],
-            run: Box::new(move |spawn| {
-                for j in 1..4u32 {
-                    spawn(StealJob {
-                        coord: vec![i, j],
-                        run: Box::new(move |_spawn| sim_steps(u64::from(i * 10 + j))),
-                    });
-                }
-                sim_steps(u64::from(i * 10))
-            }),
-        })
-        .collect();
-    run_stealing(jobs, workers)
-}
-
-fn sim_steps(seed: u64) -> u64 {
-    SimBuilder::<()>::new(FailurePattern::failure_free(3))
-        .adversary(SeededRandom::new(seed))
-        .spawn_all(|pid| {
-            algo(move |ctx| async move {
-                ctx.yield_step().await?;
-                ctx.decide(pid.index() as u64).await?;
-                Ok(())
-            })
-        })
-        .run()
-        .run
-        .total_steps()
-        + seed
-}
-
-#[test]
-fn stealing_simulation_sweeps_are_deterministic_across_worker_counts() {
-    let serial = stealing_sim_sweep(1);
-    assert_eq!(serial.len(), 24, "6 roots + 18 spawned children");
-    assert_eq!(serial, stealing_sim_sweep(2));
-    assert_eq!(serial, stealing_sim_sweep(8));
-}
-
-#[test]
-fn stealing_panic_drains_the_pool_before_propagating() {
-    // A worker that dies mid-frontier must not take sibling subtrees with
-    // it: every other job (including ones spawned *after* the panic) still
-    // runs, and the first payload is re-raised once the pool is quiet.
-    for workers in [1, 2, 8] {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<StealJob<'_, usize>> = (0..6usize)
-            .map(|i| {
-                let r = Arc::clone(&ran);
-                StealJob {
-                    coord: vec![i as u32, 0],
-                    run: Box::new(move |spawn| {
-                        let rr = Arc::clone(&r);
-                        spawn(StealJob {
-                            coord: vec![i as u32, 1],
-                            run: Box::new(move |_spawn| {
-                                rr.fetch_add(1, Ordering::SeqCst);
-                                i + 100
-                            }),
-                        });
-                        if i == 2 {
-                            panic!("worker {i} down");
-                        }
-                        r.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }),
-                }
-            })
-            .collect();
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_stealing(jobs, workers)));
-        assert!(result.is_err(), "the panic must propagate");
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            11,
-            "all jobs but the panicking one ran (workers = {workers})"
-        );
-    }
-}
-
-#[test]
-fn stealing_panic_in_a_spawned_job_also_propagates() {
-    let ran = Arc::new(AtomicUsize::new(0));
-    let r = Arc::clone(&ran);
-    let jobs: Vec<StealJob<'_, u32>> = vec![StealJob {
-        coord: vec![0],
-        run: Box::new(move |spawn| {
-            spawn(StealJob {
-                coord: vec![0, 0],
-                run: Box::new(|_spawn| panic!("child down")),
-            });
-            let rr = Arc::clone(&r);
-            spawn(StealJob {
-                coord: vec![0, 1],
-                run: Box::new(move |_spawn| {
-                    rr.fetch_add(1, Ordering::SeqCst);
-                    7
-                }),
-            });
-            r.fetch_add(1, Ordering::SeqCst);
-            1
-        }),
-    }];
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_stealing(jobs, 2)));
-    assert!(result.is_err(), "the child panic must propagate");
-    assert_eq!(ran.load(Ordering::SeqCst), 2, "the sibling child still ran");
 }

@@ -40,6 +40,6 @@ pub use executor::{
 pub use shard::{load_records, merge_records, save_record, ShardRecord};
 pub use spec::{
     campaign_spec, campaign_specs, fold_outcome, instance_seed, mix_to_string, parse_mix,
-    run_standalone, run_standalone_batch, sample_specs, swarm_default_workers, template,
-    InstanceResult, InstanceSpec, SwarmProtocol, TEMPLATES,
+    run_standalone, run_standalone_batch, sample_specs, template, InstanceResult, InstanceSpec,
+    SwarmProtocol, TEMPLATES,
 };

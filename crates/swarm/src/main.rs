@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use upsilon_swarm::{
     campaign_shard_range, load_records, merge_records, mix_to_string, parse_mix, run_swarm,
-    save_record, swarm_default_workers, ShardRecord, SwarmConfig, SwarmReport,
+    save_record, ShardRecord, SwarmConfig, SwarmReport,
 };
 
 const USAGE: &str = "usage: upsilon-swarm <run|shard|campaign|merge> [options]
@@ -113,7 +113,7 @@ fn config(args: &Args) -> SwarmConfig {
         batch: args.batch.max(1),
         window: (args.window > 0).then_some(args.window as usize),
         workers: if args.workers == 0 {
-            swarm_default_workers()
+            upsilon_sim::default_workers()
         } else {
             args.workers
         },

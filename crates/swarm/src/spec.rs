@@ -17,8 +17,7 @@ use upsilon_core::experiment::{
 };
 use upsilon_fd::UpsilonChoice;
 use upsilon_sim::{
-    algo, default_workers, run_batch, trace_fingerprint, FnvWrite, Key, ProcessSet, SimBuilder,
-    SimOutcome, Time,
+    algo, run_batch, trace_fingerprint, Fnv64, Key, ProcessSet, SimBuilder, SimOutcome, Time,
 };
 
 /// Which protocol an instance runs.
@@ -232,7 +231,7 @@ pub fn run_standalone_batch(specs: &[InstanceSpec], workers: usize) -> Vec<Insta
 /// FNV-1a over `campaign_seed ‖ index`. Deterministic, shard-independent,
 /// and collision-free across any practical campaign (locked by a proptest).
 pub fn instance_seed(campaign_seed: u64, index: u64) -> u64 {
-    let mut w = FnvWrite::new();
+    let mut w = Fnv64::new();
     w.write_u64(campaign_seed);
     w.write_u64(index);
     w.finish()
@@ -365,9 +364,4 @@ pub fn sample_specs(campaign_seed: u64) -> Vec<InstanceSpec> {
             seed: instance_seed(campaign_seed, i as u64),
         })
         .collect()
-}
-
-/// Default worker count for swarm CLI runs (the `run_batch` cap).
-pub fn swarm_default_workers() -> usize {
-    default_workers()
 }
