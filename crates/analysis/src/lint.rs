@@ -9,7 +9,8 @@
 //!   `BTreeSet` or a seeded hasher),
 //! * `Instant::now` / `SystemTime` (wall clocks; simulated [`Time`] only),
 //! * `rand::thread_rng` (OS entropy; every generator must be seeded),
-//! * `std::thread::spawn` outside the lockstep runtime in `upsilon-sim`,
+//! * `std::thread::spawn` / `thread::Builder` anywhere outside tests (the
+//!   simulator runs every process on one thread),
 //! * bare `unwrap()` in non-test simulator code (panics without an
 //!   invariant message).
 //!
@@ -57,11 +58,6 @@ const PATTERN_EXEMPT: &[&str] = &[
     "crates/analysis/tests/lint_regression.rs",
 ];
 
-/// Files exempt from [`Rule::ThreadSpawn`]: the thread-lockstep engine
-/// (one sanctioned spawn site per process). The worker pool (`run_batch`)
-/// uses scoped threads, which the rule does not match.
-const SPAWN_EXEMPT: &[&str] = &["crates/sim/src/engine.rs"];
-
 /// The individual determinism rules.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Rule {
@@ -71,7 +67,9 @@ pub enum Rule {
     WallClock,
     /// `rand::thread_rng`: OS-entropy generator.
     ThreadRng,
-    /// `std::thread::spawn` outside `upsilon-sim`'s runtime.
+    /// `std::thread::spawn` / `thread::Builder` in non-test code. The
+    /// worker pool (`run_batch`) uses scoped threads, which the rule does
+    /// not match.
     ThreadSpawn,
     /// Bare `.unwrap()` in non-test simulator code.
     BareUnwrap,
@@ -108,8 +106,8 @@ impl Rule {
             Rule::WallClock => "wall clocks vary between runs; use simulated upsilon_sim::Time",
             Rule::ThreadRng => "thread_rng draws OS entropy; seed every generator explicitly",
             Rule::ThreadSpawn => {
-                "threads outside the lockstep runtime race the scheduler; \
-                 only upsilon-sim's builder/runtime may spawn"
+                "a spawned thread races the scheduler; runs execute on one \
+                 thread, and run_batch's scoped workers parallelize between runs"
             }
             Rule::BareUnwrap => {
                 "bare unwrap() panics without an invariant message; use \
@@ -282,15 +280,14 @@ enum TestRegion {
 }
 
 /// Scans one file's source. `rel_file` is the repository-relative path and
-/// selects per-file rule applicability (sim-only rules, spawn exemptions,
-/// `tests/`/`benches/` relaxations).
+/// selects per-file rule applicability (sim-only rules, `tests/`/`benches/`
+/// relaxations).
 pub fn scan_source(rel_file: &str, source: &str) -> Vec<Finding> {
     if PATTERN_EXEMPT.contains(&rel_file) {
         return Vec::new();
     }
     let is_test_file = rel_file.contains("/tests/") || rel_file.contains("/benches/");
     let in_sim = rel_file.starts_with("crates/sim/src/");
-    let spawn_exempt = SPAWN_EXEMPT.contains(&rel_file);
 
     let mut findings = Vec::new();
     let mut in_block_comment = false;
@@ -338,10 +335,7 @@ pub fn scan_source(rel_file: &str, source: &str) -> Vec<Finding> {
         if trimmed.contains("thread_rng") {
             push(Rule::ThreadRng);
         }
-        if !spawn_exempt
-            && !in_test
-            && (trimmed.contains("thread::spawn") || trimmed.contains("thread::Builder"))
-        {
+        if !in_test && (trimmed.contains("thread::spawn") || trimmed.contains("thread::Builder")) {
             push(Rule::ThreadSpawn);
         }
         if in_sim && !in_test && trimmed.contains(".unwrap()") {
@@ -431,13 +425,17 @@ mod tests {
     }
 
     #[test]
-    fn spawn_flagged_except_in_runtime() {
+    fn spawn_flagged_everywhere_outside_tests() {
         let src = "std::thread::spawn(|| {});\n";
         assert_eq!(
             rules_of(&scan_source("crates/mem/src/foo.rs", src)),
             vec![Rule::ThreadSpawn]
         );
-        assert!(scan_source("crates/sim/src/engine.rs", src).is_empty());
+        // No file is exempt, the step engine included.
+        assert_eq!(
+            rules_of(&scan_source("crates/sim/src/engine.rs", src)),
+            vec![Rule::ThreadSpawn]
+        );
         assert_eq!(
             rules_of(&scan_source("crates/sim/src/batch.rs", src)),
             vec![Rule::ThreadSpawn]

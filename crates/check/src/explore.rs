@@ -187,9 +187,7 @@ pub struct CheckConfig<D: FdValue> {
     /// Snapshot-resume execution (on by default): nodes run on an
     /// incremental [`Session`] that saves at every node and rewinds by
     /// fast-forward replay, instead of re-executing each path from the
-    /// root. Byte-identical reports either way; automatically falls back
-    /// to stateless re-execution under [`EngineKind::Threads`] (thread
-    /// state machines cannot be rewound).
+    /// root. Byte-identical reports either way.
     pub turbo: bool,
     /// Refine the conflict relation through the generated per-op-pair
     /// commutativity matrix (`upsilon_sim::commute`), off by default: op
@@ -199,8 +197,6 @@ pub struct CheckConfig<D: FdValue> {
     /// as much on the paper's Fig. 1 and Fig. 2 configs without rendering
     /// a signature per step.
     pub use_matrix: bool,
-    /// Engine each node runs under.
-    pub engine: EngineKind,
     /// Worker threads for the frontier fan-out (`0` = default pool).
     pub workers: usize,
     /// Path length at which the serial prefix walk stops and collects each
@@ -248,7 +244,6 @@ impl<D: FdValue> CheckConfig<D> {
             reduction: true,
             turbo: true,
             use_matrix: false,
-            engine: EngineKind::Inline,
             workers: 0,
             split_depth: 0,
             max_nodes: 1_000_000,
@@ -429,8 +424,8 @@ pub fn token_of(n_plus_1: usize, path: &[Choice], picks: &[Vec<u32>]) -> ReplayT
     }
 }
 
-/// Executes the run a token describes under `engine`, with the
-/// configuration's algorithms and menu.
+/// Executes the run a token describes, with the configuration's
+/// algorithms and menu.
 ///
 /// # Errors
 ///
@@ -439,18 +434,13 @@ pub fn token_of(n_plus_1: usize, path: &[Choice], picks: &[Vec<u32>]) -> ReplayT
 pub fn run_token<D: FdValue>(
     cfg: &CheckConfig<D>,
     token: &ReplayToken,
-    engine: EngineKind,
 ) -> Result<Exec<D>, TokenError> {
     token.check_process_count(cfg.n_plus_1)?;
-    Ok(run_checked_token(cfg, token, engine))
+    Ok(run_checked_token(cfg, token))
 }
 
 /// [`run_token`] for a token whose process count matches the config.
-fn run_checked_token<D: FdValue>(
-    cfg: &CheckConfig<D>,
-    token: &ReplayToken,
-    engine: EngineKind,
-) -> Exec<D> {
+fn run_checked_token<D: FdValue>(cfg: &CheckConfig<D>, token: &ReplayToken) -> Exec<D> {
     let oracle = MenuOracle::new(
         Arc::clone(&cfg.menu),
         cfg.n_plus_1,
@@ -459,7 +449,6 @@ fn run_checked_token<D: FdValue>(
     let log = oracle.log();
     let mut builder = SimBuilder::<D>::replay(token)
         .oracle(oracle)
-        .engine(engine)
         .record_op_sigs(cfg.use_matrix);
     for (i, a) in (cfg.algos)().into_iter().enumerate() {
         if let Some(a) = a {
@@ -475,7 +464,7 @@ fn run_checked_token<D: FdValue>(
     }
 }
 
-/// A token replayed under one engine, with every spec's verdict.
+/// A replayed token, with every spec's verdict.
 #[derive(Debug)]
 pub struct ReplayOutcome<D: FdValue> {
     /// The re-executed run.
@@ -485,8 +474,9 @@ pub struct ReplayOutcome<D: FdValue> {
     pub verdicts: Vec<(String, Result<(), String>)>,
 }
 
-/// Replays a counterexample token under `engine` and re-checks every spec —
-/// the round-trip used by regression tests and bug reports.
+/// Replays a counterexample token and re-checks every spec — the
+/// round-trip used by regression tests and bug reports. `_engine` is
+/// ignored: [`EngineKind`] has one variant.
 ///
 /// # Panics
 ///
@@ -495,9 +485,9 @@ pub struct ReplayOutcome<D: FdValue> {
 pub fn replay_token<D: FdValue>(
     cfg: &CheckConfig<D>,
     token: &ReplayToken,
-    engine: EngineKind,
+    _engine: EngineKind,
 ) -> ReplayOutcome<D> {
-    let exec = run_token(cfg, token, engine).unwrap_or_else(|e| panic!("{e}"));
+    let exec = run_token(cfg, token).unwrap_or_else(|e| panic!("{e}"));
     let mut verdicts = vec![(
         "run-conditions".to_string(),
         RunConditionsSpec.check(&exec.run),
@@ -512,7 +502,7 @@ pub fn replay_token<D: FdValue>(
 }
 
 fn execute<D: FdValue>(cfg: &CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Exec<D> {
-    run_checked_token(cfg, &token_of(cfg.n_plus_1, path, picks), cfg.engine)
+    run_checked_token(cfg, &token_of(cfg.n_plus_1, path, picks))
 }
 
 /// First failing spec on a run: the §3.3 run-condition validator first,
@@ -664,13 +654,6 @@ fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMem
         },
         _ => Footprint::Local,
     }
-}
-
-/// Whether a configuration runs its nodes on the snapshot-resume session.
-/// The thread engine's state machines live on OS threads and cannot be
-/// rewound, so `turbo` silently degrades to stateless re-execution there.
-fn turbo_active<D: FdValue>(cfg: &CheckConfig<D>) -> bool {
-    cfg.turbo && cfg.engine == EngineKind::Inline
 }
 
 /// The snapshot-resume cursor: one live [`Session`] plus a stack of saves,
@@ -830,7 +813,7 @@ enum Cursor<'a, D: FdValue> {
 
 impl<'a, D: FdValue> Cursor<'a, D> {
     fn at_path(cfg: &'a CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Self {
-        if turbo_active(cfg) {
+        if cfg.turbo {
             let mut cursor = TurboCursor::new(cfg);
             for ch in path {
                 match *ch {

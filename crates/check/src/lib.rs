@@ -8,8 +8,7 @@
 //! run-condition validator and a set of trace-closed [`RunSpec`]s.
 //!
 //! Violations come back as shrunk, replayable `UCHK1:` tokens
-//! ([`ReplayToken`]) that
-//! [`replay_token`] re-executes bit-identically under either engine.
+//! ([`ReplayToken`]) that [`replay_token`] re-executes bit-identically.
 //!
 //! ```
 //! use upsilon_check::samples;

@@ -1,6 +1,5 @@
 //! Explorer correctness: determinism, naive/reduced agreement, crash
-//! canonicalization bounds, counterexample shrinking and dual-engine token
-//! replay.
+//! canonicalization bounds, counterexample shrinking and token replay.
 
 use std::sync::Arc;
 use upsilon_check::samples;
@@ -38,9 +37,8 @@ fn new_configs_run_sleep_sets_alone() {
 fn a_token_of_another_process_count_is_rejected() {
     let cfg = samples::fig1(3, 8, 0);
     let token = ReplayToken::parse("UCHK1:n=5;c=-,-,-,-,3;q=-|-|-|-|-;s=4,3,0,4").unwrap();
-    let err = run_token(&cfg, &token, EngineKind::Inline).unwrap_err();
+    let err = run_token(&cfg, &token).unwrap_err();
     assert!(err.to_string().contains("token has 5 processes"), "{err}");
-    assert!(run_token(&cfg, &token, EngineKind::Threads).is_err());
 }
 
 #[test]
@@ -51,15 +49,9 @@ fn buggy_commit_protocol_yields_a_replayable_counterexample() {
     let v = &report.violations[0];
     assert_eq!(v.spec, "k-set-agreement");
 
-    // The token replays to the same violation under both engines, with
-    // bit-identical traces.
-    let inline = replay_token(&cfg, &v.token, EngineKind::Inline);
-    let threads = replay_token(&cfg, &v.token, EngineKind::Threads);
-    assert_eq!(inline.run.events(), threads.run.events());
-    assert_eq!(inline.run.outputs(), threads.run.outputs());
-    assert_eq!(inline.run.stop_reason(), threads.run.stop_reason());
-    assert_eq!(inline.verdicts, threads.verdicts);
-    let kset = inline
+    // The token replays to the same violation.
+    let replayed = replay_token(&cfg, &v.token, EngineKind::Inline);
+    let kset = replayed
         .verdicts
         .iter()
         .find(|(name, _)| name == "k-set-agreement")
@@ -136,16 +128,14 @@ fn pinned_history_counterexample_is_the_paper_pivot() {
         v.token
     );
 
-    // Replaying under either engine reproduces the same verdict.
-    for engine in [EngineKind::Inline, EngineKind::Threads] {
-        let replayed = replay_token(&cfg, &v.token, engine);
-        let verdict = replayed
-            .verdicts
-            .iter()
-            .find(|(name, _)| name == "upsilon-faithful")
-            .unwrap();
-        assert!(verdict.1.is_err(), "{engine:?}");
-    }
+    // Replaying reproduces the same verdict.
+    let replayed = replay_token(&cfg, &v.token, EngineKind::Inline);
+    let verdict = replayed
+        .verdicts
+        .iter()
+        .find(|(name, _)| name == "upsilon-faithful")
+        .unwrap();
+    assert!(verdict.1.is_err());
 }
 
 #[test]

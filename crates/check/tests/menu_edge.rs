@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use upsilon_check::samples;
 use upsilon_check::{check, run_token, FdMenu, FnMenu, MenuOracle, MutatingMenu};
-use upsilon_sim::{EngineKind, ProcessId, ReplayToken, Time};
+use upsilon_sim::{ProcessId, ReplayToken, Time};
 
 /// `FdMenu::candidates` must be non-empty; an empty menu is a contract
 /// violation the oracle turns into an immediate panic rather than a
@@ -59,7 +59,7 @@ fn mutating_menu_exhausts_mid_run() {
             .flatten()
             .collect(),
     };
-    let exec = run_token(&cfg, &token, EngineKind::Inline).expect("3-process token");
+    let exec = run_token(&cfg, &token).expect("3-process token");
     let exhausted: Vec<_> = exec.queries.iter().filter(|q| q.k >= 1).collect();
     assert!(
         !exhausted.is_empty(),
@@ -95,25 +95,35 @@ fn oversized_picks_clamp_per_query() {
     assert_eq!((log[1].candidates, log[1].pick), (1, 0));
 }
 
-/// Singleton menus also keep `MenuOracle` deterministic across engines —
-/// the same token yields the same query log under both.
+/// Singleton menus keep `MenuOracle` deterministic: every query has one
+/// candidate, and the same token yields the same query log every time
+/// (the 24-step schedule reaches queries by both processes).
 #[test]
-fn query_log_is_engine_independent() {
+fn query_log_is_reproducible() {
     let cfg = samples::fig1(2, 8, 0);
     let token = ReplayToken {
         n_plus_1: 2,
         crashes: vec![None, None],
         fd_choices: vec![Vec::new(), Vec::new()],
-        schedule: vec![
-            ProcessId(0),
-            ProcessId(0),
-            ProcessId(1),
-            ProcessId(0),
-            ProcessId(1),
-            ProcessId(1),
-        ],
+        schedule: std::iter::repeat_n(
+            [
+                ProcessId(0),
+                ProcessId(0),
+                ProcessId(1),
+                ProcessId(0),
+                ProcessId(1),
+                ProcessId(1),
+            ],
+            4,
+        )
+        .flatten()
+        .collect(),
     };
-    let a = run_token(&cfg, &token, EngineKind::Inline).expect("2-process token");
-    let b = run_token(&cfg, &token, EngineKind::Threads).expect("2-process token");
+    let a = run_token(&cfg, &token).expect("2-process token");
+    let b = run_token(&cfg, &token).expect("2-process token");
+    for p in [ProcessId(0), ProcessId(1)] {
+        assert!(a.queries.iter().any(|q| q.pid == p), "{p} queries");
+    }
+    assert!(a.queries.iter().all(|q| (q.candidates, q.pick) == (1, 0)));
     assert_eq!(a.queries, b.queries);
 }

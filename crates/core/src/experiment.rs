@@ -397,7 +397,7 @@ pub fn staggered_crashes(n_plus_1: usize, crashes: usize, first_at: u64) -> Fail
 /// Runs the same experiment at many seeds, fanned across the
 /// [`run_batch`] worker pool; outcomes come back in seed order.
 ///
-/// Each run executes single-threaded on the inline step engine, so the
+/// Each run executes single-threaded on the step engine, so the
 /// pool parallelises *across* runs without perturbing any individual
 /// trace — `sweep_seeds(cfg, seeds, f)` is observationally identical to
 /// mapping `f` over the seeds sequentially.

@@ -29,13 +29,13 @@ use upsilon_check::{
     positive, run_token, shrink_violation, violation_of, AxisError, CheckConfig, ShrinkResult,
 };
 use upsilon_sim::{
-    conflict_coverage, run_batch, EngineKind, FdValue, Fnv64, ReplayToken, RunArena, TokenError,
+    conflict_coverage, run_batch, FdValue, Fnv64, ReplayToken, RunArena, TokenError,
 };
 
 /// Configuration of one fuzzing campaign.
 #[derive(Clone)]
 pub struct FuzzConfig<D: FdValue> {
-    /// The system under test: algorithms, menu, specs, engine; `depth` is
+    /// The system under test: algorithms, menu, specs; `depth` is
     /// the schedule horizon and `max_faults` the crash budget per run.
     pub target: CheckConfig<D>,
     /// Campaign seed; every execution's randomness derives from it.
@@ -197,7 +197,7 @@ impl FuzzReport {
     }
 }
 
-/// Replays a token under `engine` and returns its coverage fingerprint —
+/// Replays a token and returns its coverage fingerprint —
 /// the round-trip used by corpus integrity checks and property tests.
 ///
 /// # Errors
@@ -208,9 +208,8 @@ pub fn coverage_of_token<D: FdValue>(
     target: &CheckConfig<D>,
     token: &ReplayToken,
     window: usize,
-    engine: EngineKind,
 ) -> Result<Vec<u64>, TokenError> {
-    let exec = run_token(target, token, engine)?;
+    let exec = run_token(target, token)?;
     Ok(conflict_coverage(&exec.run, &exec.memory, window))
 }
 
@@ -357,7 +356,7 @@ pub fn fuzz<D: FdValue>(cfg: &FuzzConfig<D>, seeds: &[ReplayToken]) -> FuzzRepor
     // Prime coverage from the seed corpus (serial; corpora are small
     // relative to a round).
     for tok in seeds {
-        let Ok(exec) = run_token(&cfg.target, tok, cfg.target.engine) else {
+        let Ok(exec) = run_token(&cfg.target, tok) else {
             continue;
         };
         let coverage = conflict_coverage(&exec.run, &exec.memory, cfg.window);

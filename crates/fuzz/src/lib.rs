@@ -24,7 +24,7 @@
 //! * **Violations** of the §3.3 run-condition validator or any configured
 //!   trace-closed [`RunSpec`](upsilon_check::RunSpec) are minimized with
 //!   the checker's ddmin shrink and reported as replayable `UCHK1:`
-//!   tokens that re-execute bit-identically under both engines.
+//!   tokens that re-execute bit-identically.
 //!
 //! Campaigns are deterministic: each execution's randomness derives only
 //! from `(campaign seed, execution index)`, jobs fan out over the worker

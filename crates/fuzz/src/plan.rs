@@ -159,12 +159,12 @@ pub(crate) fn mutate_plan<D: FdValue>(
     }
 }
 
-/// Runs a plan live under the target's engine and packs the outcome into a
+/// Runs a plan live and packs the outcome into a
 /// canonical [`ReplayToken`]: the recorded schedule, crash times clamped to
 /// the schedule length (a crash after the last step is equivalent — same
 /// events, same `correct(F)`), and pick scripts normalized to the picks the
 /// menu oracle actually served. The token re-executes the run
-/// bit-identically via [`upsilon_check::run_token`] under either engine.
+/// bit-identically via [`upsilon_check::run_token`].
 pub(crate) fn run_plan<D: FdValue>(
     target: &CheckConfig<D>,
     plan: ExecPlan,
@@ -187,7 +187,6 @@ pub(crate) fn run_plan<D: FdValue>(
     let mut builder = SimBuilder::<D>::new(pb.build())
         .oracle(oracle)
         .adversary(Scripted::then(plan.prefix, tail))
-        .engine(target.engine)
         .max_steps(horizon);
     for (i, a) in (target.algos)().into_iter().enumerate() {
         if let Some(a) = a {

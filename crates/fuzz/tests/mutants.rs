@@ -1,7 +1,7 @@
 //! Mutation-detection suite: each seeded bug must fall to a fixed-seed,
 //! fixed-budget campaign, and the shrunk counterexample token must (a)
-//! still violate the spec under both engines with bit-identical runs and
-//! (b) match a golden snapshot, so shrink-quality regressions are caught.
+//! still violate the spec when replayed and (b) match a golden snapshot,
+//! so shrink-quality regressions are caught.
 //!
 //! To regenerate the goldens after an intentional generator change:
 //!
@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 use upsilon_check::samples;
-use upsilon_check::{replay_token, run_token, CheckConfig};
+use upsilon_check::{replay_token, CheckConfig};
 use upsilon_fuzz::{fuzz, FuzzConfig, FuzzViolation};
 use upsilon_sim::{EngineKind, FdValue, ProcessId};
 
@@ -40,7 +40,7 @@ fn assert_golden(name: &str, actual: &str) {
 }
 
 /// Runs the fixed-seed campaign, asserts the expected spec fell, replays
-/// the shrunk token bit-identically under both engines, and snapshots it.
+/// the shrunk token, and snapshots it.
 fn hunt<D: FdValue>(
     cfg: &CheckConfig<D>,
     seed: u64,
@@ -70,23 +70,12 @@ fn hunt<D: FdValue>(
         })
         .clone();
 
-    // The shrunk token must re-execute bit-identically under both engines
-    // and still violate the spec there.
-    let inline = run_token(cfg, &v.token, EngineKind::Inline).expect("campaign token");
-    let threads = run_token(cfg, &v.token, EngineKind::Threads).expect("campaign token");
-    assert_eq!(
-        inline.run.events(),
-        threads.run.events(),
-        "engines must replay the token to the same event sequence"
+    // The shrunk token must still violate the spec when replayed.
+    let out = replay_token(cfg, &v.token, EngineKind::Inline);
+    assert!(
+        out.verdicts.iter().any(|(n, r)| n == spec && r.is_err()),
+        "shrunk token must still violate {spec}"
     );
-    assert_eq!(inline.run.decisions(), threads.run.decisions());
-    for engine in [EngineKind::Inline, EngineKind::Threads] {
-        let out = replay_token(cfg, &v.token, engine);
-        assert!(
-            out.verdicts.iter().any(|(n, r)| n == spec && r.is_err()),
-            "shrunk token must still violate {spec} under {engine:?}"
-        );
-    }
 
     assert_golden(golden, &format!("{}\n", v.token.encode()));
     v

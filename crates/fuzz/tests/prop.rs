@@ -4,14 +4,13 @@
 //!   seed, depth and process count.
 //! * A campaign is a pure function of its configuration — the same seed
 //!   yields the same report, regardless of worker count or chunking.
-//! * Corpus entries replay to identical coverage hashes under the inline
-//!   and threaded engines, so a corpus recorded by one engine drives the
-//!   other bit-identically.
+//! * Corpus entries replay to identical coverage hashes every time, so a
+//!   stored corpus drives later campaigns bit-identically.
 
 use proptest::prelude::*;
 use upsilon_check::samples;
 use upsilon_fuzz::{coverage_of_token, fuzz, FuzzConfig};
-use upsilon_sim::{EngineKind, PctScheduler};
+use upsilon_sim::PctScheduler;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -78,20 +77,20 @@ proptest! {
         prop_assert_eq!(&one, &at(8));
     }
 
-    /// Every corpus entry replays to the same coverage fingerprint under
-    /// both engines: the token really does pin the run down, and coverage
-    /// is a function of the run alone.
+    /// Every corpus entry replays to the same coverage fingerprint each
+    /// time: the token really does pin the run down, and coverage is a
+    /// function of the run alone.
     #[test]
-    fn corpus_replays_identically_across_engines(seed in 0u64..1_000) {
+    fn corpus_replays_identically(seed in 0u64..1_000) {
         let target = samples::fig1(3, 14, 1);
         let cfg = FuzzConfig::new(target.clone()).seed(seed).budget(1, 96);
         let report = fuzz(&cfg, &[]);
         prop_assert!(report.ok(), "{:?}", report.violations.first());
         for tok in &report.corpus {
-            let inline = coverage_of_token(&target, tok, cfg.window, EngineKind::Inline);
-            let threads = coverage_of_token(&target, tok, cfg.window, EngineKind::Threads);
-            prop_assert!(inline.is_ok(), "token {} rejected", tok);
-            prop_assert_eq!(&inline, &threads, "token {}", tok);
+            let first = coverage_of_token(&target, tok, cfg.window);
+            let second = coverage_of_token(&target, tok, cfg.window);
+            prop_assert!(first.is_ok(), "token {} rejected", tok);
+            prop_assert_eq!(&first, &second, "token {}", tok);
         }
     }
 

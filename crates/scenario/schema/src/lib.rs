@@ -18,7 +18,6 @@
 //! name = "fig2"             # must match the file stem
 //! kind = "check"            # check | fuzz | experiment | swarm
 //! protocol = "fig2"         # one of KNOWN_PROTOCOLS
-//! engine = "inline"         # inline | threads | both
 //! expect = "pass"           # pass | violation
 //! seeds = "0..4"            # int, array, or "A..B" half-open range
 //! repeats = 1
@@ -114,43 +113,6 @@ impl Kind {
 }
 
 impl fmt::Display for Kind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The engine(s) a cell runs under.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EngineSel {
-    /// The single-threaded resumable step engine (the default).
-    Inline,
-    /// The thread-per-process lockstep reference engine.
-    Threads,
-    /// Run under both and require identical outcomes.
-    Both,
-}
-
-impl EngineSel {
-    /// The stable string form used in scenario files.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineSel::Inline => "inline",
-            EngineSel::Threads => "threads",
-            EngineSel::Both => "both",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<EngineSel> {
-        match s {
-            "inline" => Some(EngineSel::Inline),
-            "threads" => Some(EngineSel::Threads),
-            "both" => Some(EngineSel::Both),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for EngineSel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
@@ -271,8 +233,6 @@ pub struct ScenarioDoc {
     pub kind: Kind,
     /// Base protocol (an entry of [`KNOWN_PROTOCOLS`]).
     pub protocol: String,
-    /// Engine selection for every cell.
-    pub engine: EngineSel,
     /// Base expectation (arms may override).
     pub expect: Expect,
     /// Seeds the matrix driver crosses every cell with.
@@ -341,9 +301,7 @@ pub struct MatrixSummary {
 
 /// Root keys with reserved meaning (everything else is rejected; axes
 /// belong in `[params]`).
-const ROOT_KEYS: &[&str] = &[
-    "name", "kind", "protocol", "engine", "expect", "seeds", "repeats",
-];
+const ROOT_KEYS: &[&str] = &["name", "kind", "protocol", "expect", "seeds", "repeats"];
 
 fn is_ident(s: &str) -> bool {
     !s.is_empty()
@@ -455,7 +413,6 @@ impl ScenarioDoc {
         let mut name = None;
         let mut kind = None;
         let mut protocol = None;
-        let mut engine = EngineSel::Inline;
         let mut expect = Expect::Pass;
         let mut seeds = vec![0u64];
         let mut repeats = 1u32;
@@ -487,16 +444,6 @@ impl ScenarioDoc {
                 "protocol" => {
                     let s = scalar_str(&entry.value, line, col, "protocol")?;
                     protocol = Some(check_protocol(s, line, col)?);
-                }
-                "engine" => {
-                    let s = scalar_str(&entry.value, line, col, "engine")?;
-                    engine = EngineSel::from_str(s).ok_or_else(|| {
-                        Diag::new(
-                            line,
-                            col,
-                            format!("unknown engine {s:?} (inline | threads | both)"),
-                        )
-                    })?;
                 }
                 "expect" => {
                     let s = scalar_str(&entry.value, line, col, "expect")?;
@@ -730,7 +677,6 @@ impl ScenarioDoc {
             name,
             kind,
             protocol,
-            engine,
             expect,
             seeds,
             repeats,
@@ -750,7 +696,6 @@ impl ScenarioDoc {
             "protocol = {}\n",
             Scalar::Str(self.protocol.clone())
         ));
-        out.push_str(&format!("engine = \"{}\"\n", self.engine));
         out.push_str(&format!("expect = \"{}\"\n", self.expect));
         let seeds = self
             .seeds
@@ -926,7 +871,6 @@ depth = 7
         let doc = ScenarioDoc::parse(FIG2).expect("parses");
         assert_eq!(doc.name, "fig2");
         assert_eq!(doc.kind, Kind::Check);
-        assert_eq!(doc.engine, EngineSel::Inline);
         assert_eq!(doc.seeds, vec![0, 1, 2]);
         let cells = doc.expand();
         assert_eq!(cells.len(), 2);
@@ -1022,6 +966,14 @@ depth = 7
             ScenarioDoc::parse("name = \"x\"\nkind = \"check\"\nprotocol = \"fig1\"\nbogus = 1\n")
                 .expect_err("unknown root key");
         assert_eq!((d.line, d.col), (4, 1));
+
+        // The scenario schema has no engine selector: there is one engine.
+        let d = ScenarioDoc::parse(
+            "name = \"x\"\nkind = \"check\"\nprotocol = \"fig1\"\nengine = \"inline\"\n",
+        )
+        .expect_err("engine is not a key");
+        assert_eq!((d.line, d.col), (4, 1));
+        assert!(d.msg.contains("unknown top-level key \"engine\""), "{d}");
 
         let d = ScenarioDoc::parse(
             "name = \"x\"\nkind = \"check\"\nprotocol = \"fig1\"\nseeds = \"5..5\"\n",

@@ -13,8 +13,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use upsilon_scenario_schema::{
-    AxisDecl, Cell, EngineSel, Expect, FuzzBlock, Kind, Scalar, ScenarioDoc, SwarmBlock, Variant,
-    FUZZ_KEYS, KNOWN_PROTOCOLS, SWARM_KEYS,
+    AxisDecl, Cell, Expect, FuzzBlock, Kind, Scalar, ScenarioDoc, SwarmBlock, Variant, FUZZ_KEYS,
+    KNOWN_PROTOCOLS, SWARM_KEYS,
 };
 
 /// Words safe for string scalars: no `..` (range syntax) and key-safe.
@@ -53,7 +53,7 @@ fn axis_from(key: String, tag: u64, raw: Vec<u64>) -> AxisDecl {
 /// flat tuple of integer draws mapped into the model.
 #[allow(clippy::type_complexity)]
 fn doc_from(
-    (name_i, kind_i, proto_i, engine_i, expect_i, repeats): (u64, u64, u64, u64, u64, u64),
+    (name_i, kind_i, proto_i, expect_i, repeats): (u64, u64, u64, u64, u64),
     seeds_raw: Vec<u64>,
     params_raw: Vec<(u64, Vec<u64>)>,
     variants_raw: Vec<(u64, u64, u64, Vec<(u64, Vec<u64>)>)>,
@@ -149,11 +149,6 @@ fn doc_from(
         name: format!("scenario-{}", name_i % 40),
         kind,
         protocol: KNOWN_PROTOCOLS[(proto_i % KNOWN_PROTOCOLS.len() as u64) as usize].into(),
-        engine: match engine_i % 3 {
-            0 => EngineSel::Inline,
-            1 => EngineSel::Threads,
-            _ => EngineSel::Both,
-        },
         expect: if expect_i % 2 == 0 {
             Expect::Pass
         } else {
@@ -170,14 +165,7 @@ fn doc_from(
 
 fn doc_strategy() -> impl Strategy<Value = ScenarioDoc> {
     (
-        (
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-            0u64..1000,
-        ),
+        (0u64..1000, 0u64..1000, 0u64..1000, 0u64..1000, 0u64..1000),
         vec(0u64..64, 0..5),
         vec((0u64..1000, vec(0u64..1000, 1..4)), 0..4),
         vec(

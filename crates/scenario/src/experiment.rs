@@ -16,7 +16,7 @@ use upsilon_core::experiment::{
 };
 use upsilon_core::fd::{OmegaKChoice, UpsilonChoice};
 use upsilon_core::mem::SnapshotFlavor;
-use upsilon_core::sim::{algo, EngineKind, FailurePattern, Key, SeededRandom, SimBuilder};
+use upsilon_core::sim::{algo, FailurePattern, Key, SeededRandom, SimBuilder};
 use upsilon_scenario_schema::Cell;
 
 use crate::matrix::{RunOut, Verdict};
@@ -29,7 +29,7 @@ pub fn validate_cell(cell: &Cell) -> Result<(), String> {
 }
 
 /// Runs one seed of one experiment cell.
-pub fn run_cell(cell: &Cell, seed: u64, engine: EngineKind) -> Result<RunOut, String> {
+pub fn run_cell(cell: &Cell, seed: u64) -> Result<RunOut, String> {
     match bindings_of(cell)? {
         ExpCell::E9 {
             n_plus_1,
@@ -50,7 +50,7 @@ pub fn run_cell(cell: &Cell, seed: u64, engine: EngineKind) -> Result<RunOut, St
             n_plus_1,
             k,
             distinct,
-        } => Ok(run_converge(n_plus_1, k, distinct, seed, engine)),
+        } => Ok(run_converge(n_plus_1, k, distinct, seed)),
         ExpCell::E11 { n_plus_1, flavor } => {
             let cfg = AgreementConfig::new(staggered_crashes(n_plus_1, 1, 40))
                 .seed(seed)
@@ -146,13 +146,7 @@ fn agreement_out(out: AgreementOutcome) -> RunOut {
 /// `(i % distinct) + 1` inputs run `ConvergeInstance::converge(k, v)` under
 /// a seeded-random schedule; the C-Agreement verdict is `violation` iff
 /// some processes committed more than `k` distinct values.
-fn run_converge(
-    n_plus_1: usize,
-    k: usize,
-    distinct: usize,
-    seed: u64,
-    engine: EngineKind,
-) -> RunOut {
+fn run_converge(n_plus_1: usize, k: usize, distinct: usize, seed: u64) -> RunOut {
     /// Shared per-process (picked, committed) results of a converge run.
     type SharedResults = Arc<Mutex<Vec<Option<(u64, bool)>>>>;
     let inputs: Vec<u64> = (0..n_plus_1).map(|i| (i % distinct) as u64 + 1).collect();
@@ -161,7 +155,6 @@ fn run_converge(
     let inputs2 = inputs.clone();
     let _ = SimBuilder::<()>::new(FailurePattern::failure_free(n_plus_1))
         .adversary(SeededRandom::new(seed))
-        .engine(engine)
         .spawn_all(move |pid| {
             let results = Arc::clone(&results2);
             let v = inputs2[pid.index()];

@@ -15,7 +15,7 @@
 //! 3. [`registry::resolve_check`] / [`registry::resolve_fuzz`] map each
 //!    cell's protocol name onto the sample constructors in
 //!    [`upsilon_check::samples`] with strict binding validation;
-//! 4. [`matrix::run_matrix`] fans `cells × seeds × repeats × engines` over
+//! 4. [`matrix::run_matrix`] fans `cells × seeds × repeats` over
 //!    the deterministic batch pool and merges the evidence stream in job
 //!    order, yielding [`matrix::EvidenceRecord`]s, JSONL snapshots
 //!    ([`matrix::to_jsonl`]) and per-arm A/B summaries
@@ -34,7 +34,7 @@ pub mod registry;
 use std::path::{Path, PathBuf};
 
 pub use upsilon_scenario_schema::{
-    Cell, Diag, EngineSel, Expect, Kind, Scalar, ScenarioDoc, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
+    Cell, Diag, Expect, Kind, Scalar, ScenarioDoc, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
 };
 
 pub use matrix::{arm_summaries, run_matrix, to_jsonl, EvidenceRecord, MatrixReport};

@@ -203,7 +203,7 @@ fn cmd_run(
             t.row([
                 format!("{}/{}", r.arm, r.cell),
                 r.seed.to_string(),
-                r.engine.to_string(),
+                "inline".to_string(),
                 r.verdict.to_string(),
                 r.expected.to_string(),
                 r.out.states.to_string(),

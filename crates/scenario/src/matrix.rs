@@ -1,5 +1,5 @@
-//! The matrix driver: fans a scenario's `cells × seeds × repeats ×
-//! engines` over the [`run_batch`] worker pool and merges the results in
+//! The matrix driver: fans a scenario's `cells × seeds × repeats` over
+//! the [`run_batch`] worker pool and merges the results in
 //! job order, so the evidence stream is deterministic and independent of
 //! the worker count.
 //!
@@ -9,8 +9,8 @@
 
 use std::fmt;
 
-use upsilon_scenario_schema::{Cell, EngineSel, Expect, Kind, Scalar, ScenarioDoc};
-use upsilon_sim::{run_batch, EngineKind};
+use upsilon_scenario_schema::{Cell, Expect, Kind, Scalar, ScenarioDoc};
+use upsilon_sim::run_batch;
 
 use crate::registry::{resolve_check, resolve_fuzz, AnyCheck};
 use crate::{experiment, registry};
@@ -81,8 +81,6 @@ pub struct EvidenceRecord {
     pub arm: String,
     /// Resolved protocol.
     pub protocol: String,
-    /// Engine the run used (`inline` or `threads`).
-    pub engine: &'static str,
     /// Cell index in expansion order.
     pub cell: usize,
     /// Concrete axis bindings of the cell.
@@ -109,26 +107,11 @@ pub struct MatrixReport {
     pub scenario: String,
     /// One record per run, in deterministic job order.
     pub records: Vec<EvidenceRecord>,
-    /// Whether repeated runs of the same `(cell, seed, engine)` coordinate
+    /// Whether repeated runs of the same `(cell, seed)` coordinate
     /// produced identical outcomes.
     pub deterministic: bool,
     /// `deterministic` and every record matched its expectation.
     pub ok: bool,
-}
-
-fn engines_of(sel: EngineSel) -> Vec<EngineKind> {
-    match sel {
-        EngineSel::Inline => vec![EngineKind::Inline],
-        EngineSel::Threads => vec![EngineKind::Threads],
-        EngineSel::Both => vec![EngineKind::Inline, EngineKind::Threads],
-    }
-}
-
-fn engine_name(e: EngineKind) -> &'static str {
-    match e {
-        EngineKind::Inline => "inline",
-        EngineKind::Threads => "threads",
-    }
 }
 
 fn check_out(cfg: &AnyCheck) -> RunOut {
@@ -151,15 +134,10 @@ fn check_out(cfg: &AnyCheck) -> RunOut {
     }
 }
 
-/// Runs one `(cell, seed, engine)` coordinate of a scenario.
-pub fn run_one(
-    doc: &ScenarioDoc,
-    cell: &Cell,
-    seed: u64,
-    engine: EngineKind,
-) -> Result<RunOut, String> {
+/// Runs one `(cell, seed)` coordinate of a scenario.
+pub fn run_one(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<RunOut, String> {
     match doc.kind {
-        Kind::Check => Ok(check_out(&resolve_check(cell)?.engine(engine))),
+        Kind::Check => Ok(check_out(&resolve_check(cell)?)),
         Kind::Fuzz => {
             let report = resolve_fuzz(doc, cell, seed)?.fuzz(&[]);
             let first = report.violations.first();
@@ -179,7 +157,7 @@ pub fn run_one(
                 ]),
             })
         }
-        Kind::Experiment => experiment::run_cell(cell, seed, engine),
+        Kind::Experiment => experiment::run_cell(cell, seed),
         Kind::Swarm => {
             let cfg = registry::resolve_swarm(doc, cell, seed)?;
             let report = upsilon_swarm::run_swarm(&cfg);
@@ -241,44 +219,40 @@ pub fn validate_cells(doc: &ScenarioDoc) -> Result<Vec<Cell>, String> {
 /// Fans the scenario's full matrix over the worker pool (`workers = 0`
 /// uses the default) and merges the evidence stream in job order.
 ///
-/// The job list is `cells × seeds × repeats × engines` in that nesting
+/// The job list is `cells × seeds × repeats` in that nesting
 /// order, matching [`ScenarioDoc::expand`]'s cell order; `run_batch`
 /// returns results in job order regardless of the worker count, so the
 /// record stream is deterministic.
 pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, String> {
     let cells = validate_cells(doc)?;
-    let engines = engines_of(doc.engine);
 
     let mut coords = Vec::new();
     for (ci, cell) in cells.iter().enumerate() {
         for &seed in &doc.seeds {
             for repeat in 0..doc.repeats {
-                for &engine in &engines {
-                    coords.push((ci, cell.clone(), seed, repeat, engine));
-                }
+                coords.push((ci, cell.clone(), seed, repeat));
             }
         }
     }
     let jobs: Vec<_> = coords
         .iter()
-        .map(|(_, cell, seed, _, engine)| {
+        .map(|(_, cell, seed, _)| {
             let doc = doc.clone();
             let cell = cell.clone();
-            let (seed, engine) = (*seed, *engine);
-            move || run_one(&doc, &cell, seed, engine)
+            let seed = *seed;
+            move || run_one(&doc, &cell, seed)
         })
         .collect();
     let outs = run_batch(jobs, workers);
 
     let mut records = Vec::with_capacity(coords.len());
-    for ((ci, cell, seed, repeat, engine), out) in coords.into_iter().zip(outs) {
+    for ((ci, cell, seed, repeat), out) in coords.into_iter().zip(outs) {
         let out = out?;
         let verdict = out.verdict;
         records.push(EvidenceRecord {
             scenario: doc.name.clone(),
             arm: cell.arm.clone(),
             protocol: cell.protocol.clone(),
-            engine: engine_name(engine),
             cell: ci,
             bindings: cell.bindings.clone(),
             seed,
@@ -290,7 +264,7 @@ pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, Str
         });
     }
 
-    // Repeats of the same (cell, seed, engine) must be indistinguishable.
+    // Repeats of the same (cell, seed) must be indistinguishable.
     let mut deterministic = true;
     for r in &records {
         if r.repeat == 0 {
@@ -298,7 +272,7 @@ pub fn run_matrix(doc: &ScenarioDoc, workers: usize) -> Result<MatrixReport, Str
         }
         let base = records
             .iter()
-            .find(|b| b.repeat == 0 && b.cell == r.cell && b.seed == r.seed && b.engine == r.engine)
+            .find(|b| b.repeat == 0 && b.cell == r.cell && b.seed == r.seed)
             .expect("repeat 0 precedes higher repeats in job order");
         if base.out != r.out {
             deterministic = false;
@@ -396,7 +370,9 @@ pub fn to_jsonl(records: &[EvidenceRecord]) -> String {
         json_escape(&r.arm, &mut out);
         out.push_str(",\"protocol\":");
         json_escape(&r.protocol, &mut out);
-        out.push_str(&format!(",\"engine\":\"{}\"", r.engine));
+        // Every run uses the one step engine; the field stays so existing
+        // evidence consumers keep parsing.
+        out.push_str(",\"engine\":\"inline\"");
         out.push_str(&format!(",\"cell\":{}", r.cell));
         out.push_str(",\"bindings\":{");
         for (i, (k, v)) in r.bindings.iter().enumerate() {

@@ -19,7 +19,7 @@ use upsilon_check::explore::{check, positive, AxisError, CheckConfig, CheckRepor
 use upsilon_check::samples;
 use upsilon_fuzz::{fuzz, FuzzConfig, FuzzReport};
 use upsilon_scenario_schema::{Cell, Kind, Scalar, ScenarioDoc};
-use upsilon_sim::{EngineKind, ProcessId, ProcessSet, ReplayToken};
+use upsilon_sim::{ProcessId, ProcessSet, ReplayToken};
 use upsilon_swarm::{parse_mix, SwarmConfig};
 
 /// A resolved check configuration with the detector value type erased.
@@ -34,15 +34,6 @@ pub enum AnyCheck {
 }
 
 impl AnyCheck {
-    /// Sets the engine every explored node runs under.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        match &mut self {
-            AnyCheck::Set(c) => c.engine = engine,
-            AnyCheck::Unit(c) => c.engine = engine,
-        }
-        self
-    }
-
     /// Sets the counterexample budget.
     pub fn max_violations(mut self, v: usize) -> Self {
         match &mut self {

@@ -10,7 +10,7 @@ use upsilon_fuzz::{fuzz, FuzzConfig};
 use upsilon_scenario::matrix::run_one;
 use upsilon_scenario::registry::{resolve_check, resolve_fuzz, AnyCheck, AnyFuzz};
 use upsilon_scenario::{load, Cell, Expect, Scalar};
-use upsilon_sim::{EngineKind, ProcessId};
+use upsilon_sim::ProcessId;
 
 /// Each of the six required check samples, resolved through the scenario
 /// registry, produces a report equal to the direct sample call; so do the
@@ -155,8 +155,7 @@ fn run_one_verdicts_match_expectations() {
     for name in upsilon_scenario::REQUIRED_SAMPLES {
         let doc = load(name).expect("required scenario file exists");
         for cell in doc.expand() {
-            let out = run_one(&doc, &cell, 0, EngineKind::Inline)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let out = run_one(&doc, &cell, 0).unwrap_or_else(|e| panic!("{name}: {e}"));
             let expected = matches!(cell.expect, Expect::Violation);
             assert_eq!(
                 out.verdict.as_str() == "violation",

@@ -1,8 +1,8 @@
 //! The run-batch executor: fans independent runs across a small worker
 //! pool with deterministic result ordering.
 //!
-//! Each run is still executed by a (typically inline) single-threaded
-//! engine; parallelism lives *between* runs, never inside one, so
+//! Each run is still executed by the single-threaded step engine;
+//! parallelism lives *between* runs, never inside one, so
 //! determinism is untouched: `results[i]` is always the outcome of
 //! `jobs[i]`, regardless of worker count or completion order. This is the
 //! sharding/batching layer the exhaustive explorer and stress campaigns sit
@@ -32,6 +32,7 @@
 //! assert_eq!(steps.len(), 8);
 //! ```
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -58,9 +59,8 @@ pub fn default_workers() -> usize {
 /// With `workers <= 1` (after clamping to the job count) jobs run in place
 /// on the caller's thread: a panicking job unwinds straight to the caller
 /// with its own payload, and the jobs after it never run. With more
-/// workers, a panicking job ends its worker thread, the surviving workers
-/// drain the queue, and then this function panics with "a batch job
-/// panicked" (the original payload is not re-raised).
+/// workers, every job runs even if others panic, and then this function
+/// re-raises the original payload of the lowest-indexed panicking job.
 pub fn run_batch<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
     T: Send,
@@ -81,9 +81,8 @@ where
     }
 
     let queue: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<thread::Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let mut panicked = false;
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
@@ -97,24 +96,30 @@ where
                     .unwrap_or_else(|e| e.into_inner())
                     .take()
                     .expect("each job index is claimed exactly once");
-                let out = job();
+                let out = catch_unwind(AssertUnwindSafe(job));
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
             }));
         }
+        // Join explicitly: a dropped handle detaches its thread, whose stack
+        // may then outlive the call, so a caller that batches round after
+        // round (a fuzz campaign) would hold more thread stacks at once and
+        // raise its peak RSS.
         for handle in handles {
-            if handle.join().is_err() {
-                panicked = true;
-            }
+            handle.join().expect("workers catch every job panic");
         }
     });
-    assert!(!panicked, "a batch job panicked");
 
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
+            match slot
+                .into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .expect("every job slot is filled when no job panicked")
+                .expect("every job slot is filled once the workers return")
+            {
+                Ok(out) => out,
+                Err(payload) => resume_unwind(payload),
+            }
         })
         .collect()
 }
@@ -149,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a batch job panicked")]
+    #[should_panic(expected = "boom")]
     fn job_panic_propagates() {
         let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![
             Box::new(|| 1),

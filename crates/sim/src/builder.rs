@@ -2,16 +2,15 @@
 //!
 //! [`SimBuilder`] wires together a failure pattern, a failure-detector
 //! oracle, an adversary and one algorithm per participating process, then
-//! [`SimBuilder::run`] drives the lockstep execution to completion and
-//! returns the recorded [`Run`] plus the final shared [`Memory`].
+//! [`SimBuilder::run`] drives the execution to completion and returns the
+//! recorded [`Run`] plus the final shared [`Memory`].
 //!
-//! The scheduler loop below is engine-agnostic: it makes every scheduling
-//! decision, records every trace event and evaluates every stop condition
-//! itself, delegating only "deliver this grant and tell me the step it
-//! produced" to the selected [`EngineKind`]. Both engines therefore yield
-//! bit-identical [`Run`]s for the same configuration.
+//! The scheduler loop below makes every scheduling decision, records every
+//! trace event and evaluates every stop condition itself, delegating only
+//! "deliver this grant and tell me the step it produced" to the step
+//! engine.
 
-use crate::engine::{Engine, EngineKind, InlineEngine, ThreadEngine};
+use crate::engine::InlineEngine;
 use crate::error::AlgoResult;
 use crate::failure::FailurePattern;
 use crate::object::Memory;
@@ -91,7 +90,6 @@ pub struct SimBuilder<D: FdValue> {
     pattern: FailurePattern,
     oracle: Box<dyn Oracle<D>>,
     adversary: Box<dyn Adversary>,
-    engine: EngineKind,
     trace_level: TraceLevel,
     record_sigs: bool,
     max_steps: u64,
@@ -105,7 +103,6 @@ impl<D: FdValue> std::fmt::Debug for SimBuilder<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimBuilder")
             .field("pattern", &self.pattern)
-            .field("engine", &self.engine)
             .field("max_steps", &self.max_steps)
             .finish_non_exhaustive()
     }
@@ -122,8 +119,7 @@ pub struct SimOutcome<D> {
 
 impl<D: FdValue> SimBuilder<D> {
     /// Starts a run under failure pattern `pattern`, with a round-robin
-    /// scheduler, no oracle, the inline engine and a 2 million step budget
-    /// by default.
+    /// scheduler, no oracle and a 2 million step budget by default.
     pub fn new(pattern: FailurePattern) -> Self {
         let n_plus_1 = pattern.n_plus_1();
         let mut algos = Vec::with_capacity(n_plus_1);
@@ -132,7 +128,6 @@ impl<D: FdValue> SimBuilder<D> {
             pattern,
             oracle: Box::new(NoOracleConfigured(PhantomData)),
             adversary: Box::new(RoundRobin::new()),
-            engine: EngineKind::default(),
             trace_level: TraceLevel::Steps,
             record_sigs: false,
             max_steps: 2_000_000,
@@ -151,12 +146,6 @@ impl<D: FdValue> SimBuilder<D> {
     /// Sets the scheduling adversary (default: fair round-robin).
     pub fn adversary(mut self, adversary: impl Adversary + 'static) -> Self {
         self.adversary = Box::new(adversary);
-        self
-    }
-
-    /// Selects the execution engine (default: [`EngineKind::Inline`]).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -266,10 +255,7 @@ impl<D: FdValue> SimBuilder<D> {
         };
         let algos = std::mem::take(&mut self.algos);
         let has_algo: Vec<bool> = algos.iter().map(|a| a.is_some()).collect();
-        let engine: Box<dyn Engine<D>> = match self.engine {
-            EngineKind::Inline => Box::new(InlineEngine::launch(world, algos)),
-            EngineKind::Threads => Box::new(ThreadEngine::launch(world, algos)),
-        };
+        let engine = InlineEngine::launch(world, algos);
         let n_plus_1 = self.pattern.n_plus_1();
         // Borrow every accumulator from the arena: clear (capacity kept) and
         // re-extend to the run's process count. The run-owned vectors move
@@ -318,11 +304,10 @@ impl<D: FdValue> SimBuilder<D> {
     }
 }
 
-/// A paused, resumable run: the engine-agnostic scheduler loop of
-/// [`SimBuilder::run`] reified as a value.
+/// A paused, resumable run: the scheduler loop of [`SimBuilder::run`]
+/// reified as a value.
 ///
-/// Every observable of a [`Run`] is produced here, so two engines driving
-/// the same deterministic algorithms cannot diverge — and a run advanced in
+/// Every observable of a [`Run`] is produced here, and a run advanced in
 /// arbitrary [`step_quota`](RunCell::step_quota) increments is byte-identical
 /// to the same configuration executed in one shot, because the one-shot path
 /// *is* a cell driven with an unbounded quota. This is the substrate of the
@@ -332,7 +317,7 @@ impl<D: FdValue> SimBuilder<D> {
 /// Unlike [`Session`](crate::Session), a cell records no per-step logs and
 /// supports no save/restore — it is the cheapest possible suspended run.
 pub struct RunCell<D: FdValue> {
-    engine: Box<dyn Engine<D>>,
+    engine: InlineEngine<D>,
     has_algo: Vec<bool>,
     pattern: FailurePattern,
     adversary: Box<dyn Adversary>,
@@ -368,8 +353,8 @@ impl<D: FdValue> RunCell<D> {
     /// returns the stop reason if the run ended (now or earlier).
     ///
     /// A quota counts *iterations*, not recorded steps: an iteration that
-    /// discovers a process already returned (the engine answers a grant
-    /// with a finished notice) consumes quota without recording a step.
+    /// discovers a process already returned (its grant goes unused)
+    /// consumes quota without recording a step.
     /// That guarantees every call makes progress, and it makes the final
     /// run independent of how the total quota was sliced — the sequence of
     /// scheduling decisions is a function of the loop state alone.
@@ -435,11 +420,7 @@ impl<D: FdValue> RunCell<D> {
                 self.t
             );
 
-            // Disjoint field borrows: the finished-notice closure updates
-            // `known_finished` while the engine delivers the grant.
-            let known_finished = &mut self.known_finished;
-            let mut notice = |pid: ProcessId| known_finished[pid.index()] = true;
-            match self.engine.grant(p, self.t, &mut notice) {
+            match self.engine.grant(p, self.t) {
                 Some(kind) => {
                     match &kind {
                         StepKind::Query(v) => self.fd_samples.push((self.t, p, v.clone())),
@@ -485,10 +466,10 @@ impl<D: FdValue> RunCell<D> {
 
     /// The cell's current arena occupancy in bytes: the struct itself plus
     /// the capacity of every accumulator vector it owns. Engine-side state
-    /// (suspended futures, shared memory) is deliberately excluded — it is
-    /// not sizable through a `dyn` boundary; process-level residency is the
-    /// bench layer's job (RSS deltas). Occupancy is monotone while the cell
-    /// lives: vectors only grow.
+    /// (suspended futures, shared memory) is deliberately excluded — boxed
+    /// futures and type-erased objects are not sizable from here;
+    /// process-level residency is the bench layer's job (RSS deltas).
+    /// Occupancy is monotone while the cell lives: vectors only grow.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.events.capacity() * std::mem::size_of::<Event<D>>()

@@ -23,16 +23,13 @@
 //! Algorithms are ordinary sequential Rust `async` closures over a [`Ctx`];
 //! each `Ctx` operation costs exactly one granted step, so step complexity
 //! in the traces equals step complexity in the paper's model. The compiler
-//! turns each algorithm into a resumable state machine, which an
-//! [`EngineKind`] drives either on dedicated OS threads
-//! ([`EngineKind::Threads`], the historical lockstep runtime) or entirely on
-//! one thread ([`EngineKind::Inline`], the default — no channels, locks or
-//! context switches on the hot path). Both engines produce bit-identical
-//! [`Run`]s; independent runs fan out across a worker pool with
-//! [`run_batch`].
+//! turns each algorithm into a resumable state machine, which the step
+//! engine drives entirely on one thread, one `poll` per granted step — no
+//! channels, locks or context switches on the hot path. Independent runs
+//! fan out across a worker pool with [`run_batch`].
 //!
 //! ```
-//! use upsilon_sim::{algo, EngineKind, FailurePattern, SeededRandom, SimBuilder};
+//! use upsilon_sim::{algo, FailurePattern, SeededRandom, SimBuilder};
 //!
 //! // Two processes race to write a register; whoever reads the other's
 //! // value first decides it.
@@ -55,7 +52,6 @@
 //!
 //! let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
 //!     .adversary(SeededRandom::new(42))
-//!     .engine(EngineKind::Inline) // the default; Threads gives the same trace
 //!     .spawn_all(|pid| algo(move |ctx| async move {
 //!         let me = pid.index() as u64;
 //!         let other = 1 - pid.index();

@@ -18,7 +18,7 @@ use std::fmt;
 ///
 /// This is a blanket-implemented alias for the bounds the simulator needs:
 /// histories are recorded into the run trace, compared by spec checkers and
-/// handed across the lockstep channel.
+/// returned from runs on the batch pool's worker threads.
 pub trait FdValue: Clone + Send + Sync + PartialEq + fmt::Debug + 'static {}
 
 impl<T: Clone + Send + Sync + PartialEq + fmt::Debug + 'static> FdValue for T {}

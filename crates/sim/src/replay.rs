@@ -5,8 +5,7 @@
 //! `F`, a schedule `S`, and the failure-detector values sampled along it.
 //! [`ReplayToken`] packs the three into one printable ASCII string so a
 //! violation can be stored in a test, pasted into a bug report, and
-//! re-executed bit-identically under either engine via
-//! [`SimBuilder::replay`].
+//! re-executed bit-identically via [`SimBuilder::replay`].
 //!
 //! Format (version `UCHK1`), semicolon-separated `key=value` fields after
 //! the prefix:

@@ -1,24 +1,16 @@
-//! The per-process execution context and its two execution modes.
+//! The per-process execution context.
 //!
 //! Algorithms are written as ordinary sequential code over a [`Ctx`], made
 //! resumable by the compiler: every `Ctx` operation is an `async fn` whose
 //! future completes exactly when the scheduler grants the process its next
-//! atomic step. The same algorithm state machine can therefore be driven two
-//! ways (see [`EngineKind`](crate::EngineKind)):
+//! atomic step. The whole run executes on one thread. A step future that
+//! finds no grant pending returns `Poll::Pending`, suspending the algorithm
+//! *as data*; the scheduler resumes it with one `poll` per granted step.
 //!
-//! * **Thread lockstep** — the historical engine: each process polls its
-//!   future to completion on a dedicated OS thread, and every step future
-//!   blocks inside `poll` on a grant channel. Futures never observe
-//!   `Pending`; suspension is physical (a blocked thread).
-//! * **Inline** — the fast engine: the whole run executes on one thread.
-//!   A step future that finds no grant pending returns `Poll::Pending`,
-//!   suspending the algorithm *as data*; the scheduler resumes it with one
-//!   `poll` per granted step. No channels, locks or context switches.
-//!
-//! Either way, at most one grant is outstanding at any moment, so shared
-//! state is accessed by at most one process at a time — each step is atomic
-//! as §3.3 requires — and the whole run is deterministic given the
-//! adversary's choices.
+//! At most one grant is outstanding at any moment, so shared state is
+//! accessed by at most one process at a time — each step is atomic as §3.3
+//! requires — and the whole run is deterministic given the adversary's
+//! choices.
 
 use crate::error::Crashed;
 use crate::object::{Key, Memory, ObjectType};
@@ -29,8 +21,6 @@ use crate::time::Time;
 use crate::trace::{Output, StepKind, TraceLevel};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::task::Poll;
 
 /// Message from the scheduler to a process: take a step, or stop forever.
@@ -40,16 +30,6 @@ pub(crate) enum Grant {
     Step(Time),
     /// The process is crashed (or the run is over); unwind.
     Stop,
-}
-
-/// Message from a process back to the scheduler (thread engine only; the
-/// inline engine reads the step out of the process cell directly).
-#[derive(Debug)]
-pub(crate) enum Reply<D> {
-    /// The granted step was taken; here is what it did.
-    Step(StepKind<D>),
-    /// The algorithm has returned; the grant was not used.
-    Finished,
 }
 
 /// The shared world: memory, oracle and trace configuration.
@@ -79,7 +59,7 @@ impl<T: Clone + Send + 'static> AnyReply for T {
     }
 }
 
-/// Per-process mailbox of the inline engine: the scheduler deposits a grant,
+/// Per-process mailbox: the scheduler deposits a grant,
 /// the step future consumes it, performs its operation and deposits the
 /// step report back.
 ///
@@ -109,21 +89,6 @@ impl<D: FdValue> ProcCell<D> {
     }
 }
 
-/// How the context reaches the scheduler and the shared world.
-enum Mode<D: FdValue> {
-    /// Thread-lockstep engine: block on channels, lock the world.
-    Thread {
-        grant_rx: Rc<Receiver<Grant>>,
-        reply_tx: Sender<(ProcessId, Reply<D>)>,
-        world: Arc<Mutex<World<D>>>,
-    },
-    /// Inline engine: everything lives on the scheduler's own thread.
-    Inline {
-        cell: Rc<ProcCell<D>>,
-        world: Rc<RefCell<World<D>>>,
-    },
-}
-
 /// The per-process execution context handed to algorithm code.
 ///
 /// All methods that take a step are `async` and return `Err(`[`Crashed`]`)`
@@ -134,19 +99,21 @@ enum Mode<D: FdValue> {
 /// # Deadlock hazard: external locks across steps
 ///
 /// Test harnesses often share an `Arc<Mutex<…>>` between process closures
-/// to collect results. Never hold such a lock across an `.await`: under the
-/// thread engine every `Ctx` method blocks until the scheduler grants a
-/// step, and the scheduler in turn waits for whichever process it *last*
-/// granted — if that process is blocked on your mutex, the run deadlocks.
-/// In particular beware receiver-first evaluation order:
-/// `shared.lock().unwrap().push(ctx_op().await?)` acquires the lock
-/// *before* running `ctx_op`. Bind the step result to a local first, then
-/// lock.
+/// to collect results. Never hold such a lock across an `.await`: every
+/// `Ctx` method suspends the process until the scheduler grants it a step,
+/// and in the meantime the scheduler polls other processes on the *same*
+/// thread. If one of them calls `lock()` on the mutex the suspended process
+/// still holds, that thread blocks forever (`std::sync::Mutex` is not
+/// reentrant), and the run deadlocks. In particular beware receiver-first
+/// evaluation order: `shared.lock().unwrap().push(ctx_op().await?)`
+/// acquires the lock *before* running `ctx_op`. Bind the step result to a
+/// local first, then lock.
 pub struct Ctx<D: FdValue> {
     pid: ProcessId,
     n_plus_1: usize,
     now: Cell<Time>,
-    mode: Mode<D>,
+    cell: Rc<ProcCell<D>>,
+    world: Rc<RefCell<World<D>>>,
 }
 
 impl<D: FdValue> std::fmt::Debug for Ctx<D> {
@@ -159,25 +126,6 @@ impl<D: FdValue> std::fmt::Debug for Ctx<D> {
 }
 
 impl<D: FdValue> Ctx<D> {
-    pub(crate) fn thread(
-        pid: ProcessId,
-        n_plus_1: usize,
-        grant_rx: Rc<Receiver<Grant>>,
-        reply_tx: Sender<(ProcessId, Reply<D>)>,
-        world: Arc<Mutex<World<D>>>,
-    ) -> Self {
-        Ctx {
-            pid,
-            n_plus_1,
-            now: Cell::new(Time::ZERO),
-            mode: Mode::Thread {
-                grant_rx,
-                reply_tx,
-                world,
-            },
-        }
-    }
-
     pub(crate) fn inline(
         pid: ProcessId,
         n_plus_1: usize,
@@ -188,7 +136,8 @@ impl<D: FdValue> Ctx<D> {
             pid,
             n_plus_1,
             now: Cell::new(Time::ZERO),
-            mode: Mode::Inline { cell, world },
+            cell,
+            world,
         }
     }
 
@@ -217,63 +166,37 @@ impl<D: FdValue> Ctx<D> {
     /// Core step primitive: waits for a grant, runs `f` atomically against
     /// the shared world, reports the step, returns `f`'s result.
     ///
-    /// Under the thread engine the wait is a blocking channel receive inside
-    /// `poll` (the future never yields `Pending`); under the inline engine
-    /// the wait *is* `Pending`, and the scheduler's next `poll` of this
-    /// process delivers the grant through its [`ProcCell`].
+    /// The wait *is* `Pending`: the scheduler's next `poll` of this process
+    /// delivers the grant through its [`ProcCell`].
     async fn step<R: Clone + Send + 'static>(
         &self,
         f: impl FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
     ) -> Result<R, Crashed> {
-        match &self.mode {
-            Mode::Thread {
-                grant_rx,
-                reply_tx,
-                world,
-            } => match grant_rx.recv() {
-                Ok(Grant::Step(t)) => {
-                    self.now.set(t);
-                    let (kind, out) = {
-                        let mut world = world.lock().unwrap_or_else(PoisonError::into_inner);
-                        f(&mut world, self.pid, t)
-                    };
-                    // The scheduler always outlives granted steps; if it
-                    // dropped the channel the run is over and we unwind like
-                    // a crash.
-                    match reply_tx.send((self.pid, Reply::Step(kind))) {
-                        Ok(()) => Ok(out),
-                        Err(_) => Err(Crashed),
-                    }
-                }
-                Ok(Grant::Stop) | Err(_) => Err(Crashed),
-            },
-            Mode::Inline { cell, world } => {
-                let granted = std::future::poll_fn(|_cx| match cell.grant.take() {
-                    Some(Grant::Step(t)) => Poll::Ready(Ok(t)),
-                    Some(Grant::Stop) => Poll::Ready(Err(Crashed)),
-                    None => Poll::Pending,
-                })
-                .await;
-                let t = granted?;
-                self.now.set(t);
-                if let Some(prev) = cell.replay.take() {
-                    // Fast-forward replay: this step already happened in the
-                    // run being restored. Return its recorded result without
-                    // re-running `f` (no world mutation, no step report).
-                    let out = prev
-                        .into_any()
-                        .downcast::<R>()
-                        .expect("replayed step result has the recorded type");
-                    return Ok(*out);
-                }
-                let (kind, out) = f(&mut world.borrow_mut(), self.pid, t);
-                if cell.record.get() {
-                    cell.recorded.set(Some(Box::new(out.clone())));
-                }
-                *cell.reply.borrow_mut() = Some(kind);
-                Ok(out)
-            }
+        let cell = &self.cell;
+        let granted = std::future::poll_fn(|_cx| match cell.grant.take() {
+            Some(Grant::Step(t)) => Poll::Ready(Ok(t)),
+            Some(Grant::Stop) => Poll::Ready(Err(Crashed)),
+            None => Poll::Pending,
+        })
+        .await;
+        let t = granted?;
+        self.now.set(t);
+        if let Some(prev) = cell.replay.take() {
+            // Fast-forward replay: this step already happened in the run
+            // being restored. Return its recorded result without re-running
+            // `f` (no world mutation, no step report).
+            let out = prev
+                .into_any()
+                .downcast::<R>()
+                .expect("replayed step result has the recorded type");
+            return Ok(*out);
         }
+        let (kind, out) = f(&mut self.world.borrow_mut(), self.pid, t);
+        if cell.record.get() {
+            cell.recorded.set(Some(Box::new(out.clone())));
+        }
+        *cell.reply.borrow_mut() = Some(kind);
+        Ok(out)
     }
 
     /// Applies `op` to the shared object of type `O` named `key`, creating

@@ -26,12 +26,10 @@
 //! supplies a fresh [`Oracle`] positioned as it was at the save point
 //! (oracles are deterministic functions of `(p, t)` or of per-process query
 //! counts, so the checker reconstructs its menu oracle from recorded pick
-//! counts). Sessions are inline-engine only — the thread engine's state
-//! machines live on OS threads and cannot be rewound; callers that need the
-//! thread engine keep using the stateless replay path.
+//! counts).
 
 use crate::builder::AlgoFn;
-use crate::engine::{Engine as _, EngineShutdown, InlineEngine, ProcStatus};
+use crate::engine::{EngineShutdown, InlineEngine, ProcStatus};
 use crate::failure::FailurePattern;
 use crate::fingerprint::trace_fingerprint;
 use crate::object::Memory;
@@ -104,8 +102,8 @@ impl SessionSave {
     }
 }
 
-/// The one-step-at-a-time counterpart of [`SimBuilder::run`]
-/// (inline engine only): see the module docs.
+/// The one-step-at-a-time counterpart of [`SimBuilder::run`]: see the
+/// module docs.
 ///
 /// [`SimBuilder::run`]: crate::SimBuilder::run
 pub struct Session<D: FdValue> {
@@ -232,9 +230,7 @@ impl<D: FdValue> Session<D> {
         let i = p.index();
         assert!(self.eligible(p), "step() requires an eligible process");
         let t = self.t;
-        let mut notice = |_q: ProcessId| {};
-        let granted = self.engine.grant(p, t, &mut notice);
-        match granted {
+        match self.engine.grant(p, t) {
             Some(kind) => {
                 let recorded = self
                     .engine
@@ -386,8 +382,7 @@ impl<D: FdValue> Session<D> {
     /// maintained incrementally) — the counterpart of the one-shot loop's
     /// shutdown. Panic payloads were already re-raised at their step.
     pub fn finish(self) -> Run<D> {
-        let engine: Box<dyn crate::engine::Engine<D>> = Box::new(self.engine);
-        let EngineShutdown { first_panic, .. } = engine.shutdown();
+        let EngineShutdown { first_panic, .. } = self.engine.shutdown();
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }

@@ -101,17 +101,16 @@ fn simulation_batches_are_deterministic_across_worker_counts() {
     assert_eq!(serial, batch(8));
 }
 
-#[test]
-fn panicking_job_propagates_after_the_pool_drains() {
-    // The panic surfaces to the caller, but the other jobs still execute:
-    // workers drain the queue before the failure is reported.
+/// Eight jobs at 2 workers; the jobs in `panics` panic with `"boom {i}"`.
+/// Returns the message `run_batch` re-raised and how many jobs completed.
+fn run_panicking_batch(panics: &'static [usize]) -> (String, usize) {
     let ran = Arc::new(AtomicUsize::new(0));
     let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
         .map(|i| {
             let r = Arc::clone(&ran);
             Box::new(move || {
-                if i == 1 {
-                    panic!("boom");
+                if panics.contains(&i) {
+                    panic!("boom {i}");
                 }
                 r.fetch_add(1, Ordering::SeqCst);
                 i
@@ -122,17 +121,34 @@ fn panicking_job_propagates_after_the_pool_drains() {
     let err = result.expect_err("the job panic must propagate");
     let msg = err
         .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| err.downcast_ref::<&str>().copied())
-        .unwrap_or("");
-    assert_eq!(msg, "a batch job panicked");
-    assert_eq!(ran.load(Ordering::SeqCst), 7, "remaining jobs still ran");
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    (msg, ran.load(Ordering::SeqCst))
+}
+
+#[test]
+fn panicking_job_propagates_after_the_pool_drains() {
+    // The panic surfaces to the caller with its own payload, but the other
+    // jobs still execute: workers drain the queue before it is re-raised.
+    let (msg, ran) = run_panicking_batch(&[1]);
+    assert_eq!(msg, "boom 1");
+    assert_eq!(ran, 7, "remaining jobs still ran");
+}
+
+#[test]
+fn lowest_indexed_panic_wins_and_every_other_job_runs() {
+    // Two panicking jobs at 2 workers: neither panic ends a worker, so the
+    // six other jobs all run, and the payload of job 1 (not job 3) surfaces.
+    let (msg, ran) = run_panicking_batch(&[1, 3]);
+    assert_eq!(msg, "boom 1");
+    assert_eq!(ran, 6, "every non-panicking job ran");
 }
 
 #[test]
 fn panicking_single_job_on_one_worker_also_propagates() {
     // The workers <= 1 fast path runs jobs in place, so the panic arrives
-    // directly rather than via the pool's sentinel message.
+    // directly, without a pool in between.
     let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![Box::new(|| panic!("solo boom"))];
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(jobs, 1)));
     assert!(result.is_err());

@@ -13,16 +13,16 @@
 //!   with it;
 //! * **state sensitivity** — runs that differ only in a written value
 //!   fingerprint differently;
-//! * **engine independence** — the inline and threads engines produce the
-//!   same fingerprint for the same scripted schedule.
+//! * **reproducibility** — the same scripted schedule always produces the
+//!   same fingerprint.
 //!
 //! Runs are recorded at [`TraceLevel::Full`] throughout, so responses are
 //! part of the per-process digests.
 
 use proptest::prelude::*;
 use upsilon_sim::{
-    algo, trace_fingerprint, Access, EngineKind, FailurePattern, Key, ObjectType, ProcessId,
-    RoundRobin, Scripted, SimBuilder, TraceLevel,
+    algo, trace_fingerprint, Access, FailurePattern, Key, ObjectType, ProcessId, RoundRobin,
+    Scripted, SimBuilder, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -61,11 +61,10 @@ type PlannedOp = (u64, Option<u64>);
 
 /// Runs `n` processes, each executing its own fixed op list, under the
 /// scripted grant order, and returns the run's canonical fingerprint.
-fn fingerprint_of(n: usize, plans: &[Vec<PlannedOp>], script: &[usize], engine: EngineKind) -> u64 {
+fn fingerprint_of(n: usize, plans: &[Vec<PlannedOp>], script: &[usize]) -> u64 {
     let script: Vec<ProcessId> = script.iter().map(|&i| ProcessId(i)).collect();
     let mut builder = SimBuilder::<()>::new(FailurePattern::failure_free(n))
         .adversary(Scripted::then(script, RoundRobin::new()))
-        .engine(engine)
         .trace_level(TraceLevel::Full)
         .max_steps(64);
     for (i, plan) in plans.iter().enumerate() {
@@ -132,8 +131,8 @@ proptest! {
         let (l0, l1) = (plans[0].len(), plans[1].len());
         let sa = interleave(l0, l1, &choices_a);
         let sb = interleave(l0, l1, &choices_b);
-        let fa = fingerprint_of(2, &plans, &sa, EngineKind::Inline);
-        let fb = fingerprint_of(2, &plans, &sb, EngineKind::Inline);
+        let fa = fingerprint_of(2, &plans, &sa);
+        let fb = fingerprint_of(2, &plans, &sb);
         prop_assert_eq!(fa, fb);
     }
 
@@ -143,8 +142,8 @@ proptest! {
     #[test]
     fn conflicting_swap_changes_fingerprint(v in 1u64..64) {
         let plans = vec![vec![(0, Some(v))], vec![(0, None)]];
-        let write_first = fingerprint_of(2, &plans, &[0, 1], EngineKind::Inline);
-        let read_first = fingerprint_of(2, &plans, &[1, 0], EngineKind::Inline);
+        let write_first = fingerprint_of(2, &plans, &[0, 1]);
+        let read_first = fingerprint_of(2, &plans, &[1, 0]);
         prop_assert!(write_first != read_first, "orders collide: {write_first:#x}");
     }
 
@@ -156,8 +155,8 @@ proptest! {
         delta in 1u64..32,
     ) {
         let plans = vec![vec![(0, Some(v))], vec![(0, Some(v + delta))]];
-        let a = fingerprint_of(2, &plans, &[0, 1], EngineKind::Inline);
-        let b = fingerprint_of(2, &plans, &[1, 0], EngineKind::Inline);
+        let a = fingerprint_of(2, &plans, &[0, 1]);
+        let b = fingerprint_of(2, &plans, &[1, 0]);
         prop_assert!(a != b, "fingerprints collide: {a:#x}");
     }
 
@@ -169,22 +168,18 @@ proptest! {
         let a = fingerprint_of(
             2,
             &[vec![(0, Some(v))], vec![(1, Some(9))]],
-            &schedule,
-            EngineKind::Inline,
-        );
+            &schedule);
         let b = fingerprint_of(
             2,
             &[vec![(0, Some(v + delta))], vec![(1, Some(9))]],
-            &schedule,
-            EngineKind::Inline,
-        );
+            &schedule);
         prop_assert!(a != b, "fingerprints collide: {a:#x}");
     }
 
-    /// Both engines produce the same fingerprint for the same script:
-    /// the digest never depends on which engine recorded the run.
+    /// Recording the same script twice produces the same fingerprint:
+    /// the digest depends on the schedule alone.
     #[test]
-    fn engines_agree_on_fingerprints(
+    fn fingerprints_are_reproducible(
         vals0 in proptest::collection::vec(0u64..8, 1..3),
         vals1 in proptest::collection::vec(0u64..8, 1..3),
         choices in proptest::collection::vec(proptest::bool::ANY, 6),
@@ -194,8 +189,8 @@ proptest! {
             vals1.iter().map(|&v| (0, Some(v))).collect::<Vec<_>>(),
         ];
         let script = interleave(plans[0].len(), plans[1].len(), &choices);
-        let inline = fingerprint_of(2, &plans, &script, EngineKind::Inline);
-        let threads = fingerprint_of(2, &plans, &script, EngineKind::Threads);
-        prop_assert_eq!(inline, threads);
+        let first = fingerprint_of(2, &plans, &script);
+        let second = fingerprint_of(2, &plans, &script);
+        prop_assert_eq!(first, second);
     }
 }

@@ -1,9 +1,8 @@
 //! `upsilon-swarm` — the multi-tenant swarm executor.
 //!
-//! The simulator's inline engine makes one protocol instance cost a few
+//! The simulator's step engine makes one protocol instance cost a few
 //! hundred nanoseconds per step; what limits campaign scale is not the
-//! stepping but the per-run scaffolding (threads, channels, allocation
-//! churn). This crate removes that scaffolding: a swarm packs up to
+//! stepping but the per-run scaffolding (setup and allocation churn). This crate removes that scaffolding: a swarm packs up to
 //! millions of *suspended* runs — [`RunCell`](upsilon_sim::RunCell)s —
 //! into one arena and drives them all from a single loop with batched
 //! round-robin stepping, accounting arena bytes per instance as it goes.

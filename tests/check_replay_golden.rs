@@ -1,5 +1,5 @@
 //! Golden counterexample regression: a stored `UCHK1:` token must keep
-//! replaying to the *same* violation, bit-identically, under both engines.
+//! replaying to the *same* violation, bit-identically.
 //!
 //! The token in `tests/golden/commit_buggy.uchk1` is the explorer's shrunk
 //! counterexample for the seeded snapshot-commit bug (`p1` drops its
@@ -24,22 +24,14 @@ fn golden_token_round_trips_through_its_encoding() {
 }
 
 #[test]
-fn golden_token_replays_to_the_same_violation_under_both_engines() {
+fn golden_token_replays_to_the_same_violation() {
     let cfg = samples::snapshot_commit(2, 1, 9, true);
     let token = golden_token();
 
-    let inline = replay_token(&cfg, &token, EngineKind::Inline);
-    let threads = replay_token(&cfg, &token, EngineKind::Threads);
+    let replayed = replay_token(&cfg, &token, EngineKind::Inline);
 
-    // Bit-identical traces across engines.
-    assert_eq!(inline.run.events(), threads.run.events());
-    assert_eq!(inline.run.outputs(), threads.run.outputs());
-    assert_eq!(inline.run.fd_samples(), threads.run.fd_samples());
-    assert_eq!(inline.run.stop_reason(), threads.run.stop_reason());
-
-    // Identical verdicts: run conditions hold, 1-set agreement breaks.
-    assert_eq!(inline.verdicts, threads.verdicts);
-    for (name, verdict) in &inline.verdicts {
+    // Run conditions hold, 1-set agreement breaks.
+    for (name, verdict) in &replayed.verdicts {
         match name.as_str() {
             "run-conditions" => assert!(verdict.is_ok(), "replay must be a legal run"),
             "k-set-agreement" => {
@@ -52,8 +44,8 @@ fn golden_token_replays_to_the_same_violation_under_both_engines() {
 
     // The replay consumed the whole scripted schedule and ran to the end
     // of its step budget (the spinning non-decider never finishes).
-    assert_eq!(inline.run.total_steps() as usize, token.schedule.len());
-    assert_eq!(inline.run.stop_reason(), StopReason::BudgetExhausted);
+    assert_eq!(replayed.run.total_steps() as usize, token.schedule.len());
+    assert_eq!(replayed.run.stop_reason(), StopReason::BudgetExhausted);
 }
 
 #[test]

@@ -13,32 +13,13 @@
 //! UPDATE_GOLDEN=1 cargo test --test conform_golden
 //! ```
 
+mod common;
+
+use common::assert_golden;
 use std::fs;
 use std::path::PathBuf;
 use upsilon_analysis::lint;
 use upsilon_conform::{check_sources, Allowlist};
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Compares `actual` against the golden file, or rewrites the file when
-/// `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDEN=1"));
-    assert_eq!(
-        actual, expected,
-        "{name} drifted; if intentional, regenerate with UPDATE_GOLDEN=1"
-    );
-}
 
 #[test]
 fn conform_fixture_report_matches_golden_json() {

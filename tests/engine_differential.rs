@@ -1,20 +1,30 @@
-//! Differential harness for the two execution engines.
+//! Golden traces of the simulator over a corpus of 50+ seeded configs.
 //!
-//! Every configuration in the corpus below is run twice — once under the
-//! single-threaded [`EngineKind::Inline`] step engine and once under the
-//! thread-per-process [`EngineKind::Threads`] lockstep engine — and the
-//! resulting runs must be **bit-identical**: same events, same schedule,
-//! same FD samples, same outputs, same stop reason. The §3.3 run-condition
-//! verdicts computed by `upsilon-analysis` must agree as well.
+//! Every configuration in the corpus below runs on the step engine, and
+//! its trace must match the line pinned for it in
+//! `tests/golden/engine_traces.jsonl`: the step count, the stop reason
+//! and the FNV-1a digest of the full run (events, schedule, FD samples,
+//! outputs, stop reason) together with its §3.3 run-condition verdict.
+//! The file was recorded while a second, thread-per-process engine still
+//! existed and produced bit-identical runs on the whole corpus, so any
+//! change to what a run records fails here.
 //!
 //! The corpus spans every algorithm family in the workspace (k-converge,
 //! Fig. 1, Fig. 2, Ω-consensus, boosting, both FD extraction loops, and
 //! raw register/snapshot workloads) across failure patterns, oracle
-//! choices, snapshot flavors and adversary seeds — 50+ seeded configs in
-//! total. All configs are panic-free: panic *notification timing* is the
-//! one place the thread engine is racy (see DESIGN.md), so panicking
-//! algorithms are compared separately in `tests/engine_panics.rs`.
+//! choices, snapshot flavors and adversary seeds. All configs are
+//! panic-free; panicking algorithms are pinned in `tests/engine_panics.rs`.
+//!
+//! To regenerate after an intentional change to the simulator's traces:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test engine_differential
+//! ```
 
+mod common;
+
+use common::assert_golden;
+use std::fmt::Write as _;
 use upsilon_analysis::check_run_for;
 use weakest_failure_detector::agreement::boost::BoostConfig;
 use weakest_failure_detector::agreement::{
@@ -29,22 +39,34 @@ use weakest_failure_detector::fd::{
 };
 use weakest_failure_detector::mem::{FlavoredSnapshot, RegisterArray, Snapshot, SnapshotFlavor};
 use weakest_failure_detector::sim::{
-    algo, run_batch, EngineKind, FailurePattern, FdValue, Key, Output, ProcessId, Run,
-    SeededRandom, SimBuilder, Time,
+    algo, run_batch, FailurePattern, FdValue, Fnv64, Key, Output, ProcessId, Run, SeededRandom,
+    SimBuilder, StopReason, Time,
 };
 
-/// Everything that must match between the two engines, as one comparable
-/// string: the full `Debug` rendering of the run (events, schedule, FD
-/// samples, outputs, stop reason — `Run` carries the whole trace) plus the
-/// §3.3 run-condition verdict.
-fn fingerprint<D: FdValue>(run: &Run<D>) -> String {
-    format!("{run:?}\n{:?}", check_run_for(run))
+/// What the golden file pins for one run.
+#[derive(Clone, PartialEq, Debug)]
+struct Trace {
+    total_steps: u64,
+    stop: StopReason,
+    /// FNV-1a of the full `Debug` rendering of the run (`Run` carries the
+    /// whole trace) followed by the §3.3 run-condition verdict.
+    digest: u64,
 }
 
-/// A named corpus entry: given an engine, produce the run fingerprint.
-type Job = (String, Box<dyn Fn(EngineKind) -> String + Send + Sync>);
+fn trace<D: FdValue>(run: &Run<D>) -> Trace {
+    let mut h = Fnv64::new();
+    let _ = write!(h, "{run:?}\n{:?}", check_run_for(run));
+    Trace {
+        total_steps: run.total_steps(),
+        stop: run.stop_reason(),
+        digest: h.finish(),
+    }
+}
 
-fn job(name: String, f: impl Fn(EngineKind) -> String + Send + Sync + 'static) -> Job {
+/// A named corpus entry: runs the config and returns its trace.
+type Job = (String, Box<dyn Fn() -> Trace + Send + Sync>);
+
+fn job(name: String, f: impl Fn() -> Trace + Send + Sync + 'static) -> Job {
     (name, Box::new(f))
 }
 
@@ -65,11 +87,10 @@ fn converge_jobs(corpus: &mut Vec<Job>) {
                 let k = 1 + si % 2;
                 corpus.push(job(
                     format!("converge/set{si}/k{k}/{flavor:?}/seed{seed}"),
-                    move |engine| {
+                    move || {
                         let n = inputs.len();
                         let inputs = inputs.clone();
                         let run = SimBuilder::<()>::new(FailurePattern::failure_free(n))
-                            .engine(engine)
                             .adversary(SeededRandom::new(seed))
                             .spawn_all(move |pid| {
                                 let v = inputs[pid.index()];
@@ -86,7 +107,7 @@ fn converge_jobs(corpus: &mut Vec<Job>) {
                             })
                             .run()
                             .run;
-                        fingerprint(&run)
+                        trace(&run)
                     },
                 ));
             }
@@ -106,20 +127,19 @@ fn fig1_jobs(corpus: &mut Vec<Job>) {
                 let pattern = pattern.clone();
                 corpus.push(job(
                     format!("fig1/{pname}/{choice:?}/seed{seed}"),
-                    move |engine| {
+                    move || {
                         let n_plus_1 = pattern.n_plus_1();
                         let proposals: Vec<Option<u64>> =
                             (0..n_plus_1).map(|i| Some(i as u64 + 1)).collect();
                         let oracle = UpsilonOracle::wait_free(&pattern, choice, Time(60), seed);
                         let mut builder = SimBuilder::new(pattern.clone())
-                            .engine(engine)
                             .oracle(oracle)
                             .adversary(SeededRandom::new(seed))
                             .max_steps(600_000);
                         for (pid, a) in fig1::algorithms(Fig1Config::default(), &proposals) {
                             builder = builder.spawn(pid, a);
                         }
-                        fingerprint(&builder.run().run)
+                        trace(&builder.run().run)
                     },
                 ));
             }
@@ -131,21 +151,20 @@ fn fig1_jobs(corpus: &mut Vec<Job>) {
 fn fig2_jobs(corpus: &mut Vec<Job>) {
     for f in [1usize, 2] {
         for seed in [2u64, 5, 13] {
-            corpus.push(job(format!("fig2/f{f}/seed{seed}"), move |engine| {
+            corpus.push(job(format!("fig2/f{f}/seed{seed}"), move || {
                 let pattern = one_crash(4, 1, 25);
                 assert!(pattern.in_environment(f));
                 let proposals: Vec<Option<u64>> = (0..4).map(|i| Some(i + 1)).collect();
                 let oracle =
                     UpsilonOracle::new(&pattern, f, UpsilonChoice::default(), Time(80), seed);
                 let mut builder = SimBuilder::new(pattern.clone())
-                    .engine(engine)
                     .oracle(oracle)
                     .adversary(SeededRandom::new(seed))
                     .max_steps(800_000);
                 for (pid, a) in fig2::algorithms(Fig2Config::new(f), &proposals) {
                     builder = builder.spawn(pid, a);
                 }
-                fingerprint(&builder.run().run)
+                trace(&builder.run().run)
             }));
         }
     }
@@ -160,25 +179,18 @@ fn consensus_jobs(corpus: &mut Vec<Job>) {
     for (pname, pattern) in patterns {
         for seed in [3u64, 7, 21] {
             let pattern = pattern.clone();
-            corpus.push(job(
-                format!("consensus/{pname}/seed{seed}"),
-                move |engine| {
-                    let proposals = [Some(10), Some(20), Some(30)];
-                    let oracle =
-                        OmegaOracle::new(&pattern, LeaderChoice::MinCorrect, Time(30), seed);
-                    let mut builder = SimBuilder::new(pattern.clone())
-                        .engine(engine)
-                        .oracle(oracle)
-                        .adversary(SeededRandom::new(seed))
-                        .max_steps(400_000);
-                    for (pid, a) in
-                        consensus::algorithms(OmegaConsensusConfig::default(), &proposals)
-                    {
-                        builder = builder.spawn(pid, a);
-                    }
-                    fingerprint(&builder.run().run)
-                },
-            ));
+            corpus.push(job(format!("consensus/{pname}/seed{seed}"), move || {
+                let proposals = [Some(10), Some(20), Some(30)];
+                let oracle = OmegaOracle::new(&pattern, LeaderChoice::MinCorrect, Time(30), seed);
+                let mut builder = SimBuilder::new(pattern.clone())
+                    .oracle(oracle)
+                    .adversary(SeededRandom::new(seed))
+                    .max_steps(400_000);
+                for (pid, a) in consensus::algorithms(OmegaConsensusConfig::default(), &proposals) {
+                    builder = builder.spawn(pid, a);
+                }
+                trace(&builder.run().run)
+            }));
         }
     }
 }
@@ -186,7 +198,7 @@ fn consensus_jobs(corpus: &mut Vec<Job>) {
 /// Corollary 4 boosting: (n+1)-consensus from n-process objects and Ω_n.
 fn boost_jobs(corpus: &mut Vec<Job>) {
     for seed in [4u64, 8, 15] {
-        corpus.push(job(format!("boost/ff3/seed{seed}"), move |engine| {
+        corpus.push(job(format!("boost/ff3/seed{seed}"), move || {
             let pattern = FailurePattern::failure_free(3);
             let proposals = [Some(1), Some(2), Some(3)];
             let oracle = OmegaKOracle::new(
@@ -197,14 +209,13 @@ fn boost_jobs(corpus: &mut Vec<Job>) {
                 seed,
             );
             let mut builder = SimBuilder::new(pattern.clone())
-                .engine(engine)
                 .oracle(oracle)
                 .adversary(SeededRandom::new(seed))
                 .max_steps(400_000);
             for (pid, a) in boost::algorithms(BoostConfig::default(), &proposals) {
                 builder = builder.spawn(pid, a);
             }
-            fingerprint(&builder.run().run)
+            trace(&builder.run().run)
         }));
     }
 }
@@ -212,31 +223,29 @@ fn boost_jobs(corpus: &mut Vec<Job>) {
 /// The two FD extraction loops (infinite; bounded by `max_steps`).
 fn extraction_jobs(corpus: &mut Vec<Job>) {
     for seed in [6u64, 12, 18] {
-        corpus.push(job(format!("upsilon1-omega/seed{seed}"), move |engine| {
+        corpus.push(job(format!("upsilon1-omega/seed{seed}"), move || {
             let pattern = one_crash(3, 0, 30);
             let oracle = UpsilonOracle::new(&pattern, 1, UpsilonChoice::default(), Time(90), seed);
             let run = SimBuilder::new(pattern.clone())
-                .engine(engine)
                 .oracle(oracle)
                 .adversary(SeededRandom::new(seed))
                 .max_steps(10_000)
                 .spawn_all(|_| upsilon1_to_omega_algorithm())
                 .run()
                 .run;
-            fingerprint(&run)
+            trace(&run)
         }));
-        corpus.push(job(format!("anti-omega/seed{seed}"), move |engine| {
+        corpus.push(job(format!("anti-omega/seed{seed}"), move || {
             let pattern = one_crash(3, 0, 30);
             let oracle = UpsilonOracle::wait_free(&pattern, UpsilonChoice::All, Time(80), seed);
             let run = SimBuilder::new(pattern.clone())
-                .engine(engine)
                 .oracle(oracle)
                 .adversary(SeededRandom::new(seed))
                 .max_steps(10_000)
                 .spawn_all(|_| upsilon_to_anti_omega_algorithm())
                 .run()
                 .run;
-            fingerprint(&run)
+            trace(&run)
         }));
     }
 }
@@ -246,45 +255,40 @@ fn extraction_jobs(corpus: &mut Vec<Job>) {
 fn memory_jobs(corpus: &mut Vec<Job>) {
     for flavor in [SnapshotFlavor::Native, SnapshotFlavor::RegisterBased] {
         for seed in [16u64, 23, 99] {
-            corpus.push(job(
-                format!("snapshot/{flavor:?}/seed{seed}"),
-                move |engine| {
-                    let pattern = one_crash(4, 3, 12);
-                    let run = SimBuilder::<()>::new(pattern)
-                        .engine(engine)
-                        .adversary(SeededRandom::new(seed))
-                        .max_steps(50_000)
-                        .spawn_all(move |pid| {
-                            algo(move |ctx| async move {
-                                let snap = FlavoredSnapshot::<u64>::new(
-                                    flavor,
-                                    Key::new("ds"),
-                                    ctx.n_plus_1(),
-                                );
-                                for round in 0..4u64 {
-                                    snap.update(&ctx, round * 10 + pid.index() as u64).await?;
-                                    let view = snap.scan(&ctx).await?;
-                                    let sum: u64 = view.iter().flatten().sum();
-                                    ctx.output(Output::Value(sum)).await?;
-                                }
-                                Ok(())
-                            })
+            corpus.push(job(format!("snapshot/{flavor:?}/seed{seed}"), move || {
+                let pattern = one_crash(4, 3, 12);
+                let run = SimBuilder::<()>::new(pattern)
+                    .adversary(SeededRandom::new(seed))
+                    .max_steps(50_000)
+                    .spawn_all(move |pid| {
+                        algo(move |ctx| async move {
+                            let snap = FlavoredSnapshot::<u64>::new(
+                                flavor,
+                                Key::new("ds"),
+                                ctx.n_plus_1(),
+                            );
+                            for round in 0..4u64 {
+                                snap.update(&ctx, round * 10 + pid.index() as u64).await?;
+                                let view = snap.scan(&ctx).await?;
+                                let sum: u64 = view.iter().flatten().sum();
+                                ctx.output(Output::Value(sum)).await?;
+                            }
+                            Ok(())
                         })
-                        .run()
-                        .run;
-                    fingerprint(&run)
-                },
-            ));
+                    })
+                    .run()
+                    .run;
+                trace(&run)
+            }));
         }
     }
     for seed in [31u64, 44, 58, 71] {
-        corpus.push(job(format!("registers/seed{seed}"), move |engine| {
+        corpus.push(job(format!("registers/seed{seed}"), move || {
             let pattern = FailurePattern::builder(3)
                 .crash(ProcessId(1), Time(8))
                 .crash(ProcessId(2), Time(20))
                 .build();
             let run = SimBuilder::<()>::new(pattern)
-                .engine(engine)
                 .adversary(SeededRandom::new(seed))
                 .max_steps(50_000)
                 .spawn_all(move |pid| {
@@ -301,7 +305,7 @@ fn memory_jobs(corpus: &mut Vec<Job>) {
                 })
                 .run()
                 .run;
-            fingerprint(&run)
+            trace(&run)
         }));
     }
 }
@@ -318,60 +322,45 @@ fn corpus() -> Vec<Job> {
     corpus
 }
 
-/// The headline differential test: both engines, every config, bit-identical
-/// traces and run-condition verdicts. The inline side of the corpus runs
-/// through [`run_batch`] (the parallel run-batch executor), which both
-/// speeds the test up and smoke-tests deterministic result ordering — the
-/// batch results must come back in corpus order.
+/// The JSONL line pinned for one corpus entry.
+fn golden_line(name: &str, t: &Trace) -> String {
+    format!(
+        "{{\"name\":\"{name}\",\"total_steps\":{},\"stop_reason\":\"{:?}\",\"digest\":\"{:016x}\"}}\n",
+        t.total_steps, t.stop, t.digest
+    )
+}
+
+/// Every config of the corpus reproduces its golden trace. The corpus runs
+/// through [`run_batch`], which also smoke-tests deterministic result
+/// ordering: the batch results must come back in corpus order.
 #[test]
-fn engines_agree_on_the_whole_corpus() {
+fn whole_corpus_matches_the_golden_traces() {
     let corpus = corpus();
     assert!(
         corpus.len() >= 50,
-        "differential corpus must hold at least 50 configs, got {}",
+        "the golden corpus must hold at least 50 configs, got {}",
         corpus.len()
     );
-
-    let inline_jobs: Vec<_> = corpus
+    let jobs: Vec<_> = corpus.iter().map(|(_, f)| move || f()).collect();
+    let traces = run_batch(jobs, 4);
+    assert_eq!(traces.len(), corpus.len());
+    let jsonl: String = corpus
         .iter()
-        .map(|(_, f)| move || f(EngineKind::Inline))
+        .zip(&traces)
+        .map(|((name, _), t)| golden_line(name, t))
         .collect();
-    let inline_runs = run_batch(inline_jobs, 4);
-    assert_eq!(inline_runs.len(), corpus.len());
-
-    let mut mismatches = Vec::new();
-    for ((name, f), inline_fp) in corpus.iter().zip(&inline_runs) {
-        let threads_fp = f(EngineKind::Threads);
-        if *inline_fp != threads_fp {
-            // Locate the first diverging line for the failure message.
-            let diverge = inline_fp
-                .lines()
-                .zip(threads_fp.lines())
-                .position(|(a, b)| a != b);
-            mismatches.push(format!("{name}: first divergence at line {diverge:?}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "engines diverged on {} of {} configs:\n{}",
-        mismatches.len(),
-        corpus.len(),
-        mismatches.join("\n")
-    );
+    assert_golden("engine_traces.jsonl", &jsonl);
 }
 
-/// A single config fingerprint is itself reproducible under the batch
+/// A single config trace is itself reproducible under the batch
 /// executor regardless of worker count (including the degenerate 1-worker
 /// pool): determinism is per-run, not per-pool.
 #[test]
 fn batch_worker_count_does_not_affect_results() {
     let corpus = corpus();
     let sample: Vec<&Job> = corpus.iter().take(6).collect();
-    let fp_with = |workers: usize| -> Vec<String> {
-        let jobs: Vec<_> = sample
-            .iter()
-            .map(|(_, f)| move || f(EngineKind::Inline))
-            .collect();
+    let fp_with = |workers: usize| -> Vec<Trace> {
+        let jobs: Vec<_> = sample.iter().map(|(_, f)| move || f()).collect();
         run_batch(jobs, workers)
     };
     let one = fp_with(1);
