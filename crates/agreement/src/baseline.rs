@@ -11,22 +11,14 @@
 
 use crate::fig1::{self, Fig1Config};
 use crate::proposals;
-use upsilon_sim::{AlgoFn, Crashed, Ctx, ProcessId, ProcessSet};
+use upsilon_sim::{AlgoFn, Ctx, ProcessId, ProcessSet};
 
 /// Runs Fig. 1 on top of an Ω_k oracle by complementing each query inside
 /// the algorithm (value-level reduction, no extra steps).
 ///
 /// The caller supplies an Ω_k oracle as the run's oracle; this wrapper is
 /// the algorithm side of the reduction.
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
-pub async fn propose_with_omega_k(
-    ctx: &Ctx<ProcessSet>,
-    cfg: Fig1Config,
-    v: u64,
-) -> Result<u64, Crashed> {
+pub async fn propose_with_omega_k(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
     // The reduction is applied by the oracle wrapper
     // (`upsilon_fd::upsilon_f_from_omega_k`); algorithm-side the protocol is
     // literally Fig. 1.

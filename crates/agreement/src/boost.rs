@@ -20,7 +20,7 @@
 use crate::proposals;
 use upsilon_converge::ConvergeInstance;
 use upsilon_mem::{Consensus, Register, SnapshotFlavor};
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, Key, ProcessId, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, Key, ProcessId, ProcessSet};
 
 /// Configuration of the boosting protocol.
 #[derive(Clone, Copy, Debug, Default)]
@@ -32,17 +32,13 @@ pub struct BoostConfig {
 /// Runs boosted consensus for one process proposing `v`; returns the
 /// decision. The failure-detector range must be Ω_n's (`ProcessSet`s of
 /// size `n`).
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
 // The override breaks the name-based await graph's apparent recursion
 // (`obj.propose` below is the one-step consensus *object*, not this
 // routine). Per round: two register reads, a query, the member/waiter
 // branch (max(2, 3W)), a 1-converge (≤ 4·n₊₁·(n₊₁+2) + 4 snapshot steps
 // on the register-based flavor) and the decision write.
 // #[conform(bound = "R * (W * 3 + 4 * n_plus_1 * (n_plus_1 + 2) + 9)")]
-pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> Result<u64, Crashed> {
+pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let me = ctx.pid();
     let decision = Register::<Option<u64>>::new(Key::new("D"), None);
@@ -50,39 +46,39 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> Result<
     let mut r: u64 = 1;
     // #[conform(bound = "R")]
     loop {
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(d);
+        if let Some(d) = decision.read(ctx).await {
+            return d;
         }
-        let leaders = ctx.query_fd().await?;
+        let leaders = ctx.query_fd().await;
         debug_assert_eq!(leaders.len(), ctx.n(), "Ω_n outputs sets of size n");
         let board = Register::<Option<u64>>::new(Key::new("B").at(r), None);
         if leaders.contains(me) {
             // Members of L agree through an n-process consensus object
             // dedicated to this (round, L) pair — only members touch it.
             let obj = Consensus::new(Key::new("n-cons").at(r).at(leaders.bits()), leaders);
-            v = obj.propose(ctx, v).await?;
-            board.write(ctx, Some(v)).await?;
+            v = obj.propose(ctx, v).await;
+            board.write(ctx, Some(v)).await;
         } else {
             // #[conform(bound = "W")]
             loop {
-                if let Some(w) = board.read(ctx).await? {
+                if let Some(w) = board.read(ctx).await {
                     v = w;
                     break;
                 }
-                if let Some(d) = decision.read(ctx).await? {
-                    return Ok(d);
+                if let Some(d) = decision.read(ctx).await {
+                    return d;
                 }
-                if ctx.query_fd().await? != leaders {
+                if ctx.query_fd().await != leaders {
                     break;
                 }
             }
         }
         let ca = ConvergeInstance::new(Key::new("bca").at(r), n_plus_1, cfg.flavor);
-        let (picked, committed) = ca.converge(ctx, 1, v).await?;
+        let (picked, committed) = ca.converge(ctx, 1, v).await;
         v = picked;
         if committed {
-            decision.write(ctx, Some(v)).await?;
-            return Ok(v);
+            decision.write(ctx, Some(v)).await;
+            return v;
         }
         r += 1;
     }
@@ -91,9 +87,8 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> Result<
 /// Builds the algorithm closure for one process.
 pub fn algorithm(cfg: BoostConfig, v: u64) -> AlgoFn<ProcessSet> {
     algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await?;
-        ctx.decide(d).await?;
-        Ok(())
+        let d = propose(&ctx, cfg, v).await;
+        ctx.decide(d).await;
     })
 }
 

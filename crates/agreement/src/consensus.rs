@@ -20,7 +20,7 @@
 use crate::proposals;
 use upsilon_converge::ConvergeInstance;
 use upsilon_mem::{Register, SnapshotFlavor};
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, FdValue, Key, ProcessId};
+use upsilon_sim::{algo, AlgoFn, Ctx, FdValue, Key, ProcessId};
 
 /// Configuration of the Ω-based consensus protocol.
 #[derive(Clone, Copy, Debug, Default)]
@@ -38,11 +38,7 @@ pub struct OmegaConsensusConfig {
 #[allow(async_fn_in_trait)] // algorithms are single-threaded state machines; futures need not be Send
 pub trait LeaderSource<D: FdValue> {
     /// The process currently trusted as leader. May take steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    async fn current_leader(&mut self, ctx: &Ctx<D>) -> Result<ProcessId, Crashed>;
+    async fn current_leader(&mut self, ctx: &Ctx<D>) -> ProcessId;
 }
 
 /// The canonical leader source: query the Ω module (one step).
@@ -50,23 +46,19 @@ pub trait LeaderSource<D: FdValue> {
 pub struct OmegaQuery;
 
 impl LeaderSource<ProcessId> for OmegaQuery {
-    async fn current_leader(&mut self, ctx: &Ctx<ProcessId>) -> Result<ProcessId, Crashed> {
+    async fn current_leader(&mut self, ctx: &Ctx<ProcessId>) -> ProcessId {
         ctx.query_fd().await
     }
 }
 
 /// Runs leader-based consensus for one process proposing `v`, drawing
 /// leader estimates from `source`; returns the decision.
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
 pub async fn propose_with<D: FdValue>(
     ctx: &Ctx<D>,
     cfg: OmegaConsensusConfig,
     v: u64,
     source: &mut impl LeaderSource<D>,
-) -> Result<u64, Crashed> {
+) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let me = ctx.pid();
     let decision = Register::<Option<u64>>::new(Key::new("D"), None);
@@ -74,36 +66,36 @@ pub async fn propose_with<D: FdValue>(
     let mut r: u64 = 1;
     // #[conform(bound = "R")]
     loop {
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(d);
+        if let Some(d) = decision.read(ctx).await {
+            return d;
         }
         let prop = Register::<Option<u64>>::new(Key::new("prop").at(r), None);
-        let leader = source.current_leader(ctx).await?;
+        let leader = source.current_leader(ctx).await;
         if leader == me {
-            prop.write(ctx, Some(v)).await?;
+            prop.write(ctx, Some(v)).await;
         }
         // Wait for the leader's proposal; escape on leader change or
         // decision. A stable correct leader passes through every round (or
         // decides), so this wait is non-blocking after stabilization.
         // #[conform(bound = "W")]
         loop {
-            if let Some(w) = prop.read(ctx).await? {
+            if let Some(w) = prop.read(ctx).await {
                 v = w;
                 break;
             }
-            if let Some(d) = decision.read(ctx).await? {
-                return Ok(d);
+            if let Some(d) = decision.read(ctx).await {
+                return d;
             }
-            if source.current_leader(ctx).await? != leader {
+            if source.current_leader(ctx).await != leader {
                 break;
             }
         }
         let ca = ConvergeInstance::new(Key::new("ca").at(r), n_plus_1, cfg.flavor);
-        let (picked, committed) = ca.converge(ctx, 1, v).await?;
+        let (picked, committed) = ca.converge(ctx, 1, v).await;
         v = picked;
         if committed {
-            decision.write(ctx, Some(v)).await?;
-            return Ok(v);
+            decision.write(ctx, Some(v)).await;
+            return v;
         }
         r += 1;
     }
@@ -111,24 +103,15 @@ pub async fn propose_with<D: FdValue>(
 
 /// Runs Ω-based consensus for one process proposing `v`; returns the
 /// decision. The failure-detector range must be Ω's (`ProcessId`).
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
-pub async fn propose(
-    ctx: &Ctx<ProcessId>,
-    cfg: OmegaConsensusConfig,
-    v: u64,
-) -> Result<u64, Crashed> {
+pub async fn propose(ctx: &Ctx<ProcessId>, cfg: OmegaConsensusConfig, v: u64) -> u64 {
     propose_with(ctx, cfg, v, &mut OmegaQuery).await
 }
 
 /// Builds the algorithm closure for one process.
 pub fn algorithm(cfg: OmegaConsensusConfig, v: u64) -> AlgoFn<ProcessId> {
     algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await?;
-        ctx.decide(d).await?;
-        Ok(())
+        let d = propose(&ctx, cfg, v).await;
+        ctx.decide(d).await;
     })
 }
 

@@ -30,7 +30,7 @@
 use crate::proposals;
 use upsilon_converge::ConvergeInstance;
 use upsilon_mem::{Register, SnapshotFlavor};
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, Key, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, Key, ProcessSet};
 
 /// Configuration of the Fig. 1 protocol.
 #[derive(Clone, Copy, Debug, Default)]
@@ -41,16 +41,12 @@ pub struct Fig1Config {
 
 /// Runs the Fig. 1 protocol for one process proposing `v`; returns the
 /// decision. The failure-detector range must be Υ's (`ProcessSet`).
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
 // Wait-free per Theorem 2: every step completes, and once Υ stabilizes the
 // round/sub-round counters stop advancing. R and K are per-run quantities
 // (rounds and sub-rounds actually taken); the dynamic cross-check binds
 // them from recorded runs.
 // #[conform(wait_free)]
-pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> Result<u64, Crashed> {
+pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let n = ctx.n();
     let me = ctx.pid();
@@ -61,64 +57,64 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> Result<u
     loop {
         // Line 4: try to commit one of at most n surviving values.
         let main = ConvergeInstance::new(Key::new("n-conv").at(r), n_plus_1, cfg.flavor);
-        let (picked, committed) = main.converge(ctx, n, v).await?;
+        let (picked, committed) = main.converge(ctx, n, v).await;
         v = picked;
         if committed {
-            decision.write(ctx, Some(v)).await?;
-            return Ok(v);
+            decision.write(ctx, Some(v)).await;
+            return v;
         }
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(d);
+        if let Some(d) = decision.read(ctx).await {
+            return d;
         }
 
         let d_r = Register::<Option<u64>>::new(Key::new("D_r").at(r), None);
         let stable_r = Register::<bool>::new(Key::new("Stable").at(r), false);
-        let mut u = ctx.query_fd().await?;
+        let mut u = ctx.query_fd().await;
         let mut k: u64 = 0;
 
         // Lines 12–17: gladiators vs citizens, until the round resolves.
         // #[conform(bound = "K")]
         let adopted = loop {
             k += 1;
-            let u_now = ctx.query_fd().await?;
+            let u_now = ctx.query_fd().await;
             if u_now != u {
                 // Observed instability of Υ: report it and refresh U.
-                stable_r.write(ctx, true).await?;
+                stable_r.write(ctx, true).await;
                 u = u_now;
             }
 
             if !u.contains(me) {
                 // Citizen: publish the value for the round and move on.
-                d_r.write(ctx, Some(v)).await?;
+                d_r.write(ctx, Some(v)).await;
                 break v;
             }
 
             // Gladiator: try to eliminate one of U's values.
             let sub = ConvergeInstance::new(Key::new("u-conv").at(r).at(k), n_plus_1, cfg.flavor);
-            let (picked, committed) = sub.converge(ctx, u.len() - 1, v).await?;
+            let (picked, committed) = sub.converge(ctx, u.len() - 1, v).await;
             v = picked;
             if committed {
-                d_r.write(ctx, Some(v)).await?;
+                d_r.write(ctx, Some(v)).await;
                 break v;
             }
 
             // Line 17 exit conditions.
-            if let Some(d) = decision.read(ctx).await? {
-                return Ok(d);
+            if let Some(d) = decision.read(ctx).await {
+                return d;
             }
-            if let Some(w) = d_r.read(ctx).await? {
+            if let Some(w) = d_r.read(ctx).await {
                 break w;
             }
-            if stable_r.read(ctx).await? {
+            if stable_r.read(ctx).await {
                 break v;
             }
         };
 
         v = adopted;
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(d);
+        if let Some(d) = decision.read(ctx).await {
+            return d;
         }
-        if let Some(w) = d_r.read(ctx).await? {
+        if let Some(w) = d_r.read(ctx).await {
             v = w;
         }
         r += 1;
@@ -145,9 +141,8 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> Result<u
 /// ```
 pub fn algorithm(cfg: Fig1Config, v: u64) -> AlgoFn<ProcessSet> {
     algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await?;
-        ctx.decide(d).await?;
-        Ok(())
+        let d = propose(&ctx, cfg, v).await;
+        ctx.decide(d).await;
     })
 }
 

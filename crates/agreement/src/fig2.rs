@@ -30,7 +30,7 @@
 use crate::proposals;
 use upsilon_converge::{ConvergeFaults, ConvergeInstance};
 use upsilon_mem::{min_value, non_bot_count, FlavoredSnapshot, Register, Snapshot, SnapshotFlavor};
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, Key, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, Key, ProcessSet};
 
 /// Configuration of the Fig. 2 protocol.
 #[derive(Clone, Copy, Debug)]
@@ -100,17 +100,13 @@ enum SubRound {
 /// Runs the Fig. 2 protocol for one process proposing `v`; returns the
 /// decision.
 ///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
-///
 /// # Panics
 ///
 /// Panics if `cfg.f` is out of range for the system size.
 // Wait-free per Theorem 6; R and K are per-run round/sub-round counts,
 // bound from recorded runs by the dynamic cross-check.
 // #[conform(wait_free)]
-pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig2Config, v: u64) -> Result<u64, Crashed> {
+pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig2Config, v: u64) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let f = cfg.f;
     assert!(f >= 1 && f <= ctx.n(), "f must be in 1..=n");
@@ -124,50 +120,50 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig2Config, v: u64) -> Result<u
         // Round opener: f-converge over the surviving values.
         let main = ConvergeInstance::new(Key::new("f-conv").at(r), n_plus_1, cfg.flavor)
             .with_faults(cfg.opener_faults);
-        let (picked, committed) = main.converge(ctx, f, v).await?;
+        let (picked, committed) = main.converge(ctx, f, v).await;
         v = picked;
         if committed {
-            decision.write(ctx, Some(v)).await?;
-            return Ok(v);
+            decision.write(ctx, Some(v)).await;
+            return v;
         }
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(d);
+        if let Some(d) = decision.read(ctx).await {
+            return d;
         }
 
         let d_r = Register::<Option<u64>>::new(Key::new("D_r").at(r), None);
         let stable_r = Register::<bool>::new(Key::new("Stable").at(r), false);
-        let mut u = ctx.query_fd().await?;
+        let mut u = ctx.query_fd().await;
         let mut k: u64 = 0;
 
         // #[conform(bound = "K")]
         let adopted = loop {
             k += 1;
-            let u_now = ctx.query_fd().await?;
+            let u_now = ctx.query_fd().await;
             if u_now != u {
-                stable_r.write(ctx, true).await?;
+                stable_r.write(ctx, true).await;
                 u = u_now;
             }
 
             if !u.contains(me) {
                 // Citizen (line 11): publish and move to the next round.
-                d_r.write(ctx, Some(v)).await?;
+                d_r.write(ctx, Some(v)).await;
                 break v;
             }
 
             match gladiator_sub_round(ctx, cfg, r, k, &mut u, &mut v, &decision, &d_r, &stable_r)
-                .await?
+                .await
             {
                 SubRound::Continue => {}
                 SubRound::Leave(w) => break w,
-                SubRound::Decide(d) => return Ok(d),
+                SubRound::Decide(d) => return d,
             }
         };
 
         v = adopted;
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(d);
+        if let Some(d) = decision.read(ctx).await {
+            return d;
         }
-        if let Some(w) = d_r.read(ctx).await? {
+        if let Some(w) = d_r.read(ctx).await {
             v = w;
         }
         r += 1;
@@ -187,36 +183,36 @@ async fn gladiator_sub_round(
     decision: &Register<Option<u64>>,
     d_r: &Register<Option<u64>>,
     stable_r: &Register<bool>,
-) -> Result<SubRound, Crashed> {
+) -> SubRound {
     let n_plus_1 = ctx.n_plus_1();
     let f = cfg.f;
     let quorum = n_plus_1 - f;
 
     // Line 16: publish the current value in A[r][k].
     let a = FlavoredSnapshot::<u64>::new(cfg.flavor, Key::new("A").at(r).at(k), n_plus_1);
-    a.update(ctx, *v).await?;
+    a.update(ctx, *v).await;
 
     // Lines 17–19: wait for at least n+1−f non-⊥ entries, escaping on
     // D / D[r] / observed instability. W bounds the wait iterations
     // actually taken in a recorded run.
     // #[conform(bound = "W")]
     let snap = loop {
-        let s = a.scan(ctx).await?;
+        let s = a.scan(ctx).await;
         if non_bot_count(&s) >= quorum {
             break Some(s);
         }
-        if let Some(d) = decision.read(ctx).await? {
-            return Ok(SubRound::Decide(d));
+        if let Some(d) = decision.read(ctx).await {
+            return SubRound::Decide(d);
         }
-        if let Some(w) = d_r.read(ctx).await? {
-            return Ok(SubRound::Leave(w));
+        if let Some(w) = d_r.read(ctx).await {
+            return SubRound::Leave(w);
         }
-        if stable_r.read(ctx).await? {
+        if stable_r.read(ctx).await {
             break None;
         }
-        let u_now = ctx.query_fd().await?;
+        let u_now = ctx.query_fd().await;
         if u_now != *u {
-            stable_r.write(ctx, true).await?;
+            stable_r.write(ctx, true).await;
             *u = u_now;
             break None;
         }
@@ -224,7 +220,7 @@ async fn gladiator_sub_round(
 
     let Some(snap) = snap else {
         // Escaped via instability: leave the round with the current value.
-        return Ok(SubRound::Leave(*v));
+        return SubRound::Leave(*v);
     };
 
     // Line 25: adopt the minimal value of the snapshot. Containment of
@@ -241,33 +237,32 @@ async fn gladiator_sub_round(
     // Line 26: gladiators commit on at most |U| + f − n − 1 values.
     let threshold = (u.len() + f).saturating_sub(n_plus_1);
     let sub = ConvergeInstance::new(Key::new("u-conv").at(r).at(k), n_plus_1, cfg.flavor);
-    let (picked, committed) = sub.converge(ctx, threshold, *v).await?;
+    let (picked, committed) = sub.converge(ctx, threshold, *v).await;
     *v = picked;
     if committed {
-        d_r.write(ctx, Some(*v)).await?;
-        return Ok(SubRound::Leave(*v));
+        d_r.write(ctx, Some(*v)).await;
+        return SubRound::Leave(*v);
     }
 
     // Line 30 exit conditions.
-    if let Some(d) = decision.read(ctx).await? {
-        return Ok(SubRound::Decide(d));
+    if let Some(d) = decision.read(ctx).await {
+        return SubRound::Decide(d);
     }
-    if let Some(w) = d_r.read(ctx).await? {
-        return Ok(SubRound::Leave(w));
+    if let Some(w) = d_r.read(ctx).await {
+        return SubRound::Leave(w);
     }
-    if stable_r.read(ctx).await? {
-        return Ok(SubRound::Leave(*v));
+    if stable_r.read(ctx).await {
+        return SubRound::Leave(*v);
     }
-    Ok(SubRound::Continue)
+    SubRound::Continue
 }
 
 /// Builds the algorithm closure for one process: run Fig. 2 with proposal
 /// `v`, then decide.
 pub fn algorithm(cfg: Fig2Config, v: u64) -> AlgoFn<ProcessSet> {
     algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await?;
-        ctx.decide(d).await?;
-        Ok(())
+        let d = propose(&ctx, cfg, v).await;
+        ctx.decide(d).await;
     })
 }
 

@@ -30,8 +30,7 @@ mod tests {
     fn skips_non_participants() {
         let algos = to_algorithms::<()>(&[Some(1), None, Some(3)], |v| {
             algo(move |ctx| async move {
-                ctx.decide(v).await?;
-                Ok(())
+                ctx.decide(v).await;
             })
         });
         let pids: Vec<ProcessId> = algos.iter().map(|(p, _)| *p).collect();

@@ -88,8 +88,7 @@ impl std::error::Error for TaskViolation {}
 /// // Agreement violation for k = 1.
 /// let run = SimBuilder::<()>::new(FailurePattern::failure_free(3))
 ///     .spawn_all(|pid| algo(move |ctx| async move {
-///         ctx.decide(pid.index() as u64 % 2).await?;
-///         Ok(())
+///         ctx.decide(pid.index() as u64 % 2).await;
 ///     }))
 ///     .run()
 ///     .run;
@@ -245,9 +244,8 @@ mod tests {
                 let d = decisions[pid.index()];
                 algo(move |ctx| async move {
                     if let Some(v) = d {
-                        ctx.decide(v).await?;
+                        ctx.decide(v).await;
                     }
-                    Ok(())
                 })
             })
             .run()
@@ -296,9 +294,8 @@ mod tests {
         let run = SimBuilder::<()>::new(FailurePattern::failure_free(1))
             .spawn_all(|_| {
                 algo(move |ctx| async move {
-                    ctx.decide(1).await?;
-                    ctx.decide(2).await?;
-                    Ok(())
+                    ctx.decide(1).await;
+                    ctx.decide(2).await;
                 })
             })
             .run()

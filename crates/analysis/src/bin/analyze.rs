@@ -509,8 +509,8 @@ fn leader_workload(pattern: FailurePattern, seed: u64) -> upsilon_sim::SimOutcom
                 let me = pid.index() as u64;
                 let mine = Key::new("reg").at(me);
                 ctx.invoke(&mine, || RegisterObject::new(u64::MAX), RegOp::Write(me))
-                    .await?;
-                let leader = ctx.query_fd().await?;
+                    .await;
+                let leader = ctx.query_fd().await;
                 loop {
                     let resp = ctx
                         .invoke(
@@ -518,14 +518,14 @@ fn leader_workload(pattern: FailurePattern, seed: u64) -> upsilon_sim::SimOutcom
                             || RegisterObject::new(u64::MAX),
                             RegOp::Read,
                         )
-                        .await?;
+                        .await;
                     if let RegResp::Value(v) = resp {
                         if v != u64::MAX {
-                            ctx.decide(v).await?;
-                            return Ok(());
+                            ctx.decide(v).await;
+                            return;
                         }
                     }
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })

@@ -62,8 +62,7 @@ mod tests {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|pid| {
                 algo(move |ctx| async move {
-                    ctx.decide(pid.index() as u64).await?;
-                    Ok(())
+                    ctx.decide(pid.index() as u64).await;
                 })
             })
             .run();

@@ -28,8 +28,8 @@ fn leader_workload(pattern: FailurePattern, seed: u64) -> upsilon_sim::SimOutcom
                 let me = pid.index() as u64;
                 let mine = Key::new("reg").at(me);
                 ctx.invoke(&mine, || RegisterObject::new(u64::MAX), RegOp::Write(me))
-                    .await?;
-                let leader = ctx.query_fd().await?;
+                    .await;
+                let leader = ctx.query_fd().await;
                 loop {
                     let resp = ctx
                         .invoke(
@@ -37,15 +37,15 @@ fn leader_workload(pattern: FailurePattern, seed: u64) -> upsilon_sim::SimOutcom
                             || RegisterObject::new(u64::MAX),
                             RegOp::Read,
                         )
-                        .await?;
+                        .await;
                     if let upsilon_mem::RegResp::Value(v) = resp {
                         if v != u64::MAX {
-                            ctx.decide(v).await?;
-                            return Ok(());
+                            ctx.decide(v).await;
+                            return;
                         }
                     }
                     let _ = n_plus_1; // capture for symmetry with real harnesses
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -216,9 +216,8 @@ fn mapped_oracle_runs_validate() {
         .adversary(SeededRandom::new(8))
         .spawn_all(|_pid| {
             algo(move |ctx| async move {
-                let leader = ctx.query_fd().await?;
-                ctx.decide(leader).await?;
-                Ok(())
+                let leader = ctx.query_fd().await;
+                ctx.decide(leader).await;
             })
         })
         .run();

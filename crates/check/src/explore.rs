@@ -56,7 +56,7 @@ use upsilon_sim::{
 /// One scheduling decision of the explorer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Choice {
-    /// Grant one step to the process.
+    /// Let the process take one step.
     Step(ProcessId),
     /// Crash the process at the current point of the schedule.
     Crash(ProcessId),

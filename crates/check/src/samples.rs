@@ -131,7 +131,7 @@ pub fn pinned_upsilon(n_plus_1: usize, f: usize, depth: usize) -> CheckConfig<Pr
                 Some(algo(move |ctx| async move {
                     // #[conform(bound = "B")]
                     loop {
-                        ctx.query_fd().await?;
+                        ctx.query_fd().await;
                     }
                 }))
             })
@@ -171,19 +171,19 @@ pub fn snapshot_commit(n_plus_1: usize, k: usize, depth: usize, buggy: bool) -> 
                     let s1 = NativeSnapshot::<u64>::new(Key::new("S1"), n_plus_1);
                     let s2 = NativeSnapshot::<(u64, bool)>::new(Key::new("S2"), n_plus_1);
                     if !(buggy && me.index() == 0) {
-                        s1.update(&ctx, v).await?;
+                        s1.update(&ctx, v).await;
                     }
-                    let seen = s1.scan(&ctx).await?;
+                    let seen = s1.scan(&ctx).await;
                     let clean = distinct_values(&seen).len() <= k;
-                    s2.update(&ctx, (v, clean)).await?;
-                    let published = s2.scan(&ctx).await?;
+                    s2.update(&ctx, (v, clean)).await;
+                    let published = s2.scan(&ctx).await;
                     if published.iter().flatten().all(|(_, c)| *c) {
-                        ctx.decide(v).await?;
-                        return Ok(());
+                        ctx.decide(v).await;
+                        return;
                     }
                     // #[conform(bound = "B")]
                     loop {
-                        ctx.yield_step().await?;
+                        ctx.yield_step().await;
                     }
                 }))
             })
@@ -216,11 +216,10 @@ pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConf
                     let stable = Register::new(Key::new("Stable"), false);
                     // #[conform(bound = "B")]
                     for _ in 0..reports {
-                        stable.write(&ctx, true).await?;
+                        stable.write(&ctx, true).await;
                     }
-                    let flag = stable.read(&ctx).await?;
-                    ctx.output(Output::Value(u64::from(flag))).await?;
-                    Ok(())
+                    let flag = stable.read(&ctx).await;
+                    ctx.output(Output::Value(u64::from(flag))).await;
                 }))
             })
             .collect()
@@ -256,14 +255,14 @@ pub fn converge_offby1(n_plus_1: usize, k: usize, depth: usize, slack: usize) ->
                     let inst =
                         ConvergeInstance::new(Key::new("conv"), n_plus_1, Default::default())
                             .with_faults(faults);
-                    let (picked, committed) = inst.converge(&ctx, k, me.index() as u64).await?;
+                    let (picked, committed) = inst.converge(&ctx, k, me.index() as u64).await;
                     if committed {
-                        ctx.decide(picked).await?;
-                        return Ok(());
+                        ctx.decide(picked).await;
+                        return;
                     }
                     // #[conform(bound = "B")]
                     loop {
-                        ctx.yield_step().await?;
+                        ctx.yield_step().await;
                     }
                 }))
             })

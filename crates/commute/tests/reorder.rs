@@ -45,10 +45,9 @@ fn register_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
             algo(move |ctx| async move {
                 let k = Key::new("reg");
                 let init = || RegisterObject::new(0u64);
-                ctx.invoke(&k, init, RegOp::Write(7)).await?;
-                ctx.invoke(&k, init, RegOp::Read).await?;
-                ctx.invoke(&k, init, RegOp::Write(7)).await?;
-                Ok(())
+                ctx.invoke(&k, init, RegOp::Write(7)).await;
+                ctx.invoke(&k, init, RegOp::Read).await;
+                ctx.invoke(&k, init, RegOp::Write(7)).await;
             })
         })
         .run()
@@ -63,11 +62,10 @@ fn snapshot_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
                 let k = Key::new("snap");
                 let init = || SnapshotObject::new(N_PLUS_1);
                 ctx.invoke(&k, init, SnapOp::Update(pid.index(), 5u64))
-                    .await?;
-                ctx.invoke(&k, init, SnapOp::Scan).await?;
+                    .await;
+                ctx.invoke(&k, init, SnapOp::Scan).await;
                 ctx.invoke(&k, init, SnapOp::Update(pid.index(), 5u64))
-                    .await?;
-                Ok(())
+                    .await;
             })
         })
         .run()
@@ -81,8 +79,7 @@ fn consensus_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
             algo(move |ctx| async move {
                 let k = Key::new("cons");
                 let init = || ConsensusObject::new(ProcessSet::all(N_PLUS_1));
-                ctx.invoke(&k, init, Propose(9)).await?;
-                Ok(())
+                ctx.invoke(&k, init, Propose(9)).await;
             })
         })
         .run()
@@ -100,12 +97,11 @@ fn mixed_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
                 let snap_init = || SnapshotObject::new(N_PLUS_1);
                 let cons_init = || ConsensusObject::new(ProcessSet::all(N_PLUS_1));
                 ctx.invoke(&snap, snap_init, SnapOp::Update(pid.index(), 1u64))
-                    .await?;
-                ctx.invoke(&reg, reg_init, RegOp::Write(3)).await?;
-                ctx.invoke(&cons, cons_init, Propose(4)).await?;
-                ctx.invoke(&snap, snap_init, SnapOp::Scan).await?;
-                ctx.invoke(&reg, reg_init, RegOp::Read).await?;
-                Ok(())
+                    .await;
+                ctx.invoke(&reg, reg_init, RegOp::Write(3)).await;
+                ctx.invoke(&cons, cons_init, Propose(4)).await;
+                ctx.invoke(&snap, snap_init, SnapOp::Scan).await;
+                ctx.invoke(&reg, reg_init, RegOp::Read).await;
             })
         })
         .run()

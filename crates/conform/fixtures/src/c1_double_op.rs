@@ -7,24 +7,20 @@
 
 use std::future::Future;
 use upsilon_mem::Register;
-use upsilon_sim::{Crashed, Ctx, ProcessId};
+use upsilon_sim::{Ctx, ProcessId};
 
 /// Issues a step operation without awaiting it where issued, then awaits
 /// the stashed future later — zero operations mediated at that await
 /// point, one operation never awaited in place.
-pub async fn stashed_step(ctx: &Ctx<ProcessId>) -> Result<(), Crashed> {
+pub async fn stashed_step(ctx: &Ctx<ProcessId>) {
     let fut = ctx.yield_step();
     fut.await
 }
 
 /// Funnels two register reads through one await point.
-pub async fn double_op(
-    ctx: &Ctx<ProcessId>,
-    a: &Register<u64>,
-    b: &Register<u64>,
-) -> Result<u64, Crashed> {
+pub async fn double_op(ctx: &Ctx<ProcessId>, a: &Register<u64>, b: &Register<u64>) -> u64 {
     let (x, y) = both(a.read(ctx), b.read(ctx)).await;
-    Ok(x? + y?)
+    x + y
 }
 
 /// Sequences two futures behind one await (the vehicle of the violation;

@@ -6,26 +6,23 @@
 //! driven outside the schedule.
 
 use upsilon_mem::{Register, RegisterArray};
-use upsilon_sim::{Crashed, Ctx, Key, ProcessId};
+use upsilon_sim::{Ctx, Key, ProcessId};
 
 /// Wraps a register handle in an escape wrapper.
-pub async fn leaked_handle(ctx: &Ctx<ProcessId>) -> Result<u64, Crashed> {
+pub async fn leaked_handle(ctx: &Ctx<ProcessId>) -> u64 {
     let reg = Register::<u64>::new(Key::new("leak"), 0);
     let boxed = Box::new(reg);
     boxed.read(ctx).await
 }
 
 /// Captures a register-array handle in an inner closure.
-pub async fn closure_capture(
-    ctx: &Ctx<ProcessId>,
-    arr: &RegisterArray<u64>,
-) -> Result<u64, Crashed> {
+pub async fn closure_capture(ctx: &Ctx<ProcessId>, arr: &RegisterArray<u64>) -> u64 {
     let pick = move |i: usize| arr.slot(i);
     pick(0).read(ctx).await
 }
 
 /// Aliases the execution context into a local.
-pub async fn aliased_ctx(ctx: &Ctx<ProcessId>) -> Result<(), Crashed> {
+pub async fn aliased_ctx(ctx: &Ctx<ProcessId>) {
     let stash = ctx;
     stash.yield_step().await
 }

@@ -5,16 +5,16 @@
 //! until the detector nominates the caller — which may never happen — yet
 //! claims `wait_free` with no `#[conform(bound = "…")]` on the loop.
 
-use upsilon_sim::{Crashed, Ctx, ProcessId};
+use upsilon_sim::{Ctx, ProcessId};
 
 /// Spins on the failure detector until self-nomination.
 // #[conform(wait_free)]
-pub async fn helping_wait(ctx: &Ctx<ProcessId>) -> Result<(), Crashed> {
+pub async fn helping_wait(ctx: &Ctx<ProcessId>) {
     loop {
-        let leader = ctx.query_fd().await?;
+        let leader = ctx.query_fd().await;
         if leader == ctx.pid() {
-            return Ok(());
+            return;
         }
-        ctx.yield_step().await?;
+        ctx.yield_step().await;
     }
 }

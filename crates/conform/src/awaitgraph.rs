@@ -390,10 +390,9 @@ mod tests {
     fn straight_line_steps_sum() {
         let (rows, findings) = bounds(
             "
-async fn two(ctx: &Ctx<()>) -> Result<(), Crashed> {
-    ctx.invoke(1).await?;
-    ctx.query_fd().await?;
-    Ok(())
+async fn two(ctx: &Ctx<()>) {
+    ctx.invoke(1).await;
+    ctx.query_fd().await;
 }
 ",
         );
@@ -405,11 +404,11 @@ async fn two(ctx: &Ctx<()>) -> Result<(), Crashed> {
     fn callee_bounds_compose() {
         let (rows, _) = bounds(
             "
-async fn read(ctx: &Ctx<()>) -> Result<u64, Crashed> { ctx.invoke(0).await }
-async fn twice(ctx: &Ctx<()>) -> Result<u64, Crashed> {
-    let a = read(ctx).await?;
-    let b = read(ctx).await?;
-    Ok(a + b)
+async fn read(ctx: &Ctx<()>) -> u64 { ctx.invoke(0).await }
+async fn twice(ctx: &Ctx<()>) -> u64 {
+    let a = read(ctx).await;
+    let b = read(ctx).await;
+    a + b
 }
 ",
         );
@@ -421,12 +420,11 @@ async fn twice(ctx: &Ctx<()>) -> Result<u64, Crashed> {
         let (rows, findings) = bounds(
             "
 // #[conform(wait_free)]
-async fn collect(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn collect(ctx: &Ctx<()>) {
     // #[conform(bound = \"n_plus_1\")]
     for i in 0..9 {
-        ctx.invoke(i).await?;
+        ctx.invoke(i).await;
     }
-    Ok(())
 }
 ",
         );
@@ -442,9 +440,9 @@ async fn collect(ctx: &Ctx<()>) -> Result<(), Crashed> {
         let (rows, findings) = bounds(
             "
 // #[conform(wait_free)]
-async fn spin(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn spin(ctx: &Ctx<()>) {
     loop {
-        ctx.query_fd().await?;
+        ctx.query_fd().await;
     }
 }
 ",
@@ -459,9 +457,9 @@ async fn spin(ctx: &Ctx<()>) -> Result<(), Crashed> {
     fn unclaimed_unbounded_loop_is_reported_but_not_a_finding() {
         let (rows, findings) = bounds(
             "
-async fn spin(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn spin(ctx: &Ctx<()>) {
     loop {
-        ctx.query_fd().await?;
+        ctx.query_fd().await;
     }
 }
 ",
@@ -474,8 +472,8 @@ async fn spin(ctx: &Ctx<()>) -> Result<(), Crashed> {
     fn recursion_is_unbounded() {
         let (rows, _) = bounds(
             "
-async fn ping(ctx: &Ctx<()>) -> Result<(), Crashed> { pong(ctx).await }
-async fn pong(ctx: &Ctx<()>) -> Result<(), Crashed> { ping(ctx).await }
+async fn ping(ctx: &Ctx<()>) { pong(ctx).await }
+async fn pong(ctx: &Ctx<()>) { ping(ctx).await }
 ",
         );
         assert!(bound_of(&rows, "ping").unbounded.is_some());
@@ -487,9 +485,9 @@ async fn pong(ctx: &Ctx<()>) -> Result<(), Crashed> { ping(ctx).await }
         let (rows, findings) = bounds(
             "
 // #[conform(wait_free, bound = \"n_plus_1 + 2\")]
-async fn dispatch(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn dispatch(ctx: &Ctx<()>) {
     loop {
-        ctx.invoke(0).await?;
+        ctx.invoke(0).await;
     }
 }
 ",
@@ -505,13 +503,13 @@ async fn dispatch(ctx: &Ctx<()>) -> Result<(), Crashed> {
     fn loops_with_no_steps_cost_nothing() {
         let (rows, findings) = bounds(
             "
-async fn tally(ctx: &Ctx<()>) -> Result<u64, Crashed> {
+async fn tally(ctx: &Ctx<()>) -> u64 {
     let mut acc = 0;
     for i in 0..10 {
         acc += i;
     }
-    ctx.decide(acc).await?;
-    Ok(acc)
+    ctx.decide(acc).await;
+    acc
 }
 ",
         );
@@ -523,13 +521,12 @@ async fn tally(ctx: &Ctx<()>) -> Result<u64, Crashed> {
     fn while_condition_counts_one_extra_evaluation() {
         let (rows, _) = bounds(
             "
-async fn read(ctx: &Ctx<()>) -> Result<u64, Crashed> { ctx.invoke(0).await }
-async fn poll(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn read(ctx: &Ctx<()>) -> u64 { ctx.invoke(0).await }
+async fn poll(ctx: &Ctx<()>) {
     // #[conform(bound = \"W\")]
-    while read(ctx).await? == 0 {
-        ctx.yield_step().await?;
+    while read(ctx).await == 0 {
+        ctx.yield_step().await;
     }
-    Ok(())
 }
 ",
         );
@@ -543,8 +540,7 @@ async fn poll(ctx: &Ctx<()>) -> Result<(), Crashed> {
             "
 fn factory(v: u64) -> AlgoFn<()> {
     algo(move |ctx| async move {
-        ctx.decide(v).await?;
-        Ok(())
+        ctx.decide(v).await;
     })
 }
 ",
@@ -557,7 +553,7 @@ fn factory(v: u64) -> AlgoFn<()> {
         let (_, findings) = bounds(
             "
 // #[conform(wait_free, bound = \"2 ^ n\")]
-async fn oops(ctx: &Ctx<()>) -> Result<(), Crashed> { ctx.yield_step().await }
+async fn oops(ctx: &Ctx<()>) { ctx.yield_step().await }
 ",
         );
         assert!(

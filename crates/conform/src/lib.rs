@@ -217,15 +217,15 @@ mod tests {
         // A routine in one file calls a routine defined in another; the
         // index resolves it and the bound composes.
         let lib = "
-pub async fn base(ctx: &Ctx<()>) -> Result<u64, Crashed> { ctx.invoke(0).await }
+pub async fn base(ctx: &Ctx<()>) -> u64 { ctx.invoke(0).await }
 "
         .to_string();
         let user = "
 // #[conform(wait_free)]
-pub async fn twice(ctx: &Ctx<()>) -> Result<u64, Crashed> {
-    let a = base(ctx).await?;
-    let b = base(ctx).await?;
-    Ok(a + b)
+pub async fn twice(ctx: &Ctx<()>) -> u64 {
+    let a = base(ctx).await;
+    let b = base(ctx).await;
+    a + b
 }
 "
         .to_string();
@@ -258,7 +258,7 @@ pub async fn twice(ctx: &Ctx<()>) -> Result<u64, Crashed> {
     #[test]
     fn allowlist_moves_findings_to_suppressed() {
         let src = "
-async fn bad(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn bad(ctx: &Ctx<()>) {
     let t = Instant::now();
     ctx.yield_step().await
 }

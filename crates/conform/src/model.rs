@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn finds_ctx_taking_async_fns() {
         let src = "
-pub async fn propose(ctx: &Ctx<ProcessSet>, v: u64) -> Result<u64, Crashed> {
+pub async fn propose(ctx: &Ctx<ProcessSet>, v: u64) -> u64 {
     ctx.decide(v).await
 }
 fn helper(x: u64) -> u64 { x }
@@ -395,8 +395,7 @@ fn helper(x: u64) -> u64 { x }
         let src = "
 pub fn algorithm(v: u64) -> AlgoFn<()> {
     algo(move |ctx| async move {
-        ctx.decide(v).await?;
-        Ok(())
+        ctx.decide(v).await;
     })
 }
 ";
@@ -409,11 +408,11 @@ pub fn algorithm(v: u64) -> AlgoFn<()> {
     #[test]
     fn skips_cfg_test_modules() {
         let src = "
-async fn real(ctx: &Ctx<()>) -> Result<(), Crashed> { ctx.yield_step().await }
+async fn real(ctx: &Ctx<()>) { ctx.yield_step().await }
 #[cfg(test)]
 mod tests {
-    async fn fake(ctx: &Ctx<()>) -> Result<(), Crashed> { ctx.yield_step().await }
-    fn harness() { algo(move |ctx| async move { Ok(()) }); }
+    async fn fake(ctx: &Ctx<()>) { ctx.yield_step().await }
+    fn harness() { algo(move |ctx| async move {}); }
 }
 ";
         let m = model_file("crates/agreement/src/x.rs", src);
@@ -426,7 +425,7 @@ mod tests {
     fn trait_declarations_have_no_body() {
         let src = "
 pub trait LeaderSource<D> {
-    async fn current_leader(&mut self, ctx: &Ctx<D>) -> Result<ProcessId, Crashed>;
+    async fn current_leader(&mut self, ctx: &Ctx<D>) -> ProcessId;
 }
 ";
         let m = model_file("crates/agreement/src/x.rs", src);
@@ -439,8 +438,8 @@ pub trait LeaderSource<D> {
     fn annotations_attach_to_the_following_fn() {
         let src = "
 // #[conform(wait_free, bound = \"n_plus_1 + 1\")]
-pub async fn bounded(ctx: &Ctx<()>) -> Result<(), Crashed> { ctx.yield_step().await }
-pub async fn plain(ctx: &Ctx<()>) -> Result<(), Crashed> { ctx.yield_step().await }
+pub async fn bounded(ctx: &Ctx<()>) { ctx.yield_step().await }
+pub async fn plain(ctx: &Ctx<()>) { ctx.yield_step().await }
 ";
         let m = model_file("crates/mem/src/x.rs", src);
         let ann = m.fns[0].ann.as_ref().expect("annotated");

@@ -792,13 +792,13 @@ mod tests {
     fn clean_single_op_awaits_pass() {
         let findings = check_src(
             "
-pub async fn read(ctx: &Ctx<()>, r: &Register<u64>) -> Result<u64, Crashed> {
-    let v = r.read(ctx).await?;
+pub async fn read(ctx: &Ctx<()>, r: &Register<u64>) -> u64 {
+    let v = r.read(ctx).await;
     debug_assert!(v <= ctx.n(), \"bound\");
-    ctx.decide(v).await?;
-    Ok(v)
+    ctx.decide(v).await;
+    v
 }
-pub async fn read_inner(self_reg: &Register<u64>, ctx: &Ctx<()>) -> Result<u64, Crashed> {
+pub async fn read_inner(self_reg: &Register<u64>, ctx: &Ctx<()>) -> u64 {
     ctx.invoke(1).await
 }
 ",
@@ -810,10 +810,9 @@ pub async fn read_inner(self_reg: &Register<u64>, ctx: &Ctx<()>) -> Result<u64, 
     fn unawaited_step_and_stashed_future_trip_c1() {
         let findings = check_src(
             "
-async fn bad(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn bad(ctx: &Ctx<()>) {
     let fut = ctx.invoke(1);
     let x = fut.await;
-    Ok(())
 }
 ",
         );
@@ -834,10 +833,10 @@ async fn bad(ctx: &Ctx<()>) -> Result<(), Crashed> {
         let findings = check_src(
             "
 fn mine(ctx: &Ctx<()>, r: &RegisterArray<u64>) -> Register<u64> { r.slot(0) }
-async fn good(ctx: &Ctx<()>, r: &RegisterArray<u64>) -> Result<u64, Crashed> {
+async fn good(ctx: &Ctx<()>, r: &RegisterArray<u64>) -> u64 {
     mine(ctx, r).read(ctx).await
 }
-async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> Result<u64, Crashed> {
+async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> u64 {
     ctx.invoke(0).await
 }
 ",
@@ -849,7 +848,7 @@ async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> Result<u64, Crashed> {
     fn banned_apis_trip_c2() {
         let findings = check_src(
             "
-async fn bad(ctx: &Ctx<()>) -> Result<(), Crashed> {
+async fn bad(ctx: &Ctx<()>) {
     let t = Instant::now();
     std::thread::sleep(t);
     ctx.yield_step().await
@@ -868,7 +867,7 @@ async fn bad(ctx: &Ctx<()>) -> Result<(), Crashed> {
     fn ctx_alias_and_wrapper_trip_c3() {
         let findings = check_src(
             "
-async fn bad(ctx: &Ctx<()>, r: Register<u64>) -> Result<(), Crashed> {
+async fn bad(ctx: &Ctx<()>, r: Register<u64>) {
     let stash = ctx;
     let boxed = Box::new(r);
     ctx.yield_step().await
@@ -887,7 +886,7 @@ async fn bad(ctx: &Ctx<()>, r: Register<u64>) -> Result<(), Crashed> {
     fn closure_capturing_handle_trips_c3_but_data_closures_pass() {
         let findings = check_src(
             "
-async fn bad(ctx: &Ctx<()>, r: &Register<u64>) -> Result<u64, Crashed> {
+async fn bad(ctx: &Ctx<()>, r: &Register<u64>) -> u64 {
     let vals: Vec<u64> = (0..3).map(|i| i + 1).collect();
     let f = move |x: u64| r.slot(x);
     ctx.invoke(vals[0]).await
@@ -903,12 +902,12 @@ async fn bad(ctx: &Ctx<()>, r: &Register<u64>) -> Result<u64, Crashed> {
     fn double_op_chain_trips_c1() {
         let findings = check_src(
             "
-async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> Result<u64, Crashed> {
+async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> u64 {
     ctx.invoke(0).await
 }
-async fn bad(ctx: &Ctx<()>, a: &Register<u64>, b: &Register<u64>) -> Result<u64, Crashed> {
-    let x = helper(a.read(ctx).await?, ctx.pid());
-    Ok(x)
+async fn bad(ctx: &Ctx<()>, a: &Register<u64>, b: &Register<u64>) -> u64 {
+    let x = helper(a.read(ctx).await, ctx.pid());
+    x
 }
 fn helper(v: u64, p: ProcessId) -> u64 { v }
 ",
@@ -916,12 +915,12 @@ fn helper(v: u64, p: ProcessId) -> u64 { v }
         assert!(findings.is_empty(), "{findings:?}");
         let findings = check_src(
             "
-async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> Result<u64, Crashed> {
+async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> u64 {
     ctx.invoke(0).await
 }
-async fn bad(ctx: &Ctx<()>, a: &Register<u64>) -> Result<u64, Crashed> {
+async fn bad(ctx: &Ctx<()>, a: &Register<u64>) -> u64 {
     let x = pair(a.read(ctx), a.read(ctx)).await;
-    Ok(0)
+    0
 }
 ",
         );
@@ -937,10 +936,10 @@ async fn bad(ctx: &Ctx<()>, a: &Register<u64>) -> Result<u64, Crashed> {
     fn match_pattern_pipes_are_not_closures() {
         let findings = check_src(
             "
-async fn good(ctx: &Ctx<()>, x: Option<u64>) -> Result<u64, Crashed> {
+async fn good(ctx: &Ctx<()>, x: Option<u64>) -> u64 {
     let y = match x { Some(0) | None => 0, Some(v) => v };
-    ctx.decide(y).await?;
-    Ok(y)
+    ctx.decide(y).await;
+    y
 }
 ",
         );

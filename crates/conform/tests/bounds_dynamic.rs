@@ -193,10 +193,8 @@ fn k_converge_static_bound_dominates_recorded_runs() {
                     pid,
                     algo(move |ctx| async move {
                         let inst = ConvergeInstance::new(Key::new("kc"), n_plus_1, flavor);
-                        let (picked, _committed) =
-                            inst.converge(&ctx, 2, pid.index() as u64).await?;
-                        ctx.decide(picked).await?;
-                        Ok(())
+                        let (picked, _committed) = inst.converge(&ctx, 2, pid.index() as u64).await;
+                        ctx.decide(picked).await;
                     }),
                 );
             }

@@ -49,7 +49,7 @@
 #![warn(missing_debug_implementations)]
 
 use upsilon_mem::{distinct_values, FlavoredSnapshot, Snapshot, SnapshotFlavor, Value};
-use upsilon_sim::{Crashed, Ctx, FdValue, Key, ProcessId};
+use upsilon_sim::{Ctx, FdValue, Key, ProcessId};
 
 /// Deliberate correctness faults injectable into a [`ConvergeInstance`] —
 /// the seeded mutants the `upsilon-fuzz` mutation-detection suite (and any
@@ -86,11 +86,11 @@ impl ConvergeFaults {
 ///
 /// ```no_run
 /// # use upsilon_converge::ConvergeInstance;
-/// # use upsilon_sim::{Ctx, Key, Crashed};
-/// # async fn algorithm(ctx: &Ctx<()>) -> Result<(), Crashed> {
+/// # use upsilon_sim::{Ctx, Key};
+/// # async fn algorithm(ctx: &Ctx<()>) {
 /// let inst = ConvergeInstance::new(Key::new("converge").at(1), 4, Default::default());
-/// let (picked, committed) = inst.converge(ctx, 2, 7).await?; // 2-converge(7)
-/// # let _ = (picked, committed); Ok(()) }
+/// let (picked, committed) = inst.converge(ctx, 2, 7).await; // 2-converge(7)
+/// # let _ = (picked, committed); }
 /// ```
 #[derive(Clone, Debug)]
 pub struct ConvergeInstance {
@@ -130,19 +130,15 @@ impl ConvergeInstance {
     ///
     /// `0-converge(v)` returns `(v, false)` without taking any step, per the
     /// paper's definition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed mid-routine.
     // C-Termination: two updates and two scans of wait-free snapshots.
     // #[conform(wait_free)]
-    pub async fn converge<D, T>(&self, ctx: &Ctx<D>, k: usize, v: T) -> Result<(T, bool), Crashed>
+    pub async fn converge<D, T>(&self, ctx: &Ctx<D>, k: usize, v: T) -> (T, bool)
     where
         D: FdValue,
         T: Value + Ord,
     {
         if k == 0 {
-            return Ok((v, false));
+            return (v, false);
         }
         let s1 = FlavoredSnapshot::<T>::new(self.flavor, self.base.clone().at(0), self.n_plus_1);
         let s2 =
@@ -151,19 +147,19 @@ impl ConvergeInstance {
         // Phase 1: publish the input; clean iff at most k distinct inputs
         // are visible.
         if self.faults.drop_announce != Some(ctx.pid()) {
-            s1.update(ctx, v.clone()).await?;
+            s1.update(ctx, v.clone()).await;
         }
-        let scan1 = s1.scan(ctx).await?;
+        let scan1 = s1.scan(ctx).await;
         let clean = distinct_values(&scan1).len() <= k + self.faults.clean_slack;
 
         // Phase 2: publish (input, clean); decide from the observed flags.
-        s2.update(ctx, (v.clone(), clean)).await?;
-        let scan2 = s2.scan(ctx).await?;
+        s2.update(ctx, (v.clone(), clean)).await;
+        let scan2 = s2.scan(ctx).await;
         let entries: Vec<&(T, bool)> = scan2.iter().flatten().collect();
         debug_assert!(!entries.is_empty(), "own phase-2 entry is always visible");
 
         if entries.iter().all(|(_, c)| *c) {
-            return Ok((v, true));
+            return (v, true);
         }
         let min_clean = entries
             .iter()
@@ -171,8 +167,8 @@ impl ConvergeInstance {
             .map(|(w, _)| w.clone())
             .min();
         match min_clean {
-            Some(w) => Ok((w, false)),
-            None => Ok((v, false)),
+            Some(w) => (w, false),
+            None => (v, false),
         }
     }
 }
@@ -181,16 +177,8 @@ impl ConvergeInstance {
 ///
 /// If some process commits `v`, every process picks `v`; if all inputs are
 /// equal, every process commits.
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashed mid-routine.
 // #[conform(wait_free)]
-pub async fn commit_adopt<D, T>(
-    instance: &ConvergeInstance,
-    ctx: &Ctx<D>,
-    v: T,
-) -> Result<(T, bool), Crashed>
+pub async fn commit_adopt<D, T>(instance: &ConvergeInstance, ctx: &Ctx<D>, v: T) -> (T, bool)
 where
     D: FdValue,
     T: Value + Ord,
@@ -229,9 +217,8 @@ mod tests {
                 let v = inputs[pid.index()];
                 algo(move |ctx| async move {
                     let inst = ConvergeInstance::new(Key::new("cv"), ctx.n_plus_1(), flavor);
-                    let out = inst.converge(&ctx, k, v).await?;
+                    let out = inst.converge(&ctx, k, v).await;
                     results.lock().unwrap()[pid.index()] = Some(out);
-                    Ok(())
                 })
             })
             .run();
@@ -298,9 +285,8 @@ mod tests {
                 ProcessId(1),
                 algo(move |ctx| async move {
                     let inst = ConvergeInstance::new(Key::new("cv"), 3, SnapshotFlavor::Native);
-                    let out = inst.converge(&ctx, 1, 42).await?;
+                    let out = inst.converge(&ctx, 1, 42).await;
                     *results2.lock().unwrap() = Some(out);
-                    Ok(())
                 }),
             )
             .run();

@@ -8,7 +8,7 @@
 
 use upsilon_agreement::consensus::{propose_with, LeaderSource, OmegaConsensusConfig};
 use upsilon_extract::Upsilon1Elector;
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, ProcessId, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, ProcessId, ProcessSet};
 
 /// Adapts the Υ¹ → Ω elector into a consensus leader source.
 #[derive(Clone, Debug)]
@@ -26,22 +26,18 @@ impl Upsilon1LeaderSource {
 }
 
 impl LeaderSource<ProcessSet> for Upsilon1LeaderSource {
-    async fn current_leader(&mut self, ctx: &Ctx<ProcessSet>) -> Result<ProcessId, Crashed> {
+    async fn current_leader(&mut self, ctx: &Ctx<ProcessSet>) -> ProcessId {
         self.elector.step(ctx).await
     }
 }
 
 /// Runs consensus using only a Υ¹ oracle (legal in `E_1`): every leader
 /// estimate comes from the timestamp-based extraction, never from Ω.
-///
-/// # Errors
-///
-/// Returns [`Crashed`] if the calling process crashes mid-protocol.
 pub async fn propose_with_upsilon1(
     ctx: &Ctx<ProcessSet>,
     cfg: OmegaConsensusConfig,
     v: u64,
-) -> Result<u64, Crashed> {
+) -> u64 {
     let mut source = Upsilon1LeaderSource::new(ctx.n_plus_1());
     propose_with(ctx, cfg, v, &mut source).await
 }
@@ -49,9 +45,8 @@ pub async fn propose_with_upsilon1(
 /// Builds the pipeline algorithm for one process.
 pub fn upsilon1_consensus_algorithm(cfg: OmegaConsensusConfig, v: u64) -> AlgoFn<ProcessSet> {
     algo(move |ctx| async move {
-        let d = propose_with_upsilon1(&ctx, cfg, v).await?;
-        ctx.decide(d).await?;
-        Ok(())
+        let d = propose_with_upsilon1(&ctx, cfg, v).await;
+        ctx.decide(d).await;
     })
 }
 

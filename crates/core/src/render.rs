@@ -98,10 +98,9 @@ mod tests {
                 algo(move |ctx| async move {
                     let reg = crate::mem::Register::new(Key::new("r"), 0u64);
                     for i in 0..4 {
-                        reg.write(&ctx, i).await?;
+                        reg.write(&ctx, i).await;
                     }
-                    ctx.output(Output::Decide(pid.index() as u64)).await?;
-                    Ok(())
+                    ctx.output(Output::Decide(pid.index() as u64)).await;
                 })
             })
             .run()

@@ -29,7 +29,7 @@
 //! candidate set provides.
 
 use upsilon_mem::RegisterArray;
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, Key, Output, ProcessId, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, Key, Output, ProcessId, ProcessSet};
 
 /// Picks the member of `u` with the lowest timestamp (ties toward smaller
 /// ids).
@@ -51,22 +51,22 @@ pub fn upsilon_to_anti_omega_algorithm() -> AlgoFn<ProcessSet> {
     algo(move |ctx| async move { extraction_loop(&ctx).await })
 }
 
-async fn extraction_loop(ctx: &Ctx<ProcessSet>) -> Result<(), Crashed> {
+async fn extraction_loop(ctx: &Ctx<ProcessSet>) {
     let n_plus_1 = ctx.n_plus_1();
     let board = RegisterArray::<u64>::new(Key::new("hb"), n_plus_1, 0);
     let mut ts: u64 = 0;
     // #[conform(bound = "B")]
     loop {
         ts += 1;
-        board.write_mine(ctx, ts).await?;
-        let u = ctx.query_fd().await?;
-        let stamps = board.collect(ctx).await?;
+        board.write_mine(ctx, ts).await;
+        let u = ctx.query_fd().await;
+        let stamps = board.collect(ctx).await;
         let candidate = least_active_member(u, &stamps);
         // anti-Ω is queried per step and is *unstable*: publish every
         // iteration (not on change), so the published stream faithfully
         // samples the emulated output over time — the spec is about which
         // processes keep appearing, not about a final value.
-        ctx.output(Output::Leader(candidate)).await?;
+        ctx.output(Output::Leader(candidate)).await;
     }
 }
 

@@ -45,12 +45,12 @@ impl Candidate for ActivityCandidate {
                     // #[conform(bound = "B")]
                     loop {
                         ts += 1;
-                        board.write_mine(&ctx, ts).await?;
-                        let _ = ctx.query_fd().await?;
-                        let stamps = board.collect(&ctx).await?;
+                        board.write_mine(&ctx, ts).await;
+                        let _ = ctx.query_fd().await;
+                        let stamps = board.collect(&ctx).await;
                         let l = top_m(&stamps, set_size);
                         if published != Some(l) {
-                            ctx.output(Output::LeaderSet(l)).await?;
+                            ctx.output(Output::LeaderSet(l)).await;
                             published = Some(l);
                         }
                     }
@@ -80,7 +80,7 @@ impl Candidate for MirrorCandidate {
                     let mut published = None;
                     // #[conform(bound = "B")]
                     loop {
-                        let u: ProcessSet = ctx.query_fd().await?;
+                        let u: ProcessSet = ctx.query_fd().await;
                         // Deterministic trim/pad to the required size.
                         let mut l: ProcessSet = u.iter().take(set_size).collect();
                         let mut next = 0usize;
@@ -89,7 +89,7 @@ impl Candidate for MirrorCandidate {
                             next += 1;
                         }
                         if published != Some(l) {
-                            ctx.output(Output::LeaderSet(l)).await?;
+                            ctx.output(Output::LeaderSet(l)).await;
                             published = Some(l);
                         }
                     }
@@ -116,10 +116,10 @@ impl Candidate for StubbornCandidate {
             .map(|_| -> AlgoFn<ProcessSet> {
                 algo(move |ctx| async move {
                     let l: ProcessSet = (0..set_size).map(ProcessId).collect();
-                    ctx.output(Output::LeaderSet(l)).await?;
+                    ctx.output(Output::LeaderSet(l)).await;
                     // #[conform(bound = "B")]
                     loop {
-                        ctx.yield_step().await?;
+                        ctx.yield_step().await;
                     }
                 })
             })

@@ -29,7 +29,7 @@
 
 use crate::phi::PhiMap;
 use upsilon_mem::{Register, RegisterArray};
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, FdValue, Key, Output, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, FdValue, Key, Output, ProcessSet};
 
 /// Builds the Fig. 3 extraction algorithm for one process, for a detector
 /// with value type `D` and witness map `phi`.
@@ -46,16 +46,11 @@ where
 
 /// Publishes `set` as the current emulated Υ^f output if it differs from
 /// the last published value.
-async fn publish<D: FdValue>(
-    ctx: &Ctx<D>,
-    last: &mut Option<ProcessSet>,
-    set: ProcessSet,
-) -> Result<(), Crashed> {
+async fn publish<D: FdValue>(ctx: &Ctx<D>, last: &mut Option<ProcessSet>, set: ProcessSet) {
     if *last != Some(set) {
-        ctx.output(Output::LeaderSet(set)).await?;
+        ctx.output(Output::LeaderSet(set)).await;
         *last = Some(set);
     }
-    Ok(())
 }
 
 // Each task of the Fig. 3 client is wait-free: every iteration of both
@@ -64,7 +59,7 @@ async fn publish<D: FdValue>(
 // run restarts through, B the heartbeat iterations of its longest round;
 // the dynamic cross-check binds both from run data.
 // #[conform(wait_free)]
-async fn extraction_loop<D>(ctx: &Ctx<D>, phi: &PhiMap<D>) -> Result<(), Crashed>
+async fn extraction_loop<D>(ctx: &Ctx<D>, phi: &PhiMap<D>)
 where
     D: FdValue + Eq,
 {
@@ -82,12 +77,12 @@ where
         let batches_done = Register::<bool>::new(Key::new("Batches").at(round), false);
 
         // Base value of the round, reported immediately (Task 1).
-        let d = ctx.query_fd().await?;
+        let d = ctx.query_fd().await;
         ts += 1;
-        reports.write_mine(ctx, Some((ts, d.clone()))).await?;
+        reports.write_mine(ctx, Some((ts, d.clone()))).await;
 
         // Line 8: reset the emulated output to Π.
-        publish(ctx, &mut last_published, all).await?;
+        publish(ctx, &mut last_published, all).await;
 
         let witness = (phi)(&d);
         // If S = Π there is nothing to announce beyond Π itself.
@@ -99,7 +94,7 @@ where
         // report (e.g. from a crashed process) never triggers a restart.
         let baseline: Vec<u64> = reports
             .collect(ctx)
-            .await?
+            .await
             .iter()
             .map(|c| c.as_ref().map_or(0, |(t, _)| *t))
             .collect();
@@ -110,34 +105,34 @@ where
 
         // Announce immediately if no batches are required.
         if !announced && witness.w == 0 {
-            batches_done.write(ctx, true).await?;
-            publish(ctx, &mut last_published, witness.s).await?;
+            batches_done.write(ctx, true).await;
+            publish(ctx, &mut last_published, witness.s).await;
             announced = true;
         }
 
         // #[conform(bound = "B")]
         'round: loop {
             // Task 1 heartbeat: keep reporting the current value.
-            let d_now = ctx.query_fd().await?;
+            let d_now = ctx.query_fd().await;
             ts += 1;
-            reports.write_mine(ctx, Some((ts, d_now.clone()))).await?;
+            reports.write_mine(ctx, Some((ts, d_now.clone()))).await;
             if d_now != d {
-                unstable.write(ctx, true).await?;
+                unstable.write(ctx, true).await;
                 break 'round;
             }
-            if unstable.read(ctx).await? {
+            if unstable.read(ctx).await {
                 break 'round;
             }
 
             // Observe everyone's reports; a *fresh* report carrying a value
             // other than d means D has not stabilized on d.
-            let snap = reports.collect(ctx).await?;
+            let snap = reports.collect(ctx).await;
             let fresh_change = snap
                 .iter()
                 .enumerate()
                 .any(|(j, c)| c.as_ref().is_some_and(|(t, v)| *t > baseline[j] && v != &d));
             if fresh_change {
-                unstable.write(ctx, true).await?;
+                unstable.write(ctx, true).await;
                 break 'round;
             }
 
@@ -146,8 +141,8 @@ where
             }
 
             // Did someone else complete the batches?
-            if batches_done.read(ctx).await? {
-                publish(ctx, &mut last_published, witness.s).await?;
+            if batches_done.read(ctx).await {
+                publish(ctx, &mut last_published, witness.s).await;
                 announced = true;
                 continue;
             }
@@ -164,8 +159,8 @@ where
                 batch_count += 1;
                 batch_base = current;
                 if batch_count >= witness.w {
-                    batches_done.write(ctx, true).await?;
-                    publish(ctx, &mut last_published, witness.s).await?;
+                    batches_done.write(ctx, true).await;
+                    publish(ctx, &mut last_published, witness.s).await;
                     announced = true;
                 }
             }

@@ -72,8 +72,7 @@ mod tests {
             .oracle(DummyOracle::new(u))
             .spawn_all(|_| {
                 algo(move |ctx| async move {
-                    ctx.query_fd().await?;
-                    Ok(())
+                    ctx.query_fd().await;
                 })
             })
             .run()

@@ -21,7 +21,7 @@
 //!   process.
 
 use upsilon_mem::RegisterArray;
-use upsilon_sim::{algo, AlgoFn, Crashed, Ctx, Key, Output, ProcessId, ProcessSet};
+use upsilon_sim::{algo, AlgoFn, Ctx, Key, Output, ProcessId, ProcessSet};
 
 /// Builds the Υ¹ → Ω extraction algorithm for one process (environment
 /// `E_1`). The algorithm never returns; it publishes the currently elected
@@ -64,39 +64,35 @@ impl Upsilon1Elector {
     }
 
     /// One election iteration: heartbeat, query Υ¹, elect.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    pub async fn step(&mut self, ctx: &Ctx<ProcessSet>) -> Result<ProcessId, Crashed> {
+    pub async fn step(&mut self, ctx: &Ctx<ProcessSet>) -> ProcessId {
         let n_plus_1 = ctx.n_plus_1();
         let all = ProcessSet::all(n_plus_1);
         // Ever-growing timestamp heartbeat.
         self.ts += 1;
-        self.board.write_mine(ctx, self.ts).await?;
+        self.board.write_mine(ctx, self.ts).await;
 
-        let u = ctx.query_fd().await?;
+        let u = ctx.query_fd().await;
         if u != all {
             // Proper subset: Υ¹'s range forces |U| = n, so the complement
             // is a singleton — elect it.
-            Ok(u.complement(n_plus_1)
+            u.complement(n_plus_1)
                 .min()
-                .expect("complement of a proper subset"))
+                .expect("complement of a proper subset")
         } else {
-            let stamps = self.board.collect(ctx).await?;
-            Ok(elect_from_timestamps(&stamps))
+            let stamps = self.board.collect(ctx).await;
+            elect_from_timestamps(&stamps)
         }
     }
 }
 
-async fn extraction_loop(ctx: &Ctx<ProcessSet>) -> Result<(), Crashed> {
+async fn extraction_loop(ctx: &Ctx<ProcessSet>) {
     let mut elector = Upsilon1Elector::new(ctx.n_plus_1());
     let mut published: Option<ProcessId> = None;
     // #[conform(bound = "B")]
     loop {
-        let leader = elector.step(ctx).await?;
+        let leader = elector.step(ctx).await;
         if published != Some(leader) {
-            ctx.output(Output::Leader(leader)).await?;
+            ctx.output(Output::Leader(leader)).await;
             published = Some(leader);
         }
     }

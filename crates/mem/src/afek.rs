@@ -22,7 +22,7 @@
 //! or some process moved twice (pigeonhole), so a scan costs `O(n²)` reads.
 
 use crate::register::{Register, Value};
-use upsilon_sim::{Crashed, Ctx, FdValue, Key};
+use upsilon_sim::{Ctx, FdValue, Key};
 
 /// The per-process register contents of the Afek et al. snapshot.
 #[derive(Clone, PartialEq, Debug)]
@@ -82,22 +82,22 @@ impl<T: Value> AfekSnapshot<T> {
     }
 
     /// Reads all `size` registers, one step each.
-    async fn collect<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<AfekCell<T>>, Crashed> {
+    async fn collect<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<AfekCell<T>> {
         let mut out = Vec::with_capacity(self.size);
         // #[conform(bound = "n_plus_1")]
         for i in 0..self.size {
-            out.push(self.slot(i).read(ctx).await?);
+            out.push(self.slot(i).read(ctx).await);
         }
-        Ok(out)
+        out
     }
 }
 
 impl<T: Value> crate::snapshot::Snapshot<T> for AfekSnapshot<T> {
     // #[conform(wait_free)]
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed> {
-        let embedded = self.scan(ctx).await?;
+    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
+        let embedded = self.scan(ctx).await;
         let me = ctx.pid().index();
-        let current = self.slot(me).read(ctx).await?;
+        let current = self.slot(me).read(ctx).await;
         self.slot(me)
             .write(
                 ctx,
@@ -114,12 +114,12 @@ impl<T: Value> crate::snapshot::Snapshot<T> for AfekSnapshot<T> {
     // collect is clean or some process moved twice, so the retry loop runs
     // at most n_plus_1 + 1 times.
     // #[conform(wait_free)]
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<Option<T>>, Crashed> {
-        let mut first = self.collect(ctx).await?;
+    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>> {
+        let mut first = self.collect(ctx).await;
         let mut moved = vec![false; self.size];
         // #[conform(bound = "n_plus_1 + 1")]
         loop {
-            let second = self.collect(ctx).await?;
+            let second = self.collect(ctx).await;
             let mut changed = false;
             for j in 0..self.size {
                 if second[j].seq != first[j].seq {
@@ -127,14 +127,14 @@ impl<T: Value> crate::snapshot::Snapshot<T> for AfekSnapshot<T> {
                     if moved[j] {
                         // p_j moved twice: its latest embedded scan happened
                         // entirely within our interval — it is our snapshot.
-                        return Ok(second[j].embedded.clone());
+                        return second[j].embedded.clone();
                     }
                     moved[j] = true;
                 }
             }
             if !changed {
                 // Clean double collect: the direct view is atomic.
-                return Ok(second.into_iter().map(|c| c.data).collect());
+                return second.into_iter().map(|c| c.data).collect();
             }
             first = second;
         }
@@ -154,10 +154,9 @@ mod tests {
             .spawn_all(|_| {
                 algo(move |ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 1);
-                    assert_eq!(snap.scan(&ctx).await?, vec![None]);
-                    snap.update(&ctx, 7).await?;
-                    assert_eq!(snap.scan(&ctx).await?, vec![Some(7)]);
-                    Ok(())
+                    assert_eq!(snap.scan(&ctx).await, vec![None]);
+                    snap.update(&ctx, 7).await;
+                    assert_eq!(snap.scan(&ctx).await, vec![Some(7)]);
                 })
             })
             .run();
@@ -171,12 +170,12 @@ mod tests {
             .spawn_all(|pid| {
                 algo(move |ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 4);
-                    snap.update(&ctx, pid.index() as u64 + 1).await?;
+                    snap.update(&ctx, pid.index() as u64 + 1).await;
                     loop {
-                        let s = snap.scan(&ctx).await?;
+                        let s = snap.scan(&ctx).await;
                         if non_bot_count(&s) == 4 {
-                            ctx.decide(s.iter().flatten().sum()).await?;
-                            return Ok(());
+                            ctx.decide(s.iter().flatten().sum()).await;
+                            return;
                         }
                     }
                 })
@@ -197,11 +196,10 @@ mod tests {
                     algo(move |ctx| async move {
                         let snap = AfekSnapshot::<u64>::new(Key::new("S"), 3);
                         for round in 1..4u64 {
-                            snap.update(&ctx, pid.index() as u64 * 10 + round).await?;
-                            let s = snap.scan(&ctx).await?;
+                            snap.update(&ctx, pid.index() as u64 * 10 + round).await;
+                            let s = snap.scan(&ctx).await;
                             scans.lock().unwrap().push(s);
                         }
-                        Ok(())
                     })
                 })
                 .run();
@@ -230,12 +228,11 @@ mod tests {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 2);
                     if pid.index() == 0 {
                         loop {
-                            snap.update(&ctx, 1).await?;
+                            snap.update(&ctx, 1).await;
                         }
                     } else {
-                        let s = snap.scan(&ctx).await?;
-                        ctx.decide(non_bot_count(&s) as u64).await?;
-                        Ok(())
+                        let s = snap.scan(&ctx).await;
+                        ctx.decide(non_bot_count(&s) as u64).await;
                     }
                 })
             })
@@ -255,8 +252,7 @@ mod tests {
                 ProcessId(0),
                 algo(move |ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 3);
-                    let _ = snap.scan(&ctx).await?;
-                    Ok(())
+                    let _ = snap.scan(&ctx).await;
                 }),
             )
             .run();

@@ -8,7 +8,7 @@
 //! violation (modelled as a panic, i.e. undefined behaviour surfaced
 //! loudly).
 
-use upsilon_sim::{Access, Crashed, Ctx, FdValue, Key, ObjectType, ProcessId, ProcessSet};
+use upsilon_sim::{Access, Ctx, FdValue, Key, ObjectType, ProcessId, ProcessSet};
 
 /// State of an `m`-process consensus object.
 #[derive(Clone, Debug)]
@@ -100,14 +100,10 @@ impl Consensus {
     /// Proposes `v`; returns the object's decision (the first proposal).
     /// One atomic step.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    ///
     /// # Panics
     ///
     /// Panics (a type violation) if the caller is outside the access set.
-    pub async fn propose<D: FdValue>(&self, ctx: &Ctx<D>, v: u64) -> Result<u64, Crashed> {
+    pub async fn propose<D: FdValue>(&self, ctx: &Ctx<D>, v: u64) -> u64 {
         let allowed = self.allowed;
         ctx.invoke(&self.key, || ConsensusObject::new(allowed), Propose(v))
             .await
@@ -127,9 +123,8 @@ mod tests {
                 .spawn_all(|pid| {
                     algo(move |ctx| async move {
                         let obj = Consensus::new(Key::new("cons"), ProcessSet::all(3));
-                        let d = obj.propose(&ctx, pid.index() as u64 + 100).await?;
-                        ctx.decide(d).await?;
-                        Ok(())
+                        let d = obj.propose(&ctx, pid.index() as u64 + 100).await;
+                        ctx.decide(d).await;
                     })
                 })
                 .run();

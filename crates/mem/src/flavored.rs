@@ -9,7 +9,7 @@
 use crate::afek::AfekSnapshot;
 use crate::register::Value;
 use crate::snapshot::{NativeSnapshot, Snapshot, SnapshotFlavor};
-use upsilon_sim::{Crashed, Ctx, FdValue, Key};
+use upsilon_sim::{Ctx, FdValue, Key};
 
 /// A snapshot handle whose implementation is chosen at runtime.
 #[derive(Clone, Debug)]
@@ -53,7 +53,7 @@ impl<T: Value> Snapshot<T> for FlavoredSnapshot<T> {
     // scan costs n_plus_1 * (n_plus_1 + 2) reads, plus one read and one
     // write for the embedded update.
     // #[conform(wait_free, bound = "n_plus_1 * (n_plus_1 + 2) + 2")]
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed> {
+    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
         match self {
             FlavoredSnapshot::Native(s) => s.update(ctx, v).await,
             FlavoredSnapshot::RegisterBased(s) => s.update(ctx, v).await,
@@ -61,7 +61,7 @@ impl<T: Value> Snapshot<T> for FlavoredSnapshot<T> {
     }
 
     // #[conform(wait_free, bound = "n_plus_1 * (n_plus_1 + 2)")]
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<Option<T>>, Crashed> {
+    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>> {
         match self {
             FlavoredSnapshot::Native(s) => s.scan(ctx).await,
             FlavoredSnapshot::RegisterBased(s) => s.scan(ctx).await,
@@ -81,12 +81,12 @@ mod tests {
             .spawn_all(move |pid| {
                 algo(move |ctx| async move {
                     let snap = FlavoredSnapshot::<u64>::new(flavor, Key::new("S"), 3);
-                    snap.update(&ctx, pid.index() as u64 + 1).await?;
+                    snap.update(&ctx, pid.index() as u64 + 1).await;
                     loop {
-                        let s = snap.scan(&ctx).await?;
+                        let s = snap.scan(&ctx).await;
                         if non_bot_count(&s) == 3 {
-                            ctx.decide(s.iter().flatten().sum()).await?;
-                            return Ok(());
+                            ctx.decide(s.iter().flatten().sum()).await;
+                            return;
                         }
                     }
                 })

@@ -3,7 +3,7 @@
 //! i.e., objects that export only base read-write operations", §3.1).
 
 use std::fmt;
-use upsilon_sim::{Access, Crashed, Ctx, FdValue, Key, ObjectType, ProcessId};
+use upsilon_sim::{Access, Ctx, FdValue, Key, ObjectType, ProcessId};
 
 /// Bound alias for values storable in shared memory.
 pub trait Value: Clone + Send + Sync + PartialEq + fmt::Debug + 'static {}
@@ -76,12 +76,12 @@ impl<T: Value> ObjectType for RegisterObject<T> {
 ///
 /// ```no_run
 /// # use upsilon_mem::Register;
-/// # use upsilon_sim::{Ctx, Key, Crashed};
-/// # async fn algo(ctx: &Ctx<()>) -> Result<(), Crashed> {
+/// # use upsilon_sim::{Ctx, Key};
+/// # async fn algo(ctx: &Ctx<()>) {
 /// let d: Register<Option<u64>> = Register::new(Key::new("D"), None);
-/// d.write(ctx, Some(7)).await?;             // one atomic step
-/// assert_eq!(d.read(ctx).await?, Some(7));  // one atomic step
-/// # Ok(()) }
+/// d.write(ctx, Some(7)).await;             // one atomic step
+/// assert_eq!(d.read(ctx).await, Some(7));  // one atomic step
+/// # }
 /// ```
 #[derive(Clone, Debug)]
 pub struct Register<T: Value> {
@@ -102,33 +102,25 @@ impl<T: Value> Register<T> {
     }
 
     /// Reads the register. One atomic step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    pub async fn read<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<T, Crashed> {
+    pub async fn read<D: FdValue>(&self, ctx: &Ctx<D>) -> T {
         let init = self.initial.clone();
         match ctx
             .invoke(&self.key, || RegisterObject::new(init), RegOp::Read)
-            .await?
+            .await
         {
-            RegResp::Value(v) => Ok(v),
+            RegResp::Value(v) => v,
             RegResp::Ack => unreachable!("read returns a value"),
         }
     }
 
     /// Writes `v` to the register. One atomic step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    pub async fn write<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed> {
+    pub async fn write<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
         let init = self.initial.clone();
         match ctx
             .invoke(&self.key, || RegisterObject::new(init), RegOp::Write(v))
-            .await?
+            .await
         {
-            RegResp::Ack => Ok(()),
+            RegResp::Ack => {}
             RegResp::Value(_) => unreachable!("write returns an ack"),
         }
     }
@@ -182,40 +174,28 @@ impl<T: Value> RegisterArray<T> {
     }
 
     /// Writes the caller's own slot. One atomic step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    pub async fn write_mine<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed> {
+    pub async fn write_mine<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
         self.mine(ctx).write(ctx, v).await
     }
 
     /// Reads slot `i`. One atomic step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
     // The bound override breaks the name-based await graph's apparent
     // `read -> read` cycle: this delegates to `Register::read` (one step).
     // #[conform(bound = "1")]
-    pub async fn read<D: FdValue>(&self, ctx: &Ctx<D>, i: usize) -> Result<T, Crashed> {
+    pub async fn read<D: FdValue>(&self, ctx: &Ctx<D>, i: usize) -> T {
         self.slot(i).read(ctx).await
     }
 
     /// Reads every slot in index order (a *collect*: `size` steps, not
     /// atomic as a whole — use a snapshot object when atomicity across slots
     /// matters).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    pub async fn collect<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<T>, Crashed> {
+    pub async fn collect<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<T> {
         let mut out = Vec::with_capacity(self.size);
         // #[conform(bound = "n_plus_1")]
         for i in 0..self.size {
-            out.push(self.read(ctx, i).await?);
+            out.push(self.read(ctx, i).await);
         }
-        Ok(out)
+        out
     }
 }
 
@@ -249,16 +229,15 @@ mod tests {
                 algo(move |ctx| async move {
                     let r = Register::new(Key::new("r"), 0u64);
                     if pid.index() == 0 {
-                        r.write(&ctx, 42).await?;
+                        r.write(&ctx, 42).await;
                     } else {
                         loop {
-                            if r.read(&ctx).await? == 42 {
-                                ctx.decide(42).await?;
-                                return Ok(());
+                            if r.read(&ctx).await == 42 {
+                                ctx.decide(42).await;
+                                return;
                             }
                         }
                     }
-                    Ok(())
                 })
             })
             .run();
@@ -276,12 +255,12 @@ mod tests {
             .spawn_all(|pid| {
                 algo(move |ctx| async move {
                     let arr = RegisterArray::new(Key::new("a"), 3, 0u64);
-                    arr.write_mine(&ctx, pid.index() as u64 + 1).await?;
+                    arr.write_mine(&ctx, pid.index() as u64 + 1).await;
                     loop {
-                        let vals = arr.collect(&ctx).await?;
+                        let vals = arr.collect(&ctx).await;
                         if vals.iter().all(|&v| v > 0) {
-                            ctx.decide(vals.iter().sum()).await?;
-                            return Ok(());
+                            ctx.decide(vals.iter().sum()).await;
+                            return;
                         }
                     }
                 })

@@ -20,7 +20,7 @@
 //! generic over it (selected with [`SnapshotFlavor`]).
 
 use crate::register::Value;
-use upsilon_sim::{Access, Crashed, Ctx, FdValue, Key, ObjectType, ProcessId};
+use upsilon_sim::{Access, Ctx, FdValue, Key, ObjectType, ProcessId};
 
 /// Common interface of atomic snapshot implementations.
 ///
@@ -30,30 +30,22 @@ use upsilon_sim::{Access, Crashed, Ctx, FdValue, Key, ObjectType, ProcessId};
 ///
 /// ```no_run
 /// # use upsilon_mem::{NativeSnapshot, Snapshot};
-/// # use upsilon_sim::{Ctx, Key, Crashed};
-/// # async fn algo(ctx: &Ctx<()>) -> Result<(), Crashed> {
+/// # use upsilon_sim::{Ctx, Key};
+/// # async fn algo(ctx: &Ctx<()>) {
 /// let snap = NativeSnapshot::<u64>::new(Key::new("A"), 4);
-/// snap.update(ctx, 7).await?;                 // one atomic step
-/// let contents = snap.scan(ctx).await?;       // one atomic step (native)
+/// snap.update(ctx, 7).await;                 // one atomic step
+/// let contents = snap.scan(ctx).await;       // one atomic step (native)
 /// assert_eq!(contents[ctx.pid().index()], Some(7));
-/// # Ok(()) }
+/// # }
 /// ```
 #[allow(async_fn_in_trait)] // step futures are driven on one thread; no Send bound wanted
 pub trait Snapshot<T: Value> {
     /// Writes `v` into the caller's position.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed>;
+    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T);
 
     /// Returns the contents of all positions, atomically (every two scans
     /// are related by containment).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if the calling process crashed.
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<Option<T>>, Crashed>;
+    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>>;
 }
 
 /// Which snapshot implementation a protocol instantiates.
@@ -163,7 +155,7 @@ impl<T: Value> NativeSnapshot<T> {
 }
 
 impl<T: Value> Snapshot<T> for NativeSnapshot<T> {
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) -> Result<(), Crashed> {
+    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
         let size = self.size;
         let resp = ctx
             .invoke(
@@ -171,20 +163,20 @@ impl<T: Value> Snapshot<T> for NativeSnapshot<T> {
                 || SnapshotObject::new(size),
                 SnapOp::Update(ctx.pid().index(), v),
             )
-            .await?;
+            .await;
         match resp {
-            SnapResp::Ack => Ok(()),
+            SnapResp::Ack => {}
             SnapResp::Snap(_) => unreachable!("update returns an ack"),
         }
     }
 
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Result<Vec<Option<T>>, Crashed> {
+    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>> {
         let size = self.size;
         let resp = ctx
             .invoke(&self.key, || SnapshotObject::new(size), SnapOp::Scan)
-            .await?;
+            .await;
         match resp {
-            SnapResp::Snap(s) => Ok(s),
+            SnapResp::Snap(s) => s,
             SnapResp::Ack => unreachable!("scan returns contents"),
         }
     }
@@ -231,12 +223,12 @@ mod tests {
             .spawn_all(|pid| {
                 algo(move |ctx| async move {
                     let snap = NativeSnapshot::<u64>::new(Key::new("A"), 3);
-                    snap.update(&ctx, pid.index() as u64 * 10).await?;
+                    snap.update(&ctx, pid.index() as u64 * 10).await;
                     loop {
-                        let s = snap.scan(&ctx).await?;
+                        let s = snap.scan(&ctx).await;
                         if non_bot_count(&s) == 3 {
-                            ctx.decide(s.iter().flatten().sum()).await?;
-                            return Ok(());
+                            ctx.decide(s.iter().flatten().sum()).await;
+                            return;
                         }
                     }
                 })
@@ -259,11 +251,10 @@ mod tests {
                 algo(move |ctx| async move {
                     let snap = NativeSnapshot::<u64>::new(Key::new("A"), 4);
                     for round in 0..5u64 {
-                        snap.update(&ctx, pid.index() as u64 * 100 + round).await?;
-                        let s = snap.scan(&ctx).await?;
+                        snap.update(&ctx, pid.index() as u64 * 100 + round).await;
+                        let s = snap.scan(&ctx).await;
                         scans.lock().unwrap().push(s);
                     }
-                    Ok(())
                 })
             })
             .run();

@@ -34,7 +34,7 @@ fn record_history(
                     // Never hold the lock across a step: a lock held there
                     // would deadlock the lockstep scheduler.
                     let invoke = ctx.now();
-                    snap.update(&ctx, v).await?;
+                    snap.update(&ctx, v).await;
                     let response = ctx.now();
                     history.lock().unwrap().push(OpRecord {
                         process: pid,
@@ -44,7 +44,7 @@ fn record_history(
                         resp: SnapResp::Ack,
                     });
                     let invoke = ctx.now();
-                    let s = snap.scan(&ctx).await?;
+                    let s = snap.scan(&ctx).await;
                     let response = ctx.now();
                     history.lock().unwrap().push(OpRecord {
                         process: pid,
@@ -54,7 +54,6 @@ fn record_history(
                         resp: SnapResp::Snap(s),
                     });
                 }
-                Ok(())
             })
         })
         .run();
@@ -104,13 +103,12 @@ proptest! {
                     let snap = FlavoredSnapshot::<u64>::new(
                         SnapshotFlavor::RegisterBased, Key::new("S"), 1);
                     for v in &values {
-                        snap.update(&ctx, *v).await?;
-                        let s = snap.scan(&ctx).await?;
+                        snap.update(&ctx, *v).await;
+                        let s = snap.scan(&ctx).await;
                         assert_eq!(s, vec![Some(*v)]);
                     }
-                    let s = snap.scan(&ctx).await?;
+                    let s = snap.scan(&ctx).await;
                     *result.lock().unwrap() = s;
-                    Ok(())
                 })
             })
             .run();
@@ -133,18 +131,16 @@ proptest! {
                     let reg = Register::new(Key::new("r"), 0u64);
                     if pid.index() == 0 {
                         for i in 1..=writes {
-                            reg.write(&ctx, i).await?;
+                            reg.write(&ctx, i).await;
                         }
-                        Ok(())
                     } else {
                         // Read until the writer is certainly done, then
                         // record the stable value.
                         let mut last = 0;
                         for _ in 0..writes * 10 {
-                            last = reg.read(&ctx).await?;
+                            last = reg.read(&ctx).await;
                         }
                         observed.lock().unwrap().push(last);
-                        Ok(())
                     }
                 })
             })
@@ -170,14 +166,13 @@ proptest! {
                     let snap = FlavoredSnapshot::<u64>::new(
                         SnapshotFlavor::RegisterBased, Key::new("S"), 4);
                     for r in 0..2u64 {
-                        snap.update(&ctx, pid.index() as u64 + r * 10).await?;
+                        snap.update(&ctx, pid.index() as u64 + r * 10).await;
                         // Take the scan *before* touching the shared Vec: a
                         // lock held across a step would deadlock the
                         // lockstep scheduler (see `upsilon_sim::Ctx` docs).
-                        let s = snap.scan(&ctx).await?;
+                        let s = snap.scan(&ctx).await;
                         scans.lock().unwrap().push(s);
                     }
-                    Ok(())
                 })
             })
             .run();

@@ -18,8 +18,7 @@
 //!                 .adversary(SeededRandom::new(seed))
 //!                 .spawn_all(|pid| {
 //!                     algo(move |ctx| async move {
-//!                         ctx.decide(pid.index() as u64).await?;
-//!                         Ok(())
+//!                         ctx.decide(pid.index() as u64).await;
 //!                     })
 //!                 })
 //!                 .run()

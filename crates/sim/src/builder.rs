@@ -11,7 +11,6 @@
 //! engine.
 
 use crate::engine::InlineEngine;
-use crate::error::AlgoResult;
 use crate::failure::FailurePattern;
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
@@ -26,7 +25,7 @@ use std::panic::resume_unwind;
 use std::pin::Pin;
 
 /// The suspended state machine of one algorithm: what an [`AlgoFn`] returns.
-pub type AlgoFuture = Pin<Box<dyn Future<Output = AlgoResult>>>;
+pub type AlgoFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 /// The algorithm a process runs: its automaton of §3.3, written as ordinary
 /// sequential `async` code over a [`Ctx`]. Use [`algo`] to build one from an
@@ -41,8 +40,7 @@ pub type AlgoFn<D> = Box<dyn FnOnce(Ctx<D>) -> AlgoFuture + Send>;
 /// let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
 ///     .spawn_all(|pid| {
 ///         algo(move |ctx| async move {
-///             ctx.decide(pid.index() as u64).await?;
-///             Ok(())
+///             ctx.decide(pid.index() as u64).await;
 ///         })
 ///     })
 ///     .run();
@@ -52,7 +50,7 @@ pub fn algo<D, F, Fut>(f: F) -> AlgoFn<D>
 where
     D: FdValue,
     F: FnOnce(Ctx<D>) -> Fut + Send + 'static,
-    Fut: Future<Output = AlgoResult> + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     Box::new(move |ctx| Box::pin(f(ctx)))
 }
@@ -79,8 +77,7 @@ impl<D: FdValue> Oracle<D> for NoOracleConfigured<D> {
 /// let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
 ///     .spawn_all(|pid| {
 ///         algo(move |ctx| async move {
-///             ctx.decide(pid.index() as u64).await?;
-///             Ok(())
+///             ctx.decide(pid.index() as u64).await;
 ///         })
 ///     })
 ///     .run();
@@ -380,9 +377,7 @@ impl<D: FdValue> RunCell<D> {
                 if !self.stopped[i] && self.pattern.is_crashed_at(ProcessId(i), self.t) {
                     self.stopped[i] = true;
                     self.crash_observed[i] = Some(self.t);
-                    if self.has_algo[i] {
-                        self.engine.stop(ProcessId(i));
-                    }
+                    self.engine.stop(ProcessId(i));
                 }
             }
 

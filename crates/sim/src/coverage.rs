@@ -288,9 +288,8 @@ mod tests {
                 algo(move |ctx| async move {
                     let k = Key::new("c");
                     ctx.invoke(&k, Cell::default, Op::Write(pid.index() as u64))
-                        .await?;
-                    ctx.invoke(&k, Cell::default, Op::Read).await?;
-                    Ok(())
+                        .await;
+                    ctx.invoke(&k, Cell::default, Op::Read).await;
                 })
             })
             .run();
@@ -347,8 +346,7 @@ mod tests {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|_| {
                 algo(move |ctx| async move {
-                    ctx.invoke(&Key::new("c"), Cell::default, Op::Read).await?;
-                    Ok(())
+                    ctx.invoke(&Key::new("c"), Cell::default, Op::Read).await;
                 })
             })
             .run();

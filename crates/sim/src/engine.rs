@@ -8,10 +8,9 @@
 //! exactly one `poll` per granted step. No channels, no locks, no spawns.
 
 use crate::builder::AlgoFn;
-use crate::error::Crashed;
 use crate::oracle::FdValue;
 use crate::process::ProcessId;
-use crate::runtime::{AnyReply, Ctx, Grant, ProcCell, ProcOutcome, World};
+use crate::runtime::{AnyReply, Ctx, ProcCell, ProcOutcome, World};
 use crate::time::Time;
 use crate::trace::StepKind;
 use std::cell::RefCell;
@@ -40,7 +39,7 @@ pub(crate) struct EngineShutdown<D: FdValue> {
 struct InlineProc<D: FdValue> {
     cell: Rc<ProcCell<D>>,
     /// The algorithm's suspended state machine; `None` once it returned,
-    /// panicked, or was cancelled.
+    /// panicked, or was dropped by a crash.
     fut: Option<crate::builder::AlgoFuture>,
     outcome: Option<ProcOutcome>,
 }
@@ -83,12 +82,9 @@ impl<D: FdValue> InlineEngine<D> {
         let mut cx = Context::from_waker(Waker::noop());
         match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
             Ok(Poll::Pending) => {}
-            Ok(Poll::Ready(res)) => {
+            Ok(Poll::Ready(())) => {
                 proc_.fut = None;
-                proc_.outcome = Some(match res {
-                    Ok(()) => ProcOutcome::FinishedOk,
-                    Err(Crashed) => ProcOutcome::Crashed,
-                });
+                proc_.outcome = Some(ProcOutcome::FinishedOk);
             }
             Err(payload) => {
                 // The panicking process stops taking steps; the payload is
@@ -108,27 +104,16 @@ impl<D: FdValue> InlineEngine<D> {
 
     // --- Scheduler-loop hooks ----------------------------------------------
 
-    /// Tells the process it is crashed (run condition 1): it will take no
-    /// step at or after this point.
+    /// Crashes `p` (run condition 1): drops its suspended future, so it
+    /// takes no step at or after this point and none of its code runs
+    /// again. A no-op for a process without an algorithm.
     pub(crate) fn stop(&mut self, p: ProcessId) {
-        // Deliver the crash and give the algorithm its unwind poll: the step
-        // future observes `Stop`, returns `Err(Crashed)`, and any cleanup
-        // code runs now.
         if let Some(proc_) = self.procs[p.index()].as_mut() {
-            if proc_.fut.is_some() {
-                proc_.cell.grant.set(Some(Grant::Stop));
-                let stray = Self::poll_proc(proc_);
-                debug_assert!(stray.is_none(), "a stopped process reported a step");
-                // If the future suspended again after the Stop (it awaited a
-                // further step), it will never be granted one: cancel it.
-                if proc_.fut.take().is_some() {
-                    proc_.outcome = Some(ProcOutcome::Crashed);
-                }
-            }
+            proc_.fut = None;
         }
     }
 
-    /// Grants one step to `p` at time `t`. Returns `Some(kind)` if the
+    /// Lets `p` take one step at time `t`. Returns `Some(kind)` if the
     /// process took the step, `None` if its algorithm had already returned
     /// (the caller marks `p` finished and re-schedules).
     pub(crate) fn grant(&mut self, p: ProcessId, t: Time) -> Option<StepKind<D>> {
@@ -137,38 +122,25 @@ impl<D: FdValue> InlineEngine<D> {
             .expect("eligible process has an algorithm");
         // Already returned: the grant goes unused.
         proc_.fut.as_ref()?;
-        proc_.cell.grant.set(Some(Grant::Step(t)));
+        proc_.cell.grant.set(Some(t));
         Self::poll_proc(proc_)
     }
 
-    /// Ends the run: stops every process, collects final outcomes, and
-    /// returns the world together with which processes finished their
-    /// protocol and the first panic payload (if any).
+    /// Ends the run: drops every future still mid-protocol, and returns the
+    /// world together with which processes finished their protocol and the
+    /// first panic payload (if any).
     pub(crate) fn shutdown(self) -> EngineShutdown<D> {
         let mut finished = vec![false; self.procs.len()];
         let mut first_panic = None;
-        let mut procs = self.procs;
-        for proc_ in procs.iter_mut().flatten() {
-            // Wake every process still mid-protocol with a Stop so its
-            // cleanup code runs.
-            if proc_.fut.is_some() {
-                proc_.cell.grant.set(Some(Grant::Stop));
-                let _ = Self::poll_proc(proc_);
-                if proc_.fut.take().is_some() {
-                    proc_.outcome = Some(ProcOutcome::Crashed);
-                }
-            }
-        }
-        for (i, proc_) in procs.into_iter().enumerate() {
-            let Some(proc_) = proc_ else { continue };
-            match proc_.outcome {
+        for (i, proc_) in self.procs.into_iter().enumerate() {
+            // Taking the outcome drops the process, and with it any future
+            // still mid-protocol.
+            match proc_.and_then(|pr| pr.outcome) {
                 Some(ProcOutcome::FinishedOk) => finished[i] = true,
-                Some(ProcOutcome::Crashed) | None => {}
-                Some(ProcOutcome::Panicked(payload)) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
+                Some(ProcOutcome::Panicked(payload)) if first_panic.is_none() => {
+                    first_panic = Some(payload);
                 }
+                _ => {}
             }
         }
         let world = Rc::try_unwrap(self.world)
@@ -239,7 +211,7 @@ impl<D: FdValue> InlineEngine<D> {
             .as_mut()
             .expect("replayed process has an algorithm");
         proc_.cell.replay.set(Some(value));
-        proc_.cell.grant.set(Some(Grant::Step(t)));
+        proc_.cell.grant.set(Some(t));
         let stray = Self::poll_proc(proc_);
         debug_assert!(stray.is_none(), "a replayed step deposited a fresh report");
     }
@@ -252,20 +224,16 @@ impl<D: FdValue> InlineEngine<D> {
         {
             None => ProcStatus::Running,
             Some(ProcOutcome::FinishedOk) => ProcStatus::FinishedOk,
-            Some(ProcOutcome::Crashed) => ProcStatus::Crashed,
             Some(ProcOutcome::Panicked(_)) => ProcStatus::Panicked,
         }
     }
 
-    /// Takes the panic payload of `p` (downgrading its outcome to crashed);
-    /// the session re-raises it immediately.
+    /// Takes the panic payload of `p` (clearing its outcome); the session
+    /// re-raises it immediately.
     pub(crate) fn take_panic(&mut self, p: ProcessId) -> Option<Box<dyn std::any::Any + Send>> {
         let proc_ = self.procs[p.index()].as_mut()?;
         match proc_.outcome.take() {
-            Some(ProcOutcome::Panicked(payload)) => {
-                proc_.outcome = Some(ProcOutcome::Crashed);
-                Some(payload)
-            }
+            Some(ProcOutcome::Panicked(payload)) => Some(payload),
             other => {
                 proc_.outcome = other;
                 None
@@ -279,6 +247,5 @@ impl<D: FdValue> InlineEngine<D> {
 pub(crate) enum ProcStatus {
     Running,
     FinishedOk,
-    Crashed,
     Panicked,
 }

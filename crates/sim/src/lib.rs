@@ -55,14 +55,14 @@
 //!     .spawn_all(|pid| algo(move |ctx| async move {
 //!         let me = pid.index() as u64;
 //!         let other = 1 - pid.index();
-//!         ctx.invoke(&Key::new("c").at(pid.index() as u64), Cell::default, Op::Write(me)).await?;
+//!         ctx.invoke(&Key::new("c").at(pid.index() as u64), Cell::default, Op::Write(me)).await;
 //!         loop {
 //!             let seen = ctx
 //!                 .invoke(&Key::new("c").at(other as u64), Cell::default, Op::Read)
-//!                 .await?;
+//!                 .await;
 //!             if let Some(v) = seen {
-//!                 ctx.decide(v).await?;
-//!                 return Ok(());
+//!                 ctx.decide(v).await;
+//!                 return;
 //!             }
 //!         }
 //!     }))
@@ -79,7 +79,6 @@ mod builder;
 pub mod commute;
 mod coverage;
 mod engine;
-mod error;
 mod failure;
 mod fingerprint;
 mod object;
@@ -98,7 +97,6 @@ pub use batch::{default_workers, run_batch};
 pub use builder::{algo, AlgoFn, AlgoFuture, RunCell, SimBuilder, SimOutcome};
 pub use coverage::{conflict_coverage, conflict_pairs, ConflictPair, Fnv64};
 pub use engine::EngineKind;
-pub use error::{AlgoResult, Crashed};
 pub use failure::{Environment, FailurePattern, FailurePatternBuilder};
 pub use fingerprint::trace_fingerprint;
 pub use object::{Access, Key, Memory, ObjectId, ObjectType};

@@ -130,7 +130,7 @@ mod tests {
         SimBuilder::<()>::new(FailurePattern::failure_free(n)).spawn_all(|pid| {
             crate::builder::algo(move |ctx| async move {
                 loop {
-                    ctx.output(Output::Value(pid.index() as u64)).await?;
+                    ctx.output(Output::Value(pid.index() as u64)).await;
                 }
             })
         })
@@ -183,7 +183,7 @@ mod tests {
             .spawn_all(|_| {
                 crate::builder::algo(move |ctx| async move {
                     loop {
-                        ctx.yield_step().await?;
+                        ctx.yield_step().await;
                     }
                 })
             })

@@ -324,7 +324,7 @@ mod tests {
             .spawn_all(|_| {
                 algo(move |ctx| async move {
                     loop {
-                        ctx.yield_step().await?;
+                        ctx.yield_step().await;
                     }
                 })
             })

@@ -11,8 +11,11 @@
 //! accessed by at most one process at a time — each step is atomic as §3.3
 //! requires — and the whole run is deterministic given the adversary's
 //! choices.
+//!
+//! A crash drops the process's suspended future (crash-stop, §3.1): no code
+//! of a crashed process runs again, so a `Ctx` operation only ever returns
+//! the value of a step that was granted.
 
-use crate::error::Crashed;
 use crate::object::{Key, Memory, ObjectType};
 use crate::opsig::OpSig;
 use crate::oracle::{FdValue, Oracle};
@@ -22,15 +25,6 @@ use crate::trace::{Output, StepKind, TraceLevel};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::task::Poll;
-
-/// Message from the scheduler to a process: take a step, or stop forever.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Grant {
-    /// Permission to take exactly one step at the given time.
-    Step(Time),
-    /// The process is crashed (or the run is over); unwind.
-    Stop,
-}
 
 /// The shared world: memory, oracle and trace configuration.
 pub(crate) struct World<D: FdValue> {
@@ -59,9 +53,9 @@ impl<T: Clone + Send + 'static> AnyReply for T {
     }
 }
 
-/// Per-process mailbox: the scheduler deposits a grant,
-/// the step future consumes it, performs its operation and deposits the
-/// step report back.
+/// Per-process mailbox: the scheduler deposits a grant (permission to take
+/// exactly one step at the given time), the step future consumes it,
+/// performs its operation and deposits the step report back.
 ///
 /// The three extra slots drive session recording and fast-forward replay:
 /// with `record` set, each completed step leaves a clone of its result in
@@ -70,7 +64,7 @@ impl<T: Clone + Send + 'static> AnyReply for T {
 /// world (and without depositing a step report — the caller already knows
 /// what the step did).
 pub(crate) struct ProcCell<D: FdValue> {
-    pub(crate) grant: Cell<Option<Grant>>,
+    pub(crate) grant: Cell<Option<Time>>,
     pub(crate) reply: RefCell<Option<StepKind<D>>>,
     pub(crate) record: Cell<bool>,
     pub(crate) recorded: Cell<Option<Box<dyn AnyReply>>>,
@@ -91,10 +85,10 @@ impl<D: FdValue> ProcCell<D> {
 
 /// The per-process execution context handed to algorithm code.
 ///
-/// All methods that take a step are `async` and return `Err(`[`Crashed`]`)`
-/// once the process has crashed according to the failure pattern (or the run
-/// is shutting down); algorithms propagate it with `?`, which models
-/// crash-stop cleanly.
+/// All methods that take a step are `async` and return the step's value.
+/// A process crashed by the failure pattern simply takes no further step:
+/// the engine drops its suspended future, so the pending operation never
+/// returns.
 ///
 /// # Deadlock hazard: external locks across steps
 ///
@@ -105,7 +99,7 @@ impl<D: FdValue> ProcCell<D> {
 /// thread. If one of them calls `lock()` on the mutex the suspended process
 /// still holds, that thread blocks forever (`std::sync::Mutex` is not
 /// reentrant), and the run deadlocks. In particular beware receiver-first
-/// evaluation order: `shared.lock().unwrap().push(ctx_op().await?)`
+/// evaluation order: `shared.lock().unwrap().push(ctx_op().await)`
 /// acquires the lock *before* running `ctx_op`. Bind the step result to a
 /// local first, then lock.
 pub struct Ctx<D: FdValue> {
@@ -171,15 +165,10 @@ impl<D: FdValue> Ctx<D> {
     async fn step<R: Clone + Send + 'static>(
         &self,
         f: impl FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
-    ) -> Result<R, Crashed> {
+    ) -> R {
         let cell = &self.cell;
-        let granted = std::future::poll_fn(|_cx| match cell.grant.take() {
-            Some(Grant::Step(t)) => Poll::Ready(Ok(t)),
-            Some(Grant::Stop) => Poll::Ready(Err(Crashed)),
-            None => Poll::Pending,
-        })
-        .await;
-        let t = granted?;
+        let t =
+            std::future::poll_fn(|_cx| cell.grant.take().map_or(Poll::Pending, Poll::Ready)).await;
         self.now.set(t);
         if let Some(prev) = cell.replay.take() {
             // Fast-forward replay: this step already happened in the run
@@ -189,28 +178,24 @@ impl<D: FdValue> Ctx<D> {
                 .into_any()
                 .downcast::<R>()
                 .expect("replayed step result has the recorded type");
-            return Ok(*out);
+            return *out;
         }
         let (kind, out) = f(&mut self.world.borrow_mut(), self.pid, t);
         if cell.record.get() {
             cell.recorded.set(Some(Box::new(out.clone())));
         }
         *cell.reply.borrow_mut() = Some(kind);
-        Ok(out)
+        out
     }
 
     /// Applies `op` to the shared object of type `O` named `key`, creating
     /// it with `init` on first touch. One atomic step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if this process crashed or the run ended.
     pub async fn invoke<O: ObjectType>(
         &self,
         key: &Key,
         init: impl FnOnce() -> O,
         op: O::Op,
-    ) -> Result<O::Resp, Crashed> {
+    ) -> O::Resp {
         self.step(move |world, pid, _t| {
             let id = world.memory.resolve::<O>(key, init);
             let access = O::access(&op);
@@ -238,11 +223,7 @@ impl<D: FdValue> Ctx<D> {
 
     /// Queries this process's failure-detector module: returns `H(p, t)` for
     /// the current step's time `t`. One atomic step (a *query step*, §3.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn query_fd(&self) -> Result<D, Crashed> {
+    pub async fn query_fd(&self) -> D {
         self.step(|world, pid, t| {
             let v = world.oracle.output(pid, t);
             (StepKind::Query(v.clone()), v)
@@ -255,41 +236,28 @@ impl<D: FdValue> Ctx<D> {
     /// Reduction algorithms use this to publish the current value of the
     /// emulated failure-detector variable (`D-output` of §3.5); agreement
     /// algorithms use it to decide.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn output(&self, out: Output) -> Result<(), Crashed> {
+    pub async fn output(&self, out: Output) {
         self.step(move |_world, _pid, _t| (StepKind::Output(out), ()))
             .await
     }
 
     /// Decides `v` — sugar for `output(Output::Decide(v))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn decide(&self, v: u64) -> Result<(), Crashed> {
+    pub async fn decide(&self, v: u64) {
         self.output(Output::Decide(v)).await
     }
 
     /// Takes a step that touches nothing shared. Used to model idle spinning
     /// and to keep custom adversary constructions honest about step counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] if this process crashed or the run ended.
-    pub async fn yield_step(&self) -> Result<(), Crashed> {
+    pub async fn yield_step(&self) {
         self.step(|_world, _pid, _t| (StepKind::NoOp, ())).await
     }
 }
 
-/// How a process's algorithm ended.
+/// How a process's algorithm ended. A crashed process has no outcome: its
+/// future is dropped, not ended.
 pub(crate) enum ProcOutcome {
-    /// The algorithm returned `Ok` — the process finished its protocol.
+    /// The algorithm returned — the process finished its protocol.
     FinishedOk,
-    /// The algorithm observed its crash and unwound with `Err(Crashed)`.
-    Crashed,
     /// The algorithm panicked; the payload is re-raised by the runner.
     Panicked(Box<dyn std::any::Any + Send>),
 }

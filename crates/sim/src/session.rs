@@ -223,7 +223,7 @@ impl<D: FdValue> Session<D> {
         self.with_memory(|memory| trace_fingerprint(&self.run, memory))
     }
 
-    /// Grants one step to `p` (which must be [`eligible`](Session::eligible))
+    /// Lets `p` take one step (`p` must be [`eligible`](Session::eligible))
     /// and performs the same bookkeeping as the one-shot drive loop. Panics
     /// raised inside the algorithm are re-raised here.
     pub fn step(&mut self, p: ProcessId) -> SessionStep {
@@ -283,10 +283,7 @@ impl<D: FdValue> Session<D> {
         self.run.pattern.set_crash_at(p, self.t);
         self.stopped[i] = true;
         self.run.crash_observed[i] = Some(self.t);
-        if self.has_algo[i] {
-            self.engine.stop(p);
-            self.sync_status(p);
-        }
+        self.engine.stop(p);
         self.recompute_stop();
     }
 
@@ -397,10 +394,7 @@ impl<D: FdValue> Session<D> {
             if !self.stopped[i] && self.run.pattern.is_crashed_at(p, self.t) {
                 self.stopped[i] = true;
                 self.run.crash_observed[i] = Some(self.t);
-                if self.has_algo[i] {
-                    self.engine.stop(p);
-                    self.sync_status(p);
-                }
+                self.engine.stop(p);
             }
         }
     }
@@ -408,7 +402,7 @@ impl<D: FdValue> Session<D> {
     /// Mirrors `p`'s terminal engine status into the run; re-raises panics.
     fn sync_status(&mut self, p: ProcessId) {
         match self.engine.status_of(p) {
-            ProcStatus::Running | ProcStatus::Crashed => {}
+            ProcStatus::Running => {}
             ProcStatus::FinishedOk => self.run.finished[p.index()] = true,
             ProcStatus::Panicked => {
                 let payload = self

@@ -83,9 +83,8 @@ fn simulation_batches_are_deterministic_across_worker_counts() {
                         .adversary(SeededRandom::new(seed))
                         .spawn_all(|pid| {
                             algo(move |ctx| async move {
-                                ctx.yield_step().await?;
-                                ctx.decide(pid.index() as u64).await?;
-                                Ok(())
+                                ctx.yield_step().await;
+                                ctx.decide(pid.index() as u64).await;
                             })
                         })
                         .run()

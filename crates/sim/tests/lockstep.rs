@@ -1,9 +1,12 @@
 //! End-to-end tests of the lockstep runtime: atomicity, crash delivery,
 //! determinism, budgets and stop predicates.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use upsilon_sim::{
-    algo, DummyOracle, FailurePattern, FnAdversary, Key, ObjectType, Output, ProcessId, RoundRobin,
-    Scripted, SeededRandom, SimBuilder, StepKind, StopReason, Time, TraceLevel, WeightedRandom,
+    algo, Adversary, AlgoFn, DummyOracle, FailurePattern, FnAdversary, Key, NullOracle, ObjectType,
+    Output, ProcessId, RoundRobin, SchedView, Scripted, SeededRandom, Session, SessionAlgos,
+    SimBuilder, StepKind, StopReason, Time, TraceLevel, WeightedRandom,
 };
 
 /// A shared counter used to detect atomicity violations: `IncrTwoPhase`
@@ -40,9 +43,8 @@ fn steps_are_counted_and_attributed() {
             algo(move |ctx| async move {
                 for _ in 0..5 {
                     ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
-                        .await?;
+                        .await;
                 }
-                Ok(())
             })
         })
         .run();
@@ -58,28 +60,77 @@ fn steps_are_counted_and_attributed() {
     assert_eq!(outcome.run.validate_run_conditions(), Ok(()));
 }
 
+/// What a probed algorithm leaves behind: how many times its code resumed
+/// after an `.await`, and whether its future was dropped.
+#[derive(Clone, Default)]
+struct Probe {
+    resumed: Arc<AtomicU64>,
+    dropped: Arc<AtomicBool>,
+}
+
+/// Flags its drop: held across every `.await` of a probed algorithm, it
+/// drops exactly when the algorithm's future does.
+struct DropGuard(Arc<AtomicBool>);
+
+impl Drop for DropGuard {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Increments the shared counter until it reaches 50; with a probe, counts
+/// each resumption and holds the probe's drop guard.
+fn incrementer(probe: Option<Probe>) -> AlgoFn<()> {
+    algo(move |ctx| async move {
+        let _guard = probe.as_ref().map(|pr| DropGuard(Arc::clone(&pr.dropped)));
+        loop {
+            let v = ctx
+                .invoke(&counter_key(), Counter::default, CounterOp::Incr)
+                .await;
+            if let Some(pr) = &probe {
+                pr.resumed.fetch_add(1, Ordering::SeqCst);
+            }
+            if v >= 50 {
+                return;
+            }
+        }
+    })
+}
+
 #[test]
 fn crashed_process_takes_no_step_at_or_after_crash_time() {
+    // A failure-pattern crash, delivered by the scheduler loop of a
+    // `RunCell` (which `run` drives). The adversary sees every crash
+    // delivery before it picks the next step: p1's future must be gone by
+    // then, and only by then.
+    let probe = Probe::default();
     let pattern = FailurePattern::builder(2)
         .crash(ProcessId(0), Time(4))
         .build();
+    let seen = probe.clone();
+    let mut rr = RoundRobin::new();
     let outcome = SimBuilder::<()>::new(pattern)
-        .adversary(RoundRobin::new())
-        .spawn_all(|_| {
-            algo(move |ctx| async move {
-                loop {
-                    let v = ctx
-                        .invoke(&counter_key(), Counter::default, CounterOp::Incr)
-                        .await?;
-                    if v >= 50 {
-                        return Ok(());
-                    }
-                }
-            })
-        })
+        .adversary(FnAdversary(move |view: &SchedView<'_>| {
+            let crashed = !view.eligible.contains(ProcessId(0));
+            assert_eq!(
+                seen.dropped.load(Ordering::SeqCst),
+                crashed,
+                "p1's future is dropped exactly when its crash is delivered ({})",
+                view.time
+            );
+            rr.next_process(view)
+        }))
+        .spawn(ProcessId(0), incrementer(Some(probe.clone())))
+        .spawn(ProcessId(1), incrementer(None))
         .run();
     // p1 took steps at times 0 and 2 only (round-robin), then crashed at 4.
     assert_eq!(outcome.run.steps_by()[0], 2);
+    assert_eq!(
+        probe.resumed.load(Ordering::SeqCst),
+        2,
+        "no code after a crash"
+    );
+    assert!(probe.dropped.load(Ordering::SeqCst));
     assert!(outcome
         .run
         .events()
@@ -89,6 +140,45 @@ fn crashed_process_takes_no_step_at_or_after_crash_time() {
     assert!(outcome.run.finished(ProcessId(1)));
     assert_eq!(outcome.run.crash_observed(ProcessId(0)), Some(Time(4)));
     assert_eq!(outcome.run.validate_run_conditions(), Ok(()));
+
+    // The explorer's crash: `Session::crash` mid-run.
+    let probe = Probe::default();
+    let factory_probe = probe.clone();
+    let algos: SessionAlgos<()> = Arc::new(move || {
+        vec![
+            Some(incrementer(Some(factory_probe.clone()))),
+            Some(incrementer(None)),
+        ]
+    });
+    let mut session = Session::new(
+        FailurePattern::failure_free(2),
+        algos,
+        Box::new(NullOracle),
+        TraceLevel::Steps,
+        false,
+    );
+    for i in [0, 1, 0, 1, 0] {
+        session.step(ProcessId(i));
+    }
+    assert!(!probe.dropped.load(Ordering::SeqCst));
+    session.crash(ProcessId(0));
+    assert!(
+        probe.dropped.load(Ordering::SeqCst),
+        "Session::crash drops p1's future before the next step"
+    );
+    while session.eligible(ProcessId(1)) {
+        session.step(ProcessId(1));
+    }
+    let run = session.finish();
+    assert_eq!(run.steps_by()[0], 3);
+    assert_eq!(
+        probe.resumed.load(Ordering::SeqCst),
+        3,
+        "no code after a crash"
+    );
+    assert!(!run.finished(ProcessId(0)));
+    assert!(run.finished(ProcessId(1)));
+    assert_eq!(run.validate_run_conditions(), Ok(()));
 }
 
 #[test]
@@ -101,10 +191,9 @@ fn identical_seeds_produce_identical_traces() {
                 algo(move |ctx| async move {
                     for _ in 0..20 {
                         ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
-                            .await?;
+                            .await;
                     }
-                    ctx.decide(pid.index() as u64).await?;
-                    Ok(())
+                    ctx.decide(pid.index() as u64).await;
                 })
             })
             .run();
@@ -125,7 +214,7 @@ fn budget_exhaustion_stops_non_terminating_algorithms() {
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 loop {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -142,8 +231,8 @@ fn stop_predicate_ends_run_when_everyone_published() {
         .spawn_all(|pid| {
             algo(move |ctx| async move {
                 loop {
-                    ctx.output(Output::Value(pid.index() as u64)).await?;
-                    ctx.yield_step().await?;
+                    ctx.output(Output::Value(pid.index() as u64)).await;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -162,7 +251,7 @@ fn scripted_adversary_runs_exact_prefix() {
             algo(move |ctx| async move {
                 loop {
                     ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
-                        .await?;
+                        .await;
                 }
             })
         })
@@ -182,13 +271,13 @@ fn solo_runs_are_possible() {
     let solo = ProcessId(2);
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
         .max_steps(40)
-        .adversary(FnAdversary(move |v: &upsilon_sim::SchedView<'_>| {
+        .adversary(FnAdversary(move |v: &SchedView<'_>| {
             v.eligible.contains(solo).then_some(solo)
         }))
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 loop {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -205,9 +294,8 @@ fn non_participating_processes_are_never_scheduled() {
             ProcessId(0),
             algo(|ctx| async move {
                 for _ in 0..7 {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
-                Ok(())
             }),
         )
         .run();
@@ -221,9 +309,8 @@ fn fd_query_steps_record_history_samples() {
         .oracle(DummyOracle::new(99u64))
         .spawn_all(|_| {
             algo(move |ctx| async move {
-                let v = ctx.query_fd().await?;
+                let v = ctx.query_fd().await;
                 assert_eq!(v, 99);
-                Ok(())
             })
         })
         .run();
@@ -246,8 +333,7 @@ fn full_trace_level_records_op_details() {
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
-                    .await?;
-                Ok(())
+                    .await;
             })
         })
         .run();
@@ -268,12 +354,11 @@ fn panics_in_algorithms_propagate_by_default() {
         SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|pid| {
                 algo(move |ctx| async move {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                     if pid == ProcessId(1) {
                         panic!("deliberate test panic");
                     }
-                    ctx.yield_step().await?;
-                    Ok(())
+                    ctx.yield_step().await;
                 })
             })
             .run()
@@ -287,12 +372,11 @@ fn panics_can_be_suppressed() {
         .propagate_panics(false)
         .spawn_all(|pid| {
             algo(move |ctx| async move {
-                ctx.yield_step().await?;
+                ctx.yield_step().await;
                 if pid == ProcessId(0) {
                     panic!("deliberate test panic");
                 }
-                ctx.yield_step().await?;
-                Ok(())
+                ctx.yield_step().await;
             })
         })
         .run();
@@ -308,7 +392,7 @@ fn weighted_scheduler_biases_step_counts() {
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 loop {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -326,9 +410,8 @@ fn crash_at_time_zero_means_no_steps_ever() {
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 for _ in 0..3 {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
-                Ok(())
             })
         })
         .run();
@@ -342,7 +425,7 @@ fn eligible_set_shrinks_after_crash() {
         .build();
     let outcome = SimBuilder::<()>::new(pattern)
         .max_steps(30)
-        .adversary(FnAdversary(move |v: &upsilon_sim::SchedView<'_>| {
+        .adversary(FnAdversary(move |v: &SchedView<'_>| {
             if v.time >= Time(2) {
                 assert!(!v.eligible.contains(ProcessId(1)));
             }
@@ -351,7 +434,7 @@ fn eligible_set_shrinks_after_crash() {
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 loop {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -380,13 +463,12 @@ fn recorded_schedules_replay_to_identical_runs() {
                             Counter::default,
                             CounterOp::Incr,
                         )
-                        .await?;
+                        .await;
                         if i % 2 == 0 {
-                            let _ = ctx.query_fd().await?;
+                            let _ = ctx.query_fd().await;
                         }
                     }
-                    ctx.decide(pid.index() as u64).await?;
-                    Ok(())
+                    ctx.decide(pid.index() as u64).await;
                 })
             })
             .run()
@@ -404,15 +486,15 @@ fn recorded_schedules_replay_to_identical_runs() {
 #[should_panic(expected = "spawned twice")]
 fn double_spawn_is_rejected() {
     let _ = SimBuilder::<()>::new(FailurePattern::failure_free(2))
-        .spawn(ProcessId(0), algo(|_| async { Ok(()) }))
-        .spawn(ProcessId(0), algo(|_| async { Ok(()) }));
+        .spawn(ProcessId(0), algo(|_| async {}))
+        .spawn(ProcessId(0), algo(|_| async {}));
 }
 
 #[test]
 #[should_panic(expected = "out of range")]
 fn spawn_out_of_range_is_rejected() {
     let _ = SimBuilder::<()>::new(FailurePattern::failure_free(2))
-        .spawn(ProcessId(2), algo(|_| async { Ok(()) }));
+        .spawn(ProcessId(2), algo(|_| async {}));
 }
 
 #[test]
@@ -422,17 +504,15 @@ fn adversary_scheduling_a_finished_process_is_rejected() {
     // learns of the finish on the wasted grant, removes p1 from the
     // eligible set, and must reject the next p1 pick.
     let _ = SimBuilder::<()>::new(FailurePattern::failure_free(2))
-        .adversary(FnAdversary(|_: &upsilon_sim::SchedView<'_>| {
-            Some(ProcessId(0))
-        }))
+        .adversary(FnAdversary(|_: &SchedView<'_>| Some(ProcessId(0))))
         .spawn_all(|pid| {
             algo(move |ctx| async move {
                 if pid.index() == 0 {
-                    ctx.yield_step().await?;
-                    return Ok(()); // p1 finishes after one step
+                    ctx.yield_step().await;
+                    return; // p1 finishes after one step
                 }
                 loop {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
             })
         })
@@ -445,8 +525,7 @@ fn querying_without_an_oracle_panics_clearly() {
     let _ = SimBuilder::<u64>::new(FailurePattern::failure_free(1))
         .spawn_all(|_| {
             algo(move |ctx| async move {
-                let _ = ctx.query_fd().await?;
-                Ok(())
+                let _ = ctx.query_fd().await;
             })
         })
         .run();
@@ -458,12 +537,11 @@ fn now_tracks_the_granted_time() {
         .adversary(RoundRobin::new())
         .spawn_all(|pid| {
             algo(move |ctx| async move {
-                ctx.yield_step().await?;
+                ctx.yield_step().await;
                 // Round-robin: p1 moves at t=0, p2 at t=1.
                 assert_eq!(ctx.now(), Time(pid.index() as u64));
-                ctx.yield_step().await?;
+                ctx.yield_step().await;
                 assert_eq!(ctx.now(), Time(2 + pid.index() as u64));
-                Ok(())
             })
         })
         .run();

@@ -64,16 +64,15 @@ fn ring_algos(n: usize, rounds: usize) -> SessionAlgos<()> {
                             Cell::default,
                             Op::Write(10 * me + r as u64),
                         )
-                        .await?;
+                        .await;
                         let seen = ctx
                             .invoke(&Key::new("c").at(next), Cell::default, Op::Read)
-                            .await?;
+                            .await;
                         if let Some(v) = seen {
-                            ctx.decide(v).await?;
-                            return Ok(());
+                            ctx.decide(v).await;
+                            return;
                         }
                     }
-                    Ok(())
                 }))
             })
             .collect()
@@ -90,7 +89,7 @@ fn new_session(n: usize, rounds: usize) -> Session<()> {
     )
 }
 
-/// Grants each scheduled process in turn, skipping ineligible ones (the
+/// Steps each scheduled process in turn, skipping ineligible ones (the
 /// same convention the explorer uses for its path replays).
 fn drive(session: &mut Session<()>, grants: &[usize]) {
     for &i in grants {

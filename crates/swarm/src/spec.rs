@@ -121,8 +121,7 @@ impl InstanceSpec {
             SwarmProtocol::Echo => {
                 let algos = to_algorithms(&cfg.proposals, move |v| {
                     algo(move |ctx| async move {
-                        ctx.decide(v).await?;
-                        Ok(())
+                        ctx.decide(v).await;
                     })
                 });
                 let mut builder = SimBuilder::<ProcessSet>::new(cfg.pattern.clone())
@@ -140,9 +139,8 @@ impl InstanceSpec {
                 let algos = to_algorithms(&cfg.proposals, move |v| {
                     algo(move |ctx| async move {
                         let inst = ConvergeInstance::new(Key::new("swarm-cv"), n_plus_1, flavor);
-                        let (picked, _committed) = inst.converge(&ctx, k, v).await?;
-                        ctx.decide(picked).await?;
-                        Ok(())
+                        let (picked, _committed) = inst.converge(&ctx, k, v).await;
+                        ctx.decide(picked).await;
                     })
                 });
                 let mut builder = SimBuilder::<ProcessSet>::new(cfg.pattern.clone())

@@ -100,9 +100,8 @@ fn converge_jobs(corpus: &mut Vec<Job>) {
                                         ctx.n_plus_1(),
                                         flavor,
                                     );
-                                    let (picked, committed) = inst.converge(&ctx, k, v).await?;
-                                    ctx.decide(picked * 2 + u64::from(committed)).await?;
-                                    Ok(())
+                                    let (picked, committed) = inst.converge(&ctx, k, v).await;
+                                    ctx.decide(picked * 2 + u64::from(committed)).await;
                                 })
                             })
                             .run()
@@ -268,12 +267,11 @@ fn memory_jobs(corpus: &mut Vec<Job>) {
                                 ctx.n_plus_1(),
                             );
                             for round in 0..4u64 {
-                                snap.update(&ctx, round * 10 + pid.index() as u64).await?;
-                                let view = snap.scan(&ctx).await?;
+                                snap.update(&ctx, round * 10 + pid.index() as u64).await;
+                                let view = snap.scan(&ctx).await;
                                 let sum: u64 = view.iter().flatten().sum();
-                                ctx.output(Output::Value(sum)).await?;
+                                ctx.output(Output::Value(sum)).await;
                             }
-                            Ok(())
                         })
                     })
                     .run()
@@ -295,12 +293,11 @@ fn memory_jobs(corpus: &mut Vec<Job>) {
                     algo(move |ctx| async move {
                         let arr = RegisterArray::<u64>::new(Key::new("ra"), ctx.n_plus_1(), 0);
                         for ts in 1..=5u64 {
-                            arr.write_mine(&ctx, ts * 100 + pid.index() as u64).await?;
-                            let seen = arr.collect(&ctx).await?;
+                            arr.write_mine(&ctx, ts * 100 + pid.index() as u64).await;
+                            let seen = arr.collect(&ctx).await;
                             let top = seen.into_iter().max().unwrap_or(0);
-                            ctx.output(Output::Value(top)).await?;
+                            ctx.output(Output::Value(top)).await;
                         }
-                        Ok(())
                     })
                 })
                 .run()

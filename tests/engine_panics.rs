@@ -22,14 +22,13 @@ fn panicky_run(steps_before_panic: u64) -> Run<()> {
             algo(move |ctx| async move {
                 if pid == ProcessId(0) {
                     for _ in 0..steps_before_panic {
-                        ctx.yield_step().await?;
+                        ctx.yield_step().await;
                     }
                     panic!("deliberate test panic");
                 }
-                ctx.yield_step().await?;
-                ctx.yield_step().await?;
-                ctx.decide(7).await?;
-                Ok(())
+                ctx.yield_step().await;
+                ctx.yield_step().await;
+                ctx.decide(7).await;
             })
         })
         .run()
@@ -104,12 +103,11 @@ fn inline_panic_propagates_by_default() {
             .adversary(RoundRobin::new())
             .spawn_all(|pid| {
                 algo(move |ctx| async move {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                     if pid == ProcessId(1) {
                         panic!("deliberate inline panic");
                     }
-                    ctx.yield_step().await?;
-                    Ok(())
+                    ctx.yield_step().await;
                 })
             })
             .run()

@@ -39,10 +39,9 @@ fn run_converge_scripted(
             algo(move |ctx| async move {
                 let inst =
                     ConvergeInstance::new(Key::new("cv"), ctx.n_plus_1(), SnapshotFlavor::Native);
-                let out = inst.converge(&ctx, k, v).await?;
+                let out = inst.converge(&ctx, k, v).await;
                 let mut slot = results.lock().unwrap();
                 slot[pid.index()] = Some(out);
-                Ok(())
             })
         })
         .run();
@@ -176,11 +175,10 @@ fn snapshot_containment_every_interleaving() {
                 let scans = Arc::clone(&scans2);
                 algo(move |ctx| async move {
                     let snap = NativeSnapshot::<u64>::new(Key::new("S"), 3);
-                    snap.update(&ctx, pid.index() as u64 + 1).await?;
-                    let s = snap.scan(&ctx).await?;
+                    snap.update(&ctx, pid.index() as u64 + 1).await;
+                    let s = snap.scan(&ctx).await;
                     let mut shared = scans.lock().unwrap();
                     shared.push(s);
-                    Ok(())
                 })
             })
             .run();
@@ -220,10 +218,9 @@ fn run_converge_script_only(
             algo(move |ctx| async move {
                 let inst =
                     ConvergeInstance::new(Key::new("cv"), ctx.n_plus_1(), SnapshotFlavor::Native);
-                let out = inst.converge(&ctx, k, v).await?;
+                let out = inst.converge(&ctx, k, v).await;
                 let mut slot = results.lock().unwrap();
                 slot[pid.index()] = Some(out);
-                Ok(())
             })
         })
         .run();

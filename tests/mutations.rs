@@ -23,10 +23,9 @@ fn fig1_without_commit_gate(v: u64) -> AlgoFn<ProcessSet> {
             ctx.n_plus_1(),
             SnapshotFlavor::Native,
         );
-        let (picked, _committed_ignored) = inst.converge(&ctx, n, v).await?;
+        let (picked, _committed_ignored) = inst.converge(&ctx, n, v).await;
         // BUG: decide unconditionally.
-        ctx.decide(picked).await?;
-        Ok(())
+        ctx.decide(picked).await;
     })
 }
 
@@ -37,23 +36,23 @@ fn consensus_without_commit_adopt(v: u64) -> AlgoFn<upsilon_sim_pid::Pid> {
     algo(move |ctx| async move {
         let me = ctx.pid();
         let prop = Register::<Option<u64>>::new(Key::new("prop"), None);
-        let leader = ctx.query_fd().await?;
+        let leader = ctx.query_fd().await;
         if leader == me {
-            prop.write(&ctx, Some(v)).await?;
+            prop.write(&ctx, Some(v)).await;
             // BUG: decide own proposal without any agreement layer.
-            ctx.decide(v).await?;
-            return Ok(());
+            ctx.decide(v).await;
+            return;
         }
         loop {
-            if let Some(w) = prop.read(&ctx).await? {
+            if let Some(w) = prop.read(&ctx).await {
                 // BUG: decide whatever the first observed "leader" wrote.
-                ctx.decide(w).await?;
-                return Ok(());
+                ctx.decide(w).await;
+                return;
             }
-            if ctx.query_fd().await? != leader {
+            if ctx.query_fd().await != leader {
                 // BUG: give up waiting and decide own value.
-                ctx.decide(v).await?;
-                return Ok(());
+                ctx.decide(v).await;
+                return;
             }
         }
     })
@@ -124,19 +123,18 @@ fn wrong_clean_threshold_breaks_c_agreement() {
             let n = ctx.n_plus_1();
             let s1 = NativeSnapshot::<u64>::new(Key::new("s1"), n);
             let s2 = NativeSnapshot::<(u64, bool)>::new(Key::new("s2"), n);
-            s1.update(&ctx, v).await?;
-            let scan1 = s1.scan(&ctx).await?;
+            s1.update(&ctx, v).await;
+            let scan1 = s1.scan(&ctx).await;
             // BUG: threshold is k + 1 = 2 instead of k = 1.
             let clean = distinct_values(&scan1).len() <= 2;
-            s2.update(&ctx, (v, clean)).await?;
-            let scan2 = s2.scan(&ctx).await?;
+            s2.update(&ctx, (v, clean)).await;
+            let scan2 = s2.scan(&ctx).await;
             let all_clean = scan2.iter().flatten().all(|(_, c)| *c);
             let picked = if all_clean { (v, true) } else { (v, false) };
             ctx.output(weakest_failure_detector::sim::Output::Value(
                 picked.0 * 2 + u64::from(picked.1),
             ))
-            .await?;
-            Ok(())
+            .await;
         })
     }
 
@@ -194,9 +192,8 @@ fn run_condition_validator_catches_fabricated_traces() {
         .spawn_all(|_| {
             algo(move |ctx| async move {
                 for _ in 0..5 {
-                    ctx.yield_step().await?;
+                    ctx.yield_step().await;
                 }
-                Ok(())
             })
         })
         .run()

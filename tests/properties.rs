@@ -112,9 +112,8 @@ proptest! {
                 algo(move |ctx| async move {
                     let inst = ConvergeInstance::new(
                         Key::new("cv"), ctx.n_plus_1(), SnapshotFlavor::Native);
-                    let out = inst.converge(&ctx, k, v).await?;
+                    let out = inst.converge(&ctx, k, v).await;
                     results.lock().unwrap()[pid.index()] = Some(out);
-                    Ok(())
                 })
             })
             .run();
@@ -164,11 +163,10 @@ proptest! {
                 algo(move |ctx| async move {
                     let snap = FlavoredSnapshot::<u64>::new(flavor, Key::new("S"), 3);
                     for r in 0..rounds as u64 {
-                        snap.update(&ctx, pid.index() as u64 * 100 + r).await?;
-                        let s = snap.scan(&ctx).await?;
+                        snap.update(&ctx, pid.index() as u64 * 100 + r).await;
+                        let s = snap.scan(&ctx).await;
                         scans.lock().unwrap().push(s);
                     }
-                    Ok(())
                 })
             })
             .run();

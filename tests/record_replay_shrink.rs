@@ -22,9 +22,8 @@ fn distinct_decisions_under(schedule: &[ProcessId]) -> usize {
         .spawn_all(|pid| {
             algo(move |ctx| async move {
                 let inst = ConvergeInstance::new(Key::new("cv"), 3, SnapshotFlavor::Native);
-                let (picked, _ignored_commit) = inst.converge(&ctx, 2, pid.index() as u64).await?;
-                ctx.decide(picked).await?;
-                Ok(())
+                let (picked, _ignored_commit) = inst.converge(&ctx, 2, pid.index() as u64).await;
+                ctx.decide(picked).await;
             })
         })
         .run();
@@ -43,9 +42,8 @@ fn record_replay_shrink_loop() {
                 .spawn_all(|pid| {
                     algo(move |ctx| async move {
                         let inst = ConvergeInstance::new(Key::new("cv"), 3, SnapshotFlavor::Native);
-                        let (picked, _c) = inst.converge(&ctx, 2, pid.index() as u64).await?;
-                        ctx.decide(picked).await?;
-                        Ok(())
+                        let (picked, _c) = inst.converge(&ctx, 2, pid.index() as u64).await;
+                        ctx.decide(picked).await;
                     })
                 })
                 .run()
