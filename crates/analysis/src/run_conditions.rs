@@ -174,7 +174,7 @@ impl fmt::Display for RunViolation {
     }
 }
 
-/// Summary counts of a validated view, surfaced by stress campaigns.
+/// Summary counts of a validated view.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct RunStats {
     /// Events in the trace.

@@ -1,8 +1,8 @@
 #![forbid(unsafe_code)]
 //! # upsilon-bench
 //!
-//! The `experiments` and `stress` binaries for the reproduction of *"On
-//! the weakest failure detector ever"*. Each section of the `experiments`
+//! The `experiments` binary for the reproduction of *"On the weakest
+//! failure detector ever"*. Each section of the `experiments`
 //! binary regenerates one paper artifact; see DESIGN.md's experiment index
 //! (E1–E16) and EXPERIMENTS.md for the paper-vs-measured record.
 

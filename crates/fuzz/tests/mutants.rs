@@ -111,7 +111,7 @@ fn sound_baselines_stay_clean() {
     // 4096) must come back clean too.
     for (name, report) in [
         (
-            "commit-sound",
+            "snapshot-commit buggy=false",
             fuzz(
                 &FuzzConfig::new(samples::snapshot_commit(2, 1, 12, false))
                     .seed(1)

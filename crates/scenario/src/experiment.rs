@@ -126,11 +126,7 @@ fn agreement_out(out: AgreementOutcome) -> RunOut {
         .map(|e| format!("{e:?}"))
         .or_else(|| out.run_conditions.as_ref().err().cloned());
     RunOut {
-        verdict: if spec.is_none() {
-            Verdict::Pass
-        } else {
-            Verdict::Violation
-        },
+        verdict: Verdict::of(spec.is_none()),
         states: out.total_steps,
         violations: usize::from(spec.is_some()),
         spec,
@@ -172,11 +168,7 @@ fn run_converge(n_plus_1: usize, k: usize, distinct: usize, seed: u64) -> RunOut
     picked.dedup();
     let violated = commits > 0 && picked.len() > k;
     RunOut {
-        verdict: if violated {
-            Verdict::Violation
-        } else {
-            Verdict::Pass
-        },
+        verdict: Verdict::of(!violated),
         states: commits as u64,
         violations: usize::from(violated),
         spec: violated.then(|| {

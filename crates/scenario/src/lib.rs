@@ -21,8 +21,10 @@
 //!    ([`matrix::to_jsonl`]) and per-arm A/B summaries
 //!    ([`matrix::arm_summaries`]).
 //!
-//! The `upsilon-scenario` binary exposes the same pipeline on the command
-//! line (`validate`, `expand`, `run`, `ab`).
+//! The `upsilon-scenario` binary is the workspace's one command line: it
+//! exposes the same pipeline (`validate`, `expand`, `run`, `ab`) and runs
+//! `check`, `fuzz` and `swarm` calls as one-cell scenarios through the
+//! registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,6 +25,15 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// `Pass` for a clean run, `Violation` otherwise.
+    pub fn of(clean: bool) -> Verdict {
+        if clean {
+            Verdict::Pass
+        } else {
+            Verdict::Violation
+        }
+    }
+
     /// The lowercase name used in evidence records and scenario files.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -33,7 +42,9 @@ impl Verdict {
         }
     }
 
-    fn matches(self, expect: Expect) -> bool {
+    /// Whether this verdict is the one `expect` asks for: the one rule
+    /// every `--expect` gate and every evidence record's `matched` uses.
+    pub fn matches(self, expect: Expect) -> bool {
         matches!(
             (self, expect),
             (Verdict::Pass, Expect::Pass) | (Verdict::Violation, Expect::Violation)
@@ -118,11 +129,7 @@ fn check_out(cfg: &AnyCheck) -> RunOut {
     let report = cfg.check();
     let first = report.violations.first();
     RunOut {
-        verdict: if report.violations.is_empty() {
-            Verdict::Pass
-        } else {
-            Verdict::Violation
-        },
+        verdict: Verdict::of(report.violations.is_empty()),
         states: report.stats.nodes,
         violations: report.violations.len(),
         spec: first.map(|v| v.spec.clone()),
@@ -142,11 +149,7 @@ pub fn run_one(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<RunOut, Stri
             let report = resolve_fuzz(doc, cell, seed)?.fuzz(&[]);
             let first = report.violations.first();
             Ok(RunOut {
-                verdict: if report.violations.is_empty() {
-                    Verdict::Pass
-                } else {
-                    Verdict::Violation
-                },
+                verdict: Verdict::of(report.violations.is_empty()),
                 states: report.execs,
                 violations: report.violations.len(),
                 spec: first.map(|v| v.spec.clone()),
@@ -165,11 +168,7 @@ pub fn run_one(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<RunOut, Stri
                 + (report.instances - report.run_cond_ok)
                 + (report.instances - report.finished);
             Ok(RunOut {
-                verdict: if report.all_ok() {
-                    Verdict::Pass
-                } else {
-                    Verdict::Violation
-                },
+                verdict: Verdict::of(report.all_ok()),
                 states: report.total_steps,
                 violations: unclean as usize,
                 spec: (!report.all_ok()).then(|| {

@@ -18,7 +18,7 @@
 use upsilon_check::explore::{check, positive, AxisError, CheckConfig, CheckReport};
 use upsilon_check::samples;
 use upsilon_fuzz::{fuzz, FuzzConfig, FuzzReport};
-use upsilon_scenario_schema::{Cell, Kind, Scalar, ScenarioDoc};
+use upsilon_scenario_schema::{Cell, Expect, Kind, Scalar, ScenarioDoc, KNOWN_PROTOCOLS};
 use upsilon_sim::{ProcessId, ProcessSet, ReplayToken};
 use upsilon_swarm::{parse_mix, SwarmConfig};
 
@@ -34,15 +34,6 @@ pub enum AnyCheck {
 }
 
 impl AnyCheck {
-    /// Sets the counterexample budget.
-    pub fn max_violations(mut self, v: usize) -> Self {
-        match &mut self {
-            AnyCheck::Set(c) => c.max_violations = v,
-            AnyCheck::Unit(c) => c.max_violations = v,
-        }
-        self
-    }
-
     /// Number of processes of the resolved sample.
     pub fn n_plus_1(&self) -> usize {
         match self {
@@ -179,9 +170,45 @@ impl<'a> Binds<'a> {
 /// range [`samples::shape`] and [`CheckConfig::validate`] allow.
 pub fn resolve_check(cell: &Cell) -> Result<AnyCheck, String> {
     let mut b = Binds::new(cell);
+    let cfg = build_check(cell, &mut b)?.ok_or_else(|| {
+        format!(
+            "cell `{}`: protocol `{}` is not a check protocol",
+            cell.label(),
+            cell.protocol
+        )
+    })?;
+    b.finish()?;
+    let in_cell = |e: AxisError| format!("cell `{}`: {e}", cell.label());
+    match &cfg {
+        AnyCheck::Set(c) => c.validate(),
+        AnyCheck::Unit(c) => c.validate(),
+    }
+    .map_err(in_cell)?;
+    Ok(cfg)
+}
+
+/// The protocols [`resolve_check`] (and so [`resolve_fuzz`]) accepts, in
+/// [`KNOWN_PROTOCOLS`] order.
+pub fn check_protocols() -> impl Iterator<Item = &'static str> {
+    KNOWN_PROTOCOLS.iter().copied().filter(|p| {
+        let cell = Cell {
+            arm: String::new(),
+            protocol: p.to_string(),
+            expect: Expect::Pass,
+            bindings: Vec::new(),
+        };
+        // With no bindings a check protocol fails on its first required
+        // axis; only a protocol of another runner comes back `Ok(None)`.
+        !matches!(build_check(&cell, &mut Binds::new(&cell)), Ok(None))
+    })
+}
+
+/// The name table: builds the sample `cell.protocol` names from the
+/// cell's bindings, or `Ok(None)` when no check sample has that name.
+fn build_check(cell: &Cell, b: &mut Binds) -> Result<Option<AnyCheck>, String> {
     let in_cell = |e: AxisError| format!("cell `{}`: {e}", cell.label());
     let shape = |n, agreement| samples::shape(n, agreement).map_err(in_cell);
-    let cfg = match cell.protocol.as_str() {
+    Ok(Some(match cell.protocol.as_str() {
         "fig1" => {
             let (n, d) = (b.usize_req("n_plus_1")?, b.usize_req("depth")?);
             let faults = b.usize_or("max_faults", 0)?;
@@ -248,20 +275,8 @@ pub fn resolve_check(cell: &Cell) -> Result<AnyCheck, String> {
             shape(n, Some(("k", k)))?;
             AnyCheck::Unit(samples::converge_offby1(n, k, d, slack))
         }
-        other => {
-            return Err(format!(
-                "cell `{}`: protocol `{other}` is not a check protocol",
-                cell.label()
-            ))
-        }
-    };
-    b.finish()?;
-    match &cfg {
-        AnyCheck::Set(c) => c.validate(),
-        AnyCheck::Unit(c) => c.validate(),
-    }
-    .map_err(in_cell)?;
-    Ok(cfg)
+        _ => return Ok(None),
+    }))
 }
 
 /// Resolves a fuzz-kind scenario cell into a campaign: the target comes
@@ -400,7 +415,6 @@ pub fn resolve_swarm(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<SwarmC
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upsilon_scenario_schema::Expect;
 
     fn cell(protocol: &str, bindings: &[(&str, Scalar)]) -> Cell {
         Cell {

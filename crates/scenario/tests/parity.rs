@@ -35,7 +35,11 @@ fn check_samples_match_direct_construction() {
     let cell = &doc.expand()[0];
     match resolve_check(cell).expect("resolves") {
         AnyCheck::Set(cfg) => {
-            assert_eq!(check(&cfg), check(&samples::fig1_mutating(3, 5, 0, 1)))
+            let report = check(&cfg);
+            assert_eq!(report, check(&samples::fig1_mutating(3, 8, 0, 1)));
+            // Deep enough that a detector query happens and the mutating
+            // menu branches; otherwise the scenario is plain `fig1`.
+            assert!(report.stats.fd_variant_nodes > 0, "{:?}", report.stats);
         }
         AnyCheck::Unit(_) => panic!("fig1-mutating is a ProcessSet sample"),
     }

@@ -7,7 +7,7 @@
 //! * the repeats axis re-runs coordinates without perturbing them.
 
 use upsilon_scenario::matrix::{run_matrix, validate_cells};
-use upsilon_scenario::registry::{resolve_check, resolve_fuzz};
+use upsilon_scenario::registry::{check_protocols, resolve_check, resolve_fuzz};
 use upsilon_scenario::{
     load, load_all, Cell, Expect, Kind, Scalar, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
 };
@@ -16,16 +16,8 @@ use upsilon_scenario::{
 /// (or two layers own) is a registry drift this test pins down.
 #[test]
 fn every_known_protocol_has_exactly_one_runner() {
-    let check = [
-        "fig1",
-        "fig1-mutating",
-        "fig2",
-        "pinned-upsilon",
-        "snapshot-commit",
-        "stable-report",
-        "converge-offby1",
-        "fig2-dropped",
-    ];
+    // What the registry resolves, as `upsilon-scenario --help` lists it.
+    let check: Vec<&str> = check_protocols().collect();
     let experiment = ["e9-baseline", "e10-converge", "e11-snapshots"];
     let swarm = ["swarm"];
     for p in KNOWN_PROTOCOLS {

@@ -5,8 +5,9 @@
 //! parallelism lives *between* runs, never inside one, so
 //! determinism is untouched: `results[i]` is always the outcome of
 //! `jobs[i]`, regardless of worker count or completion order. This is the
-//! sharding/batching layer the exhaustive explorer and stress campaigns sit
-//! on: seeds × schedules × failure patterns in, verdicts out.
+//! sharding/batching layer the exhaustive explorer, fuzz campaigns and the
+//! scenario matrix sit on: seeds × schedules × failure patterns in,
+//! verdicts out.
 //!
 //! ```
 //! use upsilon_sim::{algo, run_batch, FailurePattern, SeededRandom, SimBuilder};
