@@ -130,6 +130,12 @@ pub fn check_k_set_agreement_safety<D: FdValue>(
     check_k_set(run, k, proposals, false)
 }
 
+/// The shared body of the full and safety-only checks. It makes one pass
+/// over `run.outputs()`, comparing each decision with the decisions before
+/// it, and allocates only to report a violation: the spec runs at every
+/// node of an exhaustive search, where the pass path is the hot one.
+/// Violations are reported in clause order (Irrevocability, Termination,
+/// Agreement, Validity), each naming the lowest offending process.
 fn check_k_set<D: FdValue>(
     run: &Run<D>,
     k: usize,
@@ -141,58 +147,75 @@ fn check_k_set<D: FdValue>(
         run.n_plus_1(),
         "one proposal slot per process"
     );
+    let outputs = run.outputs();
+    let decided = |o: &Output| match *o {
+        Output::Decide(v) => Some(v),
+        _ => None,
+    };
 
-    // Irrevocability: no process decides two different values.
-    for i in 0..run.n_plus_1() {
-        let p = ProcessId(i);
-        let decisions: Vec<u64> = run
-            .outputs_of(p)
-            .filter_map(|(_, o)| match o {
-                Output::Decide(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        if let Some((&first, rest)) = decisions.split_first() {
-            if let Some(&second) = rest.iter().find(|&&v| v != first) {
-                return Err(TaskViolation::Revoked {
-                    by: p,
-                    first,
-                    second,
-                });
+    // `revoked` and `invalid` keep the lowest offending process; a
+    // process's first differing decision is the first one the pass meets.
+    let mut revoked: Option<(ProcessId, u64, u64)> = None;
+    let mut invalid: Option<(ProcessId, u64)> = None;
+    let mut distinct = 0;
+    for (j, &(_, p, o)) in outputs.iter().enumerate() {
+        let Some(v) = decided(&o) else { continue };
+        let mut first = None;
+        let mut repeated = false;
+        for (_, q, e) in &outputs[..j] {
+            if let Some(w) = decided(e) {
+                if *q == p && first.is_none() {
+                    first = Some(w);
+                }
+                repeated |= w == v;
             }
+        }
+        if let Some(first) = first.filter(|&f| f != v) {
+            if revoked.is_none_or(|(by, ..)| p < by) {
+                revoked = Some((p, first, v));
+            }
+        }
+        if !repeated {
+            distinct += 1;
+        }
+        if !proposals.contains(&Some(v)) && invalid.is_none_or(|(by, _)| p < by) {
+            invalid = Some((p, v));
         }
     }
 
-    let decisions = run.decisions();
+    // Irrevocability: no process decides two different values.
+    if let Some((by, first, second)) = revoked {
+        return Err(TaskViolation::Revoked { by, first, second });
+    }
 
-    // Termination.
+    // Termination. From here on each process decides at most one value, so
+    // `distinct` counts the decided values and `invalid` names its value.
     if require_termination {
         for p in run.pattern().correct() {
-            if proposals[p.index()].is_some() && decisions[p.index()].is_none() {
+            let decides = || {
+                outputs
+                    .iter()
+                    .any(|(_, q, o)| *q == p && decided(o).is_some())
+            };
+            if proposals[p.index()].is_some() && !decides() {
                 return Err(TaskViolation::Termination(p));
             }
         }
     }
 
     // Agreement.
-    let decided = run.decided_values();
-    if decided.len() > k {
-        return Err(TaskViolation::Agreement { decided, k });
+    if distinct > k {
+        return Err(TaskViolation::Agreement {
+            decided: run.decided_values(),
+            k,
+        });
     }
 
     // Validity.
-    let proposed: Vec<u64> = proposals.iter().flatten().copied().collect();
-    for (i, decision) in decisions.iter().enumerate() {
-        if let Some(v) = decision {
-            if !proposed.contains(v) {
-                return Err(TaskViolation::Validity {
-                    value: *v,
-                    by: ProcessId(i),
-                });
-            }
-        }
+    match invalid {
+        Some((by, value)) => Err(TaskViolation::Validity { value, by }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Checks a run against the consensus specification (`k = 1`).
@@ -235,6 +258,7 @@ impl<D: FdValue> RunSpec<D> for KSetAgreementSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use upsilon_sim::{algo, FailurePattern, SimBuilder};
 
     fn run_with_decisions(decisions: Vec<Option<u64>>) -> Run<()> {
@@ -250,6 +274,73 @@ mod tests {
             })
             .run()
             .run
+    }
+
+    /// The allocating formulation `check_k_set` replaced, kept as the
+    /// reference of the differential proptest below.
+    fn reference_check_k_set<D: FdValue>(
+        run: &Run<D>,
+        k: usize,
+        proposals: &[Option<u64>],
+        require_termination: bool,
+    ) -> Result<(), TaskViolation> {
+        assert_eq!(
+            proposals.len(),
+            run.n_plus_1(),
+            "one proposal slot per process"
+        );
+
+        // Irrevocability: no process decides two different values.
+        for i in 0..run.n_plus_1() {
+            let p = ProcessId(i);
+            let decisions: Vec<u64> = run
+                .outputs_of(p)
+                .filter_map(|(_, o)| match o {
+                    Output::Decide(v) => Some(v),
+                    _ => None,
+                })
+                .collect();
+            if let Some((&first, rest)) = decisions.split_first() {
+                if let Some(&second) = rest.iter().find(|&&v| v != first) {
+                    return Err(TaskViolation::Revoked {
+                        by: p,
+                        first,
+                        second,
+                    });
+                }
+            }
+        }
+
+        let decisions = run.decisions();
+
+        // Termination.
+        if require_termination {
+            for p in run.pattern().correct() {
+                if proposals[p.index()].is_some() && decisions[p.index()].is_none() {
+                    return Err(TaskViolation::Termination(p));
+                }
+            }
+        }
+
+        // Agreement.
+        let decided = run.decided_values();
+        if decided.len() > k {
+            return Err(TaskViolation::Agreement { decided, k });
+        }
+
+        // Validity.
+        let proposed: Vec<u64> = proposals.iter().flatten().copied().collect();
+        for (i, decision) in decisions.iter().enumerate() {
+            if let Some(v) = decision {
+                if !proposed.contains(v) {
+                    return Err(TaskViolation::Validity {
+                        value: *v,
+                        by: ProcessId(i),
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -323,5 +414,115 @@ mod tests {
         }
         .to_string()
         .contains("2 distinct"));
+    }
+
+    /// One differential case: a system size, an output script of
+    /// (process index, output) pairs, per-process crash times, proposals
+    /// and the agreement bound.
+    #[derive(Debug)]
+    struct Case {
+        n_plus_1: usize,
+        script: Vec<(usize, Output)>,
+        crashes: Vec<Option<u64>>,
+        proposals: Vec<Option<u64>>,
+        k: usize,
+    }
+
+    /// The run that grants `script`'s processes in order, each producing
+    /// its next scripted output, under a pattern that crashes process `i`
+    /// at `crashes[i]`; a crash cuts the rest of its process's script.
+    fn scripted_run(
+        Case {
+            n_plus_1,
+            script,
+            crashes,
+            ..
+        }: &Case,
+    ) -> Run<()> {
+        let mut pattern = FailurePattern::builder(*n_plus_1);
+        for (i, c) in crashes.iter().enumerate() {
+            if let Some(t) = c {
+                pattern = pattern.crash(ProcessId(i), upsilon_sim::Time(*t));
+            }
+        }
+        let schedule = script.iter().map(|&(i, _)| ProcessId(i)).collect();
+        SimBuilder::<()>::new(pattern.build())
+            .adversary(upsilon_sim::Scripted::new(schedule))
+            .spawn_all(|pid| {
+                let mine: Vec<Output> = script
+                    .iter()
+                    .filter(|&&(i, _)| i == pid.index())
+                    .map(|&(_, o)| o)
+                    .collect();
+                algo(move |ctx| async move {
+                    for o in mine {
+                        ctx.output(o).await;
+                    }
+                })
+            })
+            .run()
+            .run
+    }
+
+    /// A system size `n + 1 ≤ 5`, an output script mixing `Decide` with
+    /// other outputs, crash times (at least one process stays correct),
+    /// proposals and a bound `k` from 0 to `n + 2`.
+    fn any_case() -> impl Strategy<Value = Case> {
+        let slots = || proptest::collection::vec(proptest::option::of(0u64..16), 5);
+        (
+            1usize..=5,
+            proptest::collection::vec((0usize..5, 0u8..6, 0u64..4), 0..14),
+            slots(),
+            slots(),
+            0usize..5,
+            0usize..7,
+        )
+            .prop_map(|(n_plus_1, raw, mut crashes, mut proposals, keep, k)| {
+                let script = raw
+                    .into_iter()
+                    .map(|(i, kind, v)| {
+                        let out = match kind {
+                            0..=3 => Output::Decide(v),
+                            4 => Output::Value(v),
+                            _ => Output::Leader(ProcessId(v as usize % n_plus_1)),
+                        };
+                        (i % n_plus_1, out)
+                    })
+                    .collect();
+                crashes.truncate(n_plus_1);
+                crashes[keep % n_plus_1] = None;
+                proposals.truncate(n_plus_1);
+                for v in proposals.iter_mut().flatten() {
+                    *v %= 4;
+                }
+                Case {
+                    n_plus_1,
+                    script,
+                    crashes,
+                    proposals,
+                    k: k % (n_plus_1 + 2),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The allocation-free check returns exactly the reference's
+        /// `Result`, message included, with and without Termination.
+        #[test]
+        fn check_k_set_matches_the_reference(case in any_case()) {
+            let run = scripted_run(&case);
+            let Case { k, proposals, .. } = &case;
+            for require_termination in [false, true] {
+                let got = check_k_set(&run, *k, proposals, require_termination);
+                let want = reference_check_k_set(&run, *k, proposals, require_termination);
+                prop_assert_eq!(
+                    got.as_ref().map_err(ToString::to_string),
+                    want.as_ref().map_err(ToString::to_string)
+                );
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -185,9 +185,10 @@ pub struct CheckConfig<D: FdValue> {
     /// (the naive baseline benchmarked against).
     pub reduction: bool,
     /// Snapshot-resume execution (on by default): nodes run on an
-    /// incremental [`Session`] that saves at every node and rewinds by
-    /// fast-forward replay, instead of re-executing each path from the
-    /// root. Byte-identical reports either way.
+    /// incremental [`Session`] that saves at every node and rewinds to a
+    /// saved ancestor (a process that moved is rebuilt by fast-forward
+    /// replay at its next grant), instead of re-executing each path from
+    /// the root. Byte-identical reports either way.
     pub turbo: bool,
     /// Refine the conflict relation through the generated per-op-pair
     /// commutativity matrix (`upsilon_sim::commute`), off by default: op
@@ -659,9 +660,10 @@ fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMem
 /// The snapshot-resume cursor: one live [`Session`] plus a stack of saves,
 /// one per node on the current path. Stepping descends in place; a save is
 /// taken at every node entered; rewinding is *lazy* — [`TurboCursor::pop`]
-/// only marks the session dirty, and the restore (fast-forward replay into
-/// fresh futures) happens when the next sibling actually needs the parent
-/// state. A leftmost descent therefore never replays at all.
+/// only marks the session dirty, and the restore happens when the next
+/// sibling actually needs the parent state. The session in turn rebuilds a
+/// process the restore left stale only when that process is granted
+/// again. A leftmost descent therefore never replays at all.
 struct TurboCursor<'a, D: FdValue> {
     cfg: &'a CheckConfig<D>,
     session: Session<D>,

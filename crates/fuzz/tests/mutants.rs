@@ -154,3 +154,42 @@ fn sound_baselines_stay_clean() {
         );
     }
 }
+
+#[test]
+fn fig1_depth24_reference_campaign_counts_are_pinned() {
+    // The Fig. 1 reference campaign (n+1 = 3, depth 24, one fault, seed 42,
+    // 4 rounds of 4096) comes back clean, and its counters are a pure
+    // function of the configuration. Pinning them gates a regression in
+    // the generator, the coverage hash or the corpus admission; speed is
+    // not a verdict of this suite.
+    let report = fuzz(
+        &FuzzConfig::new(samples::fig1(3, 24, 1))
+            .seed(42)
+            .budget(4, 4096),
+        &[],
+    );
+    assert!(report.ok(), "fig1 must stay clean: {:?}", report.violations);
+    let growth: Vec<(u64, u64)> = report
+        .growth
+        .iter()
+        .map(|g| (g.execs, g.coverage))
+        .collect();
+    assert_eq!(
+        (
+            report.execs,
+            report.corpus.len(),
+            report.coverage_hashes.len(),
+            report.truncated,
+        ),
+        (16_384, 2_365, 3_746, false)
+    );
+    assert_eq!(
+        growth,
+        [
+            (4_096, 1_997),
+            (8_192, 2_711),
+            (12_288, 3_268),
+            (16_384, 3_746)
+        ]
+    );
+}

@@ -10,7 +10,7 @@
 use crate::builder::AlgoFn;
 use crate::oracle::FdValue;
 use crate::process::ProcessId;
-use crate::runtime::{AnyReply, Ctx, ProcCell, ProcOutcome, World};
+use crate::runtime::{Ctx, ProcCell, ProcOutcome, Reply, World};
 use crate::time::Time;
 use crate::trace::StepKind;
 use std::cell::RefCell;
@@ -188,16 +188,16 @@ impl<D: FdValue> InlineEngine<D> {
     }
 
     /// Turns per-step result recording on for every live process: each
-    /// completed step leaves a clone of its result in the process cell for
-    /// the session to harvest (the raw material of fast-forward restore).
+    /// completed step leaves its result in the process cell for the session
+    /// to harvest (the raw material of fast-forward rebuilds).
     pub(crate) fn set_recording(&mut self, on: bool) {
         for proc_ in self.procs.iter().flatten() {
             proc_.cell.record.set(on);
         }
     }
 
-    /// Takes the recorded result clone of the step just granted to `p`.
-    pub(crate) fn take_recorded(&mut self, p: ProcessId) -> Option<Box<dyn AnyReply>> {
+    /// Takes the recorded result of the step just granted to `p`.
+    pub(crate) fn take_recorded(&mut self, p: ProcessId) -> Option<Reply> {
         self.procs[p.index()]
             .as_ref()
             .and_then(|pr| pr.cell.recorded.take())
@@ -206,7 +206,7 @@ impl<D: FdValue> InlineEngine<D> {
     /// Replays one already-completed step into `p`'s suspended future: the
     /// step consumes the recorded result without touching the world. Used to
     /// rebuild a suspended state machine from a fresh algorithm instance.
-    pub(crate) fn replay_step(&mut self, p: ProcessId, t: Time, value: Box<dyn AnyReply>) {
+    pub(crate) fn replay_step(&mut self, p: ProcessId, t: Time, value: Reply) {
         let proc_ = self.procs[p.index()]
             .as_mut()
             .expect("replayed process has an algorithm");

@@ -22,6 +22,7 @@ use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
 use crate::time::Time;
 use crate::trace::{Output, StepKind, TraceLevel};
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::task::Poll;
@@ -34,32 +35,20 @@ pub(crate) struct World<D: FdValue> {
     pub(crate) record_sigs: bool,
 }
 
-/// A type-erased clone of one step's result value, recorded so a suspended
-/// state machine can later be rebuilt by replaying its completed steps
-/// (see [`Session`](crate::Session)): the replayed step returns the recorded
-/// value directly instead of re-running its closure against the world.
-pub(crate) trait AnyReply: Send {
-    fn clone_box(&self) -> Box<dyn AnyReply>;
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-}
-
-impl<T: Clone + Send + 'static> AnyReply for T {
-    fn clone_box(&self) -> Box<dyn AnyReply> {
-        Box::new(self.clone())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
+/// One step's result value, recorded so a suspended state machine can
+/// later be rebuilt by replaying its completed steps (see
+/// [`Session`](crate::Session)): the replayed step returns a clone of the
+/// recorded value instead of re-running its closure against the world. The
+/// session's log and every replay share the one allocation.
+pub(crate) type Reply = Rc<dyn Any>;
 
 /// Per-process mailbox: the scheduler deposits a grant (permission to take
 /// exactly one step at the given time), the step future consumes it,
 /// performs its operation and deposits the step report back.
 ///
 /// The three extra slots drive session recording and fast-forward replay:
-/// with `record` set, each completed step leaves a clone of its result in
-/// `recorded` for the session to harvest; a value deposited in `replay`
+/// with `record` set, each completed step leaves its result in `recorded`
+/// for the session to harvest; a value deposited in `replay`
 /// makes the *next* step consume it as its result without touching the
 /// world (and without depositing a step report — the caller already knows
 /// what the step did).
@@ -67,8 +56,8 @@ pub(crate) struct ProcCell<D: FdValue> {
     pub(crate) grant: Cell<Option<Time>>,
     pub(crate) reply: RefCell<Option<StepKind<D>>>,
     pub(crate) record: Cell<bool>,
-    pub(crate) recorded: Cell<Option<Box<dyn AnyReply>>>,
-    pub(crate) replay: Cell<Option<Box<dyn AnyReply>>>,
+    pub(crate) recorded: Cell<Option<Reply>>,
+    pub(crate) replay: Cell<Option<Reply>>,
 }
 
 impl<D: FdValue> ProcCell<D> {
@@ -162,7 +151,7 @@ impl<D: FdValue> Ctx<D> {
     ///
     /// The wait *is* `Pending`: the scheduler's next `poll` of this process
     /// delivers the grant through its [`ProcCell`].
-    async fn step<R: Clone + Send + 'static>(
+    async fn step<R: Clone + 'static>(
         &self,
         f: impl FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
     ) -> R {
@@ -174,15 +163,14 @@ impl<D: FdValue> Ctx<D> {
             // Fast-forward replay: this step already happened in the run
             // being restored. Return its recorded result without re-running
             // `f` (no world mutation, no step report).
-            let out = prev
-                .into_any()
-                .downcast::<R>()
-                .expect("replayed step result has the recorded type");
-            return *out;
+            return prev
+                .downcast_ref::<R>()
+                .expect("replayed step result has the recorded type")
+                .clone();
         }
         let (kind, out) = f(&mut self.world.borrow_mut(), self.pid, t);
         if cell.record.get() {
-            cell.recorded.set(Some(Box::new(out.clone())));
+            cell.recorded.set(Some(Rc::new(out.clone())));
         }
         *cell.reply.borrow_mut() = Some(kind);
         out

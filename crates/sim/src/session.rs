@@ -16,11 +16,14 @@
 //!   a node ([`Memory`] is copy-on-write, so this is cheap);
 //!   [`Session::restore`] rewinds to any previously saved ancestor.
 //!   Suspended algorithm state machines cannot be cloned (they are opaque
-//!   futures), so restore rebuilds them: fresh instances from the factory
-//!   are *fast-forwarded* by replaying each process's recorded step results
+//!   futures), so a process that moved past the save point has to be
+//!   rebuilt. Restore only marks such a process *stale*; [`Session::step`]
+//!   rebuilds a stale process right before its next grant: a fresh instance
+//!   is *fast-forwarded* by replaying the process's recorded step results
 //!   into its future — one poll per completed step, no shared-memory
 //!   traffic, no step reports. Determinism of algorithms makes the rebuilt
-//!   machine bit-identical to the lost one.
+//!   machine bit-identical to the lost one. A process that is never granted
+//!   again before the next rewind is never rebuilt.
 //!
 //! The restore contract mirrors the replay-token contract: the caller
 //! supplies a fresh [`Oracle`] positioned as it was at the save point
@@ -35,15 +38,18 @@ use crate::fingerprint::trace_fingerprint;
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
-use crate::runtime::{AnyReply, World};
+use crate::runtime::{Reply, World};
 use crate::time::Time;
 use crate::trace::{Event, Output, Run, StepKind, StopReason, TraceLevel};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A factory of algorithm instances, one optional slot per process: called
-/// once at construction and once per restore (suspended futures cannot be
-/// cloned, so rewinding re-instantiates and fast-forwards them).
+/// once at construction, then whenever a stale process is rebuilt and the
+/// spares of the last call hold no instance for it (suspended futures
+/// cannot be cloned, so rewinding re-instantiates and fast-forwards them).
+/// One call therefore serves up to `n + 1` rebuilds.
 pub type SessionAlgos<D> = Arc<dyn Fn() -> Vec<Option<AlgoFn<D>>> + Send + Sync>;
 
 /// What one granted step produced.
@@ -116,9 +122,14 @@ pub struct Session<D: FdValue> {
     stopped: Vec<bool>,
     query_counts: Vec<u64>,
     t: Time,
-    /// Per-process journal of completed steps: `(time, result clone)` — the
-    /// raw material fast-forward restore replays into fresh futures.
-    logs: Vec<Vec<(Time, Box<dyn AnyReply>)>>,
+    /// Per-process journal of completed steps: `(time, result)` — the raw
+    /// material a rebuild replays into a fresh future.
+    logs: Vec<Vec<(Time, Reply)>>,
+    /// Processes whose suspended future is out of date since a restore;
+    /// [`Session::step`] rebuilds one before granting it.
+    stale: Vec<bool>,
+    /// Unused instances of the last factory call, one slot per process.
+    spares: Vec<Option<AlgoFn<D>>>,
 }
 
 impl<D: FdValue> fmt::Debug for Session<D> {
@@ -179,6 +190,8 @@ impl<D: FdValue> Session<D> {
             query_counts: vec![0; n_plus_1],
             t: Time::ZERO,
             logs: (0..n_plus_1).map(|_| Vec::new()).collect(),
+            stale: vec![false; n_plus_1],
+            spares: (0..n_plus_1).map(|_| None).collect(),
         };
         session.settle_crashes();
         session.recompute_stop();
@@ -224,18 +237,22 @@ impl<D: FdValue> Session<D> {
     }
 
     /// Lets `p` take one step (`p` must be [`eligible`](Session::eligible))
-    /// and performs the same bookkeeping as the one-shot drive loop. Panics
-    /// raised inside the algorithm are re-raised here.
+    /// and performs the same bookkeeping as the one-shot drive loop. A
+    /// process left stale by [`restore`](Session::restore) is rebuilt
+    /// first. Panics raised inside the algorithm are re-raised here.
     pub fn step(&mut self, p: ProcessId) -> SessionStep {
         let i = p.index();
         assert!(self.eligible(p), "step() requires an eligible process");
+        if self.stale[i] {
+            self.rebuild(p);
+        }
         let t = self.t;
         match self.engine.grant(p, t) {
             Some(kind) => {
                 let recorded = self
                     .engine
                     .take_recorded(p)
-                    .expect("a recorded step leaves its result clone");
+                    .expect("a recorded step leaves its result");
                 self.logs[i].push((t, recorded));
                 match &kind {
                     StepKind::Query(v) => {
@@ -320,17 +337,17 @@ impl<D: FdValue> Session<D> {
     ///
     /// `oracle` must be a fresh oracle positioned as it was at the save
     /// point; [`SessionSave::query_counts`] carries what a deterministic
-    /// oracle needs for that. Suspended futures are rebuilt from the factory
-    /// and fast-forwarded from the recorded step results.
+    /// oracle needs for that. Restore rebuilds no future: a process whose
+    /// future moved past the save point is marked stale, and
+    /// [`step`](Session::step) rebuilds it at its next grant.
     pub fn restore(&mut self, save: &SessionSave, oracle: Box<dyn Oracle<D>>) {
-        let n_plus_1 = self.n_plus_1();
-        assert_eq!(save.procs.len(), n_plus_1);
+        assert_eq!(save.procs.len(), self.n_plus_1());
         self.engine.reset_world(save.memory.clone(), oracle);
         // A suspended future's state is a function of its *own* step log
         // alone (steps are the only awaits), so only processes whose log or
-        // liveness moved past the save point need the rebuild-and-replay
-        // treatment; everyone else's future already *is* the saved one.
-        let mut fresh: Option<Vec<Option<AlgoFn<D>>>> = None;
+        // liveness moved past the save point go stale; everyone else's
+        // future already *is* the saved one. A process dead at the save
+        // point is never granted again from it and needs no future.
         for (i, p) in save.procs.iter().enumerate() {
             assert!(
                 self.logs[i].len() >= p.log_len,
@@ -340,20 +357,8 @@ impl<D: FdValue> Session<D> {
             let dead_now = self.stopped[i] || self.known_finished[i] || self.run.finished[i];
             let untouched = self.logs[i].len() == p.log_len && dead_now == dead_at_save;
             self.logs[i].truncate(p.log_len);
-            if !self.has_algo[i] || dead_at_save || untouched {
-                continue;
-            }
-            let instances = fresh.get_or_insert_with(|| {
-                let v = (self.algos)();
-                assert_eq!(v.len(), n_plus_1);
-                v
-            });
-            let algo = instances[i]
-                .take()
-                .expect("factory yields an instance for every process with an algorithm");
-            self.engine.replace_proc(ProcessId(i), algo);
-            for (t, value) in &self.logs[i] {
-                self.engine.replay_step(ProcessId(i), *t, value.clone_box());
+            if self.has_algo[i] && !dead_at_save && !untouched {
+                self.stale[i] = true;
             }
         }
         let crash_at: Vec<Option<Time>> = save.procs.iter().map(|p| p.crash_at).collect();
@@ -384,6 +389,30 @@ impl<D: FdValue> Session<D> {
             std::panic::resume_unwind(payload);
         }
         self.run
+    }
+
+    /// Rebuilds stale `p`: a fresh instance, taken from the spares of the
+    /// last factory call (calling the factory again only when that slot is
+    /// used up), fast-forwarded through `p`'s step log.
+    fn rebuild(&mut self, p: ProcessId) {
+        let i = p.index();
+        if self.spares[i].is_none() {
+            let fresh = (self.algos)();
+            assert_eq!(
+                fresh.len(),
+                self.n_plus_1(),
+                "factory must yield one algorithm slot per process"
+            );
+            self.spares = fresh;
+        }
+        let algo = self.spares[i]
+            .take()
+            .expect("factory yields an instance for every process with an algorithm");
+        self.engine.replace_proc(p, algo);
+        for (t, value) in &self.logs[i] {
+            self.engine.replay_step(p, *t, Rc::clone(value));
+        }
+        self.stale[i] = false;
     }
 
     /// Delivers pattern crashes due at the current time (the head of the

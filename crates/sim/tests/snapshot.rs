@@ -6,16 +6,18 @@
 //! left the save point — the same grants then produce the same events, the
 //! same outputs, the same memory, and the same canonical fingerprint as an
 //! uninterrupted run. The detour between `save` and `restore` may step any
-//! processes, crash them, or finish them: the selective-restore fast path
-//! (a suspended future's state is a function of its own step log, so
-//! untouched processes keep their live futures) must not let any detour
-//! state leak through.
+//! processes, crash them, or finish them. Restore keeps the live future of
+//! every process the detour left alone (a suspended future's state is a
+//! function of its own step log) and marks the others *stale*; a stale
+//! process is rebuilt at its next grant. Neither path may let any detour
+//! state leak through, however restores, crashes and grants interleave.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use upsilon_sim::{
-    algo, Access, FailurePattern, Key, NullOracle, ObjectType, ProcessId, Session, SessionAlgos,
-    TraceLevel,
+    algo, Access, Ctx, FailurePattern, Key, NullOracle, ObjectType, ProcessId, Session,
+    SessionAlgos, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -48,33 +50,34 @@ impl ObjectType for Cell {
     }
 }
 
-/// `n` ring processes: each repeatedly publishes to its own cell and polls
-/// its successor's; whoever sees a value decides it. Every step reads or
+/// Ring process `i` of `n`: repeatedly publishes to its own cell and polls
+/// its successor's; once it sees a value it decides it. Every step reads or
 /// writes shared state, so any restore glitch changes the trace.
+async fn ring_process(ctx: Ctx<()>, i: usize, n: usize, rounds: usize) {
+    let me = i as u64;
+    let next = ((i + 1) % n) as u64;
+    for r in 0..rounds {
+        ctx.invoke(
+            &Key::new("c").at(me),
+            Cell::default,
+            Op::Write(10 * me + r as u64),
+        )
+        .await;
+        let seen = ctx
+            .invoke(&Key::new("c").at(next), Cell::default, Op::Read)
+            .await;
+        if let Some(v) = seen {
+            ctx.decide(v).await;
+            return;
+        }
+    }
+}
+
+/// `n` ring processes (see [`ring_process`]).
 fn ring_algos(n: usize, rounds: usize) -> SessionAlgos<()> {
     Arc::new(move || {
         (0..n)
-            .map(|i| {
-                Some(algo(move |ctx| async move {
-                    let me = i as u64;
-                    let next = ((i + 1) % n) as u64;
-                    for r in 0..rounds {
-                        ctx.invoke(
-                            &Key::new("c").at(me),
-                            Cell::default,
-                            Op::Write(10 * me + r as u64),
-                        )
-                        .await;
-                        let seen = ctx
-                            .invoke(&Key::new("c").at(next), Cell::default, Op::Read)
-                            .await;
-                        if let Some(v) = seen {
-                            ctx.decide(v).await;
-                            return;
-                        }
-                    }
-                }))
-            })
+            .map(|i| Some(algo(move |ctx| ring_process(ctx, i, n, rounds))))
             .collect()
     })
 }
@@ -109,6 +112,39 @@ fn observed(session: &Session<()>) -> (String, u64) {
 
 fn pid_schedule(n: usize, choices: &[u8]) -> Vec<usize> {
     choices.iter().map(|&c| c as usize % n).collect()
+}
+
+/// A three-process ring session whose factory counts, per process, how
+/// many instances were started (the up-front one plus one per rebuild),
+/// and how many times the factory itself was called.
+fn counted_session(rounds: usize) -> (Session<()>, Arc<[AtomicU64; 3]>, Arc<AtomicU64>) {
+    let starts: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
+    let calls = Arc::new(AtomicU64::new(0));
+    let (s, c) = (Arc::clone(&starts), Arc::clone(&calls));
+    let algos: SessionAlgos<()> = Arc::new(move || {
+        c.fetch_add(1, Ordering::Relaxed);
+        (0..3)
+            .map(|i| {
+                let s = Arc::clone(&s);
+                Some(algo(move |ctx| {
+                    s[i].fetch_add(1, Ordering::Relaxed);
+                    ring_process(ctx, i, 3, rounds)
+                }))
+            })
+            .collect()
+    });
+    let session = Session::new(
+        FailurePattern::failure_free(3),
+        algos,
+        Box::new(NullOracle),
+        TraceLevel::Full,
+        true,
+    );
+    (session, starts, calls)
+}
+
+fn counts(starts: &[AtomicU64; 3]) -> [u64; 3] {
+    starts.each_ref().map(|a| a.load(Ordering::Relaxed))
 }
 
 #[test]
@@ -175,6 +211,49 @@ fn nested_saves_restore_to_any_ancestor() {
     assert_eq!(observed(&resumed), want);
 }
 
+#[test]
+fn stale_processes_are_rebuilt_once_and_only_when_granted() {
+    let (mut session, starts, calls) = counted_session(4);
+    drive(&mut session, &[0, 1, 2]);
+    let save = session.save();
+    // The detour moves p1 and p2; p3 stays put and keeps its live future.
+    drive(&mut session, &[0, 1, 0, 1]);
+    assert_eq!(
+        (counts(&starts), calls.load(Ordering::Relaxed)),
+        ([1, 1, 1], 1)
+    );
+
+    session.restore(&save, Box::new(NullOracle));
+    // Restore itself rebuilds nothing.
+    assert_eq!(
+        (counts(&starts), calls.load(Ordering::Relaxed)),
+        ([1, 1, 1], 1)
+    );
+
+    // Granting stale p1 rebuilds it once, however often it is granted;
+    // p2 is never granted again, so it is never rebuilt, and p3 was never
+    // stale.
+    drive(&mut session, &[0, 2, 0, 2]);
+    assert_eq!(
+        (counts(&starts), calls.load(Ordering::Relaxed)),
+        ([2, 1, 1], 2)
+    );
+
+    // A second rewind marks p1 and p3 stale again (p2 still is). The next
+    // grants draw on the spares of the last factory call: p2's spare serves
+    // its rebuild, p3's too, and only p1's needs a fresh call.
+    session.restore(&save, Box::new(NullOracle));
+    drive(&mut session, &[1, 2, 0, 1]);
+    assert_eq!(
+        (counts(&starts), calls.load(Ordering::Relaxed)),
+        ([3, 2, 2], 3)
+    );
+
+    let mut straight = new_session(3, 4);
+    drive(&mut straight, &[0, 1, 2, 1, 2, 0, 1]);
+    assert_eq!(observed(&session), observed(&straight));
+}
+
 proptest! {
     /// Any prefix/detour/suffix split: the resumed run must match the
     /// uninterrupted one byte for byte.
@@ -228,6 +307,106 @@ proptest! {
         }
         resumed.restore(&save, Box::new(NullOracle));
         drive(&mut resumed, suffix);
+        prop_assert_eq!(observed(&resumed), want);
+    }
+
+    /// Two restores with no grant between them — to a deeper save and then
+    /// to its ancestor, or twice to the same save: stale marks from the
+    /// first must carry over to the second.
+    #[test]
+    fn back_to_back_restores_match_uninterrupted_runs(
+        sched in proptest::collection::vec(0u8..3, 8..20),
+        detour in proptest::collection::vec(0u8..3, 0..10),
+        cuts in (0usize..5, 0usize..4),
+        same in proptest::bool::ANY,
+    ) {
+        let schedule = pid_schedule(3, &sched);
+        let detour = pid_schedule(3, &detour);
+        let shallow_at = cuts.0;
+        let deep_at = shallow_at + cuts.1;
+
+        let mut straight = new_session(3, 4);
+        drive(&mut straight, &schedule);
+        let want = observed(&straight);
+
+        let mut resumed = new_session(3, 4);
+        drive(&mut resumed, &schedule[..shallow_at]);
+        let shallow = resumed.save();
+        drive(&mut resumed, &schedule[shallow_at..deep_at]);
+        let deep = resumed.save();
+        drive(&mut resumed, &detour);
+        let first = if same { &shallow } else { &deep };
+        resumed.restore(first, Box::new(NullOracle));
+        resumed.restore(&shallow, Box::new(NullOracle));
+        drive(&mut resumed, &schedule[shallow_at..]);
+        prop_assert_eq!(observed(&resumed), want);
+    }
+
+    /// A restore leaves the detour's processes stale; crashing one of them
+    /// before it is granted again must act exactly like the same crash in
+    /// a run that never left the save point — and a later rewind past the
+    /// crash must revive it.
+    #[test]
+    fn crashing_a_stale_process_matches_uninterrupted_runs(
+        sched in proptest::collection::vec(0u8..3, 6..20),
+        detour in proptest::collection::vec(0u8..3, 1..10),
+        cut in 0usize..6,
+        victim in 0u8..3,
+        tail in proptest::collection::vec(0u8..3, 0..6),
+    ) {
+        let schedule = pid_schedule(3, &sched);
+        let detour = pid_schedule(3, &detour);
+        let tail = pid_schedule(3, &tail);
+        let cut = cut.min(schedule.len());
+        let victim = victim as usize;
+
+        let mut resumed = new_session(3, 4);
+        drive(&mut resumed, &schedule[..cut]);
+        let save = resumed.save();
+        drive(&mut resumed, &detour);
+        resumed.restore(&save, Box::new(NullOracle));
+        resumed.crash(ProcessId(victim));
+        drive(&mut resumed, &schedule[cut..]);
+        let mut straight = new_session(3, 4);
+        drive(&mut straight, &schedule[..cut]);
+        straight.crash(ProcessId(victim));
+        drive(&mut straight, &schedule[cut..]);
+        prop_assert_eq!(observed(&resumed), observed(&straight));
+
+        resumed.restore(&save, Box::new(NullOracle));
+        drive(&mut resumed, &tail);
+        let mut straight = new_session(3, 4);
+        drive(&mut straight, &schedule[..cut]);
+        drive(&mut straight, &tail);
+        prop_assert_eq!(observed(&resumed), observed(&straight));
+    }
+
+    /// A detour long enough that every process finishes its protocol: the
+    /// restore must revive each process that finished in it.
+    #[test]
+    fn processes_finished_in_the_detour_are_revived(
+        sched in proptest::collection::vec(0u8..3, 6..20),
+        cut in 0usize..6,
+        rot in 0usize..3,
+    ) {
+        let schedule = pid_schedule(3, &sched);
+        let cut = cut.min(schedule.len());
+        let detour: Vec<usize> = (0..30).map(|j| (j + rot) % 3).collect();
+
+        let mut straight = new_session(3, 2);
+        drive(&mut straight, &schedule);
+        let want = observed(&straight);
+
+        let mut resumed = new_session(3, 2);
+        drive(&mut resumed, &schedule[..cut]);
+        let save = resumed.save();
+        drive(&mut resumed, &detour);
+        prop_assert!(
+            (0..3).all(|i| !resumed.eligible(ProcessId(i))),
+            "the detour finishes every process"
+        );
+        resumed.restore(&save, Box::new(NullOracle));
+        drive(&mut resumed, &schedule[cut..]);
         prop_assert_eq!(observed(&resumed), want);
     }
 }
