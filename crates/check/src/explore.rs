@@ -639,10 +639,9 @@ fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMem
             sig,
             ..
         } => Footprint::Obj {
-            key: memory
+            key: *memory
                 .name_of(*object)
-                .expect("every allocated object is named")
-                .clone(),
+                .expect("every allocated object is named"),
             access: *access,
             sig: sig.as_ref().and_then(|s| {
                 if let Some(cached) = memo.get(s) {

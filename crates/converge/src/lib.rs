@@ -140,9 +140,8 @@ impl ConvergeInstance {
         if k == 0 {
             return (v, false);
         }
-        let s1 = FlavoredSnapshot::<T>::new(self.flavor, self.base.clone().at(0), self.n_plus_1);
-        let s2 =
-            FlavoredSnapshot::<(T, bool)>::new(self.flavor, self.base.clone().at(1), self.n_plus_1);
+        let s1 = FlavoredSnapshot::<T>::new(self.flavor, self.base.at(0), self.n_plus_1);
+        let s2 = FlavoredSnapshot::<(T, bool)>::new(self.flavor, self.base.at(1), self.n_plus_1);
 
         // Phase 1: publish the input; clean iff at most k distinct inputs
         // are visible.

@@ -78,7 +78,7 @@ impl<T: Value> AfekSnapshot<T> {
     }
 
     fn slot(&self, i: usize) -> Register<AfekCell<T>> {
-        Register::new(self.base.clone().at(i as u64), AfekCell::initial(self.size))
+        Register::new(self.base.at(i as u64), AfekCell::initial(self.size))
     }
 
     /// Reads all `size` registers, one step each.

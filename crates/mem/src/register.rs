@@ -165,7 +165,7 @@ impl<T: Value> RegisterArray<T> {
     /// Panics if `i >= len()`.
     pub fn slot(&self, i: usize) -> Register<T> {
         assert!(i < self.size, "slot {i} out of bounds ({})", self.size);
-        Register::new(self.base.clone().at(i as u64), self.initial.clone())
+        Register::new(self.base.at(i as u64), self.initial.clone())
     }
 
     /// Handle to the calling process's own slot.

@@ -158,7 +158,7 @@ pub fn conflict_pairs<D: FdValue>(run: &Run<D>, memory: &Memory) -> Vec<Conflict
     let mut pairs = Vec::new();
     walk_pairs(run, memory, |key, _prefix, earlier, ea, later, la| {
         pairs.push(ConflictPair {
-            key: key.clone(),
+            key: *key,
             earlier,
             earlier_access: ea,
             later,

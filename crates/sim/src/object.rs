@@ -16,10 +16,10 @@
 use crate::coverage::Fnv64;
 use crate::process::ProcessId;
 use std::any::{Any, TypeId};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// How an operation touches its object, for independence analysis.
@@ -104,49 +104,109 @@ pub trait ObjectType: Clone + Send + Sync + fmt::Debug + 'static {
     }
 }
 
+/// The deepest key the workspace builds: `u-conv[r][k]`, the converge
+/// phase `[0|1]` beneath it, and the register-based snapshot's cell index.
+const MAX_INDICES: usize = 4;
+
 /// A structured shared-object name: a static label plus numeric indices.
+///
+/// A `Key` is a plain `Copy` value — the label is a `&'static str` and the
+/// indices sit inline (at most four of them) — so naming an object, copying
+/// the name into a trace or a [`Memory`] index, and comparing two names
+/// never touch the heap. `Eq`, `Ord` and `Hash` treat a key as the pair
+/// `(name, indices)`, the indices compared as a slice.
 ///
 /// ```
 /// use upsilon_sim::Key;
 /// let k = Key::new("converge").at(3).at(1);
 /// assert_eq!(k.to_string(), "converge[3][1]");
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy)]
 pub struct Key {
-    name: Cow<'static, str>,
-    index: Vec<u64>,
+    name: &'static str,
+    index: [u64; MAX_INDICES],
+    len: u8,
 }
 
 impl Key {
     /// A key with no indices.
-    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         Key {
-            name: name.into(),
-            index: Vec::new(),
+            name,
+            index: [0; MAX_INDICES],
+            len: 0,
         }
     }
 
     /// Appends an index, turning `D` into `D[r]`, etc.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the key, if it already holds four indices.
     pub fn at(mut self, i: u64) -> Self {
-        self.index.push(i);
+        let len = self.len as usize;
+        assert!(
+            len < MAX_INDICES,
+            "key {self} already holds {MAX_INDICES} indices; cannot append [{i}]"
+        );
+        self.index[len] = i;
+        self.len += 1;
         self
     }
 
     /// The base name of the key.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The indices of the key.
     pub fn indices(&self) -> &[u64] {
-        &self.index
+        &self.index[..self.len as usize]
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.indices() == other.indices()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.name
+            .cmp(other.name)
+            .then_with(|| self.indices().cmp(other.indices()))
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.indices().hash(state);
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Key")
+            .field("name", &self.name)
+            .field("index", &self.indices())
+            .finish()
     }
 }
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
-        for i in &self.index {
+        f.write_str(self.name)?;
+        for i in self.indices() {
             write!(f, "[{i}]")?;
         }
         Ok(())
@@ -213,14 +273,17 @@ impl<O: ObjectType> AnyObject for O {
 /// Storage is copy-on-write: objects sit behind [`Arc`]s, so [`Clone`]
 /// (taken once per snapshot by the turbo explorer) is a handful of
 /// reference-count bumps, and an object's state is physically duplicated
-/// only the first time it is mutated while a snapshot still shares it.
+/// only the first time it is mutated while a snapshot still shares it. The
+/// name list and the key index are shared the same way; the first object
+/// created after a snapshot copies them, and since a [`Key`] is `Copy` that
+/// copy allocates the containers' own storage, never a key.
 #[derive(Clone)]
 pub struct Memory {
     // BTreeMap, not HashMap: iteration order must not depend on the hasher —
     // the determinism lint (`upsilon-analysis`) enforces this workspace-wide.
-    // Nested by TypeId so the hot per-step lookup borrows the `Key` instead
-    // of cloning it into a composite tuple key.
-    by_key: Arc<BTreeMap<TypeId, BTreeMap<Key, ObjectId>>>,
+    // One flat index: a `Key` is `Copy`, so the per-step lookup builds its
+    // `(TypeId, Key)` probe on the stack and resolves it in a single search.
+    by_key: Arc<BTreeMap<(TypeId, Key), ObjectId>>,
     objects: Vec<Arc<dyn AnyObject>>,
     names: Arc<Vec<Key>>,
 }
@@ -240,17 +303,14 @@ impl Memory {
         key: &Key,
         init: impl FnOnce() -> O,
     ) -> ObjectId {
-        let tid = TypeId::of::<O>();
-        if let Some(&id) = self.by_key.get(&tid).and_then(|m| m.get(key)) {
+        let probe = (TypeId::of::<O>(), *key);
+        if let Some(&id) = self.by_key.get(&probe) {
             return id;
         }
         let id = ObjectId(self.objects.len() as u32);
         self.objects.push(Arc::new(init()));
-        Arc::make_mut(&mut self.names).push(key.clone());
-        Arc::make_mut(&mut self.by_key)
-            .entry(tid)
-            .or_default()
-            .insert(key.clone(), id);
+        Arc::make_mut(&mut self.names).push(*key);
+        Arc::make_mut(&mut self.by_key).insert(probe, id);
         id
     }
 
@@ -283,7 +343,7 @@ impl Memory {
     /// Post-run inspection: a typed view of the object named `key`, if it was
     /// ever created.
     pub fn get<O: ObjectType>(&self, key: &Key) -> Option<&O> {
-        let id = *self.by_key.get(&TypeId::of::<O>())?.get(key)?;
+        let id = *self.by_key.get(&(TypeId::of::<O>(), *key))?;
         self.objects[id.0 as usize].as_any().downcast_ref::<O>()
     }
 
