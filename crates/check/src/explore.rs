@@ -6,11 +6,13 @@
 //! A node of the search tree is a *path*: a sequence of [`Choice`]s —
 //! `Step(p)` grants one step to `p`, `Crash(p)` crashes `p` at the current
 //! point of the schedule — together with a per-process script of
-//! failure-detector candidate picks. Every node is executed from scratch
-//! through [`SimBuilder`] with a [`Scripted`](upsilon_sim::Scripted)
-//! adversary (stateless model checking), checked against the §3.3
-//! run-condition validator and every configured [`RunSpec`], and then
-//! expanded.
+//! failure-detector candidate picks. Nodes are executed on one
+//! snapshot-resume [`Session`] per search: a save at every node entered, a
+//! rewind to the parent's save before each sibling. Each node's run is
+//! checked against every configured [`RunSpec`] (the §3.3 run-condition
+//! validator holds by construction there), and then expanded.
+//! Counterexample tokens and shrink candidates replay from the root through
+//! [`SimBuilder`] with a [`Scripted`](upsilon_sim::Scripted) adversary.
 //!
 //! # Partial-order reduction
 //!
@@ -159,9 +161,10 @@ pub fn positive(axis: &'static str, value: u64) -> Result<(), AxisError> {
     Ok(())
 }
 
-/// Produces the per-process algorithms of one run; called once per explored
-/// node (stateless re-execution), so it must be deterministic. `None`
-/// entries do not participate.
+/// Produces the per-process algorithms of one run; called when a search
+/// starts its session, whenever the session's rebuild spares run out, and
+/// once per token replay, so it must be deterministic. `None` entries do
+/// not participate.
 pub type AlgoFactory<D> = Arc<dyn Fn() -> Vec<Option<AlgoFn<D>>> + Send + Sync>;
 
 /// Configuration of one exploration.
@@ -184,12 +187,6 @@ pub struct CheckConfig<D: FdValue> {
     /// Sleep-set partial-order reduction; `false` explores the full tree
     /// (the naive baseline benchmarked against).
     pub reduction: bool,
-    /// Snapshot-resume execution (on by default): nodes run on an
-    /// incremental [`Session`] that saves at every node and rewinds to a
-    /// saved ancestor (a process that moved is rebuilt by fast-forward
-    /// replay at its next grant), instead of re-executing each path from
-    /// the root. Byte-identical reports either way.
-    pub turbo: bool,
     /// Refine the conflict relation through the generated per-op-pair
     /// commutativity matrix (`upsilon_sim::commute`), off by default: op
     /// signatures are recorded on every node and lattice conflicts the
@@ -218,7 +215,6 @@ impl<D: FdValue> std::fmt::Debug for CheckConfig<D> {
             .field("depth", &self.depth)
             .field("max_faults", &self.max_faults)
             .field("reduction", &self.reduction)
-            .field("turbo", &self.turbo)
             .field("split_depth", &self.split_depth)
             .finish_non_exhaustive()
     }
@@ -243,7 +239,6 @@ impl<D: FdValue> CheckConfig<D> {
             specs: Vec::new(),
             algos,
             reduction: true,
-            turbo: true,
             use_matrix: false,
             workers: 0,
             split_depth: 0,
@@ -268,12 +263,6 @@ impl<D: FdValue> CheckConfig<D> {
     /// Enables or disables the sleep-set reduction.
     pub fn reduction(mut self, on: bool) -> Self {
         self.reduction = on;
-        self
-    }
-
-    /// Enables or disables snapshot-resume execution (on by default).
-    pub fn turbo(mut self, on: bool) -> Self {
-        self.turbo = on;
         self
     }
 
@@ -658,12 +647,16 @@ fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMem
 
 /// The snapshot-resume cursor: one live [`Session`] plus a stack of saves,
 /// one per node on the current path. Stepping descends in place; a save is
-/// taken at every node entered; rewinding is *lazy* — [`TurboCursor::pop`]
+/// taken at every node entered; rewinding is *lazy* — [`Cursor::pop`]
 /// only marks the session dirty, and the restore happens when the next
 /// sibling actually needs the parent state. The session in turn rebuilds a
 /// process the restore left stale only when that process is granted
 /// again. A leftmost descent therefore never replays at all.
-struct TurboCursor<'a, D: FdValue> {
+///
+/// Every observer method assumes the cursor is *clean* (positioned exactly
+/// at the node of the last successful push), which the explorer guarantees
+/// by reading a node before descending into its children.
+struct Cursor<'a, D: FdValue> {
     cfg: &'a CheckConfig<D>,
     session: Session<D>,
     saves: Vec<SessionSave>,
@@ -676,12 +669,14 @@ struct TurboCursor<'a, D: FdValue> {
     dirty: bool,
 }
 
-impl<'a, D: FdValue> TurboCursor<'a, D> {
-    fn new(cfg: &'a CheckConfig<D>) -> Self {
-        let picks = vec![Vec::new(); cfg.n_plus_1];
-        let oracle = MenuOracle::new(Arc::clone(&cfg.menu), cfg.n_plus_1, picks.clone());
+impl<'a, D: FdValue> Cursor<'a, D> {
+    /// A cursor at the node `path` reaches under `picks`.
+    fn at_path(cfg: &'a CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Self {
+        let root_picks = vec![Vec::new(); cfg.n_plus_1];
+        let oracle = MenuOracle::new(Arc::clone(&cfg.menu), cfg.n_plus_1, root_picks.clone());
         let log = oracle.log();
-        // The session records at the stateless replay's trace level.
+        // The session records at the trace level of a token replay, so a
+        // node's run is the run its token replays to.
         let session = Session::new(
             FailurePattern::failure_free(cfg.n_plus_1),
             Arc::clone(&cfg.algos),
@@ -690,14 +685,24 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
             cfg.use_matrix,
         );
         let saves = vec![session.save()];
-        TurboCursor {
+        let mut cursor = Cursor {
             cfg,
             session,
             saves,
-            cur_picks: picks,
+            cur_picks: root_picks,
             log,
             dirty: false,
+        };
+        for ch in path {
+            match *ch {
+                Choice::Step(p) => {
+                    let stepped = cursor.push_step(p, picks);
+                    debug_assert!(stepped, "frontier paths replay step for step");
+                }
+                Choice::Crash(p) => cursor.push_crash(p, picks),
+            }
         }
+        cursor
     }
 
     /// Re-positions the session at the top save if it drifted (or if the
@@ -722,6 +727,8 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
         self.dirty = false;
     }
 
+    /// Grants `p` a step below the current node; `false` when `p` had
+    /// already returned and took none (no new node).
     fn push_step(&mut self, p: ProcessId, picks: &[Vec<u32>]) -> bool {
         self.ensure_clean(picks);
         match self.session.step(p) {
@@ -750,144 +757,23 @@ impl<'a, D: FdValue> TurboCursor<'a, D> {
         self.saves.pop();
         self.dirty = true;
     }
-}
-
-/// The classic stateless cursor: every pushed node re-executes its whole
-/// path from the root through [`SimBuilder`].
-struct StatelessCursor<'a, D: FdValue> {
-    cfg: &'a CheckConfig<D>,
-    path: Vec<Choice>,
-    execs: Vec<Exec<D>>,
-}
-
-impl<'a, D: FdValue> StatelessCursor<'a, D> {
-    fn at_path(cfg: &'a CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Self {
-        StatelessCursor {
-            cfg,
-            path: path.to_vec(),
-            execs: vec![execute(cfg, path, picks)],
-        }
-    }
-
-    fn top(&self) -> &Exec<D> {
-        self.execs
-            .last()
-            .expect("cursor always holds the root exec")
-    }
-
-    fn push_step(&mut self, p: ProcessId, picks: &[Vec<u32>]) -> bool {
-        let before = self.top().run.total_steps();
-        self.path.push(Choice::Step(p));
-        let child = execute(self.cfg, &self.path, picks);
-        if child.run.total_steps() == before {
-            // The process finished without taking a step: no new state.
-            self.path.pop();
-            return false;
-        }
-        self.execs.push(child);
-        true
-    }
-
-    fn push_crash(&mut self, p: ProcessId, picks: &[Vec<u32>]) {
-        self.path.push(Choice::Crash(p));
-        self.execs.push(execute(self.cfg, &self.path, picks));
-    }
-
-    fn pop(&mut self) {
-        self.path.pop();
-        self.execs.pop();
-    }
-}
-
-/// Either execution strategy behind one node-navigation interface. Every
-/// observer method assumes the cursor is *clean* (positioned exactly at the
-/// node of the last successful push), which the explorer guarantees by
-/// reading a node before descending into its children.
-// The turbo variant is big (a full session plus its save stack), but a
-// cursor is created once per subtree job, not per node — boxing it would
-// buy nothing on the hot path.
-#[allow(clippy::large_enum_variant)]
-enum Cursor<'a, D: FdValue> {
-    Turbo(TurboCursor<'a, D>),
-    Stateless(StatelessCursor<'a, D>),
-}
-
-impl<'a, D: FdValue> Cursor<'a, D> {
-    fn at_path(cfg: &'a CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Self {
-        if cfg.turbo {
-            let mut cursor = TurboCursor::new(cfg);
-            for ch in path {
-                match *ch {
-                    Choice::Step(p) => {
-                        let stepped = cursor.push_step(p, picks);
-                        debug_assert!(stepped, "frontier paths replay step for step");
-                    }
-                    Choice::Crash(p) => cursor.push_crash(p, picks),
-                }
-            }
-            Cursor::Turbo(cursor)
-        } else {
-            Cursor::Stateless(StatelessCursor::at_path(cfg, path, picks))
-        }
-    }
-
-    fn push_step(&mut self, p: ProcessId, picks: &[Vec<u32>]) -> bool {
-        match self {
-            Cursor::Turbo(c) => c.push_step(p, picks),
-            Cursor::Stateless(c) => c.push_step(p, picks),
-        }
-    }
-
-    fn push_crash(&mut self, p: ProcessId, picks: &[Vec<u32>]) {
-        match self {
-            Cursor::Turbo(c) => c.push_crash(p, picks),
-            Cursor::Stateless(c) => c.push_crash(p, picks),
-        }
-    }
-
-    fn pop(&mut self) {
-        match self {
-            Cursor::Turbo(c) => c.pop(),
-            Cursor::Stateless(c) => c.pop(),
-        }
-    }
 
     fn run(&self) -> &Run<D> {
-        match self {
-            Cursor::Turbo(c) => c.session.run(),
-            Cursor::Stateless(c) => &c.top().run,
-        }
-    }
-
-    fn is_turbo(&self) -> bool {
-        matches!(self, Cursor::Turbo(_))
+        self.session.run()
     }
 
     /// Footprint of the node's last (just-pushed) step.
     fn last_footprint(&self, memo: &mut ResolveMemo) -> Footprint {
-        match self {
-            Cursor::Turbo(c) => c
-                .session
-                .with_memory(|m| footprint_of(c.session.run(), m, memo)),
-            Cursor::Stateless(c) => {
-                let exec = c.top();
-                footprint_of(&exec.run, &exec.memory, memo)
-            }
-        }
+        self.session
+            .with_memory(|m| footprint_of(self.session.run(), m, memo))
     }
 
     /// The query record of the node's last step, when that step was a
     /// failure-detector query.
     fn last_query(&self) -> Option<QueryRecord> {
-        match self {
-            Cursor::Turbo(c) => match &c.session.run().events().last()?.kind {
-                StepKind::Query(_) => c.log.lock().expect("query log lock").last().copied(),
-                _ => None,
-            },
-            Cursor::Stateless(c) => match &c.top().run.events().last()?.kind {
-                StepKind::Query(_) => c.top().queries.last().copied(),
-                _ => None,
-            },
+        match &self.session.run().events().last()?.kind {
+            StepKind::Query(_) => self.log.lock().expect("query log lock").last().copied(),
+            _ => None,
         }
     }
 }
@@ -901,30 +787,22 @@ struct FrontierJob {
     steps_used: usize,
 }
 
-/// First failing spec on one explored node. Runs driven by the session
-/// satisfy the §3.3 run conditions by construction (the engine enforces
-/// crash and grant semantics), so the validator runs only as a debug
-/// assertion there; the stateless path keeps the full check. They never
-/// differ on explorer-generated runs — the differential suite pins this.
-fn node_violation<D: FdValue>(
-    cfg: &CheckConfig<D>,
-    run: &Run<D>,
-    turbo: bool,
-) -> Option<(String, String)> {
-    if turbo {
-        debug_assert!(
-            RunConditionsSpec.check(run).is_ok(),
-            "session runs satisfy the run conditions by construction"
-        );
-        for spec in &cfg.specs {
-            if let Err(msg) = spec.check(run) {
-                return Some((spec.name().to_string(), msg));
-            }
+/// First failing configured spec on one explored node. A session run
+/// satisfies the §3.3 run conditions by construction (the simulator's one
+/// step bookkeeping enforces crash and grant semantics), so the validator
+/// runs only as a debug assertion here; the check crate's node-level test
+/// runs it on every node of its portfolio and replays each node's token.
+fn node_violation<D: FdValue>(cfg: &CheckConfig<D>, run: &Run<D>) -> Option<(String, String)> {
+    debug_assert!(
+        RunConditionsSpec.check(run).is_ok(),
+        "session runs satisfy the run conditions by construction"
+    );
+    for spec in &cfg.specs {
+        if let Err(msg) = spec.check(run) {
+            return Some((spec.name().to_string(), msg));
         }
-        None
-    } else {
-        violation_of(cfg, run)
     }
+    None
 }
 
 struct Explorer<'a, D: FdValue> {
@@ -968,9 +846,7 @@ impl<'a, D: FdValue> Explorer<'a, D> {
     /// a (shrunk) counterexample and prunes the subtree.
     fn visit(&mut self, picks: &[Vec<u32>], sleep: Vec<(ProcessId, Footprint)>, steps_used: usize) {
         self.stats.nodes += 1;
-        if let Some((spec, message)) =
-            node_violation(self.cfg, self.cursor.run(), self.cursor.is_turbo())
-        {
+        if let Some((spec, message)) = node_violation(self.cfg, self.cursor.run()) {
             self.record(picks, spec, message);
             return;
         }

@@ -204,7 +204,8 @@ pub fn snapshot_commit(n_plus_1: usize, k: usize, depth: usize, buggy: bool) -> 
 /// the per-op-pair commutativity matrix (`upsilon_sim::commute`) refines:
 /// equal-value register writes commute, while the value-blind `Access`
 /// lattice must order every write pair. Correctness is just the §3.3 run
-/// conditions (always checked); the interesting number is explored states,
+/// conditions (met by construction on explored runs, and checked on every
+/// token replay); the interesting number is explored states,
 /// pinned with the matrix on and off by the check crate's
 /// `turbo_differential` suite.
 pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConfig<()> {

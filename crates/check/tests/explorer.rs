@@ -19,7 +19,7 @@ fn new_configs_run_sleep_sets_alone() {
         Arc::new(|| vec![None, None]),
         Arc::new(ConstantMenu(())),
     );
-    assert!(cfg.reduction && cfg.turbo && !cfg.use_matrix);
+    assert!(cfg.reduction && !cfg.use_matrix);
     // The paper's protocols keep the defaults; only `pinned_upsilon` and
     // `stable_report` opt in to the commutativity matrix.
     for cfg in [

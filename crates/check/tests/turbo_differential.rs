@@ -1,28 +1,27 @@
-//! Differential equivalence suite for the turbo explorer: every execution
-//! strategy the checker offers must produce the *same answers*.
+//! Equivalence suite for the explorer over a portfolio of clean and buggy
+//! sample configurations:
 //!
-//! Two axes are swept against each other over a portfolio of clean and
-//! buggy sample configurations:
-//!
-//! * **turbo vs stateless** — snapshot-resume execution against
-//!   replay-from-root; byte-identical `CheckReport`s (stats, verdicts, and
-//!   shrunk `UCHK1` tokens alike), since turbo changes only *how* nodes
-//!   are executed, never which nodes exist;
+//! * **node runs vs token replays** — every node the explorer checks runs
+//!   on a snapshot-resume session; its run must equal, byte for byte, the
+//!   run a fresh one-shot replay of the node's `UCHK1` token records, and
+//!   must satisfy the §3.3 run conditions;
 //! * **worker count 1 vs 2 vs 8** — the collected frontier merges in
 //!   discovery order, so reports are `assert_eq!`-identical whatever the
 //!   parallelism.
 //!
 //! Exact counts pin what each reduction buys: nodes per conflict relation
 //! (naive, lattice, matrix), default-vs-matrix counts on the paper configs
-//! at n+1 = 3 and 4, and the world builds turbo saves over stateless
-//! replay.
+//! at n+1 = 3 and 4, and the world builds of snapshot-resume execution.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use upsilon_check::samples;
-use upsilon_check::{check, AlgoFactory, CheckConfig, CheckReport};
+use upsilon_check::{
+    check, run_token, AlgoFactory, CheckConfig, CheckReport, ReplayToken, RunConditionsSpec,
+    RunSpec,
+};
 
-use upsilon_sim::FdValue;
+use upsilon_sim::{FdValue, ProcessId, Run};
 
 /// Builds the report for one portfolio entry under a config transform.
 fn run_with<D: FdValue>(
@@ -70,13 +69,96 @@ macro_rules! for_each_sample {
     }};
 }
 
+/// A spec that keeps a copy of every run it is shown and never fails.
+struct Recorder<D>(Arc<Mutex<Vec<Run<D>>>>);
+
+impl<D: FdValue> RunSpec<D> for Recorder<D> {
+    fn name(&self) -> &str {
+        "recorder"
+    }
+
+    fn check(&self, run: &Run<D>) -> Result<(), String> {
+        self.0.lock().expect("recorder lock").push(run.clone());
+        Ok(())
+    }
+}
+
+/// The token a node's run replays from: its schedule, its crash times, and
+/// the pick of each failure-detector query, found by matching the sampled
+/// value against the menu's candidates for that query.
+fn token_of_run<D: FdValue>(cfg: &CheckConfig<D>, run: &Run<D>) -> ReplayToken {
+    let n = cfg.n_plus_1;
+    let mut fd_choices = vec![Vec::new(); n];
+    for (_, p, v) in run.fd_samples() {
+        let picks: &mut Vec<u32> = &mut fd_choices[p.index()];
+        let k = picks.len();
+        let pick = cfg
+            .menu
+            .candidates(*p, k)
+            .iter()
+            .position(|c| c == v)
+            .unwrap_or_else(|| panic!("query {k} of {p} served {v:?}, which its menu lacks"));
+        picks.push(pick as u32);
+    }
+    ReplayToken {
+        n_plus_1: n,
+        crashes: (0..n)
+            .map(|i| run.pattern().crash_time(ProcessId(i)))
+            .collect(),
+        fd_choices,
+        schedule: run.events().iter().map(|e| e.pid).collect(),
+    }
+}
+
+/// Explores `cfg` with a [`Recorder`] placed before every other spec (and
+/// no shrinking, so that only explorer nodes are recorded), then checks
+/// every captured node run against the run conditions and against the
+/// fresh replay of its token.
+fn assert_node_runs_match_replays<D: FdValue>(name: &str, mut cfg: CheckConfig<D>) -> CheckReport {
+    let runs = Arc::new(Mutex::new(Vec::new()));
+    cfg.shrink = false;
+    cfg.specs.insert(0, Arc::new(Recorder(Arc::clone(&runs))));
+    let report = check(&cfg);
+    let runs = std::mem::take(&mut *runs.lock().expect("recorder lock"));
+    assert_eq!(
+        runs.len() as u64,
+        report.stats.nodes,
+        "{name}: every node recorded"
+    );
+    for run in &runs {
+        let token = token_of_run(&cfg, run);
+        if let Err(msg) = RunConditionsSpec.check(run) {
+            panic!(
+                "{name}: node {} breaks the run conditions: {msg}",
+                token.encode()
+            );
+        }
+        let replay = run_token(&cfg, &token).expect("token of this system").run;
+        assert_eq!(
+            format!("{run:?}"),
+            format!("{replay:?}"),
+            "{name}: node {} differs from its replay",
+            token.encode()
+        );
+    }
+    report
+}
+
 #[test]
-fn turbo_and_stateless_reports_are_identical() {
+fn node_runs_match_their_token_replays() {
     for_each_sample!(name, cfg, {
-        let turbo = run_with(cfg.clone(), |c| c.turbo(true));
-        let stateless = run_with(cfg, |c| c.turbo(false));
-        assert_eq!(turbo, stateless, "{name}: turbo vs stateless diverged");
+        assert_node_runs_match_replays(name, cfg);
     });
+    // Detector branching: a sibling variant restores the parent with an
+    // oracle repositioned at the save point's query counts; with a crash
+    // in the budget, some process queries again after such a restore.
+    let name = "fig1-mutating n2 d9 f1";
+    let report = assert_node_runs_match_replays(name, samples::fig1_mutating(2, 9, 1, 1));
+    assert!(
+        report.stats.fd_variant_nodes > 0 && report.stats.crash_nodes > 0,
+        "{name}: {:?}",
+        report.stats
+    );
 }
 
 #[test]
@@ -226,8 +308,8 @@ fn reduction_counts_are_pinned() {
 }
 
 /// Explores `cfg` and counts how many times it built the algorithms of a
-/// fresh world: once per stateless replay, or once per turbo cursor plus
-/// once per exhausted set of rebuild spares.
+/// fresh world: once when the session starts, plus once per exhausted set
+/// of rebuild spares.
 fn world_builds<D: FdValue>(cfg: CheckConfig<D>) -> (CheckReport, u64) {
     let builds = Arc::new(AtomicU64::new(0));
     let (inner, counter) = (Arc::clone(&cfg.algos), Arc::clone(&builds));
@@ -241,13 +323,10 @@ fn world_builds<D: FdValue>(cfg: CheckConfig<D>) -> (CheckReport, u64) {
 
 #[test]
 fn turbo_world_builds_are_pinned() {
-    // Stateless exploration rebuilds the world at every node (1,549 nodes
-    // plus the up-front build). Snapshot-resume calls the factory only when
-    // a process left stale by a backtrack is granted again and the spares
-    // of the last call hold no instance for it. Same report either way.
-    let cfg = samples::fig1(3, 9, 0);
-    let (turbo, turbo_builds) = world_builds(cfg.clone());
-    let (stateless, stateless_builds) = world_builds(cfg.turbo(false));
-    assert_eq!(turbo, stateless, "turbo vs stateless diverged");
-    assert_eq!((turbo_builds, stateless_builds), (393, 1_550));
+    // 1,549 nodes cost 393 factory calls: the session calls the factory
+    // only when a process left stale by a backtrack is granted again and
+    // the spares of the last call hold no instance for it.
+    let (report, builds) = world_builds(samples::fig1(3, 9, 0));
+    assert!(report.ok() && !report.stats.truncated);
+    assert_eq!((report.stats.nodes, builds), (1_549, 393));
 }

@@ -69,7 +69,6 @@ const FLAGS: &[(&str, &str, &str, &str)] = &[
     ("--workers", "N", "check fuzz swarm run ab", "worker threads (0 = auto)"),
     ("--split", "N", "check", "fan subtrees out at path length N (0 = serial)"),
     ("--naive", "", "check", "disable the sleep-set reduction"),
-    ("--no-turbo", "", "check", "replay every path from the root"),
     ("--max-violations", "N", "check", "stop after N counterexamples (default 16)"),
     ("--no-shrink", "", "check", "skip counterexample minimization"),
     ("--min-states-per-sec", "F", "check", "exit 1 below F explored states/sec"),
@@ -94,7 +93,6 @@ struct Cli {
     workers: usize,
     split: usize,
     naive: bool,
-    no_turbo: bool,
     max_violations: Option<usize>,
     no_shrink: bool,
     /// `--min-states-per-sec` (check) or `--min-execs-per-sec` (fuzz).
@@ -111,7 +109,6 @@ impl Cli {
     /// configuration.
     fn tune<D: FdValue>(&self, cfg: &mut CheckConfig<D>) {
         cfg.reduction = !self.naive;
-        cfg.turbo = !self.no_turbo;
         cfg.workers = self.workers;
         cfg.split_depth = self.split;
         cfg.max_violations = self.max_violations.unwrap_or(16);
@@ -261,7 +258,6 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
             "--workers" => cli.workers = number(arg, v)?,
             "--split" => cli.split = number(arg, v)?,
             "--naive" => cli.naive = true,
-            "--no-turbo" => cli.no_turbo = true,
             "--max-violations" => cli.max_violations = Some(number(arg, v)?),
             "--no-shrink" => cli.no_shrink = true,
             "--min-states-per-sec" | "--min-execs-per-sec" => cli.min_rate = number(arg, v)?,
@@ -638,13 +634,16 @@ fn cmd_swarm(cli: &Cli, action: Action, out: &mut dyn Write) -> Result<(), Stop>
 }
 
 /// Runs `--shards` child `swarm shard` processes of this binary over the
-/// resolved campaign and waits for all of them.
+/// resolved campaign. Every child that started is waited for, so none
+/// outlives the campaign, and every shard that failed is named in the
+/// error. A failed spawn starts no further shard.
 fn spawn_shards(cli: &Cli, shards: u64, cfg: &SwarmConfig, store: &Path) -> Result<(), Stop> {
     let failed = |what: String| Stop::Failed(format!("swarm campaign: {what}"));
     let exe = std::env::current_exe().map_err(|e| failed(format!("current_exe: {e}")))?;
     let mut children = Vec::new();
+    let mut spawn_error = None;
     for index in 0..shards {
-        let child = std::process::Command::new(&exe)
+        let spawned = std::process::Command::new(&exe)
             .args(["swarm", "shard"])
             .arg(format!("mix={}", mix_to_string(&cfg.mix)))
             .arg(format!("instances={}", cfg.instances))
@@ -655,19 +654,29 @@ fn spawn_shards(cli: &Cli, shards: u64, cfg: &SwarmConfig, store: &Path) -> Resu
             .args(["--shard", &format!("{index}/{shards}")])
             .arg("--store")
             .arg(store)
-            .spawn()
-            .map_err(|e| failed(format!("spawning shard {index}: {e}")))?;
-        children.push((index, child));
-    }
-    for (index, mut child) in children {
-        let status = child
-            .wait()
-            .map_err(|e| failed(format!("waiting on shard {index}: {e}")))?;
-        if !status.success() {
-            return Err(failed(format!("shard {index} failed: {status}")));
+            .spawn();
+        match spawned {
+            Ok(child) => children.push((index, child)),
+            Err(e) => {
+                spawn_error = Some(format!("spawning shard {index}: {e}"));
+                break;
+            }
         }
     }
-    Ok(())
+    let mut failures = Vec::new();
+    for (index, mut child) in children {
+        match child.wait() {
+            Ok(status) if status.success() => {}
+            Ok(status) => failures.push(format!("shard {index} failed: {status}")),
+            Err(e) => failures.push(format!("waiting on shard {index}: {e}")),
+        }
+    }
+    failures.extend(spawn_error);
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failed(failures.join("; ")))
+    }
 }
 
 fn merge(store: &Path, out: &mut dyn Write) -> Result<SwarmReport, Stop> {
@@ -873,9 +882,12 @@ mod tests {
         assert!(!tuned("check fig1 n_plus_1=3 depth=6").use_matrix);
         // A sample that opts in keeps the matrix without any flag.
         assert!(tuned("check pinned-upsilon n_plus_1=3 f=1 depth=6").use_matrix);
-        let naive = tuned("check fig1 n_plus_1=3 depth=6 --naive --no-turbo");
-        assert!(!naive.reduction && !naive.turbo && naive.max_violations == 16);
-        assert!(parse(&argv("check fig1 --bogus")).is_err());
+        let naive = tuned("check fig1 n_plus_1=3 depth=6 --naive");
+        assert!(!naive.reduction && naive.max_violations == 16);
+        for flag in ["--bogus", "--no-turbo"] {
+            let err = parse(&argv(&format!("check fig1 n_plus_1=3 depth=6 {flag}"))).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
         assert!(parse(&argv("fuzz fig1 n_plus_1=3 depth=6 --split 2")).is_err());
     }
 

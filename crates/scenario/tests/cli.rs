@@ -1,5 +1,7 @@
 //! The `upsilon-scenario` binary writes through a fallible sink: a closed
-//! stdout ends the run with exit code 1 and a message, never a panic.
+//! stdout ends the run with exit code 1 and a message, never a panic. A
+//! removed flag is a bad command line (exit 2), and a sharded campaign
+//! waits for every shard and names each one that failed.
 
 use std::process::{Command, Stdio};
 
@@ -27,4 +29,42 @@ fn closed_stdout_is_an_error_not_a_panic() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("writing output"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn removed_flags_are_usage_errors() {
+    let out = Command::new(env!("CARGO_BIN_EXE_upsilon-scenario"))
+        .args(["check", "fig1", "n_plus_1=2", "depth=3", "--no-turbo"])
+        .output()
+        .expect("spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag \"--no-turbo\""), "{stderr}");
+}
+
+#[test]
+fn a_campaign_names_every_failed_shard() {
+    // The store lies under a regular file, so neither shard can save its
+    // record.
+    let dir = std::env::temp_dir().join(format!("upsilon-cli-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "").expect("regular file");
+    let out = Command::new(env!("CARGO_BIN_EXE_upsilon-scenario"))
+        .args(["swarm", "campaign", "mix=echo:1", "instances=4"])
+        .args(["--shards", "2", "--workers", "1", "--store"])
+        .arg(file.join("store"))
+        .output()
+        .expect("spawns");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let fail = stderr
+        .lines()
+        .find(|l| l.starts_with("FAIL: swarm campaign:"))
+        .unwrap_or_else(|| panic!("no campaign failure line: {stderr}"));
+    assert!(
+        fail.contains("shard 0 failed") && fail.contains("shard 1 failed"),
+        "{fail}"
+    );
 }

@@ -5,12 +5,14 @@
 //! [`SimBuilder::run`] drives the execution to completion and returns the
 //! recorded [`Run`] plus the final shared [`Memory`].
 //!
-//! The scheduler loop below makes every scheduling decision, records every
-//! trace event and evaluates every stop condition itself, delegating only
-//! "deliver this grant and tell me the step it produced" to the step
-//! engine.
+//! The scheduler loop below makes every scheduling decision and evaluates
+//! every stop condition itself; the bookkeeping of a grant (crash delivery,
+//! trace events, outputs, detector samples, step counts) lives in one
+//! crate-private routine that [`Session`](crate::Session) records through
+//! too. Only "deliver this grant and tell me the step it produced" is left
+//! to the step engine.
 
-use crate::engine::InlineEngine;
+use crate::engine::{InlineEngine, ProcStatus};
 use crate::failure::FailurePattern;
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
@@ -53,6 +55,15 @@ where
     Fut: Future<Output = ()> + 'static,
 {
     Box::new(move |ctx| Box::pin(f(ctx)))
+}
+
+/// Takes `v`'s backing storage, cleared and re-extended to `len` copies of
+/// `fill`.
+fn seize<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) -> Vec<T> {
+    let mut v = std::mem::take(v);
+    v.clear();
+    v.resize(len, fill);
+    v
 }
 
 /// Placeholder oracle for runs whose algorithms never query a failure
@@ -244,59 +255,179 @@ impl<D: FdValue> SimBuilder<D> {
     /// backing storage from `arena` (recycled back by
     /// [`RunCell::finish_into`]).
     pub fn into_cell_with(mut self, arena: &mut RunArena<D>) -> RunCell<D> {
+        let algos = std::mem::take(&mut self.algos);
+        RunCell {
+            drive: Drive::launch(
+                self.pattern,
+                self.oracle,
+                self.trace_level,
+                self.record_sigs,
+                algos,
+                arena,
+            ),
+            adversary: self.adversary,
+            stop_when: self.stop_when,
+            max_steps: self.max_steps,
+            propagate_panics: self.propagate_panics,
+            done: false,
+        }
+    }
+}
+
+/// The bookkeeping of one run, shared by both drive loops: the quota loop
+/// of [`RunCell`] (and so [`SimBuilder::run`]) and the step-at-a-time
+/// [`Session`](crate::Session). Crash delivery, eligibility, and the event,
+/// output, failure-detector-sample and step-count records of a grant
+/// (§3.3–3.4) live here and nowhere else, so a session records exactly the
+/// run a one-shot replay of its schedule would.
+///
+/// Invariant between grants: every crash due by `t` has been delivered.
+pub(crate) struct Drive<D: FdValue> {
+    pub(crate) engine: InlineEngine<D>,
+    /// The run recorded so far; `finished` is maintained grant by grant and
+    /// `stop` is written by whichever loop owns the drive.
+    pub(crate) run: Run<D>,
+    pub(crate) last_output: Vec<Option<Output>>,
+    /// Processes whose grant went unused because their algorithm had
+    /// already returned: no longer eligible.
+    pub(crate) known_finished: Vec<bool>,
+    /// Processes whose crash has been delivered.
+    pub(crate) stopped: Vec<bool>,
+    /// The time the next granted step carries.
+    pub(crate) t: Time,
+}
+
+// The per-grant methods below run on every step of both loops and are
+// forced inline: left to the optimizer, the quota loop measured a few
+// percent slower than with its bookkeeping written in place.
+impl<D: FdValue> Drive<D> {
+    /// Builds the world and the engine, seizes the accumulator vectors'
+    /// backing storage from `arena` (a finished [`Run`] is recycled back by
+    /// [`RunArena::recycle`]), and delivers the crashes due at time zero.
+    pub(crate) fn launch(
+        pattern: FailurePattern,
+        oracle: Box<dyn Oracle<D>>,
+        trace_level: TraceLevel,
+        record_sigs: bool,
+        algos: Vec<Option<AlgoFn<D>>>,
+        arena: &mut RunArena<D>,
+    ) -> Self {
         let world = World {
             memory: Memory::new(),
-            oracle: self.oracle,
-            trace_level: self.trace_level,
-            record_sigs: self.record_sigs,
+            oracle,
+            trace_level,
+            record_sigs,
         };
-        let algos = std::mem::take(&mut self.algos);
-        let has_algo: Vec<bool> = algos.iter().map(|a| a.is_some()).collect();
         let engine = InlineEngine::launch(world, algos);
-        let n_plus_1 = self.pattern.n_plus_1();
-        // Borrow every accumulator from the arena: clear (capacity kept) and
-        // re-extend to the run's process count. The run-owned vectors move
-        // into the returned `Run`; the caller recycles them back.
-        let mut events: Vec<Event<D>> = std::mem::take(&mut arena.events);
+        let n_plus_1 = pattern.n_plus_1();
+        // Borrow every accumulator from the arena: clear (capacity kept)
+        // and re-extend to the run's process count.
+        let mut events = std::mem::take(&mut arena.events);
         events.clear();
         let mut outputs = std::mem::take(&mut arena.outputs);
         outputs.clear();
         let mut fd_samples = std::mem::take(&mut arena.fd_samples);
         fd_samples.clear();
-        let mut steps_by = std::mem::take(&mut arena.steps_by);
-        steps_by.clear();
-        steps_by.resize(n_plus_1, 0u64);
-        let mut last_output = std::mem::take(&mut arena.last_output);
-        last_output.clear();
-        last_output.resize(n_plus_1, None);
-        let mut known_finished = std::mem::take(&mut arena.known_finished);
-        known_finished.clear();
-        known_finished.resize(n_plus_1, false);
-        let mut stopped = std::mem::take(&mut arena.stopped);
-        stopped.clear();
-        stopped.resize(n_plus_1, false);
-        let mut crash_observed = std::mem::take(&mut arena.crash_observed);
-        crash_observed.clear();
-        crash_observed.resize(n_plus_1, None);
-        RunCell {
+        let mut drive = Drive {
             engine,
-            has_algo,
-            pattern: self.pattern,
-            adversary: self.adversary,
-            stop_when: self.stop_when,
-            max_steps: self.max_steps,
-            propagate_panics: self.propagate_panics,
-            events,
-            outputs,
-            fd_samples,
-            steps_by,
-            last_output,
-            known_finished,
-            stopped,
-            crash_observed,
-            total_steps: 0,
+            run: Run {
+                pattern,
+                events,
+                outputs,
+                fd_samples,
+                steps_by: seize(&mut arena.steps_by, n_plus_1, 0),
+                finished: seize(&mut arena.finished, n_plus_1, false),
+                crash_observed: seize(&mut arena.crash_observed, n_plus_1, None),
+                total_steps: 0,
+                stop: StopReason::AllDone,
+            },
+            last_output: seize(&mut arena.last_output, n_plus_1, None),
+            known_finished: seize(&mut arena.known_finished, n_plus_1, false),
+            stopped: seize(&mut arena.stopped, n_plus_1, false),
             t: Time::ZERO,
-            done: None,
+        };
+        drive.deliver_crashes();
+        drive
+    }
+
+    /// Whether process `i` may be granted a step: it has an algorithm, has
+    /// not crashed, and has not been found finished.
+    #[inline(always)]
+    pub(crate) fn eligible(&self, i: usize) -> bool {
+        self.engine.has_algo(ProcessId(i)) && !self.stopped[i] && !self.known_finished[i]
+    }
+
+    /// Every eligible process.
+    #[inline(always)]
+    pub(crate) fn eligible_set(&self) -> ProcessSet {
+        let mut eligible = ProcessSet::new();
+        for i in 0..self.run.pattern.n_plus_1() {
+            if self.eligible(i) {
+                eligible.insert(ProcessId(i));
+            }
+        }
+        eligible
+    }
+
+    /// Grants eligible `p` one step at `t` and records it: the event, an
+    /// output or failure-detector sample, the step counts, the clock, and
+    /// then the crashes due at the new time. A grant the algorithm leaves
+    /// unused (it had already returned) records no step and marks `p` known
+    /// finished. Returns whether `p` took a step. A panic inside the
+    /// algorithm is left in the engine for the caller to raise.
+    #[inline(always)]
+    pub(crate) fn grant(&mut self, p: ProcessId) -> bool {
+        let i = p.index();
+        let t = self.t;
+        let stepped = match self.engine.grant(p, t) {
+            Some(kind) => {
+                match &kind {
+                    StepKind::Query(v) => self.run.fd_samples.push((t, p, v.clone())),
+                    StepKind::Output(o) => {
+                        self.run.outputs.push((t, p, *o));
+                        self.last_output[i] = Some(*o);
+                    }
+                    StepKind::Op { .. } | StepKind::NoOp => {}
+                }
+                self.run.events.push(Event {
+                    time: t,
+                    pid: p,
+                    kind,
+                });
+                self.run.steps_by[i] += 1;
+                self.run.total_steps += 1;
+                self.t = t.next();
+                true
+            }
+            None => {
+                self.known_finished[i] = true;
+                false
+            }
+        };
+        if self.engine.status_of(p) == ProcStatus::FinishedOk {
+            self.run.finished[i] = true;
+        }
+        if stepped {
+            self.deliver_crashes();
+        }
+        stepped
+    }
+
+    /// Delivers the crash of `p` now (run condition 1: a crashed process
+    /// takes no step at or after its crash time): its future is dropped.
+    pub(crate) fn stop(&mut self, p: ProcessId) {
+        self.stopped[p.index()] = true;
+        self.run.crash_observed[p.index()] = Some(self.t);
+        self.engine.stop(p);
+    }
+
+    /// Delivers every pattern crash due by the current time.
+    #[inline(always)]
+    fn deliver_crashes(&mut self) {
+        for i in 0..self.run.pattern.n_plus_1() {
+            if !self.stopped[i] && self.run.pattern.is_crashed_at(ProcessId(i), self.t) {
+                self.stop(ProcessId(i));
+            }
         }
     }
 }
@@ -304,43 +435,33 @@ impl<D: FdValue> SimBuilder<D> {
 /// A paused, resumable run: the scheduler loop of [`SimBuilder::run`]
 /// reified as a value.
 ///
-/// Every observable of a [`Run`] is produced here, and a run advanced in
-/// arbitrary [`step_quota`](RunCell::step_quota) increments is byte-identical
-/// to the same configuration executed in one shot, because the one-shot path
-/// *is* a cell driven with an unbounded quota. This is the substrate of the
+/// A cell adds the scheduling half (adversary, stop predicate, step budget)
+/// to the run bookkeeping it shares with [`Session`](crate::Session). A run
+/// advanced in arbitrary [`step_quota`](RunCell::step_quota) increments is
+/// byte-identical to the same configuration executed in one shot, because
+/// the one-shot path *is* a cell driven with an unbounded quota. This is the substrate of the
 /// `upsilon-swarm` multi-tenant executor, which interleaves millions of
 /// suspended cells in a single thread with batched quotas.
 ///
 /// Unlike [`Session`](crate::Session), a cell records no per-step logs and
 /// supports no save/restore — it is the cheapest possible suspended run.
 pub struct RunCell<D: FdValue> {
-    engine: InlineEngine<D>,
-    has_algo: Vec<bool>,
-    pattern: FailurePattern,
+    drive: Drive<D>,
     adversary: Box<dyn Adversary>,
     #[allow(clippy::type_complexity)]
     stop_when: Option<Box<dyn FnMut(&SchedView<'_>) -> bool>>,
     max_steps: u64,
     propagate_panics: bool,
-    events: Vec<Event<D>>,
-    outputs: Vec<(Time, ProcessId, Output)>,
-    fd_samples: Vec<(Time, ProcessId, D)>,
-    steps_by: Vec<u64>,
-    last_output: Vec<Option<Output>>,
-    known_finished: Vec<bool>,
-    stopped: Vec<bool>,
-    crash_observed: Vec<Option<Time>>,
-    total_steps: u64,
-    t: Time,
-    done: Option<StopReason>,
+    /// Whether the run has ended; its reason is `drive.run.stop`.
+    done: bool,
 }
 
 impl<D: FdValue> std::fmt::Debug for RunCell<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunCell")
-            .field("pattern", &self.pattern)
-            .field("total_steps", &self.total_steps)
-            .field("done", &self.done)
+            .field("pattern", &self.drive.run.pattern)
+            .field("total_steps", &self.drive.run.total_steps)
+            .field("done", &self.done())
             .finish_non_exhaustive()
     }
 }
@@ -360,10 +481,9 @@ impl<D: FdValue> RunCell<D> {
     ///
     /// Panics if the adversary schedules an ineligible process.
     pub fn step_quota(&mut self, quota: u64) -> Option<StopReason> {
-        if self.done.is_some() {
-            return self.done;
+        if self.done {
+            return self.done();
         }
-        let n_plus_1 = self.pattern.n_plus_1();
         let mut remaining = quota;
         let stop = loop {
             if remaining == 0 {
@@ -371,35 +491,23 @@ impl<D: FdValue> RunCell<D> {
             }
             remaining -= 1;
 
-            // Deliver crashes due by the current time (run condition 1: a
-            // crashed process takes no step at or after its crash time).
-            for i in 0..n_plus_1 {
-                if !self.stopped[i] && self.pattern.is_crashed_at(ProcessId(i), self.t) {
-                    self.stopped[i] = true;
-                    self.crash_observed[i] = Some(self.t);
-                    self.engine.stop(ProcessId(i));
-                }
-            }
-
-            let mut eligible = ProcessSet::new();
-            for i in 0..n_plus_1 {
-                if self.has_algo[i] && !self.stopped[i] && !self.known_finished[i] {
-                    eligible.insert(ProcessId(i));
-                }
-            }
+            // Crashes due by now were delivered at launch or by the last
+            // grant that advanced the clock.
+            let drive = &mut self.drive;
+            let eligible = drive.eligible_set();
             if eligible.is_empty() {
                 break StopReason::AllDone;
             }
-            if self.total_steps >= self.max_steps {
+            if drive.run.total_steps >= self.max_steps {
                 break StopReason::BudgetExhausted;
             }
 
             let view = SchedView {
-                time: self.t,
+                time: drive.t,
                 eligible,
-                steps_by: &self.steps_by,
-                outputs: &self.outputs,
-                last_output: &self.last_output,
+                steps_by: &drive.run.steps_by,
+                outputs: &drive.run.outputs,
+                last_output: &drive.last_output,
             };
             if let Some(pred) = self.stop_when.as_mut() {
                 if pred(&view) {
@@ -412,51 +520,29 @@ impl<D: FdValue> RunCell<D> {
             assert!(
                 eligible.contains(p),
                 "adversary scheduled ineligible process {p} at {}",
-                self.t
+                drive.t
             );
-
-            match self.engine.grant(p, self.t) {
-                Some(kind) => {
-                    match &kind {
-                        StepKind::Query(v) => self.fd_samples.push((self.t, p, v.clone())),
-                        StepKind::Output(o) => {
-                            self.outputs.push((self.t, p, *o));
-                            self.last_output[p.index()] = Some(*o);
-                        }
-                        StepKind::Op { .. } | StepKind::NoOp => {}
-                    }
-                    self.events.push(Event {
-                        time: self.t,
-                        pid: p,
-                        kind,
-                    });
-                    self.steps_by[p.index()] += 1;
-                    self.total_steps += 1;
-                    self.t = self.t.next();
-                }
-                None => {
-                    self.known_finished[p.index()] = true;
-                }
-            }
+            drive.grant(p);
         };
-        self.done = Some(stop);
-        self.done
+        self.drive.run.stop = stop;
+        self.done = true;
+        Some(stop)
     }
 
     /// Whether the run has ended (and why).
     pub fn done(&self) -> Option<StopReason> {
-        self.done
+        self.done.then_some(self.drive.run.stop)
     }
 
     /// Steps granted so far.
     pub fn total_steps(&self) -> u64 {
-        self.total_steps
+        self.drive.run.total_steps
     }
 
     /// Outputs recorded so far, in schedule order — inspectable while the
     /// cell is suspended (e.g. for aggregate decision counting).
     pub fn outputs_so_far(&self) -> &[(Time, ProcessId, Output)] {
-        &self.outputs
+        &self.drive.run.outputs
     }
 
     /// The cell's current arena occupancy in bytes: the struct itself plus
@@ -466,15 +552,17 @@ impl<D: FdValue> RunCell<D> {
     /// process-level residency is the bench layer's job (RSS deltas).
     /// Occupancy is monotone while the cell lives: vectors only grow.
     pub fn approx_bytes(&self) -> usize {
+        let d = &self.drive;
         std::mem::size_of::<Self>()
-            + self.events.capacity() * std::mem::size_of::<Event<D>>()
-            + self.outputs.capacity() * std::mem::size_of::<(Time, ProcessId, Output)>()
-            + self.fd_samples.capacity() * std::mem::size_of::<(Time, ProcessId, D)>()
-            + self.steps_by.capacity() * std::mem::size_of::<u64>()
-            + self.last_output.capacity() * std::mem::size_of::<Option<Output>>()
-            + self.known_finished.capacity()
-            + self.stopped.capacity()
-            + self.crash_observed.capacity() * std::mem::size_of::<Option<Time>>()
+            + d.run.events.capacity() * std::mem::size_of::<Event<D>>()
+            + d.run.outputs.capacity() * std::mem::size_of::<(Time, ProcessId, Output)>()
+            + d.run.fd_samples.capacity() * std::mem::size_of::<(Time, ProcessId, D)>()
+            + d.run.steps_by.capacity() * std::mem::size_of::<u64>()
+            + d.run.finished.capacity()
+            + d.last_output.capacity() * std::mem::size_of::<Option<Output>>()
+            + d.known_finished.capacity()
+            + d.stopped.capacity()
+            + d.run.crash_observed.capacity() * std::mem::size_of::<Option<Time>>()
     }
 
     /// Ends the run and returns the outcome, recycling the scheduler-local
@@ -486,34 +574,31 @@ impl<D: FdValue> RunCell<D> {
     /// Re-raises the first panic from a process algorithm, unless the
     /// builder set [`propagate_panics`](SimBuilder::propagate_panics)`(false)`.
     pub fn finish_into(mut self, arena: &mut RunArena<D>) -> SimOutcome<D> {
-        if self.done.is_none() {
+        if !self.done {
             self.step_quota(u64::MAX);
         }
+        let Drive {
+            engine,
+            run,
+            last_output,
+            known_finished,
+            stopped,
+            ..
+        } = self.drive;
         // Hand the scheduler-local accumulators back to the arena (contents
         // are stale; the next run clears them before use).
-        arena.last_output = self.last_output;
-        arena.known_finished = self.known_finished;
-        arena.stopped = self.stopped;
+        arena.last_output = last_output;
+        arena.known_finished = known_finished;
+        arena.stopped = stopped;
 
-        let shutdown = self.engine.shutdown();
+        let shutdown = engine.shutdown();
         if self.propagate_panics {
             if let Some(payload) = shutdown.first_panic {
                 resume_unwind(payload);
             }
         }
-
         SimOutcome {
-            run: Run {
-                pattern: self.pattern,
-                events: self.events,
-                outputs: self.outputs,
-                fd_samples: self.fd_samples,
-                steps_by: self.steps_by,
-                finished: shutdown.finished,
-                crash_observed: self.crash_observed,
-                total_steps: self.total_steps,
-                stop: self.done.expect("cell driven to completion above"),
-            },
+            run,
             memory: shutdown.world.memory,
         }
     }

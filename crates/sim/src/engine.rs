@@ -32,7 +32,6 @@ pub enum EngineKind {
 /// Terminal state of the engine after [`InlineEngine::shutdown`].
 pub(crate) struct EngineShutdown<D: FdValue> {
     pub(crate) world: World<D>,
-    pub(crate) finished: Vec<bool>,
     pub(crate) first_panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
@@ -113,6 +112,11 @@ impl<D: FdValue> InlineEngine<D> {
         }
     }
 
+    /// Whether `p` runs an algorithm at all.
+    pub(crate) fn has_algo(&self, p: ProcessId) -> bool {
+        self.procs[p.index()].is_some()
+    }
+
     /// Lets `p` take one step at time `t`. Returns `Some(kind)` if the
     /// process took the step, `None` if its algorithm had already returned
     /// (the caller marks `p` finished and re-schedules).
@@ -127,30 +131,20 @@ impl<D: FdValue> InlineEngine<D> {
     }
 
     /// Ends the run: drops every future still mid-protocol, and returns the
-    /// world together with which processes finished their protocol and the
-    /// first panic payload (if any).
+    /// world together with the first panic payload (if any).
     pub(crate) fn shutdown(self) -> EngineShutdown<D> {
-        let mut finished = vec![false; self.procs.len()];
         let mut first_panic = None;
-        for (i, proc_) in self.procs.into_iter().enumerate() {
+        for proc_ in self.procs {
             // Taking the outcome drops the process, and with it any future
             // still mid-protocol.
-            match proc_.and_then(|pr| pr.outcome) {
-                Some(ProcOutcome::FinishedOk) => finished[i] = true,
-                Some(ProcOutcome::Panicked(payload)) if first_panic.is_none() => {
-                    first_panic = Some(payload);
-                }
-                _ => {}
+            if let Some(ProcOutcome::Panicked(payload)) = proc_.and_then(|pr| pr.outcome) {
+                first_panic.get_or_insert(payload);
             }
         }
         let world = Rc::try_unwrap(self.world)
             .unwrap_or_else(|_| panic!("world still shared after all futures dropped"))
             .into_inner();
-        EngineShutdown {
-            world,
-            finished,
-            first_panic,
-        }
+        EngineShutdown { world, first_panic }
     }
 
     // --- Session hooks (see `crate::session`) ------------------------------

@@ -78,8 +78,8 @@ impl fmt::Display for Access {
 /// dynamic reorder cross-check (`upsilon-commute`) compares after swapping
 /// provably-commuting adjacent steps.
 ///
-/// The `Clone` bound (on the object and on `Resp`) backs the turbo
-/// exploration path: [`Memory`] is copy-on-write (an object is cloned the
+/// The `Clone` bound (on the object and on `Resp`) backs the explorer's
+/// snapshot-resume sessions: [`Memory`] is copy-on-write (an object is cloned the
 /// first time it is mutated after a snapshot), and responses are recorded so
 /// a suspended state machine can be rebuilt by replaying its completed steps
 /// without re-touching shared memory. `Sync` lets snapshots cross worker
@@ -271,7 +271,7 @@ impl<O: ObjectType> AnyObject for O {
 /// operations need no further synchronization beyond the owning mutex.
 ///
 /// Storage is copy-on-write: objects sit behind [`Arc`]s, so [`Clone`]
-/// (taken once per snapshot by the turbo explorer) is a handful of
+/// (taken once per snapshot by the explorer) is a handful of
 /// reference-count bumps, and an object's state is physically duplicated
 /// only the first time it is mutated while a snapshot still shares it. The
 /// name list and the key index are shared the same way; the first object

@@ -1,4 +1,4 @@
-//! Incremental, snapshot-resumable execution — the engine room of the turbo
+//! Incremental, snapshot-resumable execution — the engine room of the
 //! explorer.
 //!
 //! [`SimBuilder::run`](crate::SimBuilder::run) executes a complete schedule
@@ -6,10 +6,12 @@
 //! time*, with three extra powers:
 //!
 //! * **In-place stepping** — [`Session::step`] grants exactly one step and
-//!   maintains the [`Run`] bookkeeping identically to the one-shot loop, so
+//!   records it through the one-shot loop's own bookkeeping (the
+//!   crate-private `Drive` that [`RunCell`](crate::RunCell) steps), so
 //!   `session.run()` after steps `s₁…s_k` equals the run a fresh replay of
-//!   `s₁…s_k` would record (bit-for-bit; asserted by the differential
-//!   suite).
+//!   `s₁…s_k` would record, bit for bit. This file keeps only what a rewind
+//!   needs: the step journal, stale marks, spares, query counts and
+//!   save/restore.
 //! * **Mid-run crash injection** — [`Session::crash`] delivers a crash *now*
 //!   with the same observable effects as a pattern that always contained it.
 //! * **Snapshot/restore** — [`Session::save`] captures the session state at
@@ -31,16 +33,15 @@
 //! counts, so the checker reconstructs its menu oracle from recorded pick
 //! counts).
 
-use crate::builder::AlgoFn;
-use crate::engine::{EngineShutdown, InlineEngine, ProcStatus};
+use crate::builder::{AlgoFn, Drive};
 use crate::failure::FailurePattern;
 use crate::fingerprint::trace_fingerprint;
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
-use crate::runtime::{Reply, World};
+use crate::runtime::Reply;
 use crate::time::Time;
-use crate::trace::{Event, Output, Run, StepKind, StopReason, TraceLevel};
+use crate::trace::{Event, Output, Run, RunArena, StepKind, StopReason, TraceLevel};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -96,11 +97,6 @@ pub struct SessionSave {
 }
 
 impl SessionSave {
-    /// Steps taken up to the save point.
-    pub fn total_steps(&self) -> u64 {
-        self.total_steps
-    }
-
     /// Recorded failure-detector queries per process up to the save point —
     /// what a deterministic oracle needs to be re-positioned on restore.
     pub fn query_counts(&self) -> Vec<u64> {
@@ -113,15 +109,10 @@ impl SessionSave {
 ///
 /// [`SimBuilder::run`]: crate::SimBuilder::run
 pub struct Session<D: FdValue> {
-    engine: InlineEngine<D>,
+    /// The run bookkeeping, shared with the one-shot drive loop.
+    drive: Drive<D>,
     algos: SessionAlgos<D>,
-    has_algo: Vec<bool>,
-    run: Run<D>,
-    last_output: Vec<Option<Output>>,
-    known_finished: Vec<bool>,
-    stopped: Vec<bool>,
     query_counts: Vec<u64>,
-    t: Time,
     /// Per-process journal of completed steps: `(time, result)` — the raw
     /// material a rebuild replays into a fresh future.
     logs: Vec<Vec<(Time, Reply)>>,
@@ -135,9 +126,9 @@ pub struct Session<D: FdValue> {
 impl<D: FdValue> fmt::Debug for Session<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("t", &self.t)
-            .field("total_steps", &self.run.total_steps)
-            .field("stop", &self.run.stop)
+            .field("t", &self.drive.t)
+            .field("total_steps", &self.drive.run.total_steps)
+            .field("stop", &self.drive.run.stop)
             .finish_non_exhaustive()
     }
 }
@@ -159,53 +150,30 @@ impl<D: FdValue> Session<D> {
             n_plus_1,
             "factory must yield one algorithm slot per process"
         );
-        let has_algo: Vec<bool> = instances.iter().map(Option::is_some).collect();
-        let world = World {
-            memory: Memory::new(),
+        let mut drive = Drive::launch(
+            pattern,
             oracle,
             trace_level,
             record_sigs,
-        };
-        let mut engine = InlineEngine::launch(world, instances);
-        engine.set_recording(true);
-        let run = Run {
-            pattern,
-            events: Vec::new(),
-            outputs: Vec::new(),
-            fd_samples: Vec::new(),
-            steps_by: vec![0; n_plus_1],
-            finished: vec![false; n_plus_1],
-            crash_observed: vec![None; n_plus_1],
-            total_steps: 0,
-            stop: StopReason::AllDone,
-        };
+            instances,
+            &mut RunArena::new(),
+        );
+        drive.engine.set_recording(true);
         let mut session = Session {
-            engine,
+            drive,
             algos,
-            has_algo,
-            run,
-            last_output: vec![None; n_plus_1],
-            known_finished: vec![false; n_plus_1],
-            stopped: vec![false; n_plus_1],
             query_counts: vec![0; n_plus_1],
-            t: Time::ZERO,
             logs: (0..n_plus_1).map(|_| Vec::new()).collect(),
             stale: vec![false; n_plus_1],
             spares: (0..n_plus_1).map(|_| None).collect(),
         };
-        session.settle_crashes();
         session.recompute_stop();
         session
     }
 
     /// The system size `n + 1`.
     pub fn n_plus_1(&self) -> usize {
-        self.run.pattern.n_plus_1()
-    }
-
-    /// The time the next granted step would carry.
-    pub fn now(&self) -> Time {
-        self.t
+        self.drive.run.pattern.n_plus_1()
     }
 
     /// The run as recorded so far. `stop` reflects the current state: if
@@ -214,18 +182,17 @@ impl<D: FdValue> Session<D> {
     /// exactly what a fresh replay of the same schedule with this length as
     /// its budget would report.
     pub fn run(&self) -> &Run<D> {
-        &self.run
+        &self.drive.run
     }
 
     /// Whether `p` may be granted a step right now.
     pub fn eligible(&self, p: ProcessId) -> bool {
-        let i = p.index();
-        self.has_algo[i] && !self.stopped[i] && !self.known_finished[i]
+        self.drive.eligible(p.index())
     }
 
     /// Runs `f` against the current shared memory.
     pub fn with_memory<R>(&self, f: impl FnOnce(&Memory) -> R) -> R {
-        f(&self.engine.world().borrow().memory)
+        f(&self.drive.engine.world().borrow().memory)
     }
 
     /// The canonical fingerprint of the current run prefix:
@@ -233,57 +200,45 @@ impl<D: FdValue> Session<D> {
     /// Op responses enter it only when the session records at
     /// [`TraceLevel::Full`].
     pub fn fingerprint(&self) -> u64 {
-        self.with_memory(|memory| trace_fingerprint(&self.run, memory))
+        self.with_memory(|memory| trace_fingerprint(&self.drive.run, memory))
     }
 
-    /// Lets `p` take one step (`p` must be [`eligible`](Session::eligible))
-    /// and performs the same bookkeeping as the one-shot drive loop. A
-    /// process left stale by [`restore`](Session::restore) is rebuilt
-    /// first. Panics raised inside the algorithm are re-raised here.
+    /// Lets `p` take one step (`p` must be [`eligible`](Session::eligible)),
+    /// recorded by the same bookkeeping as the one-shot drive loop, and
+    /// journals the step's result. A process left stale by
+    /// [`restore`](Session::restore) is rebuilt first. Panics raised inside
+    /// the algorithm are re-raised here.
     pub fn step(&mut self, p: ProcessId) -> SessionStep {
         let i = p.index();
         assert!(self.eligible(p), "step() requires an eligible process");
         if self.stale[i] {
             self.rebuild(p);
         }
-        let t = self.t;
-        match self.engine.grant(p, t) {
-            Some(kind) => {
-                let recorded = self
-                    .engine
-                    .take_recorded(p)
-                    .expect("a recorded step leaves its result");
-                self.logs[i].push((t, recorded));
-                match &kind {
-                    StepKind::Query(v) => {
-                        self.run.fd_samples.push((t, p, v.clone()));
-                        self.query_counts[i] += 1;
-                    }
-                    StepKind::Output(o) => {
-                        self.run.outputs.push((t, p, *o));
-                        self.last_output[i] = Some(*o);
-                    }
-                    StepKind::Op { .. } | StepKind::NoOp => {}
-                }
-                self.run.events.push(Event {
-                    time: t,
-                    pid: p,
-                    kind,
-                });
-                self.run.steps_by[i] += 1;
-                self.run.total_steps += 1;
-                self.t = t.next();
-                self.sync_status(p);
-                self.settle_crashes();
-                self.recompute_stop();
-                SessionStep::Stepped
+        let t = self.drive.t;
+        let stepped = self.drive.grant(p);
+        if stepped {
+            let recorded = self
+                .drive
+                .engine
+                .take_recorded(p)
+                .expect("a recorded step leaves its result");
+            self.logs[i].push((t, recorded));
+            if let Some(Event {
+                kind: StepKind::Query(_),
+                ..
+            }) = self.drive.run.events.last()
+            {
+                self.query_counts[i] += 1;
             }
-            None => {
-                self.known_finished[i] = true;
-                self.sync_status(p);
-                self.recompute_stop();
-                SessionStep::NoStep
-            }
+        }
+        if let Some(payload) = self.drive.engine.take_panic(p) {
+            std::panic::resume_unwind(payload);
+        }
+        self.recompute_stop();
+        if stepped {
+            SessionStep::Stepped
+        } else {
+            SessionStep::NoStep
         }
     }
 
@@ -292,43 +247,43 @@ impl<D: FdValue> Session<D> {
     /// leave at least one process correct (the §3 environment invariant the
     /// explorer enforces via its fault budget).
     pub fn crash(&mut self, p: ProcessId) {
-        let i = p.index();
+        let t = self.drive.t;
+        let pattern = &mut self.drive.run.pattern;
         assert!(
-            self.run.pattern.crash_time(p).is_none(),
+            pattern.crash_time(p).is_none(),
             "process crashes at most once"
         );
-        self.run.pattern.set_crash_at(p, self.t);
-        self.stopped[i] = true;
-        self.run.crash_observed[i] = Some(self.t);
-        self.engine.stop(p);
+        pattern.set_crash_at(p, t);
+        self.drive.stop(p);
         self.recompute_stop();
     }
 
     /// Captures the current state as a restore point.
     pub fn save(&self) -> SessionSave {
-        let crash_at = self.run.pattern.crash_times();
+        let d = &self.drive;
+        let crash_at = d.run.pattern.crash_times();
         let procs = (0..self.n_plus_1())
             .map(|i| ProcSave {
-                steps_by: self.run.steps_by[i],
+                steps_by: d.run.steps_by[i],
                 query_count: self.query_counts[i],
                 log_len: self.logs[i].len(),
-                last_output: self.last_output[i],
-                crash_observed: self.run.crash_observed[i],
+                last_output: d.last_output[i],
+                crash_observed: d.run.crash_observed[i],
                 crash_at: crash_at[i],
-                known_finished: self.known_finished[i],
-                stopped: self.stopped[i],
-                finished: self.run.finished[i],
+                known_finished: d.known_finished[i],
+                stopped: d.stopped[i],
+                finished: d.run.finished[i],
             })
             .collect();
         SessionSave {
             memory: self.with_memory(Memory::clone),
-            t: self.t,
-            total_steps: self.run.total_steps,
-            events_len: self.run.events.len(),
-            outputs_len: self.run.outputs.len(),
-            fd_len: self.run.fd_samples.len(),
+            t: d.t,
+            total_steps: d.run.total_steps,
+            events_len: d.run.events.len(),
+            outputs_len: d.run.outputs.len(),
+            fd_len: d.run.fd_samples.len(),
             procs,
-            stop: self.run.stop,
+            stop: d.run.stop,
         }
     }
 
@@ -342,7 +297,8 @@ impl<D: FdValue> Session<D> {
     /// [`step`](Session::step) rebuilds it at its next grant.
     pub fn restore(&mut self, save: &SessionSave, oracle: Box<dyn Oracle<D>>) {
         assert_eq!(save.procs.len(), self.n_plus_1());
-        self.engine.reset_world(save.memory.clone(), oracle);
+        let d = &mut self.drive;
+        d.engine.reset_world(save.memory.clone(), oracle);
         // A suspended future's state is a function of its *own* step log
         // alone (steps are the only awaits), so only processes whose log or
         // liveness moved past the save point go stale; everyone else's
@@ -354,41 +310,41 @@ impl<D: FdValue> Session<D> {
                 "restore target must be an ancestor of the current state"
             );
             let dead_at_save = p.stopped || p.known_finished || p.finished;
-            let dead_now = self.stopped[i] || self.known_finished[i] || self.run.finished[i];
+            let dead_now = d.stopped[i] || d.known_finished[i] || d.run.finished[i];
             let untouched = self.logs[i].len() == p.log_len && dead_now == dead_at_save;
             self.logs[i].truncate(p.log_len);
-            if self.has_algo[i] && !dead_at_save && !untouched {
+            if d.engine.has_algo(ProcessId(i)) && !dead_at_save && !untouched {
                 self.stale[i] = true;
             }
         }
         let crash_at: Vec<Option<Time>> = save.procs.iter().map(|p| p.crash_at).collect();
-        self.run.pattern.restore_crash_times(&crash_at);
-        self.run.events.truncate(save.events_len);
-        self.run.outputs.truncate(save.outputs_len);
-        self.run.fd_samples.truncate(save.fd_len);
-        self.run.total_steps = save.total_steps;
-        self.run.stop = save.stop;
+        d.run.pattern.restore_crash_times(&crash_at);
+        d.run.events.truncate(save.events_len);
+        d.run.outputs.truncate(save.outputs_len);
+        d.run.fd_samples.truncate(save.fd_len);
+        d.run.total_steps = save.total_steps;
+        d.run.stop = save.stop;
         for (i, p) in save.procs.iter().enumerate() {
-            self.run.steps_by[i] = p.steps_by;
-            self.run.finished[i] = p.finished;
-            self.run.crash_observed[i] = p.crash_observed;
-            self.last_output[i] = p.last_output;
-            self.known_finished[i] = p.known_finished;
-            self.stopped[i] = p.stopped;
+            d.run.steps_by[i] = p.steps_by;
+            d.run.finished[i] = p.finished;
+            d.run.crash_observed[i] = p.crash_observed;
+            d.last_output[i] = p.last_output;
+            d.known_finished[i] = p.known_finished;
+            d.stopped[i] = p.stopped;
             self.query_counts[i] = p.query_count;
         }
-        self.t = save.t;
+        d.t = save.t;
     }
 
     /// Ends the session, returning the run (with `finished` flags already
     /// maintained incrementally) — the counterpart of the one-shot loop's
     /// shutdown. Panic payloads were already re-raised at their step.
     pub fn finish(self) -> Run<D> {
-        let EngineShutdown { first_panic, .. } = self.engine.shutdown();
-        if let Some(payload) = first_panic {
+        let Drive { engine, run, .. } = self.drive;
+        if let Some(payload) = engine.shutdown().first_panic {
             std::panic::resume_unwind(payload);
         }
-        self.run
+        run
     }
 
     /// Rebuilds stale `p`: a fresh instance, taken from the spares of the
@@ -408,39 +364,11 @@ impl<D: FdValue> Session<D> {
         let algo = self.spares[i]
             .take()
             .expect("factory yields an instance for every process with an algorithm");
-        self.engine.replace_proc(p, algo);
+        self.drive.engine.replace_proc(p, algo);
         for (t, value) in &self.logs[i] {
-            self.engine.replay_step(p, *t, Rc::clone(value));
+            self.drive.engine.replay_step(p, *t, Rc::clone(value));
         }
         self.stale[i] = false;
-    }
-
-    /// Delivers pattern crashes due at the current time (the head of the
-    /// drive loop).
-    fn settle_crashes(&mut self) {
-        for i in 0..self.n_plus_1() {
-            let p = ProcessId(i);
-            if !self.stopped[i] && self.run.pattern.is_crashed_at(p, self.t) {
-                self.stopped[i] = true;
-                self.run.crash_observed[i] = Some(self.t);
-                self.engine.stop(p);
-            }
-        }
-    }
-
-    /// Mirrors `p`'s terminal engine status into the run; re-raises panics.
-    fn sync_status(&mut self, p: ProcessId) {
-        match self.engine.status_of(p) {
-            ProcStatus::Running => {}
-            ProcStatus::FinishedOk => self.run.finished[p.index()] = true,
-            ProcStatus::Panicked => {
-                let payload = self
-                    .engine
-                    .take_panic(p)
-                    .expect("panicked status carries a payload");
-                std::panic::resume_unwind(payload);
-            }
-        }
     }
 
     /// AllDone exactly when no process is eligible — what the one-shot loop
@@ -448,8 +376,8 @@ impl<D: FdValue> Session<D> {
     /// length in every replay the explorer performs, so the only other
     /// reachable reason is an exhausted budget).
     fn recompute_stop(&mut self) {
-        let any_eligible = (0..self.n_plus_1()).any(|i| self.eligible(ProcessId(i)));
-        self.run.stop = if any_eligible {
+        let any_eligible = (0..self.n_plus_1()).any(|i| self.drive.eligible(i));
+        self.drive.run.stop = if any_eligible {
             StopReason::BudgetExhausted
         } else {
             StopReason::AllDone

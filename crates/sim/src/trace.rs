@@ -164,6 +164,7 @@ pub struct RunArena<D> {
     pub(crate) outputs: Vec<(Time, ProcessId, Output)>,
     pub(crate) fd_samples: Vec<(Time, ProcessId, D)>,
     pub(crate) steps_by: Vec<u64>,
+    pub(crate) finished: Vec<bool>,
     pub(crate) crash_observed: Vec<Option<Time>>,
     pub(crate) last_output: Vec<Option<Output>>,
     pub(crate) known_finished: Vec<bool>,
@@ -178,6 +179,7 @@ impl<D> RunArena<D> {
             outputs: Vec::new(),
             fd_samples: Vec::new(),
             steps_by: Vec::new(),
+            finished: Vec::new(),
             crash_observed: Vec::new(),
             last_output: Vec::new(),
             known_finished: Vec::new(),
@@ -193,6 +195,7 @@ impl<D> RunArena<D> {
         self.outputs = run.outputs;
         self.fd_samples = run.fd_samples;
         self.steps_by = run.steps_by;
+        self.finished = run.finished;
         self.crash_observed = run.crash_observed;
     }
 }

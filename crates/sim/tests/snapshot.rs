@@ -1,5 +1,5 @@
 //! Snapshot/restore tests for [`Session`], the step-at-a-time inline
-//! engine behind the turbo explorer.
+//! engine behind the explorer.
 //!
 //! The contract under test is what makes snapshot-resume DPOR sound: after
 //! `restore(save)`, the session must be **bit-identical** to one that never
@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use upsilon_sim::{
-    algo, Access, Ctx, FailurePattern, Key, NullOracle, ObjectType, ProcessId, Session,
-    SessionAlgos, TraceLevel,
+    algo, Access, Ctx, FailurePattern, Key, NullOracle, ObjectType, ProcessId, ReplayToken,
+    Session, SessionAlgos, SimBuilder, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -145,6 +145,25 @@ fn counted_session(rounds: usize) -> (Session<()>, Arc<[AtomicU64; 3]>, Arc<Atom
 
 fn counts(starts: &[AtomicU64; 3]) -> [u64; 3] {
     starts.each_ref().map(|a| a.load(Ordering::Relaxed))
+}
+
+#[test]
+#[should_panic(expected = "boom")]
+fn a_panic_inside_a_step_is_raised_by_that_step() {
+    let algos: SessionAlgos<()> = Arc::new(|| {
+        vec![Some(algo(|ctx: Ctx<()>| async move {
+            ctx.decide(1).await;
+            panic!("boom");
+        }))]
+    });
+    let mut session = Session::new(
+        FailurePattern::failure_free(1),
+        algos,
+        Box::new(NullOracle),
+        TraceLevel::Steps,
+        false,
+    );
+    session.step(ProcessId(0));
 }
 
 #[test]
@@ -408,5 +427,45 @@ proptest! {
         resumed.restore(&save, Box::new(NullOracle));
         drive(&mut resumed, &schedule[cut..]);
         prop_assert_eq!(observed(&resumed), want);
+    }
+
+    /// A session driven through random grants and mid-run crashes records
+    /// the run a one-shot replay of the equivalent token records, at the
+    /// same trace level. Only processes that have not finished are granted
+    /// (as in the explorer, no node ends on an unused grant), and at least
+    /// one process stays correct.
+    #[test]
+    fn sessions_record_the_run_their_token_replays(
+        actions in proptest::collection::vec((0u8..3, 0u8..6), 0..40),
+    ) {
+        let mut session = new_session(3, 4);
+        let mut crashes = 0;
+        for (who, what) in actions {
+            let p = ProcessId(usize::from(who));
+            if what == 0 {
+                if crashes < 2 && session.run().pattern().crash_time(p).is_none() {
+                    session.crash(p);
+                    crashes += 1;
+                }
+            } else if session.eligible(p) && !session.run().finished(p) {
+                session.step(p);
+            }
+        }
+        let run = session.run();
+        let token = ReplayToken {
+            n_plus_1: 3,
+            crashes: (0..3).map(|i| run.pattern().crash_time(ProcessId(i))).collect(),
+            fd_choices: vec![Vec::new(); 3],
+            schedule: run.events().iter().map(|e| e.pid).collect(),
+        };
+        let mut replay = SimBuilder::<()>::replay(&token)
+            .trace_level(TraceLevel::Full)
+            .record_op_sigs(true);
+        for (i, a) in ring_algos(3, 4)().into_iter().enumerate() {
+            if let Some(a) = a {
+                replay = replay.spawn(ProcessId(i), a);
+            }
+        }
+        prop_assert_eq!(format!("{:?}", run), format!("{:?}", replay.run().run));
     }
 }

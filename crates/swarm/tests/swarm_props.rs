@@ -142,7 +142,7 @@ proptest! {
 
 /// Residency of a full pack: a converge-pair campaign with every cell
 /// admitted before the first sweep occupies exactly these byte sums at
-/// any worker count — 520 bytes per instance at admission and 1,928 at
+/// any worker count — 536 bytes per instance at admission and 1,944 at
 /// retirement, linear in the instance count — inside a 4 KiB budget.
 #[test]
 fn full_pack_residency_is_pinned() {
@@ -156,7 +156,7 @@ fn full_pack_residency_is_pinned() {
         assert_eq!(report.instances, INSTANCES);
         assert_eq!(
             (report.packed_bytes, report.arena_bytes),
-            (2_129_920, 7_897_088),
+            (2_195_456, 7_962_624),
             "workers {workers}"
         );
         assert!(report.bytes_per_instance() <= 4096);
