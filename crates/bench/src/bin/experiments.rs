@@ -5,7 +5,7 @@
 //! cargo run --release -p upsilon-bench --bin experiments [E1 E4 ...]
 //! ```
 //!
-//! With no arguments every experiment E1–E12 runs; otherwise only the named
+//! With no arguments every experiment E1–E16 runs; otherwise only the named
 //! ones.
 
 use upsilon_bench::{average_case_config, staggered_crashes, worst_case_config};

@@ -1,5 +1,5 @@
 //! The experiment harness: one runner per paper artifact (see DESIGN.md's
-//! experiment index E1–E12), shared by the `experiments` binary, the
+//! experiment index E1–E16), shared by the `experiments` binary, the
 //! scenario layer and the integration tests.
 
 use upsilon_agreement::{

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod exhaustive;
 pub mod experiment;
 pub mod matrix;
 pub mod pipeline;
@@ -61,9 +60,6 @@ pub mod prelude {
         TaskViolation,
     };
     pub use crate::converge::ConvergeInstance;
-    pub use crate::exhaustive::{
-        count_interleavings, count_schedule_tree, for_each_interleaving, interleavings,
-    };
     pub use crate::experiment::{
         run_baseline_omega_k, run_boost, run_fig1, run_fig2, run_fig2_custom, run_fig3,
         run_omega_consensus, run_upsilon1_consensus, run_upsilon1_to_omega, sweep_seeds,

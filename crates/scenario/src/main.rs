@@ -449,10 +449,14 @@ fn cmd_check(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {
         ],
         &[("violations", violations)],
     )?;
+    let found = Verdict::try_from(&r).map_err(Stop::Failed)?;
     if r.ok() {
         writeln!(out, "no violations")?;
     }
-    verdict([missed(cli, cell, r.ok()), floor(cli, rate, "states/sec")])
+    verdict([
+        missed(cli, cell, found == Verdict::Pass),
+        floor(cli, rate, "states/sec"),
+    ])
 }
 
 fn cmd_fuzz(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {

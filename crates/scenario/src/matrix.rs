@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use upsilon_check::CheckReport;
 use upsilon_scenario_schema::{Cell, Expect, Kind, Scalar, ScenarioDoc};
 use upsilon_sim::run_batch;
 
@@ -49,6 +50,24 @@ impl Verdict {
             (self, expect),
             (Verdict::Pass, Expect::Pass) | (Verdict::Violation, Expect::Violation)
         )
+    }
+}
+
+/// The one rule turning an exploration into a verdict, for `check` calls
+/// and check cells alike: a clean search that its node budget cut short
+/// has shown nothing, so it is an error, never a pass.
+impl TryFrom<&CheckReport> for Verdict {
+    type Error = String;
+
+    fn try_from(report: &CheckReport) -> Result<Verdict, String> {
+        if report.ok() && report.stats.truncated {
+            return Err(format!(
+                "no verdict: the search hit its node budget (max_nodes) after {} nodes \
+                 with no violation found; lower `depth` or `max_faults`",
+                report.stats.nodes
+            ));
+        }
+        Ok(Verdict::of(report.ok()))
     }
 }
 
@@ -125,11 +144,11 @@ pub struct MatrixReport {
     pub ok: bool,
 }
 
-fn check_out(cfg: &AnyCheck) -> RunOut {
+fn check_out(cfg: &AnyCheck) -> Result<RunOut, String> {
     let report = cfg.check();
     let first = report.violations.first();
-    RunOut {
-        verdict: Verdict::of(report.violations.is_empty()),
+    Ok(RunOut {
+        verdict: Verdict::try_from(&report)?,
         states: report.stats.nodes,
         violations: report.violations.len(),
         spec: first.map(|v| v.spec.clone()),
@@ -138,13 +157,15 @@ fn check_out(cfg: &AnyCheck) -> RunOut {
             ("sleep_pruned", report.stats.sleep_pruned as i64),
             ("crash_nodes", report.stats.crash_nodes as i64),
         ]),
-    }
+    })
 }
 
 /// Runs one `(cell, seed)` coordinate of a scenario.
 pub fn run_one(doc: &ScenarioDoc, cell: &Cell, seed: u64) -> Result<RunOut, String> {
     match doc.kind {
-        Kind::Check => Ok(check_out(&resolve_check(cell)?)),
+        Kind::Check => {
+            check_out(&resolve_check(cell)?).map_err(|e| format!("{}: {e}", cell.label()))
+        }
         Kind::Fuzz => {
             let report = resolve_fuzz(doc, cell, seed)?.fuzz(&[]);
             let first = report.violations.first();
@@ -413,4 +434,44 @@ pub fn to_jsonl(records: &[EvidenceRecord]) -> String {
         out.push_str("}}\n");
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use upsilon_check::{CheckStats, CounterExample, ReplayToken};
+
+    fn report(violations: usize, truncated: bool) -> CheckReport {
+        let token = ReplayToken::parse("UCHK1:n=2;c=-,-;q=-|-;s=0,1").unwrap();
+        let cx = CounterExample {
+            spec: "k-set-agreement".into(),
+            message: "2 distinct decisions".into(),
+            token: token.clone(),
+            raw_token: token,
+            shrink_evals: 0,
+            shrink_removed: 0,
+        };
+        CheckReport {
+            stats: CheckStats {
+                nodes: 1_000_000,
+                truncated,
+                ..CheckStats::default()
+            },
+            violations: vec![cx; violations],
+            frontier_jobs: 0,
+        }
+    }
+
+    #[test]
+    fn a_truncated_clean_search_has_no_verdict() {
+        let err = Verdict::try_from(&report(0, true)).unwrap_err();
+        assert!(
+            err.contains("node budget") && err.contains("1000000 nodes"),
+            "{err}"
+        );
+        assert_eq!(Verdict::try_from(&report(0, false)), Ok(Verdict::Pass));
+        // A search stopped by its violation budget is truncated too, and
+        // its counterexample is a verdict.
+        assert_eq!(Verdict::try_from(&report(1, true)), Ok(Verdict::Violation));
+    }
 }

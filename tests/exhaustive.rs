@@ -1,276 +1,358 @@
-//! Bounded model checking: the k-converge properties and snapshot
+//! Bounded model checking: the k-converge properties (§5.1) and snapshot
 //! containment verified over **every** interleaving of small
 //! configurations — not a sample, the whole space.
 //!
-//! The large sweeps fan their (fully independent, each single-threaded)
-//! runs across the [`run_batch`] worker pool; results come back in
-//! schedule order, so the assertions and failure messages are identical
-//! to the sequential loops they replaced.
+//! Each sweep is one run of the sleep-set explorer (`upsilon_check::check`)
+//! over a test-local harness. Every exploration is complete in debug
+//! builds too: no budget cuts it short (`!truncated`), and the depth
+//! exceeds the harness's total step count, so no path stops at the depth
+//! bound (`depth_leaves == 0`) — every path ends with every process that
+//! did not crash finished. Node counts are pinned.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use weakest_failure_detector::converge::ConvergeInstance;
-use weakest_failure_detector::exhaustive::{count_interleavings, interleavings};
-use weakest_failure_detector::mem::{scan_contained_in, NativeSnapshot, Snapshot, SnapshotFlavor};
-use weakest_failure_detector::sim::algo;
-use weakest_failure_detector::sim::{
-    default_workers, run_batch, FailurePattern, Key, ProcessId, RoundRobin, Scripted, SimBuilder,
-};
+use upsilon_check::{check, AlgoFactory, CheckConfig, CheckReport, ConstantMenu, RunSpec};
+use upsilon_sim::{algo, Key, Output, ProcessId, Run};
+use weakest_failure_detector::converge::{ConvergeFaults, ConvergeInstance};
+use weakest_failure_detector::mem::{NativeSnapshot, Snapshot, SnapshotFlavor};
 
-/// Shared per-process (picked, committed) results of a converge run.
-type SharedResults = std::sync::Arc<std::sync::Mutex<Vec<Option<(u64, bool)>>>>;
+/// Steps of one converge harness process on native snapshots: two
+/// updates, two scans and the output step.
+const CONVERGE_STEPS: usize = 5;
 
-/// Runs one k-converge instance under an explicit schedule; the scripted
-/// prefix covers the whole routine (4 steps per process on native
-/// snapshots), with a round-robin tail as a safety net.
-fn run_converge_scripted(
-    inputs: &[u64],
-    k: usize,
-    schedule: Vec<ProcessId>,
-) -> Vec<Option<(u64, bool)>> {
-    let n = inputs.len();
-    let results: SharedResults = Arc::new(Mutex::new(vec![None; n]));
-    let results2 = Arc::clone(&results);
+/// Each process runs one `k`-converge on its input over native snapshots,
+/// then takes one output step: `decide(picked)` if it committed,
+/// `output(Value(picked))` otherwise.
+fn converge_factory(inputs: &[u64], k: usize, faults: ConvergeFaults) -> AlgoFactory<()> {
     let inputs = inputs.to_vec();
-    let _ = SimBuilder::<()>::new(FailurePattern::failure_free(n))
-        .adversary(Scripted::then(schedule, RoundRobin::new()))
-        .spawn_all(move |pid| {
-            let results = Arc::clone(&results2);
-            let v = inputs[pid.index()];
-            algo(move |ctx| async move {
-                let inst =
-                    ConvergeInstance::new(Key::new("cv"), ctx.n_plus_1(), SnapshotFlavor::Native);
-                let out = inst.converge(&ctx, k, v).await;
-                let mut slot = results.lock().unwrap();
-                slot[pid.index()] = Some(out);
+    Arc::new(move || {
+        let n_plus_1 = inputs.len();
+        inputs
+            .iter()
+            .map(|&v| {
+                Some(algo(move |ctx| async move {
+                    let inst =
+                        ConvergeInstance::new(Key::new("cv"), n_plus_1, SnapshotFlavor::Native)
+                            .with_faults(faults);
+                    let (picked, committed) = inst.converge(&ctx, k, v).await;
+                    if committed {
+                        ctx.decide(picked).await;
+                    } else {
+                        ctx.output(Output::Value(picked)).await;
+                    }
+                }))
             })
+            .collect()
+    })
+}
+
+/// Each process's pick as `(value, committed)`, `None` before it picks.
+type Picks = Vec<Option<(u64, bool)>>;
+
+/// The picks a converge run has output so far.
+fn picks(run: &Run<()>) -> Picks {
+    run.last_outputs()
+        .into_iter()
+        .map(|o| match o? {
+            Output::Decide(v) => Some((v, true)),
+            Output::Value(v) => Some((v, false)),
+            other => panic!("unexpected converge output {other}"),
         })
-        .run();
-    Arc::try_unwrap(results).unwrap().into_inner().unwrap()
+        .collect()
 }
 
-fn assert_converge_properties(
-    inputs: &[u64],
+/// Whether every process that did not crash has picked.
+fn complete(run: &Run<()>) -> bool {
+    let picks = picks(run);
+    (0..run.n_plus_1())
+        .all(|i| picks[i].is_some() || run.pattern().crash_time(ProcessId(i)).is_some())
+}
+
+/// The §5.1 k-converge properties, checked on every explored node. A
+/// node's run is a prefix of longer runs, and each property is closed
+/// under prefixes: a process that has not stepped yet is, to the others,
+/// one that crashed before invoking the routine.
+struct ConvergeSpec {
+    inputs: Vec<u64>,
     k: usize,
-    outs: &[Option<(u64, bool)>],
-    schedule_id: usize,
-) {
-    assert!(
-        outs.iter().all(|o| o.is_some()),
-        "C-Termination, schedule {schedule_id}"
-    );
-    let picked: Vec<u64> = outs.iter().flatten().map(|(v, _)| *v).collect();
-    for v in &picked {
-        assert!(inputs.contains(v), "C-Validity, schedule {schedule_id}");
+}
+
+impl RunSpec<()> for ConvergeSpec {
+    fn name(&self) -> &str {
+        "k-converge"
     }
-    if outs.iter().flatten().any(|(_, c)| *c) {
-        let mut d = picked.clone();
-        d.sort_unstable();
-        d.dedup();
-        assert!(
-            d.len() <= k,
-            "C-Agreement, schedule {schedule_id}: {d:?} (k={k})"
-        );
-    }
-    let mut di = inputs.to_vec();
-    di.sort_unstable();
-    di.dedup();
-    if di.len() <= k {
-        assert!(
-            outs.iter().flatten().all(|(_, c)| *c),
-            "Convergence, schedule {schedule_id}"
-        );
+
+    fn check(&self, run: &Run<()>) -> Result<(), String> {
+        let picks = picks(run);
+        // C-Termination: with `depth_leaves == 0` every path ends with every
+        // non-crashed process finished; a finished process has picked.
+        if let Some(i) =
+            (0..picks.len()).find(|&i| run.finished(ProcessId(i)) && picks[i].is_none())
+        {
+            return Err(format!(
+                "C-Termination: {} finished without picking",
+                ProcessId(i)
+            ));
+        }
+        let picked: BTreeSet<u64> = picks.iter().flatten().map(|&(v, _)| v).collect();
+        if let Some(v) = picked.iter().find(|v| !self.inputs.contains(v)) {
+            return Err(format!("C-Validity: {v} picked but never proposed"));
+        }
+        // For k = 1 this is commit-adopt's rule: a commit forces unanimity.
+        if picks.iter().flatten().any(|&(_, c)| c) && picked.len() > self.k {
+            return Err(format!(
+                "C-Agreement: a commit with {picked:?} picked (k = {})",
+                self.k
+            ));
+        }
+        let proposed: BTreeSet<u64> = (0..picks.len())
+            .filter(|&i| run.steps_by()[i] > 0)
+            .map(|i| self.inputs[i])
+            .collect();
+        if proposed.len() <= self.k && picks.iter().flatten().any(|&(_, c)| !c) {
+            return Err(format!(
+                "Convergence: {proposed:?} proposed (k = {}) but {picks:?} picked",
+                self.k
+            ));
+        }
+        Ok(())
     }
 }
 
-/// Commit–adopt (1-converge) between two processes: all 70 interleavings of
-/// its 8 steps, for agreeing and disagreeing inputs.
-#[test]
-fn commit_adopt_two_processes_every_interleaving() {
-    for inputs in [[5u64, 5], [1, 2]] {
-        let schedules = interleavings(&[4, 4]);
-        assert_eq!(schedules.len(), 70);
-        for (i, schedule) in schedules.into_iter().enumerate() {
-            let outs = run_converge_scripted(&inputs, 1, schedule);
-            assert_converge_properties(&inputs, 1, &outs, i);
-            // The classic commit-adopt corollary: a commit forces unanimity.
-            let committed: Vec<u64> = outs
-                .iter()
-                .flatten()
-                .filter(|(_, c)| *c)
-                .map(|(v, _)| *v)
-                .collect();
-            if let Some(&v) = committed.first() {
-                assert!(outs.iter().flatten().all(|(w, _)| *w == v), "schedule {i}");
-            }
+/// A named property; its function recognises the runs that break it.
+struct Property(&'static str, fn(&Run<()>) -> bool);
+
+impl RunSpec<()> for Property {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn check(&self, run: &Run<()>) -> Result<(), String> {
+        if (self.1)(run) {
+            Err(format!("outputs {:?}", run.last_outputs()))
+        } else {
+            Ok(())
         }
     }
 }
 
-/// In debug builds the 34 650-schedule sweeps are strided (every 9th
-/// schedule) to keep `cargo test` snappy; release builds (`cargo test
-/// --release`) check every single interleaving.
-fn stride() -> usize {
-    if cfg!(debug_assertions) {
-        9
-    } else {
-        1
+/// Records the per-process outputs of every complete run it sees.
+struct Outcomes(Arc<Mutex<BTreeSet<Picks>>>);
+
+impl RunSpec<()> for Outcomes {
+    fn name(&self) -> &str {
+        "outcomes"
+    }
+
+    fn check(&self, run: &Run<()>) -> Result<(), String> {
+        if complete(run) {
+            self.0.lock().unwrap().insert(picks(run));
+        }
+        Ok(())
     }
 }
 
-/// 2-converge among three processes with three distinct inputs: all 34 650
-/// interleavings of its 12 steps. This is the exact sub-routine Fig. 1's
-/// gladiators run with |U| = 3.
+/// The converge sweep over `inputs`, with its spec and a depth one past the
+/// harness's total step count.
+fn converge(inputs: &[u64], k: usize, faults: ConvergeFaults) -> CheckConfig<()> {
+    let n_plus_1 = inputs.len();
+    let depth = n_plus_1 * CONVERGE_STEPS + 1;
+    CheckConfig::new(
+        n_plus_1,
+        depth,
+        converge_factory(inputs, k, faults),
+        Arc::new(ConstantMenu(())),
+    )
+    .spec(ConvergeSpec {
+        inputs: inputs.to_vec(),
+        k,
+    })
+}
+
+/// Runs a sweep that must come back clean and complete; returns its node
+/// count.
+fn explore_clean(cfg: &CheckConfig<()>) -> u64 {
+    let report = check(cfg);
+    assert!(report.ok(), "{:?}", report.violations[0]);
+    assert_complete(&report);
+    report.stats.nodes
+}
+
+fn assert_complete(report: &CheckReport) {
+    assert!(!report.stats.truncated, "the node budget cut the search");
+    assert_eq!(
+        report.stats.depth_leaves, 0,
+        "a path reached the depth bound"
+    );
+}
+
+/// Runs a search that must find a counterexample; returns the violated
+/// spec, its message and the node count. The search stops at its first
+/// counterexample, so the violation budget truncates it; no path may
+/// still reach the depth bound.
+fn refute(cfg: &CheckConfig<()>) -> (String, String, u64) {
+    let report = check(cfg);
+    let v = report.violations.first().expect("a counterexample");
+    assert_eq!(
+        report.stats.depth_leaves, 0,
+        "a path reached the depth bound"
+    );
+    (v.spec.clone(), v.message.clone(), report.stats.nodes)
+}
+
+/// Commit–adopt (1-converge) between two processes over every
+/// interleaving of their 10 steps, for agreeing and disagreeing inputs.
+#[test]
+fn commit_adopt_two_processes_every_interleaving() {
+    for (inputs, nodes) in [([5u64, 5], 112), ([1, 2], 112)] {
+        let cfg = converge(&inputs, 1, ConvergeFaults::default());
+        assert_eq!(explore_clean(&cfg), nodes, "{inputs:?}");
+    }
+}
+
+/// 2-converge among three processes with three distinct inputs — the
+/// sub-routine Fig. 1's gladiators run with |U| = 3 — over every
+/// interleaving, and again with up to two crashes at every point.
 #[test]
 fn two_converge_three_processes_every_interleaving() {
-    let inputs = [1u64, 2, 3];
-    let schedules = interleavings(&[4, 4, 4]);
-    assert_eq!(schedules.len() as u64, count_interleavings(&[4, 4, 4]));
-    let jobs: Vec<_> = schedules
-        .into_iter()
-        .enumerate()
-        .step_by(stride())
-        .map(|(i, schedule)| move || (i, run_converge_scripted(&inputs, 2, schedule)))
-        .collect();
-    for (i, outs) in run_batch(jobs, default_workers()) {
-        assert_converge_properties(&inputs, 2, &outs, i);
-    }
+    let cfg = converge(&[1, 2, 3], 2, ConvergeFaults::default());
+    assert_eq!(explore_clean(&cfg), 8_238);
+    assert_eq!(explore_clean(&cfg.max_faults(2)), 57_666);
 }
 
 /// 1-converge among three processes with two distinct inputs — the mixed
-/// case where commits are schedule-dependent but never unsafe.
+/// case where commits are schedule-dependent but never unsafe. Both
+/// behaviours exist: the explorer refutes "no process commits" and
+/// "every complete run commits".
 #[test]
 fn one_converge_three_processes_every_interleaving() {
     let inputs = [7u64, 7, 9];
-    let mut commits_seen = false;
-    let mut non_commits_seen = false;
-    let jobs: Vec<_> = interleavings(&[4, 4, 4])
-        .into_iter()
-        .enumerate()
-        .step_by(stride())
-        .map(|(i, schedule)| move || (i, run_converge_scripted(&inputs, 1, schedule)))
-        .collect();
-    for (i, outs) in run_batch(jobs, default_workers()) {
-        assert_converge_properties(&inputs, 1, &outs, i);
-        let any_commit = outs.iter().flatten().any(|(_, c)| *c);
-        commits_seen |= any_commit;
-        non_commits_seen |= !any_commit;
-    }
-    assert!(commits_seen, "some interleaving lets the routine commit");
-    assert!(
-        non_commits_seen,
-        "some interleaving (lock-step) prevents commitment — both behaviours exist"
-    );
+    let cfg = converge(&inputs, 1, ConvergeFaults::default());
+    assert_eq!(explore_clean(&cfg), 8_238);
+
+    let some_commit = cfg.clone().spec(Property("no-commit", |run| {
+        picks(run).iter().flatten().any(|&(_, c)| c)
+    }));
+    let (spec, _, nodes) = refute(&some_commit);
+    assert_eq!((spec.as_str(), nodes), ("no-commit", 6));
+
+    let no_commit = cfg.spec(Property("every-complete-run-commits", |run| {
+        complete(run) && picks(run).iter().flatten().all(|&(_, c)| !c)
+    }));
+    let (spec, _, nodes) = refute(&no_commit);
+    assert_eq!((spec.as_str(), nodes), ("every-complete-run-commits", 312));
 }
 
-/// Snapshot containment across every interleaving of one update+scan round
-/// of three processes (90 schedules).
+/// Snapshot containment over every interleaving of one update + scan
+/// round of three processes: each process outputs its scan as a bitmask
+/// of the non-empty components; every scan holds its own value, and any
+/// two scans are ordered by containment.
 #[test]
 fn snapshot_containment_every_interleaving() {
-    for (i, schedule) in interleavings(&[2, 2, 2]).into_iter().enumerate() {
-        let scans: Arc<Mutex<Vec<Vec<Option<u64>>>>> = Arc::new(Mutex::new(Vec::new()));
-        let scans2 = Arc::clone(&scans);
-        let _ = SimBuilder::<()>::new(FailurePattern::failure_free(3))
-            .adversary(Scripted::then(schedule, RoundRobin::new()))
-            .spawn_all(move |pid| {
-                let scans = Arc::clone(&scans2);
-                algo(move |ctx| async move {
-                    let snap = NativeSnapshot::<u64>::new(Key::new("S"), 3);
-                    snap.update(&ctx, pid.index() as u64 + 1).await;
-                    let s = snap.scan(&ctx).await;
-                    let mut shared = scans.lock().unwrap();
-                    shared.push(s);
-                })
+    const N: usize = 3;
+    let factory: AlgoFactory<()> = Arc::new(|| {
+        (0..N)
+            .map(|i| {
+                Some(algo(move |ctx| async move {
+                    let snap = NativeSnapshot::<u64>::new(Key::new("S"), N);
+                    snap.update(&ctx, i as u64 + 1).await;
+                    let scan = snap.scan(&ctx).await;
+                    let mask = (0..N)
+                        .filter(|&j| scan[j].is_some())
+                        .fold(0u64, |m, j| m | 1 << j);
+                    ctx.output(Output::Value(mask)).await;
+                }))
             })
-            .run();
-        let scans = scans.lock().unwrap();
-        assert_eq!(scans.len(), 3);
-        for a in scans.iter() {
-            for b in scans.iter() {
-                assert!(
-                    scan_contained_in(a, b) || scan_contained_in(b, a),
-                    "schedule {i}: {a:?} vs {b:?}"
-                );
-            }
-        }
-        // Every scan contains the scanner's own value (own update precedes
-        // own scan in every interleaving).
-        assert!(scans.iter().any(|s| s.iter().flatten().count() >= 1));
-    }
-}
-
-/// Runs one k-converge instance under a script-only schedule (no fallback):
-/// processes whose scripted steps run out simply stop — modelling a crash
-/// or an arbitrarily long stall at that exact point.
-fn run_converge_script_only(
-    inputs: &[u64],
-    k: usize,
-    schedule: Vec<ProcessId>,
-) -> Vec<Option<(u64, bool)>> {
-    let n = inputs.len();
-    let results: SharedResults = Arc::new(Mutex::new(vec![None; n]));
-    let results2 = Arc::clone(&results);
-    let inputs = inputs.to_vec();
-    let _ = SimBuilder::<()>::new(FailurePattern::failure_free(n))
-        .adversary(Scripted::new(schedule))
-        .spawn_all(move |pid| {
-            let results = Arc::clone(&results2);
-            let v = inputs[pid.index()];
-            algo(move |ctx| async move {
-                let inst =
-                    ConvergeInstance::new(Key::new("cv"), ctx.n_plus_1(), SnapshotFlavor::Native);
-                let out = inst.converge(&ctx, k, v).await;
-                let mut slot = results.lock().unwrap();
-                slot[pid.index()] = Some(out);
+            .collect()
+    });
+    let containment = Property("scan-containment", |run| {
+        let scans: Vec<(usize, u64)> = run
+            .last_outputs()
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, o)| match o? {
+                Output::Value(mask) => Some((i, mask)),
+                _ => None,
             })
+            .collect();
+        scans.iter().any(|&(i, a)| {
+            a & (1 << i) == 0 || scans.iter().any(|&(_, b)| a & b != a && a & b != b)
         })
-        .run();
-    Arc::try_unwrap(results).unwrap().into_inner().unwrap()
+    });
+    let cfg = CheckConfig::new(N, 3 * N + 1, factory, Arc::new(ConstantMenu(()))).spec(containment);
+    assert_eq!(explore_clean(&cfg), 370);
 }
 
-/// Wait-freedom of commit–adopt, exhaustively: for every interleaving of
-/// the two processes' 8 steps AND every prefix length at which p1 stops
-/// (a crash / unbounded stall at that exact point), p2 still picks, and
-/// the safety properties hold among whatever outputs exist.
+/// Wait-freedom of commit–adopt: with either process crashed at every
+/// point of every interleaving, the survivor still picks (every path ends
+/// with it finished), and the safety properties hold among whatever picks
+/// exist.
 #[test]
 fn commit_adopt_every_interleaving_every_crash_point() {
-    let inputs = [4u64, 9];
-    let jobs: Vec<_> = interleavings(&[4, 4])
-        .into_iter()
-        .flat_map(|schedule| (0..=schedule.len()).map(move |cut| (schedule.clone(), cut)))
-        .map(|(schedule, cut)| {
-            move || {
-                // Drop p1's steps at positions ≥ cut: p1 stops there; p2 gets
-                // a tail so it always finishes (its own 5th step is the
-                // decide).
-                let truncated: Vec<ProcessId> = schedule
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, p)| p.index() != 0 || *i < cut)
-                    .map(|(_, p)| *p)
-                    .chain(std::iter::repeat_n(ProcessId(1), 4))
-                    .collect();
-                (
-                    schedule,
-                    cut,
-                    run_converge_script_only(&inputs, 1, truncated),
-                )
-            }
-        })
-        .collect();
-    for (schedule, cut, outs) in run_batch(jobs, default_workers()) {
-        assert!(
-            outs[1].is_some(),
-            "wait-freedom: p2 must pick despite p1 stopping at {cut} in {schedule:?}"
-        );
-        // Safety among the outputs that exist: C-Validity and
-        // C-Agreement (commit ⇒ one value picked overall).
-        let picked: Vec<u64> = outs.iter().flatten().map(|(v, _)| *v).collect();
-        assert!(picked.iter().all(|v| inputs.contains(v)));
-        if outs.iter().flatten().any(|(_, c)| *c) {
-            let mut d = picked.clone();
-            d.sort_unstable();
-            d.dedup();
-            assert!(d.len() <= 1, "cut={cut}: {outs:?}");
+    let cfg = converge(&[4, 9], 1, ConvergeFaults::default()).max_faults(1);
+    assert_eq!(explore_clean(&cfg), 336);
+}
+
+/// The reduction loses no outcome: on 2-process commit-adopt, with and
+/// without a crash, the explorer with reductions off and the sleep-set
+/// explorer reach the same set of terminal outcomes (the per-process picks
+/// of each run in which every process that did not crash finished).
+#[test]
+fn sleep_sets_reach_every_brute_force_outcome() {
+    let mut naive_nodes = Vec::new();
+    let mut outcomes = Vec::new();
+    for inputs in [[5u64, 5], [1, 2]] {
+        for max_faults in [0, 1] {
+            let [naive, reduced] = [false, true].map(|reduction| {
+                let seen = Arc::new(Mutex::new(BTreeSet::new()));
+                let cfg = converge(&inputs, 1, ConvergeFaults::default())
+                    .max_faults(max_faults)
+                    .reduction(reduction)
+                    .spec(Outcomes(Arc::clone(&seen)));
+                let report = check(&cfg);
+                assert!(report.ok(), "{:?}", report.violations[0]);
+                assert_complete(&report);
+                if !reduction {
+                    naive_nodes.push(report.stats.nodes);
+                }
+                drop(cfg);
+                Arc::into_inner(seen).unwrap().into_inner().unwrap()
+            });
+            assert_eq!(naive, reduced, "{inputs:?}, max_faults = {max_faults}");
+            outcomes.push(naive.len());
         }
     }
+    assert_eq!(naive_nodes, [923, 2_769, 923, 2_769]);
+    assert_eq!(outcomes, [1, 3, 5, 11]);
+}
+
+/// The converge spec can fail: it reports C-Agreement under each seeded
+/// [`ConvergeFaults`] mutant.
+#[test]
+fn converge_spec_catches_seeded_faults() {
+    let slack = ConvergeFaults {
+        clean_slack: 1,
+        ..ConvergeFaults::default()
+    };
+    let dropped = ConvergeFaults {
+        drop_announce: Some(ProcessId(0)),
+        ..ConvergeFaults::default()
+    };
+    let cases: [(&[u64], usize, ConvergeFaults); 5] = [
+        (&[1, 2], 1, slack),
+        (&[1, 2, 3], 2, slack),
+        (&[1, 2], 1, dropped),
+        (&[1, 2, 3], 2, dropped),
+        (&[7, 7, 9], 1, dropped),
+    ];
+    let mut nodes = Vec::new();
+    for (inputs, k, faults) in cases {
+        let (_, message, n) = refute(&converge(inputs, k, faults));
+        assert!(
+            message.starts_with("C-Agreement"),
+            "{inputs:?}, {faults:?}: {message}"
+        );
+        nodes.push(n);
+    }
+    assert_eq!(nodes, [11, 16, 10, 15, 107]);
 }
