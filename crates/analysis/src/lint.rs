@@ -47,7 +47,6 @@ pub const SCANNED_CRATES: &[&str] = &[
     "commute",
     "scenario",
     "swarm",
-    "bench",
 ];
 
 /// Files exempt from the whole scan because they *name* the banned

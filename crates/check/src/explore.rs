@@ -328,7 +328,8 @@ pub struct CheckStats {
     /// Always 0: no reduction prunes by process symmetry any more. Kept
     /// until the benchmark stops reading it.
     pub symmetry_pruned: u64,
-    /// Whether a node or violation budget cut the search short.
+    /// Whether the node budget (`max_nodes`) cut the search short. A search
+    /// stopped by its violation budget (`max_violations`) is not truncated.
     pub truncated: bool,
 }
 
@@ -842,6 +843,17 @@ impl<'a, D: FdValue> Explorer<'a, D> {
         self.stats.nodes >= self.cfg.max_nodes || self.violations.len() >= self.cfg.max_violations
     }
 
+    /// Whether a budget stops the search here. Only the node budget marks
+    /// the search `truncated`: a search stopped by its violation budget has
+    /// its verdict.
+    fn stops(&mut self) -> bool {
+        if !self.over_budget() {
+            return false;
+        }
+        self.stats.truncated |= self.stats.nodes >= self.cfg.max_nodes;
+        true
+    }
+
     /// Executes specs on the node the cursor sits at; on violation, records
     /// a (shrunk) counterexample and prunes the subtree.
     fn visit(&mut self, picks: &[Vec<u32>], sleep: Vec<(ProcessId, Footprint)>, steps_used: usize) {
@@ -850,8 +862,7 @@ impl<'a, D: FdValue> Explorer<'a, D> {
             self.record(picks, spec, message);
             return;
         }
-        if self.over_budget() {
-            self.stats.truncated = true;
+        if self.stops() {
             return;
         }
         if steps_used >= self.cfg.depth {
@@ -897,8 +908,7 @@ impl<'a, D: FdValue> Explorer<'a, D> {
                 if crashed_in(&self.path, p) || !crash_allowed(&self.path, p) {
                     continue;
                 }
-                if self.over_budget() {
-                    self.stats.truncated = true;
+                if self.stops() {
                     return;
                 }
                 self.path.push(Choice::Crash(p));
@@ -919,8 +929,7 @@ impl<'a, D: FdValue> Explorer<'a, D> {
                 self.stats.sleep_pruned += 1;
                 continue;
             }
-            if self.over_budget() {
-                self.stats.truncated = true;
+            if self.stops() {
                 return;
             }
             self.path.push(Choice::Step(p));
@@ -945,8 +954,7 @@ impl<'a, D: FdValue> Explorer<'a, D> {
                     let mut vpicks = picks.to_vec();
                     vpicks[i].resize(rec.k as usize, 0);
                     vpicks[i].push(j);
-                    if self.over_budget() {
-                        self.stats.truncated = true;
+                    if self.stops() {
                         self.cursor.pop();
                         self.path.pop();
                         return;
@@ -1038,7 +1046,6 @@ pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
     }
     if violations.len() > cfg.max_violations {
         violations.truncate(cfg.max_violations);
-        stats.truncated = true;
     }
     CheckReport {
         stats,

@@ -157,6 +157,19 @@ fn crash_injection_respects_the_fault_budget() {
 }
 
 #[test]
+fn only_the_node_budget_truncates_a_search() {
+    // Stopped at its first counterexample: a verdict, not a cut search.
+    let report = check(&samples::snapshot_commit(2, 1, 9, true).max_violations(1));
+    assert_eq!(report.violations.len(), 1);
+    assert!(!report.stats.truncated);
+    // Stopped by a small node budget: truncated, with no verdict.
+    let mut cfg = samples::fig1(3, 6, 1);
+    cfg.max_nodes = 20;
+    let report = check(&cfg);
+    assert!(report.ok() && report.stats.truncated);
+}
+
+#[test]
 fn shrinking_reports_its_work_and_never_grows() {
     let report = check(&samples::snapshot_commit(2, 1, 10, true));
     let v = &report.violations[0];

@@ -1,6 +1,6 @@
 //! The experiment harness: one runner per paper artifact (see DESIGN.md's
-//! experiment index E1–E16), shared by the `experiments` binary, the
-//! scenario layer and the integration tests.
+//! experiment index E1–E16), shared by the experiment tables and cell
+//! runners of the scenario layer and by the integration tests.
 
 use upsilon_agreement::{
     baseline, boost, check_k_set_agreement, consensus, fig1, fig2, Fig1Config, Fig2Config,
@@ -384,7 +384,7 @@ pub fn run_upsilon1_consensus(cfg: &AgreementConfig, choice: UpsilonChoice) -> A
 
 /// A pattern with `crashes` processes failing at staggered times: `p_c`
 /// crashes at `first_at + 30·c`. The canonical crash script shared by the
-/// latency benchmarks and the E9/E11 scenario cells.
+/// E2/E8 tables and the E9/E11 scenario cells.
 pub fn staggered_crashes(n_plus_1: usize, crashes: usize, first_at: u64) -> FailurePattern {
     assert!(crashes < n_plus_1);
     let mut builder = FailurePattern::builder(n_plus_1);
@@ -600,6 +600,14 @@ mod tests {
         FailurePattern::builder(n_plus_1)
             .crash(ProcessId(who), Time(at))
             .build()
+    }
+
+    #[test]
+    fn staggered_crashes_shape() {
+        let p = staggered_crashes(5, 3, 40);
+        assert_eq!(p.faulty().len(), 3);
+        assert_eq!(p.crash_time(ProcessId(0)), Some(Time(40)));
+        assert_eq!(p.crash_time(ProcessId(2)), Some(Time(100)));
     }
 
     #[test]

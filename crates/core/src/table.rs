@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-/// A simple column-aligned text table, used by the `experiments` binary to
-/// print every EXPERIMENTS.md artifact reproducibly.
+/// A simple column-aligned text table, used by the experiment tables
+/// (`upsilon-scenario experiments`) to print every EXPERIMENTS.md artifact
+/// reproducibly.
 #[derive(Clone, Debug)]
 pub struct Table {
     title: String,

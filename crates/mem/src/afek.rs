@@ -48,8 +48,8 @@ impl<T: Value> AfekCell<T> {
 /// Handle to a register-only atomic snapshot object.
 ///
 /// Implements the same [`Snapshot`](crate::Snapshot) interface as the native
-/// object; equivalence is exercised by the `upsilon-bench` E11 experiment
-/// and the property tests in this crate.
+/// object; equivalence is exercised by the E11 experiment (`upsilon-scenario
+/// experiments E11`) and the property tests in this crate.
 #[derive(Clone, Debug)]
 pub struct AfekSnapshot<T: Value> {
     base: Key,

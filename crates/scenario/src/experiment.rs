@@ -1,12 +1,16 @@
-//! Experiment-kind cell runners: the E9–E11 loops of the `experiments`
-//! binary, reduced to *one seed of one cell* so the matrix driver can fan
-//! them out like any other scenario.
+//! Experiments: the E1–E16 tables of EXPERIMENTS.md ([`tables`]) and the
+//! experiment-kind cell runners, which reduce the E9–E11 table loops to
+//! *one seed of one cell* so the matrix driver can fan them out like any
+//! other scenario.
 //!
-//! Each runner reproduces the exact per-seed configuration of its loop in
-//! `experiments.rs` — `e9-baseline` and `e11-snapshots` wrap the Fig. 1 /
-//! Ω_k agreement runs, `e10-converge` wraps the raw k-converge simulation —
-//! so a scenario matrix over the same axes and seeds yields bit-identical
-//! outcomes to the hand-rolled loops it replaced.
+//! Each runner reproduces the exact per-seed configuration of its
+//! experiment — `e9-baseline` and `e11-snapshots` wrap the Fig. 1 / Ω_k
+//! agreement runs, `e10-converge` wraps the raw k-converge simulation —
+//! and the E9–E11 tables read their rows from the evidence of the
+//! checked-in `scenarios/e9-baseline.toml`, `e10-converge.toml` and
+//! `e11-snapshots.toml` matrices over these cells.
+
+pub mod tables;
 
 use std::sync::{Arc, Mutex};
 

@@ -1,17 +1,15 @@
-//! Regenerates every paper artifact as a table (the source of
-//! EXPERIMENTS.md). Run with:
+//! The E1–E16 tables of EXPERIMENTS.md, one function per experiment.
+//! [`render`] runs the experiments named by [`TABLES`] ids and returns the
+//! markdown the `upsilon-scenario experiments` command prints; the
+//! root-level `experiments_doc` test holds EXPERIMENTS.md to it.
 //!
-//! ```text
-//! cargo run --release -p upsilon-bench --bin experiments [E1 E4 ...]
-//! ```
-//!
-//! With no arguments every experiment E1–E16 runs; otherwise only the named
-//! ones.
+//! Every agreement run goes through `AgreementOutcome::assert_ok`, so a
+//! table that renders is a table whose runs met the task spec and the §3.3
+//! run conditions.
 
-use upsilon_bench::{average_case_config, staggered_crashes, worst_case_config};
 use upsilon_core::experiment::{
     run_boost, run_fig1, run_fig2, run_fig3, run_omega_consensus, run_upsilon1_consensus,
-    run_upsilon1_to_omega, AgreementConfig, Sched, StableSource,
+    run_upsilon1_to_omega, staggered_crashes, AgreementConfig, Sched, StableSource,
 };
 use upsilon_core::extract::{all_candidates, play, GameConfig, GameVerdict};
 use upsilon_core::fd::{
@@ -24,61 +22,77 @@ use upsilon_core::sim::{
 use upsilon_core::stats::Summary;
 use upsilon_core::table::Table;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(name));
+use crate::matrix::Verdict;
+use crate::{EvidenceRecord, Scalar};
 
-    println!("# Experiments — \"On the weakest failure detector ever\"\n");
-    println!("(regenerate with `cargo run --release -p upsilon-bench --bin experiments`)\n");
+/// An experiment id and the function rendering its table.
+type Experiment = (&'static str, fn() -> String);
 
-    if want("E1") {
-        e1_fig1();
+/// Every experiment by id, in document order.
+pub const TABLES: &[Experiment] = &[
+    ("E1", e1_fig1),
+    ("E2", e2_fig2),
+    ("E3", e3_fig3),
+    ("E4", e4_theorem1),
+    ("E5", e5_theorem5),
+    ("E6", e6_two_process_equivalence),
+    ("E7", e7_upsilon1),
+    ("E8", e8_boosting),
+    ("E9", e9_baseline),
+    ("E10", e10_converge),
+    ("E11", e11_snapshots),
+    ("E12", e12_remark),
+    ("E13", e13_hierarchy),
+    ("E14", e14_ablation),
+    ("E15", e15_latency_curve),
+    ("E16", e16_faithful_zoo),
+];
+
+/// Renders the named experiments' tables in [`TABLES`] order, under a
+/// two-line header; no ids means every experiment. Ids match
+/// case-insensitively.
+///
+/// # Errors
+///
+/// An id that names no experiment; the message lists the valid ids. No
+/// experiment runs then.
+///
+/// # Panics
+///
+/// Panics if an experiment's run misses its specification.
+pub fn render<S: AsRef<str>>(ids: &[S]) -> Result<String, String> {
+    let names = |arg: &S, id: &str| arg.as_ref().eq_ignore_ascii_case(id);
+    if let Some(bad) = ids
+        .iter()
+        .find(|a| !TABLES.iter().any(|(id, _)| names(a, id)))
+    {
+        let valid: Vec<&str> = TABLES.iter().map(|(id, _)| *id).collect();
+        return Err(format!(
+            "unknown experiment {:?}; expected one of {}",
+            bad.as_ref(),
+            valid.join(" ")
+        ));
     }
-    if want("E2") {
-        e2_fig2();
+    let mut out = String::from(
+        "# Experiments — \"On the weakest failure detector ever\"\n\n\
+         (regenerate with `cargo run --release -p upsilon-scenario -- experiments`)\n\n",
+    );
+    for (id, table) in TABLES {
+        if ids.is_empty() || ids.iter().any(|a| names(a, id)) {
+            out.push_str(&table());
+        }
     }
-    if want("E3") {
-        e3_fig3();
-    }
-    if want("E4") {
-        e4_theorem1();
-    }
-    if want("E5") {
-        e5_theorem5();
-    }
-    if want("E6") {
-        e6_two_process_equivalence();
-    }
-    if want("E7") {
-        e7_upsilon1();
-    }
-    if want("E8") {
-        e8_boosting();
-    }
-    if want("E9") {
-        e9_baseline();
-    }
-    if want("E10") {
-        e10_converge();
-    }
-    if want("E11") {
-        e11_snapshots();
-    }
-    if want("E12") {
-        e12_remark();
-    }
-    if want("E13") {
-        println!("{}", upsilon_core::matrix::hierarchy_table());
-    }
-    if want("E14") {
-        e14_ablation();
-    }
-    if want("E15") {
-        e15_latency_curve();
-    }
-    if want("E16") {
-        e16_faithful_zoo();
-    }
+    Ok(out)
+}
+
+/// The canonical worst-case configuration for latency experiments:
+/// lock-step scheduling and constant-Π noise, so decisions genuinely wait
+/// for Υ's stabilization.
+fn worst_case_config(pattern: FailurePattern, stabilize_at: Time) -> AgreementConfig {
+    AgreementConfig::new(pattern)
+        .sched(Sched::RoundRobin)
+        .noise(UpsilonNoise::ConstantAll)
+        .stabilize_at(stabilize_at)
 }
 
 /// E16 (§6.1): faithful detectors with *computed* witness maps. Each row is
@@ -86,7 +100,7 @@ fn main() {
 /// correct set ranges from a single parity bit to the minimum identifier —
 /// and every one of them emulates Υ through Fig. 3 with a φ obtained by
 /// brute-force enumeration, not hand-written analysis.
-fn e16_faithful_zoo() {
+fn e16_faithful_zoo() -> String {
     use upsilon_core::extract::{extraction_algorithm, FaithfulSpec};
     use upsilon_core::fd::{check_upsilon_f, held_variable_samples};
 
@@ -152,17 +166,16 @@ fn e16_faithful_zoo() {
         };
         t.row([label.to_string(), stable.to_string(), set, verdict]);
     }
-    println!("{t}");
-    println!(
-        "(Four different single-number summaries of the correct set; φ computed by\n\
-         enumerating the 15 candidate correct sets each time. All emulate Υ.)\n"
-    );
+    format!(
+        "{t}\n(Four different single-number summaries of the correct set; φ computed by\n\
+         enumerating the 15 candidate correct sets each time. All emulate Υ.)\n\n"
+    )
 }
 
 /// E15 (the Termination proof of Theorem 2 as a curve): under worst-case
 /// noise and lock-step scheduling, decision time is an affine function of
 /// Υ's stabilization time — slope 1, protocol-sized intercept.
-fn e15_latency_curve() {
+fn e15_latency_curve() -> String {
     let mut t = Table::new(
         "E15 — Fig. 1 decision time vs Υ stabilization time (worst case, n+1 = 4)",
         &[
@@ -186,11 +199,10 @@ fn e15_latency_curve() {
             out.rounds.to_string(),
         ]);
     }
-    println!("{t}");
-    println!(
-        "(The overhead column is flat: the decision always lands one protocol\n\
-         round after stabilization — the curve's slope in stab time is exactly 1.)\n"
-    );
+    format!(
+        "{t}\n(The overhead column is flat: the decision always lands one protocol\n\
+         round after stabilization — the curve's slope in stab time is exactly 1.)\n\n"
+    )
 }
 
 /// E14 (ablation): Fig. 2's line 25 snapshot-minimum adoption is what
@@ -198,7 +210,7 @@ fn e15_latency_curve() {
 /// f = 2, Υ² pinned to U = {p1,p2,p3}; p3 and p4 crash after contributing
 /// their proposals but before any round resolves; only the gladiators
 /// p1, p2 survive and must shrink to |U|+f−n−1 = 1 value via the snapshot.
-fn e14_ablation() {
+fn e14_ablation() -> String {
     use upsilon_core::agreement::Fig2Config;
     use upsilon_core::experiment::run_fig2_custom;
     use upsilon_core::mem::SnapshotFlavor;
@@ -250,18 +262,17 @@ fn e14_ablation() {
             out.assert_ok();
         }
     }
-    println!("{t}");
-    println!(
-        "(Same oracle, same schedule, same crashes: only the adoption rule differs.\n\
+    format!(
+        "{t}\n(Same oracle, same schedule, same crashes: only the adoption rule differs.\n\
          The ablated gladiators hold distinct values forever and 1-converge never\n\
-         commits — Theorem 6's use of snapshot containment, made visible.)\n"
-    );
+         commits — Theorem 6's use of snapshot containment, made visible.)\n\n"
+    )
 }
 
 /// E1 (Fig. 1 / Theorem 2): Υ + registers solve n-set-agreement wait-free.
 /// Worst case (lock-step, constant-Π noise): decisions track stabilization.
 /// Average case (random schedule/noise): decisions come far earlier.
-fn e1_fig1() {
+fn e1_fig1() -> String {
     let mut t = Table::new(
         "E1 — Fig. 1: Υ-based n-set agreement (worst vs average case)",
         &[
@@ -284,7 +295,8 @@ fn e1_fig1() {
             let avg: Vec<u64> = (0..10)
                 .map(|seed| {
                     let out = run_fig1(
-                        &average_case_config(FailurePattern::failure_free(n_plus_1), seed)
+                        &AgreementConfig::new(FailurePattern::failure_free(n_plus_1))
+                            .seed(seed)
                             .stabilize_at(Time(stab)),
                         UpsilonChoice::default(),
                     );
@@ -303,11 +315,11 @@ fn e1_fig1() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E2 (Fig. 2 / Theorem 6): Υ^f + registers solve f-set agreement in E_f.
-fn e2_fig2() {
+fn e2_fig2() -> String {
     let mut t = Table::new(
         "E2 — Fig. 2: Υ^f-based f-resilient f-set agreement (n+1 = 5)",
         &["f", "crashes", "decided values", "distinct", "≤ f", "steps"],
@@ -315,7 +327,7 @@ fn e2_fig2() {
     for f in 1..=4usize {
         for crashes in [0usize, f] {
             let pattern = staggered_crashes(5, crashes, 40);
-            let cfg = average_case_config(pattern, 3 + f as u64);
+            let cfg = AgreementConfig::new(pattern).seed(3 + f as u64);
             let out = run_fig2(&cfg, f, UpsilonChoice::default());
             out.assert_ok();
             t.row([
@@ -328,11 +340,11 @@ fn e2_fig2() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E3 (Fig. 3 / Theorem 10): Υ^f extracted from every stable detector.
-fn e3_fig3() {
+fn e3_fig3() -> String {
     let mut t = Table::new(
         "E3 — Fig. 3: extraction of Υ^f from stable detectors (n+1 = 4)",
         &[
@@ -378,12 +390,12 @@ fn e3_fig3() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E4 (Theorem 1): the adversary game defeats every Υ → Ω_n candidate; the
 /// forced-change count grows linearly with the number of phases.
-fn e4_theorem1() {
+fn e4_theorem1() -> String {
     let mut t = Table::new(
         "E4 — Theorem 1 game: Υ cannot emulate Ω_n (n ≥ 2)",
         &["n+1", "candidate", "phases", "verdict", "forced changes"],
@@ -406,11 +418,11 @@ fn e4_theorem1() {
             }
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E5 (Theorem 5): generalization to Υ^f vs Ω^f, 2 ≤ f ≤ n.
-fn e5_theorem5() {
+fn e5_theorem5() -> String {
     let mut t = Table::new(
         "E5 — Theorem 5 game: Υ^f cannot emulate Ω^f (2 ≤ f ≤ n, n+1 = 6)",
         &["f", "candidate", "verdict", "forced changes"],
@@ -430,11 +442,11 @@ fn e5_theorem5() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E6 (§4): Ω ≡ Υ in a two-process system, both directions.
-fn e6_two_process_equivalence() {
+fn e6_two_process_equivalence() -> String {
     let mut t = Table::new(
         "E6 — §4: Υ and Ω are equivalent for two processes",
         &["pattern", "direction", "stable value", "spec"],
@@ -486,7 +498,7 @@ fn e6_two_process_equivalence() {
             "Ω satisfied".to_string(),
         ]);
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// Helper for E6's heterogeneous sampling.
@@ -512,7 +524,7 @@ impl SampleValue {
 }
 
 /// E7 (§5.3): Υ¹ → Ω in E_1, and consensus from Υ¹ end to end.
-fn e7_upsilon1() {
+fn e7_upsilon1() -> String {
     let mut t = Table::new(
         "E7 — §5.3: Υ¹ → Ω in E_1, and consensus from Υ¹",
         &[
@@ -535,7 +547,7 @@ fn e7_upsilon1() {
         for choice in [UpsilonChoice::ComplementOfCorrect, UpsilonChoice::All] {
             let report = run_upsilon1_to_omega(pattern, choice, Time(150), 3, 60_000)
                 .expect("valid Ω extraction");
-            let cfg = average_case_config(pattern.clone(), 3);
+            let cfg = AgreementConfig::new(pattern.clone()).seed(3);
             let cons = run_upsilon1_consensus(&cfg, choice);
             cons.assert_ok();
             t.row([
@@ -546,11 +558,11 @@ fn e7_upsilon1() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E8 (Corollary 4): Ω_n boosts n-consensus objects to (n+1)-consensus.
-fn e8_boosting() {
+fn e8_boosting() -> String {
     let mut t = Table::new(
         "E8 — Corollary 4: (n+1)-consensus from n-consensus objects + Ω_n",
         &[
@@ -564,7 +576,7 @@ fn e8_boosting() {
     for n_plus_1 in [3usize, 4, 5] {
         for crashes in [0usize, n_plus_1 - 1] {
             let pattern = staggered_crashes(n_plus_1, crashes, 40);
-            let cfg = average_case_config(pattern.clone(), 11);
+            let cfg = AgreementConfig::new(pattern.clone()).seed(11);
             let boost = run_boost(&cfg, OmegaKChoice::default());
             boost.assert_ok();
             let omega = run_omega_consensus(&cfg, LeaderChoice::MinCorrect);
@@ -578,16 +590,15 @@ fn e8_boosting() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// Loads a checked-in scenario and runs its full matrix; E9–E11 are
 /// driven entirely by `scenarios/*.toml` so the tables, the matrix driver
 /// and the CI scenario job share one definition of each experiment.
-fn scenario_records(name: &str) -> Vec<upsilon_scenario::EvidenceRecord> {
-    let doc = upsilon_scenario::load(name)
-        .unwrap_or_else(|e| panic!("scenario `{name}` failed to load: {e}"));
-    let report = upsilon_scenario::run_matrix(&doc, 0)
+fn scenario_records(name: &str) -> Vec<EvidenceRecord> {
+    let doc = crate::load(name).unwrap_or_else(|e| panic!("scenario `{name}` failed to load: {e}"));
+    let report = crate::run_matrix(&doc, 0)
         .unwrap_or_else(|e| panic!("scenario `{name}` failed to run: {e}"));
     assert!(
         report.deterministic,
@@ -597,15 +608,15 @@ fn scenario_records(name: &str) -> Vec<upsilon_scenario::EvidenceRecord> {
 }
 
 /// Integer axis binding of an evidence record.
-fn binding_int(r: &upsilon_scenario::EvidenceRecord, key: &str) -> i64 {
+fn binding_int(r: &EvidenceRecord, key: &str) -> i64 {
     match r.bindings.iter().find(|(k, _)| k == key) {
-        Some((_, upsilon_scenario::Scalar::Int(v))) => *v,
+        Some((_, Scalar::Int(v))) => *v,
         other => panic!("binding `{key}` missing or non-integer: {other:?}"),
     }
 }
 
 /// Extra counter of an evidence record.
-fn extra(r: &upsilon_scenario::EvidenceRecord, key: &str) -> i64 {
+fn extra(r: &EvidenceRecord, key: &str) -> i64 {
     match r.out.extras.iter().find(|(k, _)| k == key) {
         Some((_, v)) => *v,
         None => panic!("extra `{key}` missing"),
@@ -615,7 +626,7 @@ fn extra(r: &upsilon_scenario::EvidenceRecord, key: &str) -> i64 {
 /// E9 (Corollary 3 context): native Υ vs the Ω_n-complement baseline —
 /// both solve set agreement; Υ is the (strictly) weaker oracle. The two
 /// oracles are the scenario's A/B arms.
-fn e9_baseline() {
+fn e9_baseline() -> String {
     let mut t = Table::new(
         "E9 — set agreement: native Υ vs Ω_n-complement baseline (n+1 = 4)",
         &[
@@ -651,13 +662,13 @@ fn e9_baseline() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E10 (§5.1): the k-converge routine — Convergence commits exactly when
 /// the number of distinct inputs is at most k. The `k` × `distinct` grid
 /// is the scenario's axis matrix; commits come back as evidence extras.
-fn e10_converge() {
+fn e10_converge() -> String {
     let mut t = Table::new(
         "E10 — k-converge: commit behaviour vs distinct inputs (4 processes, 20 seeds)",
         &[
@@ -680,7 +691,7 @@ fn e10_converge() {
             let some_commit = cell.iter().filter(|r| extra(r, "some_commit") == 1).count();
             let violations = cell
                 .iter()
-                .filter(|r| r.verdict == upsilon_scenario::matrix::Verdict::Violation)
+                .filter(|r| r.verdict == Verdict::Violation)
                 .count();
             t.row([
                 k.to_string(),
@@ -691,13 +702,13 @@ fn e10_converge() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E11 (snapshots \[1\]): native vs register-only snapshot — identical
 /// protocol outcomes, quadratic step overhead for the register version.
 /// The two substrates are the scenario's A/B arms.
-fn e11_snapshots() {
+fn e11_snapshots() -> String {
     let mut t = Table::new(
         "E11 — snapshot substrate: native vs Afek-et-al register-only (Fig. 1 workload)",
         &["n+1", "flavor", "steps mean (5 seeds)", "spec ok"],
@@ -720,12 +731,12 @@ fn e11_snapshots() {
             ]);
         }
     }
-    println!("{t}");
+    format!("{t}\n")
 }
 
 /// E12 (§5.2 Remark): Fig. 1 terminates in round 1 when some process never
 /// proposes — the protocol never even needs Υ.
-fn e12_remark() {
+fn e12_remark() -> String {
     let mut t = Table::new(
         "E12 — §5.2 Remark: non-participation forces round-1 commits (n+1 = 4)",
         &["participants", "Υ queries taken", "steps", "decided values"],
@@ -753,9 +764,14 @@ fn e12_remark() {
             format!("{:?}", out.distinct),
         ]);
     }
-    println!("{t}");
-    println!(
-        "(With 4 participants and never-stabilizing Υ the run exhausts its budget —\n\
-         exactly the impossibility the oracle exists to break.)\n"
-    );
+    format!(
+        "{t}\n(With 4 participants and never-stabilizing Υ the run exhausts its budget —\n\
+         exactly the impossibility the oracle exists to break.)\n\n"
+    )
+}
+
+/// E13 (§6 context): the detector hierarchy around Υ, each edge
+/// revalidated live.
+fn e13_hierarchy() -> String {
+    format!("{}\n", upsilon_core::matrix::hierarchy_table())
 }

@@ -24,7 +24,8 @@
 //! The `upsilon-scenario` binary is the workspace's one command line: it
 //! exposes the same pipeline (`validate`, `expand`, `run`, `ab`) and runs
 //! `check`, `fuzz` and `swarm` calls as one-cell scenarios through the
-//! registry.
+//! registry; `experiments` prints the E1–E16 tables of EXPERIMENTS.md
+//! ([`experiment::tables::render`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

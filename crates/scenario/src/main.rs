@@ -9,7 +9,8 @@
 //! registry, so a command line names a configuration exactly as a
 //! scenario file does and gets the same errors for a typo or an
 //! out-of-range axis. `run`, `ab`, `validate` and `expand` take scenario
-//! files.
+//! files; `experiments` takes experiment ids (E1–E16) and prints their
+//! EXPERIMENTS.md tables.
 //!
 //! Exit codes: 0 when the run met every expectation, 1 when it ran and
 //! missed one (or could not write its output), 2 when the command line is
@@ -23,6 +24,7 @@ use std::time::Instant;
 use upsilon_check::{CheckConfig, CounterExample};
 use upsilon_core::table::Table;
 use upsilon_fuzz::{load_corpus, save_corpus_entry};
+use upsilon_scenario::experiment::tables::render;
 use upsilon_scenario::matrix::{arm_summaries, run_matrix, to_jsonl, validate_cells, Verdict};
 use upsilon_scenario::registry::check_protocols;
 use upsilon_scenario::{
@@ -46,6 +48,7 @@ enum Sub {
     Ab,
     Validate,
     Expand,
+    Experiments,
     #[default]
     Help,
 }
@@ -86,6 +89,7 @@ const FLAGS: &[(&str, &str, &str, &str)] = &[
 struct Cli {
     sub: Sub,
     cell: Option<(ScenarioDoc, Cell)>,
+    /// Scenario files, or experiment ids for `experiments`.
     files: Vec<PathBuf>,
     /// `--expect` was given: a missed expectation fails the run.
     gate: bool,
@@ -133,6 +137,8 @@ fn usage() -> String {
   ab FILE [flags]                        run, then compare the variant arms
   validate [FILE...]                     resolve every cell (default: scenarios/)
   expand FILE                            print a scenario's cells
+  experiments [ID...]                    print EXPERIMENTS.md's tables (ID: E1..E16;
+                                         default: all)
 
 PROTOCOL: {}
 AXIS: a scenario's [params] keys (n_plus_1, depth, f, k, max_faults, buggy, ...);
@@ -204,6 +210,7 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
         Some("ab") => Sub::Ab,
         Some("validate") => Sub::Validate,
         Some("expand") => Sub::Expand,
+        Some("experiments") => Sub::Experiments,
         Some(other) => return Err(format!("unknown command {other:?}")),
     };
     let mut cli = Cli {
@@ -756,6 +763,11 @@ fn cmd_expand(files: &[PathBuf], out: &mut dyn Write) -> Result<(), Stop> {
     Ok(())
 }
 
+fn cmd_experiments(ids: &[PathBuf], out: &mut dyn Write) -> Result<(), Stop> {
+    let ids: Vec<_> = ids.iter().map(|id| id.to_string_lossy()).collect();
+    Ok(write!(out, "{}", render(&ids).map_err(Stop::Usage)?)?)
+}
+
 fn cmd_run(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {
     let (path, doc) = one_file(&cli.files)?;
     let started = Instant::now();
@@ -821,6 +833,7 @@ fn execute(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {
         Sub::Run | Sub::Ab => cmd_run(cli, out),
         Sub::Validate => cmd_validate(&cli.files, out),
         Sub::Expand => cmd_expand(&cli.files, out),
+        Sub::Experiments => cmd_experiments(&cli.files, out),
         Sub::Help => Ok(writeln!(out, "{}", usage())?),
     }
 }
@@ -988,7 +1001,8 @@ mod tests {
     /// deep branches.
     #[rustfmt::skip]
     const WORDS: &[&str] = &[
-        "check", "fuzz", "swarm", "run", "ab", "validate", "expand", "shard", "campaign", "merge",
+        "check", "fuzz", "swarm", "run", "ab", "validate", "expand", "experiments", "shard",
+        "campaign", "merge",
         "fig1", "fig2", "snapshot-commit", "n_plus_1=3", "depth=2", "f=1", "k=1", "seeds=4",
         "rounds=1", "mix=echo", "window=0", "x=", "=1", "a b=c", "pass", "violation", "1/2",
         "0..3", "-1", "1e9", "--", "-", "\"", "\n", "[fuzz]", "depth=\"1\"\nkind=1", "é=1",

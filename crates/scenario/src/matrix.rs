@@ -470,8 +470,8 @@ mod tests {
             "{err}"
         );
         assert_eq!(Verdict::try_from(&report(0, false)), Ok(Verdict::Pass));
-        // A search stopped by its violation budget is truncated too, and
-        // its counterexample is a verdict.
+        // A search the node budget cut short after a counterexample still
+        // has its verdict.
         assert_eq!(Verdict::try_from(&report(1, true)), Ok(Verdict::Violation));
     }
 }

@@ -1,7 +1,8 @@
 //! The `upsilon-scenario` binary writes through a fallible sink: a closed
 //! stdout ends the run with exit code 1 and a message, never a panic. A
-//! removed flag is a bad command line (exit 2), and a sharded campaign
-//! waits for every shard and names each one that failed.
+//! removed flag or an unknown experiment id is a bad command line (exit
+//! 2), and a sharded campaign waits for every shard and names each one
+//! that failed.
 
 use std::process::{Command, Stdio};
 
@@ -40,6 +41,30 @@ fn removed_flags_are_usage_errors() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown flag \"--no-turbo\""), "{stderr}");
+}
+
+#[test]
+fn experiments_print_the_named_tables_and_reject_unknown_ids() {
+    let run = |id: &str| {
+        Command::new(env!("CARGO_BIN_EXE_upsilon-scenario"))
+            .args(["experiments", id])
+            .output()
+            .expect("spawns")
+    };
+    let out = run("E13");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("\n## E13 — "), "{stdout}");
+    assert!(!stdout.contains("## E12"), "{stdout}");
+
+    let out = run("E99");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("E1 E2") && stderr.contains("E16"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no table runs");
 }
 
 #[test]

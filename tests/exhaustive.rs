@@ -188,11 +188,12 @@ fn assert_complete(report: &CheckReport) {
 
 /// Runs a search that must find a counterexample; returns the violated
 /// spec, its message and the node count. The search stops at its first
-/// counterexample, so the violation budget truncates it; no path may
-/// still reach the depth bound.
+/// counterexample, which the violation budget allows, so the node budget
+/// never cuts it; no path may still reach the depth bound.
 fn refute(cfg: &CheckConfig<()>) -> (String, String, u64) {
     let report = check(cfg);
     let v = report.violations.first().expect("a counterexample");
+    assert!(!report.stats.truncated, "the node budget cut the search");
     assert_eq!(
         report.stats.depth_leaves, 0,
         "a path reached the depth bound"
