@@ -51,8 +51,8 @@ use upsilon_analysis::{RunConditionsSpec, RunSpec};
 use upsilon_core::shrink::ddmin_counted;
 use upsilon_sim::{
     ops_commute, resolve, run_batch, Access, AlgoFn, EngineKind, FailurePattern, FdValue, Key,
-    Memory, OpSig, ProcessId, ReplayToken, ResolvedOp, Run, Session, SessionSave, SessionStep,
-    SimBuilder, StepKind, Time, TokenError, TraceLevel,
+    Memory, OpSig, Oracle, ProcessId, ProcessSet, ReplayToken, ResolvedOp, Run, Session,
+    SessionSave, SessionStep, SimBuilder, StepKind, Time, TokenError, TraceLevel,
 };
 
 /// One scheduling decision of the explorer.
@@ -646,23 +646,46 @@ fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMem
     }
 }
 
+/// The oracle of a cursor's session: the cursor's live [`MenuOracle`],
+/// shared so that a rewind moves it back in place instead of building a
+/// new one.
+struct SharedMenu<D: FdValue>(Arc<Mutex<MenuOracle<D>>>);
+
+impl<D: FdValue> Oracle<D> for SharedMenu<D> {
+    fn output(&mut self, p: ProcessId, t: Time) -> D {
+        self.0.lock().expect("menu oracle lock").output(p, t)
+    }
+
+    fn describe(&self) -> String {
+        "menu".to_string()
+    }
+}
+
 /// The snapshot-resume cursor: one live [`Session`] plus a stack of saves,
 /// one per node on the current path. Stepping descends in place; a save is
 /// taken at every node entered; rewinding is *lazy* — [`Cursor::pop`]
-/// only marks the session dirty, and the restore happens when the next
+/// only marks the session dirty, and the rewind happens when the next
 /// sibling actually needs the parent state. The session in turn rebuilds a
-/// process the restore left stale only when that process is granted
+/// process the rewind left stale only when that process is granted
 /// again. A leftmost descent therefore never replays at all.
+///
+/// Nothing here allocates once the search has reached its depth: a popped
+/// save stays on the stack for the next push to overwrite, and a rewind
+/// moves the one live menu oracle back to the save point.
 ///
 /// Every observer method assumes the cursor is *clean* (positioned exactly
 /// at the node of the last successful push), which the explorer guarantees
 /// by reading a node before descending into its children.
-struct Cursor<'a, D: FdValue> {
-    cfg: &'a CheckConfig<D>,
+struct Cursor<D: FdValue> {
     session: Session<D>,
+    /// `saves[..depth]` are the saves of the current path; later entries
+    /// are spent saves kept for their storage.
     saves: Vec<SessionSave>,
-    /// The pick script the live oracle was built with; a pushed step whose
-    /// script differs (a detector variant) forces a restore with a fresh
+    depth: usize,
+    /// The oracle the session consults, shared through [`SharedMenu`].
+    oracle: Arc<Mutex<MenuOracle<D>>>,
+    /// The pick script the live oracle plays; a pushed step whose script
+    /// differs (a detector variant) forces a rewind and a re-positioned
     /// oracle even when the session is otherwise positioned correctly.
     cur_picks: Vec<Vec<u32>>,
     log: Arc<Mutex<Vec<QueryRecord>>>,
@@ -670,30 +693,32 @@ struct Cursor<'a, D: FdValue> {
     dirty: bool,
 }
 
-impl<'a, D: FdValue> Cursor<'a, D> {
+impl<D: FdValue> Cursor<D> {
     /// A cursor at the node `path` reaches under `picks`.
-    fn at_path(cfg: &'a CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Self {
+    fn at_path(cfg: &CheckConfig<D>, path: &[Choice], picks: &[Vec<u32>]) -> Self {
         let root_picks = vec![Vec::new(); cfg.n_plus_1];
         let oracle = MenuOracle::new(Arc::clone(&cfg.menu), cfg.n_plus_1, root_picks.clone());
         let log = oracle.log();
+        let oracle = Arc::new(Mutex::new(oracle));
         // The session records at the trace level of a token replay, so a
         // node's run is the run its token replays to.
         let session = Session::new(
             FailurePattern::failure_free(cfg.n_plus_1),
             Arc::clone(&cfg.algos),
-            Box::new(oracle),
+            Box::new(SharedMenu(Arc::clone(&oracle))),
             TraceLevel::Steps,
             cfg.use_matrix,
         );
-        let saves = vec![session.save()];
         let mut cursor = Cursor {
-            cfg,
             session,
-            saves,
+            saves: Vec::new(),
+            depth: 0,
+            oracle,
             cur_picks: root_picks,
             log,
             dirty: false,
         };
+        cursor.push_save();
         for ch in path {
             match *ch {
                 Choice::Step(p) => {
@@ -707,24 +732,27 @@ impl<'a, D: FdValue> Cursor<'a, D> {
     }
 
     /// Re-positions the session at the top save if it drifted (or if the
-    /// pick script changed, which requires a freshly positioned oracle).
+    /// pick script changed, which re-positions the oracle too).
     fn ensure_clean(&mut self, picks: &[Vec<u32>]) {
         if !self.dirty && self.cur_picks == picks {
             return;
         }
-        let save = self
-            .saves
-            .last()
-            .expect("cursor always holds the root save");
-        let oracle = MenuOracle::with_counts(
-            Arc::clone(&self.cfg.menu),
-            self.cfg.n_plus_1,
-            picks.to_vec(),
-            &save.query_counts(),
-        );
-        self.log = oracle.log();
-        self.session.restore(save, Box::new(oracle));
-        self.cur_picks = picks.to_vec();
+        self.session.rewind(&self.saves[self.depth - 1]);
+        self.cur_picks.clone_from_slice(picks);
+        self.oracle
+            .lock()
+            .expect("menu oracle lock")
+            .reposition(picks, self.session.query_counts());
+        self.dirty = false;
+    }
+
+    /// Saves the node just reached on top of the path's stack.
+    fn push_save(&mut self) {
+        match self.saves.get_mut(self.depth) {
+            Some(save) => self.session.save_into(save),
+            None => self.saves.push(self.session.save()),
+        }
+        self.depth += 1;
         self.dirty = false;
     }
 
@@ -734,13 +762,12 @@ impl<'a, D: FdValue> Cursor<'a, D> {
         self.ensure_clean(picks);
         match self.session.step(p) {
             SessionStep::Stepped => {
-                self.saves.push(self.session.save());
-                self.dirty = false;
+                self.push_save();
                 true
             }
             SessionStep::NoStep => {
                 // The grant consumed no step but marked the process known-
-                // finished; the next push's restore erases that.
+                // finished; the next push's rewind erases that.
                 self.dirty = true;
                 false
             }
@@ -750,12 +777,11 @@ impl<'a, D: FdValue> Cursor<'a, D> {
     fn push_crash(&mut self, p: ProcessId, picks: &[Vec<u32>]) {
         self.ensure_clean(picks);
         self.session.crash(p);
-        self.saves.push(self.session.save());
-        self.dirty = false;
+        self.push_save();
     }
 
     fn pop(&mut self) {
-        self.saves.pop();
+        self.depth -= 1;
         self.dirty = true;
     }
 
@@ -812,7 +838,15 @@ struct Explorer<'a, D: FdValue> {
     stats: CheckStats,
     violations: Vec<CounterExample>,
     path: Vec<Choice>,
-    cursor: Cursor<'a, D>,
+    /// The pick script of the node the cursor sits at. A detector variant
+    /// edits its process's script in place and undoes the edit once the
+    /// variant's subtree is explored.
+    picks: Vec<Vec<u32>>,
+    /// The sleep sets of the nodes on the current path, stacked: a node
+    /// visited with `base` has the set `sleep[base..]`, grows it as its
+    /// step children finish, and leaves the stack as it found it.
+    sleep: Vec<(ProcessId, Footprint)>,
+    cursor: Cursor<D>,
     resolve_memo: ResolveMemo,
     /// `Some` on the prefix walk: nodes at the split depth land here
     /// instead of being expanded.
@@ -820,11 +854,14 @@ struct Explorer<'a, D: FdValue> {
 }
 
 impl<'a, D: FdValue> Explorer<'a, D> {
+    /// An explorer at the node `path` reaches under `picks`, with sleep set
+    /// `sleep`.
     fn at(
         cfg: &'a CheckConfig<D>,
         participants: &'a [bool],
         path: &[Choice],
-        picks: &[Vec<u32>],
+        picks: Vec<Vec<u32>>,
+        sleep: Vec<(ProcessId, Footprint)>,
         frontier: Option<Vec<FrontierJob>>,
     ) -> Self {
         Explorer {
@@ -833,7 +870,9 @@ impl<'a, D: FdValue> Explorer<'a, D> {
             stats: CheckStats::default(),
             violations: Vec::new(),
             path: path.to_vec(),
-            cursor: Cursor::at_path(cfg, path, picks),
+            cursor: Cursor::at_path(cfg, path, &picks),
+            picks,
+            sleep,
             resolve_memo: ResolveMemo::new(),
             frontier,
         }
@@ -854,12 +893,13 @@ impl<'a, D: FdValue> Explorer<'a, D> {
         true
     }
 
-    /// Executes specs on the node the cursor sits at; on violation, records
-    /// a (shrunk) counterexample and prunes the subtree.
-    fn visit(&mut self, picks: &[Vec<u32>], sleep: Vec<(ProcessId, Footprint)>, steps_used: usize) {
+    /// Executes specs on the node the cursor sits at, whose sleep set is
+    /// `sleep[base..]`; on violation, records a (shrunk) counterexample and
+    /// prunes the subtree.
+    fn visit(&mut self, base: usize, steps_used: usize) {
         self.stats.nodes += 1;
         if let Some((spec, message)) = node_violation(self.cfg, self.cursor.run()) {
-            self.record(picks, spec, message);
+            self.record(spec, message);
             return;
         }
         if self.stops() {
@@ -873,32 +913,32 @@ impl<'a, D: FdValue> Explorer<'a, D> {
             if self.path.len() >= self.cfg.split_depth {
                 frontier.push(FrontierJob {
                     path: self.path.clone(),
-                    picks: picks.to_vec(),
-                    sleep,
+                    picks: self.picks.clone(),
+                    sleep: self.sleep[base..].to_vec(),
                     steps_used,
                 });
                 return;
             }
         }
-        self.expand(picks, sleep, steps_used);
+        let top = self.sleep.len();
+        self.expand(base, steps_used);
+        self.sleep.truncate(top);
     }
 
     /// Generates and explores the children of the node the cursor sits at:
     /// canonical crash injections first, then step extensions under the
-    /// sleep set, with failure-detector variants as siblings of query steps.
-    /// On return the cursor is back at the entry node (possibly dirty).
-    fn expand(
-        &mut self,
-        picks: &[Vec<u32>],
-        mut sleep: Vec<(ProcessId, Footprint)>,
-        steps_used: usize,
-    ) {
+    /// sleep set `sleep[base..]`, with failure-detector variants as
+    /// siblings of query steps. On return the cursor is back at the entry
+    /// node (possibly dirty) and the picks are the entry node's; the sleep
+    /// set may have grown.
+    fn expand(&mut self, base: usize, steps_used: usize) {
         // The parent's run view is read now, while the cursor is clean; it
         // is not revisited once children start moving the session.
-        let finished: Vec<bool> = {
+        let finished: ProcessSet = {
             let run = self.cursor.run();
             (0..self.cfg.n_plus_1)
-                .map(|i| run.finished(ProcessId(i)))
+                .map(ProcessId)
+                .filter(|&p| run.finished(p))
                 .collect()
         };
 
@@ -912,9 +952,11 @@ impl<'a, D: FdValue> Explorer<'a, D> {
                     return;
                 }
                 self.path.push(Choice::Crash(p));
-                self.cursor.push_crash(p, picks);
+                self.cursor.push_crash(p, &self.picks);
                 self.stats.crash_nodes += 1;
-                self.visit(picks, sleep.clone(), steps_used);
+                // No step child has finished yet, so a crash child's sleep
+                // set is this node's: it shares the frame.
+                self.visit(base, steps_used);
                 self.cursor.pop();
                 self.path.pop();
             }
@@ -922,10 +964,10 @@ impl<'a, D: FdValue> Explorer<'a, D> {
 
         for i in 0..self.cfg.n_plus_1 {
             let p = ProcessId(i);
-            if !self.participants[i] || crashed_in(&self.path, p) || finished[i] {
+            if !self.participants[i] || crashed_in(&self.path, p) || finished.contains(p) {
                 continue;
             }
-            if self.cfg.reduction && sleep.iter().any(|(q, _)| *q == p) {
+            if self.cfg.reduction && self.sleep[base..].iter().any(|(q, _)| *q == p) {
                 self.stats.sleep_pruned += 1;
                 continue;
             }
@@ -933,51 +975,62 @@ impl<'a, D: FdValue> Explorer<'a, D> {
                 return;
             }
             self.path.push(Choice::Step(p));
-            if !self.cursor.push_step(p, picks) {
+            if !self.cursor.push_step(p, &self.picks) {
                 self.stats.no_step_children += 1;
                 self.path.pop();
                 continue;
             }
             let fp = self.cursor.last_footprint(&mut self.resolve_memo);
             let query = self.cursor.last_query();
-            let child_sleep: Vec<_> = sleep
-                .iter()
-                .filter(|(_, f)| !f.conflicts_with(&fp))
-                .cloned()
-                .collect();
-            self.visit(picks, child_sleep.clone(), steps_used + 1);
+            // The child's sleep set: this node's entries independent of the
+            // step, stacked above this node's frame.
+            let child = self.sleep.len();
+            for e in base..child {
+                if !self.sleep[e].1.conflicts_with(&fp) {
+                    let entry = self.sleep[e].clone();
+                    self.sleep.push(entry);
+                }
+            }
+            self.visit(child, steps_used + 1);
 
-            // Sibling branches for the unexplored detector candidates.
+            // Sibling branches for the unexplored detector candidates, each
+            // playing candidate `j` at the query the step just made.
             if let Some(rec) = query {
                 debug_assert_eq!(rec.pid, p);
+                let script_len = self.picks[i].len();
+                debug_assert!(
+                    script_len <= rec.k as usize,
+                    "a script holds picks of earlier queries only"
+                );
                 for j in 1..rec.candidates {
-                    let mut vpicks = picks.to_vec();
-                    vpicks[i].resize(rec.k as usize, 0);
-                    vpicks[i].push(j);
                     if self.stops() {
                         self.cursor.pop();
                         self.path.pop();
                         return;
                     }
+                    self.picks[i].resize(rec.k as usize, 0);
+                    self.picks[i].push(j);
                     self.cursor.pop();
-                    let stepped = self.cursor.push_step(p, &vpicks);
+                    let stepped = self.cursor.push_step(p, &self.picks);
                     debug_assert!(stepped, "a query step steps under every candidate");
                     self.stats.fd_variant_nodes += 1;
-                    self.visit(&vpicks, child_sleep.clone(), steps_used + 1);
+                    self.visit(child, steps_used + 1);
+                    self.picks[i].truncate(script_len);
                 }
             }
+            self.sleep.truncate(child);
             self.cursor.pop();
             self.path.pop();
             if self.cfg.reduction {
-                sleep.push((p, fp));
+                self.sleep.push((p, fp));
             }
         }
     }
 
-    fn record(&mut self, picks: &[Vec<u32>], spec: String, message: String) {
-        let raw_token = token_of(self.cfg.n_plus_1, &self.path, picks);
+    fn record(&mut self, spec: String, message: String) {
+        let raw_token = token_of(self.cfg.n_plus_1, &self.path, &self.picks);
         let (token, shrink_evals, shrink_removed) = if self.cfg.shrink {
-            shrink_path(self.cfg, &self.path, picks, &spec)
+            shrink_path(self.cfg, &self.path, &self.picks, &spec)
         } else {
             (raw_token.clone(), 0, 0)
         };
@@ -1016,8 +1069,8 @@ pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
     );
     let root_picks: Vec<Vec<u32>> = vec![Vec::new(); cfg.n_plus_1];
     let frontier = (cfg.split_depth > 0).then(Vec::new);
-    let mut explorer = Explorer::at(cfg, &participants, &[], &root_picks, frontier);
-    explorer.visit(&root_picks, Vec::new(), 0);
+    let mut explorer = Explorer::at(cfg, &participants, &[], root_picks, Vec::new(), frontier);
+    explorer.visit(0, 0);
     let Explorer {
         mut stats,
         mut violations,
@@ -1034,8 +1087,9 @@ pub fn check<D: FdValue>(cfg: &CheckConfig<D>) -> CheckReport {
         .into_iter()
         .map(|job| -> SubtreeJob<'_> {
             Box::new(move || {
-                let mut sub = Explorer::at(cfg, participants, &job.path, &job.picks, None);
-                sub.expand(&job.picks, job.sleep, job.steps_used);
+                let mut sub =
+                    Explorer::at(cfg, participants, &job.path, job.picks, job.sleep, None);
+                sub.expand(0, job.steps_used);
                 (sub.stats, sub.violations)
             })
         })

@@ -121,12 +121,14 @@ impl<D: FdValue> MenuOracle<D> {
     }
 
     /// An oracle positioned mid-history: like [`MenuOracle::new`] but with
-    /// each process's query counter pre-advanced to `counts[p]` — the
-    /// constructor a snapshot restore uses, so the rebuilt oracle serves the
-    /// (k+1)-th query of a process whose first k queries happened before the
-    /// save point (see [`SessionSave::query_counts`]).
+    /// each process's query counter pre-advanced to `counts[p]`, so the
+    /// oracle serves the (k+1)-th query of a process whose first k queries
+    /// happened before a save point (see [`SessionSave::query_counts`]) —
+    /// the oracle a one-off [`Session::restore`] installs. The explorer
+    /// instead moves its one live oracle back in place on every rewind.
     ///
     /// [`SessionSave::query_counts`]: upsilon_sim::SessionSave::query_counts
+    /// [`Session::restore`]: upsilon_sim::Session::restore
     pub fn with_counts(
         menu: Arc<dyn FdMenu<D>>,
         n_plus_1: usize,
@@ -134,9 +136,35 @@ impl<D: FdValue> MenuOracle<D> {
         counts: &[u64],
     ) -> Self {
         let mut oracle = Self::new(menu, n_plus_1, picks);
-        assert_eq!(counts.len(), n_plus_1, "one query count per process");
-        oracle.counts = counts.iter().map(|&c| c as u32).collect();
+        oracle.set_counts(counts);
         oracle
+    }
+
+    /// Moves the oracle to another point of its history in place: it plays
+    /// `picks` (one script per process) from query counts `counts`, and its
+    /// log keeps the `Σ counts` queries served before that point. Reuses the
+    /// oracle's storage, so a rewind allocates nothing once the scripts have
+    /// grown to their size.
+    pub(crate) fn reposition(&mut self, picks: &[Vec<u32>], counts: &[u64]) {
+        assert_eq!(picks.len(), self.picks.len(), "one script per process");
+        self.picks.clone_from_slice(picks);
+        self.set_counts(counts);
+        let served: u64 = counts.iter().sum();
+        self.log
+            .lock()
+            .expect("menu log lock")
+            .truncate(served as usize);
+    }
+
+    fn set_counts(&mut self, counts: &[u64]) {
+        assert_eq!(
+            counts.len(),
+            self.counts.len(),
+            "one query count per process"
+        );
+        for (slot, &c) in self.counts.iter_mut().zip(counts) {
+            *slot = c as u32;
+        }
     }
 
     /// A handle to the query log, readable after the run (the oracle itself

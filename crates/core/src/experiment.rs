@@ -14,8 +14,8 @@ use upsilon_fd::{
 };
 use upsilon_mem::SnapshotFlavor;
 use upsilon_sim::{
-    default_workers, run_batch, Adversary, FailurePattern, FdValue, Output, ProcessId, ProcessSet,
-    RoundRobin, Run, SeededRandom, SimBuilder, Time, WeightedRandom,
+    Adversary, FailurePattern, FdValue, Output, ProcessId, ProcessSet, RoundRobin, Run,
+    SeededRandom, SimBuilder, Time, WeightedRandom,
 };
 
 /// Which scheduler drives an experiment run.
@@ -394,32 +394,6 @@ pub fn staggered_crashes(n_plus_1: usize, crashes: usize, first_at: u64) -> Fail
     builder.build()
 }
 
-/// Runs the same experiment at many seeds, fanned across the
-/// [`run_batch`] worker pool; outcomes come back in seed order.
-///
-/// Each run executes single-threaded on the step engine, so the
-/// pool parallelises *across* runs without perturbing any individual
-/// trace — `sweep_seeds(cfg, seeds, f)` is observationally identical to
-/// mapping `f` over the seeds sequentially.
-pub fn sweep_seeds<F>(
-    cfg: &AgreementConfig,
-    seeds: impl IntoIterator<Item = u64>,
-    run_one: F,
-) -> Vec<AgreementOutcome>
-where
-    F: Fn(&AgreementConfig) -> AgreementOutcome + Send + Sync,
-{
-    let run_one = &run_one;
-    let jobs: Vec<_> = seeds
-        .into_iter()
-        .map(|seed| {
-            let cfg = cfg.clone().seed(seed);
-            move || run_one(&cfg)
-        })
-        .collect();
-    run_batch(jobs, default_workers())
-}
-
 /// The stable failure detectors Fig. 3 can consume in the harness.
 #[derive(Clone, Copy, Debug)]
 pub enum StableSource {
@@ -608,20 +582,6 @@ mod tests {
         assert_eq!(p.faulty().len(), 3);
         assert_eq!(p.crash_time(ProcessId(0)), Some(Time(40)));
         assert_eq!(p.crash_time(ProcessId(2)), Some(Time(100)));
-    }
-
-    #[test]
-    fn sweep_seeds_matches_sequential_runs() {
-        let cfg = AgreementConfig::new(crash_pattern(3, 0, 40));
-        let swept = sweep_seeds(&cfg, 0..6, |cfg| run_fig1(cfg, UpsilonChoice::default()));
-        assert_eq!(swept.len(), 6);
-        for (seed, out) in swept.iter().enumerate() {
-            out.assert_ok();
-            let solo = run_fig1(&cfg.clone().seed(seed as u64), UpsilonChoice::default());
-            assert_eq!(out.total_steps, solo.total_steps, "seed {seed}");
-            assert_eq!(out.decided, solo.decided, "seed {seed}");
-            assert_eq!(out.steps_by, solo.steps_by, "seed {seed}");
-        }
     }
 
     #[test]

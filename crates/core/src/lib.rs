@@ -62,8 +62,8 @@ pub mod prelude {
     pub use crate::converge::ConvergeInstance;
     pub use crate::experiment::{
         run_baseline_omega_k, run_boost, run_fig1, run_fig2, run_fig2_custom, run_fig3,
-        run_omega_consensus, run_upsilon1_consensus, run_upsilon1_to_omega, sweep_seeds,
-        AgreementConfig, AgreementOutcome, ExtractionOutcome, Sched, StableSource,
+        run_omega_consensus, run_upsilon1_consensus, run_upsilon1_to_omega, AgreementConfig,
+        AgreementOutcome, ExtractionOutcome, Sched, StableSource,
     };
     pub use crate::extract::{all_candidates, play, Candidate, GameConfig, GameVerdict, Witness};
     pub use crate::fd::{

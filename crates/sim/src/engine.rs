@@ -153,32 +153,22 @@ impl<D: FdValue> InlineEngine<D> {
         &self.world
     }
 
-    /// Swaps the shared memory and oracle in place, keeping the `Rc` that
-    /// every suspended future's [`Ctx`] already points at — the world half
-    /// of a selective restore.
-    pub(crate) fn reset_world(
-        &mut self,
-        memory: crate::object::Memory,
-        oracle: Box<dyn crate::oracle::Oracle<D>>,
-    ) {
-        let mut world = self.world.borrow_mut();
-        world.memory = memory;
-        world.oracle = oracle;
-    }
-
-    /// Replaces `p`'s slot with a fresh algorithm instance (recording on —
-    /// only sessions rebuild processes, and session engines always record).
-    /// The caller fast-forwards it with [`replay_step`](Self::replay_step).
+    /// Replaces `p`'s algorithm with a fresh instance (recording on — only
+    /// sessions rebuild processes, and session engines always record). The
+    /// old future is dropped first, which releases its handle on the
+    /// process cell, so the fresh instance reuses that cell. The caller
+    /// fast-forwards it with [`replay_step`](Self::replay_step).
     pub(crate) fn replace_proc(&mut self, p: ProcessId, algo: AlgoFn<D>) {
         let n_plus_1 = self.procs.len();
-        let cell = Rc::new(ProcCell::new());
-        cell.record.set(true);
-        let ctx = Ctx::inline(p, n_plus_1, Rc::clone(&cell), Rc::clone(&self.world));
-        self.procs[p.index()] = Some(InlineProc {
-            cell,
-            fut: Some(algo(ctx)),
-            outcome: None,
-        });
+        let proc_ = self.procs[p.index()]
+            .as_mut()
+            .expect("rebuilt process has an algorithm");
+        proc_.fut = None;
+        proc_.outcome = None;
+        proc_.cell.clear();
+        proc_.cell.record.set(true);
+        let ctx = Ctx::inline(p, n_plus_1, Rc::clone(&proc_.cell), Rc::clone(&self.world));
+        proc_.fut = Some(algo(ctx));
     }
 
     /// Turns per-step result recording on for every live process: each

@@ -90,17 +90,10 @@ impl FailurePattern {
         self.crash_at[p.index()] = Some(t);
     }
 
-    /// The full crash-time vector (one slot per process).
-    pub(crate) fn crash_times(&self) -> &[Option<Time>] {
-        &self.crash_at
-    }
-
-    /// Overwrites the crash-time vector — the restore path of
-    /// [`Session::restore`](crate::Session::restore).
-    pub(crate) fn restore_crash_times(&mut self, times: &[Option<Time>]) {
-        debug_assert_eq!(times.len(), self.crash_at.len());
-        self.crash_at.clear();
-        self.crash_at.extend_from_slice(times);
+    /// Sets or clears the crash of `p` — the rewind path of
+    /// [`Session::rewind`](crate::Session::rewind).
+    pub(crate) fn restore_crash_time(&mut self, p: ProcessId, t: Option<Time>) {
+        self.crash_at[p.index()] = t;
     }
 
     /// `F(t)`: the set of processes crashed by time `t`.

@@ -277,7 +277,8 @@ impl<O: ObjectType> AnyObject for O {
 /// name list and the key index are shared the same way; the first object
 /// created after a snapshot copies them, and since a [`Key`] is `Copy` that
 /// copy allocates the containers' own storage, never a key.
-#[derive(Clone)]
+/// [`Clone::clone_from`] reuses the destination's object table, so a
+/// session that re-takes or rewinds to a snapshot allocates nothing.
 pub struct Memory {
     // BTreeMap, not HashMap: iteration order must not depend on the hasher —
     // the determinism lint (`upsilon-analysis`) enforces this workspace-wide.
@@ -286,6 +287,26 @@ pub struct Memory {
     by_key: Arc<BTreeMap<(TypeId, Key), ObjectId>>,
     objects: Vec<Arc<dyn AnyObject>>,
     names: Arc<Vec<Key>>,
+}
+
+// Inlined as the derived `Clone` would be: sessions (generic, so compiled
+// in the caller's crate) clone a memory on every save and rewind.
+impl Clone for Memory {
+    #[inline]
+    fn clone(&self) -> Self {
+        Memory {
+            by_key: Arc::clone(&self.by_key),
+            objects: self.objects.clone(),
+            names: Arc::clone(&self.names),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.by_key.clone_from(&source.by_key);
+        self.objects.clone_from(&source.objects);
+        self.names.clone_from(&source.names);
+    }
 }
 
 impl Memory {

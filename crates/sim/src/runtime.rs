@@ -70,6 +70,15 @@ impl<D: FdValue> ProcCell<D> {
             replay: Cell::new(None),
         }
     }
+
+    /// Empties the grant, report and result slots — for a cell a rebuilt
+    /// process takes over from the instance it replaces.
+    pub(crate) fn clear(&self) {
+        self.grant.set(None);
+        self.reply.borrow_mut().take();
+        self.recorded.set(None);
+        self.replay.set(None);
+    }
 }
 
 /// The per-process execution context handed to algorithm code.

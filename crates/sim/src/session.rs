@@ -11,15 +11,16 @@
 //!   `session.run()` after steps `s₁…s_k` equals the run a fresh replay of
 //!   `s₁…s_k` would record, bit for bit. This file keeps only what a rewind
 //!   needs: the step journal, stale marks, spares, query counts and
-//!   save/restore.
+//!   save/rewind.
 //! * **Mid-run crash injection** — [`Session::crash`] delivers a crash *now*
 //!   with the same observable effects as a pattern that always contained it.
-//! * **Snapshot/restore** — [`Session::save`] captures the session state at
-//!   a node ([`Memory`] is copy-on-write, so this is cheap);
-//!   [`Session::restore`] rewinds to any previously saved ancestor.
+//! * **Snapshot/rewind** — [`Session::save`] captures the session state at
+//!   a node ([`Memory`] is copy-on-write, so this is cheap), and
+//!   [`Session::save_into`] re-takes a save in place without allocating;
+//!   [`Session::rewind`] rewinds to any previously saved ancestor.
 //!   Suspended algorithm state machines cannot be cloned (they are opaque
 //!   futures), so a process that moved past the save point has to be
-//!   rebuilt. Restore only marks such a process *stale*; [`Session::step`]
+//!   rebuilt. A rewind only marks such a process *stale*; [`Session::step`]
 //!   rebuilds a stale process right before its next grant: a fresh instance
 //!   is *fast-forwarded* by replaying the process's recorded step results
 //!   into its future — one poll per completed step, no shared-memory
@@ -27,11 +28,13 @@
 //!   machine bit-identical to the lost one. A process that is never granted
 //!   again before the next rewind is never rebuilt.
 //!
-//! The restore contract mirrors the replay-token contract: the caller
-//! supplies a fresh [`Oracle`] positioned as it was at the save point
-//! (oracles are deterministic functions of `(p, t)` or of per-process query
-//! counts, so the checker reconstructs its menu oracle from recorded pick
-//! counts).
+//! A rewind keeps the live oracle, and the oracle contract mirrors the
+//! replay-token contract: the caller puts the oracle back where it was at
+//! the save point (oracles are deterministic functions of `(p, t)` or of
+//! per-process query counts, so the checker moves its menu oracle back to
+//! the counts [`Session::query_counts`] reads after the rewind).
+//! [`Session::restore`] is a rewind that installs a fresh oracle instead,
+//! positioned from [`SessionSave::query_counts`].
 
 use crate::builder::{AlgoFn, Drive};
 use crate::failure::FailurePattern;
@@ -63,9 +66,7 @@ pub enum SessionStep {
     NoStep,
 }
 
-/// Per-process slice of a [`SessionSave`] — packed into one vector so a
-/// save costs two allocations total (this and the memory's object table),
-/// not one per bookkeeping field.
+/// Per-process slice of a [`SessionSave`], packed into one vector.
 #[derive(Clone, Copy, Debug)]
 struct ProcSave {
     steps_by: u64,
@@ -79,21 +80,30 @@ struct ProcSave {
     finished: bool,
 }
 
-/// A snapshot of session state at one node, sufficient to rewind back to it.
-///
-/// Taking one is two small allocations plus a copy-on-write [`Memory`]
-/// clone (reference-count bumps); object state is physically copied only
-/// when later steps mutate it.
-#[derive(Clone, Debug)]
-pub struct SessionSave {
-    memory: Memory,
+/// The run-wide scalars of a [`SessionSave`].
+#[derive(Clone, Copy, Debug)]
+struct Mark {
     t: Time,
     total_steps: u64,
     events_len: usize,
     outputs_len: usize,
     fd_len: usize,
-    procs: Vec<ProcSave>,
     stop: StopReason,
+}
+
+/// A snapshot of session state at one node, sufficient to rewind back to it.
+///
+/// [`Session::save`] builds a new one: a copy-on-write [`Memory`] clone
+/// (reference-count bumps; object state is physically copied only when
+/// later steps mutate it) plus one vector of per-process records.
+/// [`Session::save_into`] re-takes an existing save in place and reuses both
+/// vectors, so a caller that keeps a stack of saves allocates nothing per
+/// save once the stack has reached its depth.
+#[derive(Clone, Debug)]
+pub struct SessionSave {
+    memory: Memory,
+    mark: Mark,
+    procs: Vec<ProcSave>,
 }
 
 impl SessionSave {
@@ -258,47 +268,41 @@ impl<D: FdValue> Session<D> {
         self.recompute_stop();
     }
 
-    /// Captures the current state as a restore point.
+    /// Captures the current state as a new restore point.
     pub fn save(&self) -> SessionSave {
-        let d = &self.drive;
-        let crash_at = d.run.pattern.crash_times();
-        let procs = (0..self.n_plus_1())
-            .map(|i| ProcSave {
-                steps_by: d.run.steps_by[i],
-                query_count: self.query_counts[i],
-                log_len: self.logs[i].len(),
-                last_output: d.last_output[i],
-                crash_observed: d.run.crash_observed[i],
-                crash_at: crash_at[i],
-                known_finished: d.known_finished[i],
-                stopped: d.stopped[i],
-                finished: d.run.finished[i],
-            })
-            .collect();
         SessionSave {
             memory: self.with_memory(Memory::clone),
-            t: d.t,
-            total_steps: d.run.total_steps,
-            events_len: d.run.events.len(),
-            outputs_len: d.run.outputs.len(),
-            fd_len: d.run.fd_samples.len(),
-            procs,
-            stop: d.run.stop,
+            mark: self.mark(),
+            procs: (0..self.n_plus_1()).map(|i| self.proc_save(i)).collect(),
         }
     }
 
+    /// Captures the current state into `save`, overwriting the restore point
+    /// it held and reusing its storage: [`save`](Session::save) without the
+    /// allocations.
+    pub fn save_into(&self, save: &mut SessionSave) {
+        self.with_memory(|memory| save.memory.clone_from(memory));
+        save.mark = self.mark();
+        save.procs.clear();
+        save.procs
+            .extend((0..self.n_plus_1()).map(|i| self.proc_save(i)));
+    }
+
     /// Rewinds to `save`, which must be an ancestor of the current state
-    /// (taken earlier on this session, with no intervening restore past it).
-    ///
-    /// `oracle` must be a fresh oracle positioned as it was at the save
-    /// point; [`SessionSave::query_counts`] carries what a deterministic
-    /// oracle needs for that. Restore rebuilds no future: a process whose
-    /// future moved past the save point is marked stale, and
-    /// [`step`](Session::step) rebuilds it at its next grant.
-    pub fn restore(&mut self, save: &SessionSave, oracle: Box<dyn Oracle<D>>) {
+    /// (taken earlier on this session, with no intervening rewind past it),
+    /// and keeps the live oracle: the caller re-positions it as it was at
+    /// the save point (the explorer's menu oracle is moved back in place).
+    /// Rewind rebuilds no future: a process whose future moved past the
+    /// save point is marked stale, and [`step`](Session::step) rebuilds it
+    /// at its next grant.
+    pub fn rewind(&mut self, save: &SessionSave) {
         assert_eq!(save.procs.len(), self.n_plus_1());
         let d = &mut self.drive;
-        d.engine.reset_world(save.memory.clone(), oracle);
+        d.engine
+            .world()
+            .borrow_mut()
+            .memory
+            .clone_from(&save.memory);
         // A suspended future's state is a function of its *own* step log
         // alone (steps are the only awaits), so only processes whose log or
         // liveness moved past the save point go stale; everyone else's
@@ -307,7 +311,7 @@ impl<D: FdValue> Session<D> {
         for (i, p) in save.procs.iter().enumerate() {
             assert!(
                 self.logs[i].len() >= p.log_len,
-                "restore target must be an ancestor of the current state"
+                "rewind target must be an ancestor of the current state"
             );
             let dead_at_save = p.stopped || p.known_finished || p.finished;
             let dead_now = d.stopped[i] || d.known_finished[i] || d.run.finished[i];
@@ -316,15 +320,7 @@ impl<D: FdValue> Session<D> {
             if d.engine.has_algo(ProcessId(i)) && !dead_at_save && !untouched {
                 self.stale[i] = true;
             }
-        }
-        let crash_at: Vec<Option<Time>> = save.procs.iter().map(|p| p.crash_at).collect();
-        d.run.pattern.restore_crash_times(&crash_at);
-        d.run.events.truncate(save.events_len);
-        d.run.outputs.truncate(save.outputs_len);
-        d.run.fd_samples.truncate(save.fd_len);
-        d.run.total_steps = save.total_steps;
-        d.run.stop = save.stop;
-        for (i, p) in save.procs.iter().enumerate() {
+            d.run.pattern.restore_crash_time(ProcessId(i), p.crash_at);
             d.run.steps_by[i] = p.steps_by;
             d.run.finished[i] = p.finished;
             d.run.crash_observed[i] = p.crash_observed;
@@ -333,7 +329,28 @@ impl<D: FdValue> Session<D> {
             d.stopped[i] = p.stopped;
             self.query_counts[i] = p.query_count;
         }
-        d.t = save.t;
+        let m = save.mark;
+        d.run.events.truncate(m.events_len);
+        d.run.outputs.truncate(m.outputs_len);
+        d.run.fd_samples.truncate(m.fd_len);
+        d.run.total_steps = m.total_steps;
+        d.run.stop = m.stop;
+        d.t = m.t;
+    }
+
+    /// [`rewind`](Session::rewind)s to `save` and installs `oracle`, which
+    /// must be a fresh oracle positioned as it was at the save point;
+    /// [`SessionSave::query_counts`] carries what a deterministic oracle
+    /// needs for that.
+    pub fn restore(&mut self, save: &SessionSave, oracle: Box<dyn Oracle<D>>) {
+        self.rewind(save);
+        self.drive.engine.world().borrow_mut().oracle = oracle;
+    }
+
+    /// Recorded failure-detector queries per process so far — after a
+    /// [`rewind`](Session::rewind), the counts at the save point.
+    pub fn query_counts(&self) -> &[u64] {
+        &self.query_counts
     }
 
     /// Ends the session, returning the run (with `finished` flags already
@@ -345,6 +362,33 @@ impl<D: FdValue> Session<D> {
             std::panic::resume_unwind(payload);
         }
         run
+    }
+
+    fn mark(&self) -> Mark {
+        let d = &self.drive;
+        Mark {
+            t: d.t,
+            total_steps: d.run.total_steps,
+            events_len: d.run.events.len(),
+            outputs_len: d.run.outputs.len(),
+            fd_len: d.run.fd_samples.len(),
+            stop: d.run.stop,
+        }
+    }
+
+    fn proc_save(&self, i: usize) -> ProcSave {
+        let d = &self.drive;
+        ProcSave {
+            steps_by: d.run.steps_by[i],
+            query_count: self.query_counts[i],
+            log_len: self.logs[i].len(),
+            last_output: d.last_output[i],
+            crash_observed: d.run.crash_observed[i],
+            crash_at: d.run.pattern.crash_time(ProcessId(i)),
+            known_finished: d.known_finished[i],
+            stopped: d.stopped[i],
+            finished: d.run.finished[i],
+        }
     }
 
     /// Rebuilds stale `p`: a fresh instance, taken from the spares of the

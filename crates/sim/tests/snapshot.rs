@@ -1,4 +1,4 @@
-//! Snapshot/restore tests for [`Session`], the step-at-a-time inline
+//! Snapshot/rewind tests for [`Session`], the step-at-a-time inline
 //! engine behind the explorer.
 //!
 //! The contract under test is what makes snapshot-resume DPOR sound: after
@@ -295,6 +295,37 @@ proptest! {
         let save = resumed.save();
         drive(&mut resumed, &detour);
         resumed.restore(&save, Box::new(NullOracle));
+        drive(&mut resumed, suffix);
+        prop_assert_eq!(observed(&resumed), want);
+    }
+
+    /// A save re-taken in place over an unrelated state, then rewound to
+    /// with the live oracle kept — the explorer's reused save stack — must
+    /// resume exactly like a fresh save and a restore.
+    #[test]
+    fn retaken_saves_rewind_like_fresh_ones(
+        sched in proptest::collection::vec(0u8..3, 6..20),
+        stale in proptest::collection::vec(0u8..3, 0..10),
+        detour in proptest::collection::vec(0u8..3, 0..10),
+        cut in 0usize..6,
+    ) {
+        let schedule = pid_schedule(3, &sched);
+        let (stale, detour) = (pid_schedule(3, &stale), pid_schedule(3, &detour));
+        let (prefix, suffix) = schedule.split_at(cut.min(schedule.len()));
+
+        let mut straight = new_session(3, 4);
+        drive(&mut straight, &schedule);
+        let want = observed(&straight);
+
+        let mut resumed = new_session(3, 4);
+        let root = resumed.save();
+        drive(&mut resumed, &stale);
+        let mut save = resumed.save();
+        resumed.rewind(&root);
+        drive(&mut resumed, prefix);
+        resumed.save_into(&mut save);
+        drive(&mut resumed, &detour);
+        resumed.rewind(&save);
         drive(&mut resumed, suffix);
         prop_assert_eq!(observed(&resumed), want);
     }
