@@ -2,7 +2,6 @@
 //! pass the repository ships.
 //!
 //! ```text
-//! cargo run -p upsilon-analysis --bin analyze -- lint [--json]
 //! cargo run -p upsilon-analysis --bin analyze -- conform [--json]
 //! cargo run -p upsilon-analysis --bin analyze -- commute [--json | --emit]
 //! cargo run -p upsilon-analysis --bin analyze -- run-conditions [--json] \
@@ -10,14 +9,15 @@
 //! cargo run -p upsilon-analysis --bin analyze -- scenario [--json]
 //! ```
 //!
-//! `lint`, `conform` and `commute` are the static passes (determinism
-//! lint over the simulator crates, §3.1 conformance over the algorithm
-//! crates, and DPOR-soundness audit of the shared objects' `access()`
+//! `conform` and `commute` are the static passes (the determinism rules
+//! over the workspace sources plus the §3.1 model rules over the algorithm
+//! crates, and the DPOR-soundness audit of the shared objects' `access()`
 //! classifications). They share one path: load the allowlist
 //! (`--allowlist`, default `crates/analysis/<mode>-allowlist.txt`; a
 //! missing file counts as empty), scan, print the human or `--json`
-//! report, and exit 0 when clean, 1 on findings, 2 on usage or I/O
-//! errors. `commute --emit` instead prints the generated
+//! report, and exit 0 when clean, 1 on findings or on an allowlist entry
+//! that suppresses no finding, 2 on usage or I/O errors. `commute --emit`
+//! instead prints the generated
 //! `crates/sim/src/commute.rs`, and refuses (exit 1, nothing on stdout)
 //! when the audit fails. `run-conditions` is the
 //! dynamic pass: it drives a built-in leader workload over a seed sweep
@@ -31,7 +31,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use upsilon_analysis::{check_run_for, lint, RunStats};
+use upsilon_analysis::{check_run_for, RunStats};
 use upsilon_commute::known_rule_ids as known_commute;
 use upsilon_conform::{known_rule_ids as known_conform, Allowlist};
 use upsilon_mem::{RegOp, RegResp, RegisterObject};
@@ -41,13 +41,13 @@ use upsilon_sim::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: analyze <lint|conform|commute|run-conditions|scenario> [options]\n\
+        "usage: analyze <conform|commute|run-conditions|scenario> [options]\n\
          \n\
          common options:\n\
          \x20 --root <dir>        workspace root (default .)\n\
          \x20 --json              machine-readable output\n\
          \n\
-         lint / conform / commute options:\n\
+         conform / commute options:\n\
          \x20 --allowlist <file>  audited-exception file\n\
          \x20                     (default crates/analysis/<mode>-allowlist.txt)\n\
          \n\
@@ -116,7 +116,6 @@ fn main() -> ExitCode {
     }
 
     match mode.as_str() {
-        "lint" => run_static(&opts, "lint", &lint::known_rule_ids(), lint_scan),
         "conform" => run_static(&opts, "conform", &known_conform(), conform_scan),
         "commute" => run_static(&opts, "commute", &known_commute(), commute_scan),
         "run-conditions" => run_conditions(&opts),
@@ -131,8 +130,6 @@ fn main() -> ExitCode {
 
 /// A static pass's scan, rendered for the shared print-and-exit path.
 struct Scan {
-    /// Whether no unsuppressed finding remains.
-    clean: bool,
     /// Unsuppressed findings, one human-readable line each.
     findings: Vec<String>,
     /// Human lines printed after the findings: per-item rows, then the
@@ -142,10 +139,13 @@ struct Scan {
     json: String,
     /// The generated module `--emit` prints (commute only).
     generated: Option<String>,
+    /// `(rule id, file)` of every suppressed finding.
+    suppressed: Vec<(&'static str, String)>,
 }
 
 /// The path every static pass shares: load the allowlist (a missing file
-/// counts as empty), scan, then print and exit 0/1/2.
+/// counts as empty), scan, then print and exit 0/1/2. An allowlist entry
+/// that suppresses no finding fails the pass.
 fn run_static(
     opts: &Opts,
     name: &str,
@@ -174,11 +174,16 @@ fn run_static(
             return ExitCode::from(2);
         }
     };
+    let stale = allow.stale(scan.suppressed.iter().map(|(r, f)| (*r, f.as_str())));
+    for entry in &stale {
+        eprintln!("analyze {name}: {entry} ({})", path.display());
+    }
+    let clean = scan.findings.is_empty() && stale.is_empty();
     if opts.emit {
         // A generated module is only ever produced from a clean audit: an
         // unjustified classification would otherwise be baked into the
         // explorer's tables.
-        if !scan.clean {
+        if !clean {
             for finding in &scan.findings {
                 eprintln!("{finding}");
             }
@@ -198,24 +203,7 @@ fn run_static(
             println!("{line}");
         }
     }
-    pass_fail(scan.clean)
-}
-
-fn lint_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
-    let r = lint::scan_workspace(root, allow)?;
-    let summary = format!(
-        "lint: {} files scanned, {} violations, {} allowlisted",
-        r.files_scanned,
-        r.violations.len(),
-        r.suppressed.len()
-    );
-    Ok(Scan {
-        clean: r.is_clean(),
-        findings: r.violations.iter().map(ToString::to_string).collect(),
-        rows: vec![summary],
-        json: r.to_json(),
-        generated: None,
-    })
+    pass_fail(clean)
 }
 
 fn conform_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
@@ -239,18 +227,24 @@ fn conform_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
         })
         .collect();
     rows.push(format!(
-        "conform: {} files scanned, {} findings, {} allowlisted, {} routines bounded",
+        "conform: {} files scanned, {} algorithm files, {} findings, {} allowlisted, \
+         {} routines bounded",
         r.files.len(),
+        r.algorithm_files,
         r.findings.len(),
         r.suppressed.len(),
         r.bounds.iter().filter(|b| b.bound.is_some()).count()
     ));
     Ok(Scan {
-        clean: r.findings.is_empty(),
         findings: r.findings.iter().map(ToString::to_string).collect(),
         rows,
         json: r.to_json(),
         generated: None,
+        suppressed: r
+            .suppressed
+            .iter()
+            .map(|f| (f.rule.id(), f.file.clone()))
+            .collect(),
     })
 }
 
@@ -264,11 +258,15 @@ fn commute_scan(root: &Path, allow: &Allowlist) -> io::Result<Scan> {
         r.suppressed.len()
     );
     Ok(Scan {
-        clean: r.is_clean(),
         findings: r.findings.iter().map(ToString::to_string).collect(),
         rows: vec![summary],
         json: r.to_json(),
         generated: Some(upsilon_commute::emit::render(&r.impls)),
+        suppressed: r
+            .suppressed
+            .iter()
+            .map(|f| (f.rule.id(), f.file.clone()))
+            .collect(),
     })
 }
 

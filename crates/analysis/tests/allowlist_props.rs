@@ -5,8 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use upsilon_analysis::lint::known_rule_ids;
-use upsilon_conform::Allowlist;
+use upsilon_conform::{known_rule_ids, Allowlist};
 
 /// Characters that sit on the parser's edges: separators, the comment
 /// marker, line ends, and non-ASCII whitespace and control characters.
@@ -82,7 +81,7 @@ proptest! {
     /// under character insertions, deletions and replacements.
     #[test]
     fn mutated_valid_allowlists_never_panic(
-        entries in vec((0usize..8, 0usize..8, proptest::bool::ANY), 0..6),
+        entries in vec((0usize..16, 0usize..8, proptest::bool::ANY), 0..6),
         edits in vec((0usize..400, 0u8..3, 0usize..EDGE_CHARS.len()), 0..6),
     ) {
         let text = valid_text(&entries);

@@ -1,6 +1,7 @@
 //! Contract of the `analyze` binary: exit status 0 when a pass is clean,
-//! 1 on findings, 2 on usage or I/O errors; `commute --emit` prints exactly
-//! the checked-in generated module and prints nothing from a failing audit.
+//! 1 on findings or a stale allowlist entry, 2 on usage or I/O errors;
+//! `commute --emit` prints exactly the checked-in generated module and
+//! prints nothing from a failing audit.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,7 +40,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn every_static_pass_is_clean_on_the_workspace() {
     let root = workspace_root();
-    for mode in ["lint", "conform", "commute"] {
+    for mode in ["conform", "commute"] {
         let out = analyze(&root, &[mode]);
         assert_eq!(
             code(&out),
@@ -90,14 +91,14 @@ fn malformed_allowlist_is_a_usage_error() {
     let dir = temp_dir("bad-allowlist");
     let root = workspace_root();
     for (mode, text) in [
-        (
-            "lint",
-            "wall-clock crates/check/src/main.rs unmarked justification\n",
-        ),
         ("conform", "C9 crates/mem/src/lib.rs\n"),
+        (
+            "conform",
+            "wall-clock crates/scenario/src/main.rs unmarked justification\n",
+        ),
         ("commute", "M1\n"),
     ] {
-        let path = dir.join(format!("{mode}.txt"));
+        let path = dir.join("allowlist.txt");
         fs::write(&path, text).expect("write allowlist");
         let out = analyze(
             &root,
@@ -109,12 +110,42 @@ fn malformed_allowlist_is_a_usage_error() {
     }
 }
 
+/// An entry that suppresses no finding fails the pass and is named by its
+/// line, while the carried-over entry still suppresses its findings.
+#[test]
+fn stale_allowlist_entry_fails_the_pass() {
+    let dir = temp_dir("stale-allowlist");
+    let path = dir.join("allowlist.txt");
+    fs::write(
+        &path,
+        "wall-clock crates/scenario/src/main.rs # throughput\n\
+         hash-collections crates/sim/src/lib.rs # nothing to suppress\n",
+    )
+    .expect("write allowlist");
+    let out = analyze(
+        &workspace_root(),
+        &["conform", "--allowlist", path.to_str().expect("utf-8 path")],
+    );
+    assert_eq!(code(&out), 1, "analyze conform with a stale entry");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(" 0 findings, 4 allowlisted"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "allowlist line 2: `hash-collections crates/sim/src/lib.rs` suppresses no finding"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("line 1"), "{stderr}");
+}
+
 #[test]
 fn unknown_modes_and_misplaced_emit_are_usage_errors() {
     let root = workspace_root();
     for args in [
         &["bogus"][..],
         &["symmetry"],
+        &["lint"],
         &["lint", "--emit"],
         &["conform", "--emit"],
         &["scenario", "--emit"],

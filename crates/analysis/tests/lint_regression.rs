@@ -1,10 +1,10 @@
-//! End-to-end lint regression test: seed a determinism violation into a
-//! synthetic workspace and require [`scan_workspace`] to flag it, exactly
-//! as CI runs `analyze lint` against the real tree.
+//! End-to-end determinism regression test: seed a determinism violation
+//! into a synthetic workspace and require [`scan_workspace`] to flag it,
+//! exactly as CI runs `analyze conform` against the real tree.
 
 use std::fs;
 use std::path::PathBuf;
-use upsilon_analysis::lint::{known_rule_ids, scan_workspace, Allowlist, Rule, SCANNED_CRATES};
+use upsilon_conform::{known_rule_ids, scan_workspace, Allowlist, RuleId, SCANNED_TREES};
 
 /// Builds a throwaway workspace skeleton under the test target dir and
 /// returns its root. Each test gets its own directory to stay independent.
@@ -13,15 +13,17 @@ fn fake_workspace(tag: &str) -> PathBuf {
     if root.exists() {
         fs::remove_dir_all(&root).expect("clean stale fixture");
     }
-    for krate in SCANNED_CRATES {
-        fs::create_dir_all(root.join("crates").join(krate).join("src"))
-            .expect("create fixture crate dir");
+    for dir in SCANNED_TREES {
+        fs::create_dir_all(root.join(dir)).expect("create fixture dir");
+    }
+    for dir in ["crates/sim/src", "crates/mem/src"] {
+        fs::create_dir_all(root.join(dir)).expect("create fixture crate dir");
     }
     root
 }
 
 #[test]
-fn seeded_hashmap_in_sim_fails_the_lint() {
+fn seeded_hashmap_in_sim_fails_the_pass() {
     let root = fake_workspace("seeded-hashmap");
     fs::write(
         root.join("crates/sim/src/lib.rs"),
@@ -30,11 +32,14 @@ fn seeded_hashmap_in_sim_fails_the_lint() {
     .expect("seed violation");
 
     let report = scan_workspace(&root, &Allowlist::empty()).expect("scan");
-    assert!(!report.is_clean(), "seeded HashMap must fail the lint");
+    assert!(
+        !report.findings.is_empty(),
+        "seeded HashMap must fail the pass"
+    );
     assert!(report
-        .violations
+        .findings
         .iter()
-        .all(|f| f.rule == Rule::HashCollections && f.file == "crates/sim/src/lib.rs"));
+        .all(|f| f.rule == RuleId::HashCollections && f.file == "crates/sim/src/lib.rs"));
 }
 
 #[test]
@@ -52,12 +57,12 @@ fn allowlisted_violation_is_suppressed_but_counted() {
     )
     .expect("parse allowlist");
     let report = scan_workspace(&root, &allow).expect("scan");
-    assert!(report.is_clean(), "allowlisted finding must not fail");
-    assert_eq!(
-        report.suppressed.len(),
-        1,
-        "the Instant::now use is suppressed"
+    assert!(
+        report.findings.is_empty(),
+        "allowlisted finding must not fail"
     );
+    let lines: Vec<u32> = report.suppressed.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![1, 2], "the import and the Instant::now use");
 }
 
 #[test]
@@ -69,26 +74,26 @@ fn clean_fixture_tree_passes() {
     )
     .expect("write clean file");
     let report = scan_workspace(&root, &Allowlist::empty()).expect("scan");
-    assert!(report.is_clean());
-    assert_eq!(report.files_scanned, 1);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.files.len(), 1);
 }
 
-/// The real repository must be lint-clean with the checked-in (empty)
-/// allowlist — the same invariant CI enforces via `analyze lint`.
+/// The real repository must be clean with the checked-in allowlist — the
+/// same invariant CI enforces via `analyze conform`.
 #[test]
 fn real_tree_is_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let allow = Allowlist::load(
-        &root.join("crates/analysis/lint-allowlist.txt"),
+        &root.join("crates/analysis/conform-allowlist.txt"),
         &known_rule_ids(),
     )
     .expect("checked-in allowlist parses");
     let report = scan_workspace(&root, &allow).expect("scan real tree");
     assert!(
-        report.is_clean(),
-        "determinism lint violations:\n{}",
+        report.findings.is_empty(),
+        "analyzer findings:\n{}",
         report
-            .violations
+            .findings
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()

@@ -1,15 +1,16 @@
 //! Deliberately **nonconforming** algorithm code.
 //!
-//! Each module here violates exactly one `upsilon-conform` rule, on
-//! purpose: the conformance checker's negative golden tests
+//! Each module here violates exactly one `upsilon-conform` model rule, on
+//! purpose: the analyzer's negative golden tests
 //! (`crates/conform/tests/fixtures.rs`) scan these sources and assert
-//! that every file trips its intended rule — and *only* that rule. The
-//! code compiles (the violations are semantic, against the §3.1 model
-//! contract, not against Rust) but none of it is ever executed.
+//! that every file trips its intended rule — and *only* that rule (the
+//! C2 module's clock read also trips `wall-clock`). The code compiles
+//! (the violations are semantic, against the §3.1 model contract, not
+//! against Rust) but none of it is ever executed.
 //!
-//! This crate is intentionally **not** in the checker's
-//! [`SCANNED_CRATES`](../upsilon_conform/constant.SCANNED_CRATES.html)
-//! set, so the workspace-wide "zero findings" gate stays meaningful.
+//! This crate is intentionally **not** among the analyzer's
+//! [`SCANNED_TREES`](../upsilon_conform/constant.SCANNED_TREES.html), so
+//! the workspace-wide "zero findings" gate stays meaningful.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

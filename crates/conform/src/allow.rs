@@ -1,10 +1,10 @@
-//! The one rule/path allowlist, shared by all three static passes: the
-//! conformance checker, the commutativity analyzer, and the determinism
-//! lint in `upsilon-analysis`.
+//! The one rule/path allowlist, shared by both static passes: the source
+//! analyzer (model and determinism rules) and the commutativity analyzer.
 //!
 //! Format: one `<rule-id> <path>` pair per line; `#` starts a comment.
 //! Paths are repository-relative and matched exactly.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -12,7 +12,8 @@ use std::path::Path;
 /// A parsed allowlist.
 #[derive(Clone, Default, Debug)]
 pub struct Allowlist {
-    entries: Vec<(String, String)>,
+    /// `(line, rule id, path)` per entry.
+    entries: Vec<(usize, String, String)>,
 }
 
 impl Allowlist {
@@ -45,7 +46,7 @@ impl Allowlist {
                     known.join(", ")
                 ));
             }
-            entries.push((rule_id.to_string(), path.to_string()));
+            entries.push((n, rule_id.to_string(), path.to_string()));
         }
         Ok(Allowlist { entries })
     }
@@ -64,7 +65,23 @@ impl Allowlist {
 
     /// Whether `(rule_id, file)` is suppressed.
     pub fn permits(&self, rule_id: &str, file: &str) -> bool {
-        self.entries.iter().any(|(r, p)| r == rule_id && p == file)
+        self.entries
+            .iter()
+            .any(|(_, r, p)| r == rule_id && p == file)
+    }
+
+    /// One message per stale entry: an entry that suppresses none of the
+    /// `(rule id, file)` pairs of the `suppressed` findings.
+    pub fn stale<'a>(
+        &self,
+        suppressed: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Vec<String> {
+        let used: BTreeSet<(&str, &str)> = suppressed.into_iter().collect();
+        self.entries
+            .iter()
+            .filter(|(_, r, p)| !used.contains(&(r.as_str(), p.as_str())))
+            .map(|(n, r, p)| format!("allowlist line {n}: `{r} {p}` suppresses no finding"))
+            .collect()
     }
 
     /// Number of entries.
@@ -107,6 +124,16 @@ mod tests {
         assert!(err.contains("expected '<rule-id> <path>'"), "{err}");
         let err = Allowlist::parse("C1 a.rs extra", KNOWN).expect_err("extra field");
         assert!(err.contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn stale_entries_name_their_line() {
+        let a = Allowlist::parse("C1 a.rs\n# audited\nC2 b.rs\n", KNOWN).expect("valid");
+        assert!(a.stale([("C1", "a.rs"), ("C2", "b.rs")]).is_empty());
+        assert_eq!(
+            a.stale([("C1", "a.rs"), ("C2", "a.rs")]),
+            vec!["allowlist line 3: `C2 b.rs` suppresses no finding"]
+        );
     }
 
     #[test]

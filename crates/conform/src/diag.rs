@@ -8,14 +8,14 @@
 
 use std::fmt;
 
-/// A conformance rule.
+/// A rule: a §3.1 model rule (C1, C3, C4), a determinism rule (one or
+/// more rows of [`crate::determinism::ROWS`]), or `parse`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum RuleId {
     /// One `ctx`-mediated shared-memory/failure-detector operation per
     /// await point, and no unawaited operation.
     C1,
-    /// No host APIs that break the model (threads, clocks, entropy,
-    /// blocking I/O) inside algorithm bodies.
+    /// No host APIs (threads, I/O, sleeping) inside algorithm bodies.
     C2,
     /// No execution context or shared-object handle smuggled out of the
     /// algorithm (aliasing, escape wrappers, inner closures).
@@ -26,16 +26,31 @@ pub enum RuleId {
     /// The file could not be analyzed (unbalanced delimiters, malformed
     /// annotation).
     Parse,
+    /// `HashMap`/`HashSet`: iteration order depends on the hasher seed.
+    HashCollections,
+    /// `Instant`/`SystemTime`: wall clocks vary between runs.
+    WallClock,
+    /// `thread_rng` and other unseeded randomness.
+    ThreadRng,
+    /// `std::thread::spawn`/`thread::Builder` in non-test code.
+    ThreadSpawn,
+    /// Bare `.unwrap()` in non-test simulator code.
+    BareUnwrap,
 }
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 5] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::C1,
         RuleId::C2,
         RuleId::C3,
         RuleId::C4,
         RuleId::Parse,
+        RuleId::HashCollections,
+        RuleId::WallClock,
+        RuleId::ThreadRng,
+        RuleId::ThreadSpawn,
+        RuleId::BareUnwrap,
     ];
 
     /// The stable identifier used in reports and allowlists.
@@ -46,31 +61,11 @@ impl RuleId {
             RuleId::C3 => "C3",
             RuleId::C4 => "C4",
             RuleId::Parse => "parse",
-        }
-    }
-
-    /// Why the rule exists, phrased against the §3.1 model.
-    pub fn why(self) -> &'static str {
-        match self {
-            RuleId::C1 => {
-                "the simulator grants one atomic step per poll; an await point that \
-                 mediates zero or multiple shared operations desynchronizes the \
-                 schedule the proofs quantify over"
-            }
-            RuleId::C2 => {
-                "algorithm steps must be deterministic functions of process state \
-                 and granted responses; host time, threads, entropy and I/O \
-                 introduce behavior outside the model"
-            }
-            RuleId::C3 => {
-                "shared objects are only accessible through granted steps; a \
-                 leaked context or handle could be driven outside the schedule"
-            }
-            RuleId::C4 => {
-                "wait-freedom claims (Theorems 2, 6, 10) require a bound on the \
-                 steps any invocation takes regardless of other processes"
-            }
-            RuleId::Parse => "an unparsable file cannot be certified",
+            RuleId::HashCollections => "hash-collections",
+            RuleId::WallClock => "wall-clock",
+            RuleId::ThreadRng => "thread-rng",
+            RuleId::ThreadSpawn => "thread-spawn",
+            RuleId::BareUnwrap => "bare-unwrap",
         }
     }
 
@@ -145,6 +140,9 @@ pub struct ConformReport {
     pub bounds: Vec<BoundRow>,
     /// Files scanned, sorted.
     pub files: Vec<String>,
+    /// How many of the scanned files hold algorithm code, which the model
+    /// rules check too.
+    pub algorithm_files: usize,
 }
 
 impl ConformReport {

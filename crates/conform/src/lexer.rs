@@ -261,7 +261,11 @@ fn skip_string(chars: &[char], mut i: usize, line: &mut u32) -> usize {
     i += 1;
     while i < chars.len() {
         match chars[i] {
-            '\\' => i += 2, // escape (covers \" \\ \n and \<newline> continuations)
+            '\\' => {
+                // An escape; the newline of a `\<newline>` continuation counts.
+                *line += u32::from(chars.get(i + 1) == Some(&'\n'));
+                i += 2;
+            }
             '"' => return i + 1,
             '\n' => {
                 *line += 1;
@@ -429,6 +433,13 @@ mod tests {
         assert_eq!(ts[0].line, 1);
         assert_eq!(ts[1].line, 2); // the string starts on line 2
         assert_eq!(ts[2].line, 4); // and spans line 3
+    }
+
+    #[test]
+    fn string_continuations_count_their_newline() {
+        let ts = lex("\"a \\\n b\"\nc");
+        assert_eq!(ts[1].tok, RawTok::Ident("c".into()));
+        assert_eq!(ts[1].line, 3);
     }
 
     #[test]

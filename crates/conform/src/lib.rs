@@ -1,42 +1,46 @@
-//! `upsilon-conform`: a source-level conformance checker for the §3.1
-//! shared-memory model.
+//! `upsilon-conform`: the repository's source analyzer — the §3.1 model
+//! rules and the determinism rules, on one front end.
 //!
 //! Every correctness claim in this repository is a claim *about the model*:
 //! processes advance in atomic steps, each step performs at most one
 //! shared-memory or failure-detector operation, and wait-free routines
-//! (Theorems 2, 6, 10) take a bounded number of steps per invocation. The
-//! simulator enforces the step discipline at runtime — it grants one step
-//! per poll — but nothing stops algorithm *source* from quietly deviating:
-//! stashing a step future and awaiting it later, reading the host clock,
-//! leaking an object handle into a closure, or helping in an unbounded
-//! loop while claiming wait-freedom.
+//! (Theorems 2, 6, 10) take a bounded number of steps per invocation; and
+//! every run must replay from its schedule, failure pattern and detector
+//! history. The simulator enforces the step discipline at runtime — it
+//! grants one step per poll — but nothing stops *source* from quietly
+//! deviating: stashing a step future and awaiting it later, reading the
+//! host clock, leaking an object handle into a closure, or helping in an
+//! unbounded loop while claiming wait-freedom.
 //!
 //! This crate closes that gap statically. It lexes and bracket-parses the
-//! algorithm crates with a purpose-built, dependency-free front end (no
-//! full Rust grammar — just enough structure to see items, bodies, postfix
-//! chains and `.await` points) and enforces four rules:
+//! sources with a purpose-built, dependency-free front end (no full Rust
+//! grammar — just enough structure to see items, bodies, postfix chains,
+//! imports and `.await` points) and enforces:
 //!
+//! * the **determinism rules** ([`determinism::ROWS`]) over every file of
+//!   [`SCANNED_TREES`]: no hash collections, wall clocks or OS entropy, no
+//!   threads spawned outside tests, no bare `unwrap()` in the simulator,
+//!   and **C2** — no host threads, I/O or sleeping in algorithm bodies;
 //! * **C1** — step atomicity: every `ctx`-mediated operation is awaited
 //!   where it is issued, and every await point mediates exactly one
-//!   shared operation.
-//! * **C2** — no banned host APIs (threads, clocks, entropy, blocking
-//!   I/O) inside algorithm bodies.
-//! * **C3** — no execution context or shared-object handle smuggled out
-//!   of the algorithm (aliasing, escape wrappers, channels, closures).
+//!   shared operation;
+//! * **C3** — no execution context or shared-object handle smuggled out of
+//!   the algorithm (aliasing, escape wrappers, channels, closures);
 //! * **C4** — every routine annotated `// #[conform(wait_free)]` has a
 //!   static per-invocation step bound, computed over the await graph with
 //!   loop bounds taken from `// #[conform(bound = "…")]` annotations.
 //!
-//! Findings are reported with file, line, rule id and a suggested fix,
-//! rendered either human-readably or as deterministic JSON (suitable for
-//! golden-file tests). Audited exceptions live in an [`Allowlist`]
-//! (`<rule-id> <path>` per line), the one allowlist type all three static
-//! passes share.
+//! C1, C3 and C4, the model rules, check the algorithm files: the `src/`
+//! trees of [`ALGORITHM_CRATES`]. Findings are reported with file, line,
+//! rule id and a suggested fix, rendered either human-readably or as
+//! deterministic JSON (suitable for golden-file tests). Audited exceptions
+//! live in an [`Allowlist`] (`<rule-id> <path>` per line), the one
+//! allowlist type the static passes share.
 //!
-//! The checker runs through `analyze`, the `upsilon-analysis` binary
-//! (`cargo run -p upsilon-analysis --bin analyze -- conform`), and CI; the
-//! `crates/conform/fixtures` crate holds deliberately nonconforming
-//! algorithms that pin down each rule as a negative golden test.
+//! The analyzer runs through `analyze conform`, the `upsilon-analysis`
+//! binary, and CI; the `crates/conform/fixtures` crate holds deliberately
+//! nonconforming algorithms that pin down each rule as a negative golden
+//! test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +49,7 @@
 pub mod allow;
 pub mod awaitgraph;
 pub mod bound;
+pub mod determinism;
 pub mod diag;
 pub mod lexer;
 pub mod model;
@@ -62,47 +67,69 @@ use std::io;
 use std::path::Path;
 
 /// Crate directories under `crates/` whose `src/` trees hold algorithm
-/// code governed by the §3.1 contract.
+/// code governed by the §3.1 contract, which the model rules check.
 ///
 /// `mem` is included beyond the protocol crates because the base-object
 /// routines (`Register::read`, the Afek et al. snapshot, …) are the very
 /// algorithm code the bounds of composite routines rest on; `sim` and
-/// `analysis` are harness code and are covered by the determinism lint
-/// instead.
-pub const SCANNED_CRATES: &[&str] = &["agreement", "check", "converge", "extract", "fd", "mem"];
+/// `analysis` are harness code, which only the determinism rules check.
+pub const ALGORITHM_CRATES: &[&str] = &["agreement", "check", "converge", "extract", "fd", "mem"];
+
+/// Repository-relative directories whose every `.rs` file the analyzer
+/// reads: the workspace crates and the root package's `src/`, `tests/` and
+/// `examples/`, except [`UNSCANNED`].
+pub const SCANNED_TREES: &[&str] = &["crates", "examples", "src", "tests"];
+
+/// The negative golden of the model rules, which must trip them.
+pub const UNSCANNED: &str = "crates/conform/fixtures/";
 
 /// All known rule identifiers, for allowlist validation.
 pub fn known_rule_ids() -> Vec<&'static str> {
     RuleId::ALL.iter().map(|r| r.id()).collect()
 }
 
-/// Analyzes a set of already-loaded `(repo-relative path, source)` pairs.
+/// Analyzes already-loaded `(repo-relative path, source)` pairs: every
+/// rule over the `algorithm` files, the determinism rules over the
+/// `other` files.
 ///
 /// This is the core entry point; [`scan_workspace`] reads the files of
-/// [`SCANNED_CRATES`] and delegates here, and tests feed fixture sources
+/// [`SCANNED_TREES`] and delegates here, and tests feed fixture sources
 /// directly.
-pub fn check_sources(sources: &[(String, String)], allow: &Allowlist) -> ConformReport {
-    let mut report = ConformReport::default();
+pub fn check_sources(
+    algorithm: &[(String, String)],
+    other: &[(String, String)],
+    allow: &Allowlist,
+) -> ConformReport {
+    let mut report = ConformReport {
+        algorithm_files: algorithm.len(),
+        ..ConformReport::default()
+    };
     let mut models: Vec<FileModel> = Vec::new();
-    let mut parse_findings: Vec<Finding> = Vec::new();
-    for (rel, src) in sources {
+    let mut findings: Vec<Finding> = Vec::new();
+    let files = algorithm.iter().map(|s| (s, true));
+    for ((rel, src), is_algorithm) in files.chain(other.iter().map(|s| (s, false))) {
         report.files.push(rel.clone());
-        let m = model::model_file(rel, src);
-        for (line, msg) in &m.errors {
-            parse_findings.push(Finding {
+        let (tree, mut errors) = match tree::parse(lexer::lex(src)) {
+            Ok(tree) => (tree, Vec::new()),
+            Err(error) => (Vec::new(), vec![error]),
+        };
+        let model = is_algorithm.then(|| model::model_tree(rel, &tree));
+        errors.extend(model.iter().flat_map(|m| m.errors.iter().cloned()));
+        for (line, message) in errors {
+            findings.push(Finding {
                 rule: RuleId::Parse,
                 file: rel.clone(),
-                line: *line,
-                message: msg.clone(),
+                line,
+                message,
                 suggestion: "fix the file (or the annotation) so it can be analyzed; \
                              an unparsable file cannot be certified"
                     .to_string(),
             });
         }
-        models.push(m);
+        determinism::check_file(rel, &tree, model.as_ref(), &mut findings);
+        models.extend(model);
     }
     let index = FnIndex::build(&models);
-    let mut findings = parse_findings;
     for m in &models {
         for f in &m.fns {
             if f.takes_ctx && !f.body.is_empty() {
@@ -131,25 +158,39 @@ pub fn check_sources(sources: &[(String, String)], allow: &Allowlist) -> Conform
     report
 }
 
-/// Scans every non-test `.rs` file of the [`SCANNED_CRATES`] under
-/// `root/crates` and checks the §3.1 contract.
-///
-/// `tests/` and `benches/` trees are excluded: harness code legitimately
-/// uses host constructs and is not algorithm code. (`#[cfg(test)] mod`
-/// regions inside `src/` files are excluded by the model walk itself.)
+/// Scans every `.rs` file of the [`SCANNED_TREES`] under `root`: the
+/// determinism rules over all of them, the model rules over the algorithm
+/// files.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; a missing crate directory is an error
-/// (the checker must not silently pass because it looked in the wrong
-/// place).
+/// Propagates filesystem errors; a missing directory is an error (the
+/// analyzer must not silently pass because it looked in the wrong place).
 pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<ConformReport> {
-    Ok(check_sources(&read_sources(root, SCANNED_CRATES)?, allow))
+    let mut algorithm = Vec::new();
+    let mut other = Vec::new();
+    for dir in SCANNED_TREES {
+        for file in read_tree(root, dir)? {
+            let path = &file.0;
+            if path.starts_with(UNSCANNED) {
+                continue;
+            }
+            if ALGORITHM_CRATES
+                .iter()
+                .any(|k| path.starts_with(&format!("crates/{k}/src/")))
+            {
+                algorithm.push(file);
+            } else {
+                other.push(file);
+            }
+        }
+    }
+    Ok(check_sources(&algorithm, &other, allow))
 }
 
 /// Reads every `.rs` file under `root/crates/<krate>/src` for each of
 /// `crates`, as `(repo-relative path, source)` pairs in path order: the
-/// input of [`check_sources`] and of the commute analyzer.
+/// input of the commute analyzer.
 ///
 /// # Errors
 ///
@@ -159,23 +200,27 @@ pub fn scan_workspace(root: &Path, allow: &Allowlist) -> io::Result<ConformRepor
 pub fn read_sources(root: &Path, crates: &[&str]) -> io::Result<Vec<(String, String)>> {
     let mut sources = Vec::new();
     for krate in crates {
-        let dir = root.join("crates").join(krate).join("src");
-        if !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("scanned crate source directory missing: {}", dir.display()),
-            ));
-        }
-        let mut files = Vec::new();
-        collect_rust_files(&dir, &mut files)?;
-        files.sort();
-        for path in files {
-            let rel = relative_path(root, &path);
-            let source = fs::read_to_string(&path)?;
-            sources.push((rel, source));
-        }
+        sources.extend(read_tree(root, &format!("crates/{krate}/src"))?);
     }
     Ok(sources)
+}
+
+/// Reads every `.rs` file under `root/dir`, in path order.
+fn read_tree(root: &Path, dir: &str) -> io::Result<Vec<(String, String)>> {
+    let dir = root.join(dir);
+    if !dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("scanned source directory missing: {}", dir.display()),
+        ));
+    }
+    let mut files = Vec::new();
+    collect_rust_files(&dir, &mut files)?;
+    files.sort();
+    files
+        .into_iter()
+        .map(|path| Ok((relative_path(root, &path), fs::read_to_string(&path)?)))
+        .collect()
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
@@ -234,6 +279,7 @@ pub async fn twice(ctx: &Ctx<()>) -> u64 {
                 ("crates/mem/src/lib.rs".to_string(), lib),
                 ("crates/agreement/src/user.rs".to_string(), user),
             ],
+            &[],
             &Allowlist::empty(),
         );
         assert!(report.findings.is_empty(), "{:?}", report.findings);
@@ -249,6 +295,7 @@ pub async fn twice(ctx: &Ctx<()>) -> u64 {
                 "crates/mem/src/bad.rs".to_string(),
                 "fn f() {\n".to_string(),
             )],
+            &[],
             &Allowlist::empty(),
         );
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
@@ -259,13 +306,13 @@ pub async fn twice(ctx: &Ctx<()>) -> u64 {
     fn allowlist_moves_findings_to_suppressed() {
         let src = "
 async fn bad(ctx: &Ctx<()>) {
-    let t = Instant::now();
+    let v = std::env::var(\"N\");
     ctx.yield_step().await
 }
 "
         .to_string();
         let allow = Allowlist::parse("C2 crates/mem/src/t.rs", &known_rule_ids()).expect("valid");
-        let report = check_sources(&[("crates/mem/src/t.rs".to_string(), src)], &allow);
+        let report = check_sources(&[("crates/mem/src/t.rs".to_string(), src)], &[], &allow);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.suppressed.len(), 1);
         assert_eq!(report.suppressed[0].rule, RuleId::C2);

@@ -136,30 +136,35 @@ pub struct FileModel {
 
 /// Lexes, tree-parses and walks one file.
 pub fn model_file(rel_file: &str, source: &str) -> FileModel {
+    match tree::parse(lexer::lex(source)) {
+        Ok(tree) => model_tree(rel_file, &tree),
+        Err(error) => FileModel {
+            errors: vec![error],
+            ..FileModel::default()
+        },
+    }
+}
+
+/// Walks one file's bracket tree.
+pub fn model_tree(rel_file: &str, tree: &[Spanned]) -> FileModel {
     let mut model = FileModel::default();
-    let raw = lexer::lex(source);
-    let tree = match tree::parse(raw) {
-        Ok(t) => t,
-        Err((line, msg)) => {
-            model.errors.push((line, msg));
-            return model;
-        }
-    };
-    walk(&tree, rel_file, &mut model);
+    walk(tree, rel_file, &mut model);
     model
 }
 
 /// Whether a bracket attribute group is `cfg(test)` (or contains it, as in
-/// `cfg(all(test, ...))`).
-fn is_cfg_test(children: &[Spanned]) -> bool {
+/// `cfg(all(test, ...))`). A `test` under `not(...)` does not count.
+pub(crate) fn is_cfg_test(children: &[Spanned]) -> bool {
     let mut saw_cfg = false;
     let mut saw_test = false;
     fn scan(children: &[Spanned], saw_cfg: &mut bool, saw_test: &mut bool) {
-        for c in children {
+        for (i, c) in children.iter().enumerate() {
             match &c.tok {
                 Tok::Ident(s) if s == "cfg" => *saw_cfg = true,
                 Tok::Ident(s) if s == "test" => *saw_test = true,
-                Tok::Group(_, inner, _) => scan(inner, saw_cfg, saw_test),
+                Tok::Group(_, inner, _) if i == 0 || children[i - 1].ident() != Some("not") => {
+                    scan(inner, saw_cfg, saw_test);
+                }
                 _ => {}
             }
         }

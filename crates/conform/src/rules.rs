@@ -1,6 +1,7 @@
-//! The per-body rule passes: C1 (step atomicity), C2 (banned host APIs)
-//! and C3 (context/handle escape), plus the name index and postfix-chain
-//! utilities shared with the C4 await-graph pass.
+//! The per-body rule passes: C1 (step atomicity) and C3 (context/handle
+//! escape), plus the name index and postfix-chain utilities shared with the
+//! C4 await-graph pass. C2 (banned host APIs) is a set of rows of the
+//! determinism table ([`crate::determinism`]).
 
 use std::collections::BTreeSet;
 
@@ -249,7 +250,7 @@ struct Checker<'a> {
     findings: &'a mut Vec<Finding>,
 }
 
-/// Runs C1/C2/C3 over one function body that is algorithm code.
+/// Runs C1/C3 over one function body that is algorithm code.
 pub fn check_fn(def: &FnDef, index: &FnIndex, findings: &mut Vec<Finding>) {
     let mut handles = BTreeSet::new();
     handles.insert("ctx".to_string());
@@ -265,7 +266,7 @@ pub fn check_fn(def: &FnDef, index: &FnIndex, findings: &mut Vec<Finding>) {
     checker.walk(&def.body, &GroupCtx::Other);
 }
 
-/// Runs C1/C2/C3 over one `algo(|ctx| async move { ... })` body.
+/// Runs C1/C3 over one `algo(|ctx| async move { ... })` body.
 pub fn check_algo(algo: &AlgoBody, index: &FnIndex, findings: &mut Vec<Finding>) {
     let mut handles = BTreeSet::new();
     handles.insert("ctx".to_string());
@@ -363,7 +364,6 @@ impl Checker<'_> {
         while i < toks.len() {
             match &toks[i].tok {
                 Tok::Ident(s) if s == "ctx" => self.check_ctx_use(toks, i, gctx),
-                Tok::Ident(_) => self.check_banned(toks, i),
                 Tok::Punct('.') if toks.get(i + 1).and_then(|t| t.ident()) == Some("await") => {
                     self.check_await_point(toks, i);
                 }
@@ -524,67 +524,6 @@ impl Checker<'_> {
         );
     }
 
-    /// C2: banned host APIs.
-    fn check_banned(&mut self, toks: &[Spanned], i: usize) {
-        let Some(name) = toks[i].ident() else { return };
-        let line = toks[i].line;
-        let next_is_path = toks.get(i + 1).is_some_and(|t| t.is_punct(':'));
-        let next_is_call = matches!(
-            toks.get(i + 1).map(|t| &t.tok),
-            Some(Tok::Group(Delim::Paren, ..))
-        );
-        let (what, fix): (&str, &str) = match name {
-            "thread" if next_is_path => (
-                "std::thread",
-                "the model is one deterministic step stream per process; \
-                 express concurrency as separate algorithm processes",
-            ),
-            "Instant" | "SystemTime" => (
-                "host clock",
-                "use ctx.now() — logical time derived from granted steps",
-            ),
-            "thread_rng" | "random" if next_is_call || next_is_path => (
-                "unseeded randomness",
-                "take randomness from the seeded simulator configuration",
-            ),
-            "rand" if next_is_path => (
-                "unseeded randomness",
-                "take randomness from the seeded simulator configuration",
-            ),
-            "File" | "TcpStream" | "TcpListener" | "UdpSocket" if next_is_path => (
-                "blocking I/O",
-                "algorithms may only interact through ctx-mediated shared objects",
-            ),
-            "fs" | "net" if next_is_path => (
-                "blocking I/O",
-                "algorithms may only interact through ctx-mediated shared objects",
-            ),
-            "Command" if next_is_path => (
-                "process spawning",
-                "algorithms may only interact through ctx-mediated shared objects",
-            ),
-            "env" if next_is_path => (
-                "process environment",
-                "pass configuration through the algorithm's parameters",
-            ),
-            "stdin" | "stdout" | "stderr" if next_is_call => (
-                "standard streams",
-                "algorithms may only interact through ctx-mediated shared objects",
-            ),
-            "sleep" if next_is_call => (
-                "host sleeping",
-                "waiting is expressed as bounded retries over granted steps",
-            ),
-            _ => return,
-        };
-        self.emit(
-            RuleId::C2,
-            line,
-            format!("banned host API (`{name}`, {what}) in algorithm body"),
-            fix,
-        );
-    }
-
     /// C1: each await point must mediate exactly one shared operation.
     fn check_await_point(&mut self, toks: &[Spanned], await_dot: usize) {
         let line = toks[await_dot].line;
@@ -688,7 +627,7 @@ impl Checker<'_> {
                  inline the shared-memory access into the algorithm body",
             );
         }
-        // Still check C2/awaits inside the closure body.
+        // Still check awaits inside the closure body.
         self.walk(&owned, &GroupCtx::Other);
         Some(resume)
     }
@@ -842,25 +781,6 @@ async fn read(self_r: &Register<u64>, ctx: &Ctx<()>) -> u64 {
 ",
         );
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn banned_apis_trip_c2() {
-        let findings = check_src(
-            "
-async fn bad(ctx: &Ctx<()>) {
-    let t = Instant::now();
-    std::thread::sleep(t);
-    ctx.yield_step().await
-}
-",
-        );
-        // Three findings: the clock read, `std::thread`, and the sleep call.
-        assert!(
-            findings.iter().all(|f| f.rule == RuleId::C2),
-            "{findings:?}"
-        );
-        assert_eq!(findings.len(), 3, "{findings:?}");
     }
 
     #[test]

@@ -16,22 +16,22 @@ fn check_fixture(file: &str) -> ConformReport {
     let src = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
     let rel = format!("crates/conform/fixtures/src/{file}");
-    check_sources(&[(rel, src)], &Allowlist::empty())
+    check_sources(&[(rel, src)], &[], &Allowlist::empty())
 }
 
-/// Asserts the report contains at least `min` findings, all of rule
-/// `expected` and none of any other rule.
-fn assert_trips_only(report: &ConformReport, expected: RuleId, min: usize) {
+/// Asserts the report contains at least `min` findings, of exactly the
+/// rules `expected`.
+fn assert_trips_only(report: &ConformReport, expected: &[RuleId], min: usize) {
     assert!(
         report.findings.len() >= min,
-        "expected at least {min} {expected} findings, got {:?}",
+        "expected at least {min} {expected:?} findings, got {:?}",
         report.findings
     );
-    let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.rule.id()).collect();
+    let rules: BTreeSet<RuleId> = report.findings.iter().map(|f| f.rule).collect();
     assert_eq!(
         rules,
-        BTreeSet::from([expected.id()]),
-        "fixture must trip only {expected}: {:?}",
+        BTreeSet::from_iter(expected.iter().copied()),
+        "fixture must trip only {expected:?}: {:?}",
         report.findings
     );
     assert!(report.suppressed.is_empty(), "nothing may be allowlisted");
@@ -42,18 +42,23 @@ fn c1_fixture_trips_only_c1() {
     let report = check_fixture("c1_double_op.rs");
     // stashed_step: one un-awaited issue site + one op-free await point;
     // double_op: two reads funnelled through one await.
-    assert_trips_only(&report, RuleId::C1, 3);
+    assert_trips_only(&report, &[RuleId::C1], 3);
 }
 
 #[test]
 fn c2_fixture_trips_only_c2() {
     let report = check_fixture("c2_banned_api.rs");
-    // Instant::now, std::thread and sleep in one algorithm body.
-    assert_trips_only(&report, RuleId::C2, 3);
-    let excerpts: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
+    // std::thread and sleep in one algorithm body are C2; the clock read
+    // there is a wall-clock finding, as it is in any file.
+    assert_trips_only(&report, &[RuleId::C2, RuleId::WallClock], 3);
+    let clock = report
+        .findings
+        .iter()
+        .find(|f| f.rule == RuleId::WallClock)
+        .expect("a wall-clock finding");
     assert!(
-        excerpts.iter().any(|m| m.contains("Instant")),
-        "wall clock must be named: {excerpts:?}"
+        clock.message.contains("Instant"),
+        "wall clock must be named: {clock:?}"
     );
 }
 
@@ -61,13 +66,13 @@ fn c2_fixture_trips_only_c2() {
 fn c3_fixture_trips_only_c3() {
     let report = check_fixture("c3_leaked_handle.rs");
     // Boxed register escape, closure capture, ctx alias.
-    assert_trips_only(&report, RuleId::C3, 3);
+    assert_trips_only(&report, &[RuleId::C3], 3);
 }
 
 #[test]
 fn c4_fixture_trips_only_c4() {
     let report = check_fixture("c4_unbounded_helping.rs");
-    assert_trips_only(&report, RuleId::C4, 1);
+    assert_trips_only(&report, &[RuleId::C4], 1);
     // The unbounded routine must still get a (boundless) report row.
     let row = report
         .bound_for("c4_unbounded_helping.rs", "helping_wait")
@@ -94,21 +99,24 @@ fn fixtures_are_disjoint_per_rule() {
             (format!("crates/conform/fixtures/src/{f}"), src)
         })
         .collect();
-    let report = check_sources(&sources, &Allowlist::empty());
-    for (file, rule) in files
-        .iter()
-        .zip([RuleId::C1, RuleId::C2, RuleId::C3, RuleId::C4])
-    {
-        let per_file: BTreeSet<&str> = report
+    let report = check_sources(&sources, &[], &Allowlist::empty());
+    let expected: [&[RuleId]; 4] = [
+        &[RuleId::C1],
+        &[RuleId::C2, RuleId::WallClock],
+        &[RuleId::C3],
+        &[RuleId::C4],
+    ];
+    for (file, rules) in files.iter().zip(expected) {
+        let per_file: BTreeSet<RuleId> = report
             .findings
             .iter()
             .filter(|f| f.file.ends_with(file))
-            .map(|f| f.rule.id())
+            .map(|f| f.rule)
             .collect();
         assert_eq!(
             per_file,
-            BTreeSet::from([rule.id()]),
-            "{file} must trip only {rule}"
+            BTreeSet::from_iter(rules.iter().copied()),
+            "{file} must trip only {rules:?}"
         );
     }
 }

@@ -281,7 +281,7 @@ impl<O: ObjectType> AnyObject for O {
 /// session that re-takes or rewinds to a snapshot allocates nothing.
 pub struct Memory {
     // BTreeMap, not HashMap: iteration order must not depend on the hasher —
-    // the determinism lint (`upsilon-analysis`) enforces this workspace-wide.
+    // the determinism rules of `analyze conform` enforce this workspace-wide.
     // One flat index: a `Key` is `Copy`, so the per-step lookup builds its
     // `(TypeId, Key)` probe on the stack and resolves it in a single search.
     by_key: Arc<BTreeMap<(TypeId, Key), ObjectId>>,

@@ -1,11 +1,11 @@
 //! Golden JSON-diagnostic snapshots for the static analyzers.
 //!
-//! The JSON renderings of `upsilon-conform`, `upsilon-commute` and the
-//! determinism lint are consumed by CI and by external tooling; their
-//! shape and ordering must not drift silently. Each test renders a report
-//! over *fixed* inputs (the deliberately nonconforming / mis-classified
-//! fixture crates, and a synthetic lint target) and compares it
-//! byte-for-byte against a checked-in golden file.
+//! The JSON renderings of `upsilon-conform` (the model and determinism
+//! rules) and `upsilon-commute` are consumed by CI and by external
+//! tooling; their shape and ordering must not drift silently. Each test
+//! renders a report over *fixed* inputs (the deliberately nonconforming /
+//! mis-classified fixture crates, and a synthetic simulator source) and
+//! compares it byte-for-byte against a checked-in golden file.
 //!
 //! To regenerate after an intentional format change:
 //!
@@ -18,8 +18,7 @@ mod common;
 use common::assert_golden;
 use std::fs;
 use std::path::PathBuf;
-use upsilon_analysis::lint;
-use upsilon_conform::{check_sources, Allowlist};
+use upsilon_conform::{check_sources, known_rule_ids, Allowlist};
 
 #[test]
 fn conform_fixture_report_matches_golden_json() {
@@ -37,7 +36,7 @@ fn conform_fixture_report_matches_golden_json() {
     })
     .collect();
     sources.sort();
-    let report = check_sources(&sources, &Allowlist::empty());
+    let report = check_sources(&sources, &[], &Allowlist::empty());
     assert_golden("conform_fixtures.json", &report.to_json());
 }
 
@@ -63,9 +62,9 @@ fn commute_fixture_report_matches_golden_json() {
 
 #[test]
 fn lint_report_matches_golden_json() {
-    // A synthetic source hitting several lint rules at fixed lines; one is
-    // suppressed through an allowlist entry so both report sections are
-    // pinned.
+    // A synthetic source hitting several determinism rules at fixed lines;
+    // one is suppressed through an allowlist entry so both report sections
+    // are pinned.
     let src = "\
 use std::collections::HashMap;
 use std::time::Instant;
@@ -82,23 +81,16 @@ fn risky(v: Option<u32>) -> u32 {
 ";
     // The simulator-crate path puts the source in bare-unwrap's scope, so
     // the allowlisted suppression is exercised too.
-    let findings = lint::scan_source("crates/sim/src/demo.rs", src);
-    assert!(!findings.is_empty(), "the synthetic source must trip rules");
     let allow = Allowlist::parse(
         "bare-unwrap crates/sim/src/demo.rs # pinned suppression",
-        &lint::known_rule_ids(),
+        &known_rule_ids(),
     )
     .expect("valid allowlist");
-    let mut report = lint::LintReport {
-        files_scanned: 1,
-        ..Default::default()
-    };
-    for f in findings {
-        if allow.permits(f.rule.id(), &f.file) {
-            report.suppressed.push(f);
-        } else {
-            report.violations.push(f);
-        }
-    }
+    let sources = [("crates/sim/src/demo.rs".to_string(), src.to_string())];
+    let report = check_sources(&[], &sources, &allow);
+    assert!(
+        !report.findings.is_empty(),
+        "the synthetic source must trip rules"
+    );
     assert_golden("lint_demo.json", &report.to_json());
 }
