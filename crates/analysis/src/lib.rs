@@ -28,18 +28,20 @@
 //! accessors, so a bug in the recorder and a bug in the checker would have
 //! to coincide to slip through.
 //!
-//! Every pass runs through `analyze`, the crate's only binary:
+//! The two static passes (conform and the [`upsilon_commute`] audit) run
+//! through `analyze`, the crate's only binary:
 //!
 //! ```text
-//! cargo run -p upsilon-analysis --bin analyze -- \
-//!     <conform|commute|run-conditions|scenario> [--json]
+//! cargo run -p upsilon-analysis --bin analyze -- <conform|commute> [--json]
 //! ```
 //!
-//! The two static passes (conform and the [`upsilon_commute`] audit)
-//! share one path through it: one [`upsilon_conform::Allowlist`] format,
-//! `--json` or human output, and exit status 0 (clean), 1 (findings, or a
-//! stale allowlist entry) or 2 (usage or I/O error). `commute --emit`
-//! prints the generated `upsilon_sim::commute` module.
+//! They share one path through it: one [`upsilon_conform::Allowlist`]
+//! format, `--json` or human output, and exit status 0 (clean), 1
+//! (findings, or a stale allowlist entry) or 2 (usage or I/O error).
+//! `commute --emit` prints the generated `upsilon_sim::commute` module.
+//! The validator and the linearizability checker are libraries: the
+//! explorer, the experiments and the tests call them on the runs they
+//! record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -147,6 +147,8 @@ fn unknown_modes_and_misplaced_emit_are_usage_errors() {
         &["symmetry"],
         &["lint"],
         &["lint", "--emit"],
+        &["scenario"],
+        &["run-conditions"],
         &["conform", "--emit"],
         &["scenario", "--emit"],
         &["commute", "--bogus"],

@@ -33,7 +33,8 @@ pub enum Scope {
 /// resolved through the file's imports.
 #[derive(Clone, Copy, Debug)]
 pub enum Pattern {
-    /// Any mention of a name containing one of these.
+    /// Any mention of one of these names (the whole identifier, so
+    /// `InstantReplay` is not `Instant`).
     Named(&'static [&'static str]),
     /// A path through one of these names: `name::…`.
     PathThrough(&'static [&'static str]),
@@ -251,7 +252,7 @@ impl FileScan<'_> {
                 continue;
             }
             let hit = row.patterns.iter().any(|p| match *p {
-                Pattern::Named(names) => names.iter().any(|n| segs[anchor].contains(n)),
+                Pattern::Named(names) => names.contains(&segs[anchor].as_str()),
                 Pattern::PathThrough(names) => {
                     (0..=anchor).any(|k| names.contains(&segs[k].as_str()) && k + 1 < segs.len())
                 }

@@ -1,7 +1,8 @@
 //! The determinism rules on sources that defeat a line-by-line substring
 //! scanner: renamed imports, a banned call after a string holding `//`,
 //! banned names inside string literals, scoped threads, and a thread spawn
-//! in a `#[cfg(all(test, …))]` module. The exact findings are pinned.
+//! in a `#[cfg(all(test, …))]` module, and identifiers that merely
+//! contain a banned name. The exact findings are pinned.
 
 use upsilon_conform::{check_sources, Allowlist, RuleId};
 
@@ -46,6 +47,28 @@ pub fn group() -> Duration {
 ",
     ),
     (
+        "crates/sim/src/probe_names.rs",
+        "\
+use std::time::Instant as Clock;
+
+pub struct InstantReplay;
+
+pub fn no_thread_rng_here(_: InstantReplay) -> usize {
+    std::collections::HashMap::<u8, u8>::new().len()
+}
+
+pub fn clock() -> u128 {
+    Clock::now().elapsed().as_nanos() + std::time::Instant::now().elapsed().as_nanos()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn flags_wall_clock_and_thread_rng() {}
+}
+",
+    ),
+    (
         "crates/sim/src/probe_clean.rs",
         "\
 pub fn names() -> [&'static str; 2] {
@@ -83,6 +106,7 @@ fn probe_findings_are_pinned() {
         .collect();
     let alias = "crates/sim/src/probe_alias.rs";
     let group = "crates/sim/src/probe_group.rs";
+    let names = "crates/sim/src/probe_names.rs";
     assert_eq!(
         found,
         vec![
@@ -95,6 +119,12 @@ fn probe_findings_are_pinned() {
             (RuleId::HashCollections, alias, 14),
             (RuleId::WallClock, group, 1),
             (RuleId::WallClock, group, 4),
+            // Banned names match whole identifiers: `InstantReplay`,
+            // `no_thread_rng_here` and `flags_wall_clock_and_thread_rng`
+            // are not findings, the banned names beside them are.
+            (RuleId::WallClock, names, 1),
+            (RuleId::HashCollections, names, 6),
+            (RuleId::WallClock, names, 10),
             // The `//` inside the string does not hide the clock read.
             (RuleId::WallClock, "crates/sim/src/probe_string.rs", 2),
         ],

@@ -5,12 +5,11 @@
 //! ([`toml::Diag`]-carrying), the validated [`ScenarioDoc`] model, and
 //! order-deterministic axis expansion into [`Cell`]s.
 //!
-//! This crate is deliberately dependency-free so that `upsilon-analysis`
-//! (which sits *below* `upsilon-check` in the dependency graph) can
-//! validate checked-in scenario files without pulling in the runners.
-//! The execution side — resolving a [`Cell`] to a `CheckConfig`,
-//! `FuzzConfig` or experiment loop and fanning the matrix over
-//! `run_batch` — lives in the sibling `upsilon-scenario` crate.
+//! This crate is deliberately dependency-free: it parses, validates and
+//! expands documents without knowing any runner. The execution side —
+//! resolving a [`Cell`] to a `CheckConfig`, `FuzzConfig` or experiment
+//! loop and fanning the matrix over `run_batch` — lives in the sibling
+//! `upsilon-scenario` crate.
 //!
 //! ## File format
 //!
@@ -67,7 +66,8 @@ pub const KNOWN_PROTOCOLS: &[&str] = &[
 ];
 
 /// The check samples that must always have a checked-in scenario file;
-/// `analyze scenario` fails if any is missing from `scenarios/`.
+/// the `upsilon-scenario` registry tests fail if any is missing from
+/// `scenarios/`.
 pub const REQUIRED_SAMPLES: &[&str] = &[
     "fig1",
     "fig1-mutating",
@@ -282,13 +282,12 @@ impl Cell {
     }
 }
 
-/// Cardinality summary of a scenario's matrix, for `analyze scenario`.
+/// Arm, cell and run counts of a scenario's matrix, for
+/// `upsilon-scenario validate` and `expand`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MatrixSummary {
     /// Number of arms (1 for variant-free scenarios).
     pub arms: usize,
-    /// `(axis, cardinality)` for the base `[params]` axes.
-    pub axes: Vec<(String, usize)>,
     /// Expanded cell count across all arms.
     pub cells: usize,
     /// Seed count.
@@ -807,16 +806,12 @@ impl ScenarioDoc {
         cells
     }
 
-    /// Axis cardinalities and run counts, for `analyze scenario`.
+    /// Arm, cell and run counts, for `upsilon-scenario validate` and
+    /// `expand`.
     pub fn summary(&self) -> MatrixSummary {
         let cells = self.expand().len();
         MatrixSummary {
             arms: self.arms().len(),
-            axes: self
-                .params
-                .iter()
-                .map(|a| (a.key.clone(), a.values.len()))
-                .collect(),
             cells,
             seeds: self.seeds.len(),
             repeats: self.repeats,
@@ -882,14 +877,6 @@ depth = 7
         assert_eq!(s.arms, 1);
         assert_eq!(s.cells, 2);
         assert_eq!(s.total_runs, 6);
-        assert_eq!(
-            s.axes,
-            vec![
-                ("n_plus_1".to_string(), 2),
-                ("f".to_string(), 1),
-                ("depth".to_string(), 1)
-            ]
-        );
     }
 
     #[test]

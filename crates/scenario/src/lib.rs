@@ -58,14 +58,13 @@ pub fn load_file(path: &Path) -> Result<ScenarioDoc, String> {
     ScenarioDoc::parse(&text).map_err(|d| format!("{}: {d}", path.display()))
 }
 
-/// Loads `scenarios/<name>.toml` from the checked-in registry and checks
-/// that the document's `name` matches the file stem.
-pub fn load(name: &str) -> Result<ScenarioDoc, String> {
-    let path = scenarios_dir().join(format!("{name}.toml"));
-    let doc = load_file(&path)?;
-    if doc.name != name {
+/// [`load_file`], then checks that the document's `name` matches `stem`
+/// (that is how orphaned or renamed files are caught).
+fn load_stem(path: &Path, stem: &str) -> Result<ScenarioDoc, String> {
+    let doc = load_file(path)?;
+    if doc.name != stem {
         return Err(format!(
-            "{}: scenario name `{}` does not match file stem `{name}`",
+            "{}: scenario name `{}` does not match file stem `{stem}`",
             path.display(),
             doc.name
         ));
@@ -73,9 +72,14 @@ pub fn load(name: &str) -> Result<ScenarioDoc, String> {
     Ok(doc)
 }
 
+/// Loads `scenarios/<name>.toml` from the checked-in registry and checks
+/// that the document's `name` matches the file stem.
+pub fn load(name: &str) -> Result<ScenarioDoc, String> {
+    load_stem(&scenarios_dir().join(format!("{name}.toml")), name)
+}
+
 /// Loads every `.toml` under the checked-in registry, sorted by file name.
-/// A scenario whose `name` differs from its file stem is an error (that is
-/// how orphaned or renamed files are caught).
+/// A scenario whose `name` differs from its file stem is an error.
 pub fn load_all() -> Result<Vec<(PathBuf, ScenarioDoc)>, String> {
     load_all_in(&scenarios_dir())
 }
@@ -90,18 +94,11 @@ pub fn load_all_in(dir: &Path) -> Result<Vec<(PathBuf, ScenarioDoc)>, String> {
     paths.sort();
     let mut docs = Vec::with_capacity(paths.len());
     for path in paths {
-        let doc = load_file(&path)?;
         let stem = path
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or_default();
-        if doc.name != stem {
-            return Err(format!(
-                "{}: scenario name `{}` does not match file stem `{stem}`",
-                path.display(),
-                doc.name
-            ));
-        }
+        let doc = load_stem(&path, stem)?;
         docs.push((path, doc));
     }
     Ok(docs)

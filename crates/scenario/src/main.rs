@@ -779,15 +779,12 @@ fn cmd_run(cli: &Cli, out: &mut dyn Write) -> Result<(), Stop> {
     }
     let mut t = Table::new(
         format!("scenario {} — evidence", report.scenario),
-        &[
-            "cell", "seed", "engine", "verdict", "expected", "states", "token",
-        ],
+        &["cell", "seed", "verdict", "expected", "states", "token"],
     );
     for r in &report.records {
         t.row([
             format!("{}/{}", r.arm, r.cell),
             r.seed.to_string(),
-            "inline".to_string(),
             r.verdict.to_string(),
             r.expected.to_string(),
             r.out.states.to_string(),

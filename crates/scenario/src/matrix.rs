@@ -390,9 +390,6 @@ pub fn to_jsonl(records: &[EvidenceRecord]) -> String {
         json_escape(&r.arm, &mut out);
         out.push_str(",\"protocol\":");
         json_escape(&r.protocol, &mut out);
-        // Every run uses the one step engine; the field stays so existing
-        // evidence consumers keep parsing.
-        out.push_str(",\"engine\":\"inline\"");
         out.push_str(&format!(",\"cell\":{}", r.cell));
         out.push_str(",\"bindings\":{");
         for (i, (k, v)) in r.bindings.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! The `upsilon-scenario` binary writes through a fallible sink: a closed
 //! stdout ends the run with exit code 1 and a message, never a panic. A
 //! removed flag or an unknown experiment id is a bad command line (exit
-//! 2), and a sharded campaign waits for every shard and names each one
-//! that failed.
+//! 2), a scenario file with an unresolvable cell fails `validate`, and a
+//! sharded campaign waits for every shard and names each one that failed.
 
 use std::process::{Command, Stdio};
 
@@ -41,6 +41,38 @@ fn removed_flags_are_usage_errors() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown flag \"--no-turbo\""), "{stderr}");
+}
+
+/// `validate` resolves every cell, so a file that parses but names an
+/// out-of-range axis value fails, and the failure names the file.
+#[test]
+fn validate_fails_on_an_out_of_range_axis_and_names_the_file() {
+    let dir = std::env::temp_dir().join(format!("upsilon-cli-validate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("bad-range.toml");
+    std::fs::write(
+        &file,
+        "name = \"bad-range\"\nkind = \"check\"\nprotocol = \"fig1\"\n\n\
+         [params]\nn_plus_1 = [3, 1]\ndepth = 6\n",
+    )
+    .expect("scenario file");
+    let out = Command::new(env!("CARGO_BIN_EXE_upsilon-scenario"))
+        .arg("validate")
+        .arg(&file)
+        .output()
+        .expect("spawns");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let fail = stderr
+        .lines()
+        .find(|l| l.starts_with("FAIL:"))
+        .unwrap_or_else(|| panic!("no failure line: {stderr}"));
+    assert!(
+        fail.contains(&file.display().to_string()) && fail.contains("n_plus_1=1"),
+        "{fail}"
+    );
+    assert!(out.stdout.is_empty(), "no file validated");
 }
 
 #[test]

@@ -4,12 +4,13 @@
 //!   layer of the runner (check registry, experiment runners, swarm);
 //! * every required sample has a checked-in scenario file whose `kind` is
 //!   `check` and whose protocol matches;
+//! * an orphaned file (unparseable, or `name` ≠ stem) fails the load;
 //! * the repeats axis re-runs coordinates without perturbing them.
 
 use upsilon_scenario::matrix::{run_matrix, validate_cells};
 use upsilon_scenario::registry::{check_protocols, resolve_check, resolve_fuzz};
 use upsilon_scenario::{
-    load, load_all, Cell, Expect, Kind, Scalar, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
+    load, load_all, load_all_in, Cell, Expect, Kind, Scalar, KNOWN_PROTOCOLS, REQUIRED_SAMPLES,
 };
 
 /// Which runner layer owns each known protocol. A protocol no layer owns
@@ -61,6 +62,33 @@ fn checked_in_files_cover_the_required_surface() {
     // Every checked-in scenario fully cell-resolves.
     for (path, doc) in &docs {
         validate_cells(doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+}
+
+/// `upsilon-scenario validate` loads the registry through `load_all`, so
+/// a renamed or unparseable file fails it, and the error names the file.
+#[test]
+fn orphaned_files_fail_the_load_and_are_named() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("registry-orphans");
+    for (file, text, why) in [
+        (
+            "renamed.toml",
+            "name = \"fig1\"\nkind = \"check\"\nprotocol = \"fig1\"\n",
+            "does not match file stem `renamed`",
+        ),
+        (
+            "broken.toml",
+            "name = \"broken\"\nkind = \n",
+            "broken.toml:",
+        ),
+    ] {
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("clean stale fixture");
+        }
+        std::fs::create_dir_all(&dir).expect("fixture dir");
+        std::fs::write(dir.join(file), text).expect("scenario file");
+        let err = load_all_in(&dir).expect_err("an orphan fails the load");
+        assert!(err.contains(file) && err.contains(why), "{err}");
     }
 }
 

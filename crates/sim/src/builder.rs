@@ -539,12 +539,6 @@ impl<D: FdValue> RunCell<D> {
         self.drive.run.total_steps
     }
 
-    /// Outputs recorded so far, in schedule order — inspectable while the
-    /// cell is suspended (e.g. for aggregate decision counting).
-    pub fn outputs_so_far(&self) -> &[(Time, ProcessId, Output)] {
-        &self.drive.run.outputs
-    }
-
     /// The cell's current arena occupancy in bytes: the struct itself plus
     /// the capacity of every accumulator vector it owns. Engine-side state
     /// (suspended futures, shared memory) is deliberately excluded — boxed
