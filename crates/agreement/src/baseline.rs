@@ -18,7 +18,7 @@ use upsilon_sim::{AlgoFn, Ctx, ProcessId, ProcessSet};
 ///
 /// The caller supplies an Ω_k oracle as the run's oracle; this wrapper is
 /// the algorithm side of the reduction.
-pub async fn propose_with_omega_k(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
+pub async fn propose_with_omega_k(ctx: &mut Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
     // The reduction is applied by the oracle wrapper
     // (`upsilon_fd::upsilon_f_from_omega_k`); algorithm-side the protocol is
     // literally Fig. 1.

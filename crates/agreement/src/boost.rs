@@ -38,7 +38,7 @@ pub struct BoostConfig {
 // branch (max(2, 3W)), a 1-converge (≤ 4·n₊₁·(n₊₁+2) + 4 snapshot steps
 // on the register-based flavor) and the decision write.
 // #[conform(bound = "R * (W * 3 + 4 * n_plus_1 * (n_plus_1 + 2) + 9)")]
-pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> u64 {
+pub async fn propose(ctx: &mut Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let me = ctx.pid();
     let decision = Register::<Option<u64>>::new(Key::new("D"), None);
@@ -86,8 +86,8 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: BoostConfig, v: u64) -> u64 {
 
 /// Builds the algorithm closure for one process.
 pub fn algorithm(cfg: BoostConfig, v: u64) -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await;
+    algo(move |mut ctx| async move {
+        let d = propose(&mut ctx, cfg, v).await;
         ctx.decide(d).await;
     })
 }

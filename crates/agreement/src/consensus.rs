@@ -38,7 +38,7 @@ pub struct OmegaConsensusConfig {
 #[allow(async_fn_in_trait)] // algorithms are single-threaded state machines; futures need not be Send
 pub trait LeaderSource<D: FdValue> {
     /// The process currently trusted as leader. May take steps.
-    async fn current_leader(&mut self, ctx: &Ctx<D>) -> ProcessId;
+    async fn current_leader(&mut self, ctx: &mut Ctx<D>) -> ProcessId;
 }
 
 /// The canonical leader source: query the Ω module (one step).
@@ -46,7 +46,7 @@ pub trait LeaderSource<D: FdValue> {
 pub struct OmegaQuery;
 
 impl LeaderSource<ProcessId> for OmegaQuery {
-    async fn current_leader(&mut self, ctx: &Ctx<ProcessId>) -> ProcessId {
+    async fn current_leader(&mut self, ctx: &mut Ctx<ProcessId>) -> ProcessId {
         ctx.query_fd().await
     }
 }
@@ -54,7 +54,7 @@ impl LeaderSource<ProcessId> for OmegaQuery {
 /// Runs leader-based consensus for one process proposing `v`, drawing
 /// leader estimates from `source`; returns the decision.
 pub async fn propose_with<D: FdValue>(
-    ctx: &Ctx<D>,
+    ctx: &mut Ctx<D>,
     cfg: OmegaConsensusConfig,
     v: u64,
     source: &mut impl LeaderSource<D>,
@@ -103,14 +103,14 @@ pub async fn propose_with<D: FdValue>(
 
 /// Runs Ω-based consensus for one process proposing `v`; returns the
 /// decision. The failure-detector range must be Ω's (`ProcessId`).
-pub async fn propose(ctx: &Ctx<ProcessId>, cfg: OmegaConsensusConfig, v: u64) -> u64 {
+pub async fn propose(ctx: &mut Ctx<ProcessId>, cfg: OmegaConsensusConfig, v: u64) -> u64 {
     propose_with(ctx, cfg, v, &mut OmegaQuery).await
 }
 
 /// Builds the algorithm closure for one process.
 pub fn algorithm(cfg: OmegaConsensusConfig, v: u64) -> AlgoFn<ProcessId> {
-    algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await;
+    algo(move |mut ctx| async move {
+        let d = propose(&mut ctx, cfg, v).await;
         ctx.decide(d).await;
     })
 }

@@ -46,7 +46,7 @@ pub struct Fig1Config {
 // (rounds and sub-rounds actually taken); the dynamic cross-check binds
 // them from recorded runs.
 // #[conform(wait_free)]
-pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
+pub async fn propose(ctx: &mut Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let n = ctx.n();
     let me = ctx.pid();
@@ -140,8 +140,8 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig1Config, v: u64) -> u64 {
 /// check_k_set_agreement(&run, 2, &[Some(0), Some(1), Some(2)]).unwrap();
 /// ```
 pub fn algorithm(cfg: Fig1Config, v: u64) -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await;
+    algo(move |mut ctx| async move {
+        let d = propose(&mut ctx, cfg, v).await;
         ctx.decide(d).await;
     })
 }

@@ -106,7 +106,7 @@ enum SubRound {
 // Wait-free per Theorem 6; R and K are per-run round/sub-round counts,
 // bound from recorded runs by the dynamic cross-check.
 // #[conform(wait_free)]
-pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig2Config, v: u64) -> u64 {
+pub async fn propose(ctx: &mut Ctx<ProcessSet>, cfg: Fig2Config, v: u64) -> u64 {
     let n_plus_1 = ctx.n_plus_1();
     let f = cfg.f;
     assert!(f >= 1 && f <= ctx.n(), "f must be in 1..=n");
@@ -174,7 +174,7 @@ pub async fn propose(ctx: &Ctx<ProcessSet>, cfg: Fig2Config, v: u64) -> u64 {
 /// min adoption, `(|U| + f − n − 1)`-converge.
 #[allow(clippy::too_many_arguments)]
 async fn gladiator_sub_round(
-    ctx: &Ctx<ProcessSet>,
+    ctx: &mut Ctx<ProcessSet>,
     cfg: Fig2Config,
     r: u64,
     k: u64,
@@ -260,8 +260,8 @@ async fn gladiator_sub_round(
 /// Builds the algorithm closure for one process: run Fig. 2 with proposal
 /// `v`, then decide.
 pub fn algorithm(cfg: Fig2Config, v: u64) -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move {
-        let d = propose(&ctx, cfg, v).await;
+    algo(move |mut ctx| async move {
+        let d = propose(&mut ctx, cfg, v).await;
         ctx.decide(d).await;
     })
 }

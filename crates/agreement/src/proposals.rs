@@ -29,7 +29,7 @@ mod tests {
     #[test]
     fn skips_non_participants() {
         let algos = to_algorithms::<()>(&[Some(1), None, Some(3)], |v| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 ctx.decide(v).await;
             })
         });

@@ -87,7 +87,7 @@ impl std::error::Error for TaskViolation {}
 /// // Three processes decide two distinct values: fine for k = 2, an
 /// // Agreement violation for k = 1.
 /// let run = SimBuilder::<()>::new(FailurePattern::failure_free(3))
-///     .spawn_all(|pid| algo(move |ctx| async move {
+///     .spawn_all(|pid| algo(move |mut ctx| async move {
 ///         ctx.decide(pid.index() as u64 % 2).await;
 ///     }))
 ///     .run()
@@ -266,7 +266,7 @@ mod tests {
         SimBuilder::<()>::new(FailurePattern::failure_free(n))
             .spawn_all(|pid| {
                 let d = decisions[pid.index()];
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     if let Some(v) = d {
                         ctx.decide(v).await;
                     }
@@ -384,7 +384,7 @@ mod tests {
     fn rejects_revoked_decision() {
         let run = SimBuilder::<()>::new(FailurePattern::failure_free(1))
             .spawn_all(|_| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     ctx.decide(1).await;
                     ctx.decide(2).await;
                 })
@@ -454,7 +454,7 @@ mod tests {
                     .filter(|&&(i, _)| i == pid.index())
                     .map(|&(_, o)| o)
                     .collect();
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     for o in mine {
                         ctx.output(o).await;
                     }

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `conform` runs the determinism rules over the workspace sources plus the
-//! §3.1 model rules over the algorithm crates; `commute` audits the shared
+//! §3.1 model rule C4 over the algorithm crates; `commute` audits the shared
 //! objects' `access()` classifications for DPOR soundness. Both share one
 //! path: load the allowlist (`--allowlist`, default
 //! `crates/analysis/<mode>-allowlist.txt`; a missing file counts as empty),

@@ -7,10 +7,10 @@
 //!    determinism rules everywhere (no unseeded hash collections, wall
 //!    clocks, `thread_rng` or stray thread spawns; no bare `unwrap()` in
 //!    the simulator) and, over every algorithm body in the protocol
-//!    crates, the §3.1 step-atomicity contract: one `ctx`-mediated shared
-//!    operation per await point (C1), no host APIs (C2), no escaping
-//!    handles (C3), and a static per-invocation step bound for every
-//!    `wait_free`-claimed routine (C4).
+//!    crates, no host APIs (C2) and a static per-invocation step bound for
+//!    every `wait_free`-claimed routine (C4). One shared operation per
+//!    atomic step needs no pass: every `Ctx` operation takes `&mut self`,
+//!    so the compiler enforces it.
 //! 2. **Run-condition validator** ([`run_conditions`]) — an independent
 //!    checker of the §3.3 well-formedness conditions on recorded
 //!    [`upsilon_sim::Run`]s: strictly increasing step times, no steps by a

@@ -61,7 +61,7 @@ mod tests {
     fn run_conditions_spec_accepts_well_formed_runs() {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     ctx.decide(pid.index() as u64).await;
                 })
             })

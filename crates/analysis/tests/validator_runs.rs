@@ -24,7 +24,7 @@ fn leader_workload(pattern: FailurePattern, seed: u64) -> upsilon_sim::SimOutcom
         .oracle(DummyOracle::new(0u64))
         .adversary(SeededRandom::new(seed))
         .spawn_all(move |pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let me = pid.index() as u64;
                 let mine = Key::new("reg").at(me);
                 ctx.invoke(&mine, || RegisterObject::new(u64::MAX), RegOp::Write(me))
@@ -215,7 +215,7 @@ fn mapped_oracle_runs_validate() {
         .oracle(MappedOracle::new(NullOracle, |_p, _t, ()| 0u64))
         .adversary(SeededRandom::new(8))
         .spawn_all(|_pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let leader = ctx.query_fd().await;
                 ctx.decide(leader).await;
             })

@@ -128,7 +128,7 @@ pub fn pinned_upsilon(n_plus_1: usize, f: usize, depth: usize) -> CheckConfig<Pr
     let factory: AlgoFactory<ProcessSet> = Arc::new(move || {
         (0..n_plus_1)
             .map(|_| {
-                Some(algo(move |ctx| async move {
+                Some(algo(move |mut ctx| async move {
                     // #[conform(bound = "B")]
                     loop {
                         ctx.query_fd().await;
@@ -166,17 +166,17 @@ pub fn snapshot_commit(n_plus_1: usize, k: usize, depth: usize, buggy: bool) -> 
         (0..n_plus_1)
             .map(|i| {
                 let me = ProcessId(i);
-                Some(algo(move |ctx| async move {
+                Some(algo(move |mut ctx| async move {
                     let v = me.index() as u64;
                     let s1 = NativeSnapshot::<u64>::new(Key::new("S1"), n_plus_1);
                     let s2 = NativeSnapshot::<(u64, bool)>::new(Key::new("S2"), n_plus_1);
                     if !(buggy && me.index() == 0) {
-                        s1.update(&ctx, v).await;
+                        s1.update(&mut ctx, v).await;
                     }
-                    let seen = s1.scan(&ctx).await;
+                    let seen = s1.scan(&mut ctx).await;
                     let clean = distinct_values(&seen).len() <= k;
-                    s2.update(&ctx, (v, clean)).await;
-                    let published = s2.scan(&ctx).await;
+                    s2.update(&mut ctx, (v, clean)).await;
+                    let published = s2.scan(&mut ctx).await;
                     if published.iter().flatten().all(|(_, c)| *c) {
                         ctx.decide(v).await;
                         return;
@@ -213,13 +213,13 @@ pub fn stable_report(n_plus_1: usize, reports: usize, depth: usize) -> CheckConf
     let factory: AlgoFactory<()> = Arc::new(move || {
         (0..n_plus_1)
             .map(|_| {
-                Some(algo(move |ctx| async move {
+                Some(algo(move |mut ctx| async move {
                     let stable = Register::new(Key::new("Stable"), false);
                     // #[conform(bound = "B")]
                     for _ in 0..reports {
-                        stable.write(&ctx, true).await;
+                        stable.write(&mut ctx, true).await;
                     }
-                    let flag = stable.read(&ctx).await;
+                    let flag = stable.read(&mut ctx).await;
                     ctx.output(Output::Value(u64::from(flag))).await;
                 }))
             })
@@ -252,11 +252,11 @@ pub fn converge_offby1(n_plus_1: usize, k: usize, depth: usize, slack: usize) ->
         (0..n_plus_1)
             .map(|i| {
                 let me = ProcessId(i);
-                Some(algo(move |ctx| async move {
+                Some(algo(move |mut ctx| async move {
                     let inst =
                         ConvergeInstance::new(Key::new("conv"), n_plus_1, Default::default())
                             .with_faults(faults);
-                    let (picked, committed) = inst.converge(&ctx, k, me.index() as u64).await;
+                    let (picked, committed) = inst.converge(&mut ctx, k, me.index() as u64).await;
                     if committed {
                         ctx.decide(picked).await;
                         return;

@@ -42,7 +42,7 @@ fn builder(schedule: Option<Vec<ProcessId>>) -> SimBuilder<()> {
 fn register_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
     builder(schedule)
         .spawn_all(|_pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let k = Key::new("reg");
                 let init = || RegisterObject::new(0u64);
                 ctx.invoke(&k, init, RegOp::Write(7)).await;
@@ -58,7 +58,7 @@ fn register_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
 fn snapshot_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
     builder(schedule)
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let k = Key::new("snap");
                 let init = || SnapshotObject::new(N_PLUS_1);
                 ctx.invoke(&k, init, SnapOp::Update(pid.index(), 5u64))
@@ -76,7 +76,7 @@ fn snapshot_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
 fn consensus_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
     builder(schedule)
         .spawn_all(|_pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let k = Key::new("cons");
                 let init = || ConsensusObject::new(ProcessSet::all(N_PLUS_1));
                 ctx.invoke(&k, init, Propose(9)).await;
@@ -89,7 +89,7 @@ fn consensus_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
 fn mixed_workload(schedule: Option<Vec<ProcessId>>) -> SimOutcome<()> {
     builder(schedule)
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let reg = Key::new("reg");
                 let snap = Key::new("snap");
                 let cons = Key::new("cons");

@@ -7,7 +7,7 @@
 use upsilon_sim::{Ctx, ProcessId};
 
 /// Reads the host clock and sleeps the host thread mid-protocol.
-pub async fn clocked(ctx: &Ctx<ProcessId>) -> u64 {
+pub async fn clocked(ctx: &mut Ctx<ProcessId>) -> u64 {
     let t0 = std::time::Instant::now();
     std::thread::sleep(std::time::Duration::from_millis(0));
     ctx.yield_step().await;

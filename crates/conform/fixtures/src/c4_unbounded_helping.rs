@@ -9,7 +9,7 @@ use upsilon_sim::{Ctx, ProcessId};
 
 /// Spins on the failure detector until self-nomination.
 // #[conform(wait_free)]
-pub async fn helping_wait(ctx: &Ctx<ProcessId>) {
+pub async fn helping_wait(ctx: &mut Ctx<ProcessId>) {
     loop {
         let leader = ctx.query_fd().await;
         if leader == ctx.pid() {

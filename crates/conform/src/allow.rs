@@ -99,39 +99,39 @@ impl Allowlist {
 mod tests {
     use super::*;
 
-    const KNOWN: &[&str] = &["C1", "C2", "wall-clock"];
+    const KNOWN: &[&str] = &["C2", "C4", "wall-clock"];
 
     #[test]
     fn parses_entries_and_comments() {
         let a = Allowlist::parse(
-            "# header\nC1 crates/a/src/x.rs\nwall-clock crates/b/src/main.rs # timing\n",
+            "# header\nC4 crates/a/src/x.rs\nwall-clock crates/b/src/main.rs # timing\n",
             KNOWN,
         )
         .expect("valid");
         assert_eq!(a.len(), 2);
-        assert!(a.permits("C1", "crates/a/src/x.rs"));
+        assert!(a.permits("C4", "crates/a/src/x.rs"));
         assert!(a.permits("wall-clock", "crates/b/src/main.rs"));
         assert!(!a.permits("C2", "crates/a/src/x.rs"));
-        assert!(!a.permits("C1", "crates/a/src/y.rs"));
+        assert!(!a.permits("C4", "crates/a/src/y.rs"));
     }
 
     #[test]
     fn rejects_unknown_rules_and_bad_shapes() {
         let err = Allowlist::parse("C9 path.rs", KNOWN).expect_err("unknown rule");
         assert!(err.contains("unknown rule 'C9'"), "{err}");
-        assert!(err.contains("known: C1, C2, wall-clock"), "{err}");
-        let err = Allowlist::parse("C1", KNOWN).expect_err("missing path");
+        assert!(err.contains("known: C2, C4, wall-clock"), "{err}");
+        let err = Allowlist::parse("C4", KNOWN).expect_err("missing path");
         assert!(err.contains("expected '<rule-id> <path>'"), "{err}");
-        let err = Allowlist::parse("C1 a.rs extra", KNOWN).expect_err("extra field");
+        let err = Allowlist::parse("C4 a.rs extra", KNOWN).expect_err("extra field");
         assert!(err.contains("line 1"), "{err}");
     }
 
     #[test]
     fn stale_entries_name_their_line() {
-        let a = Allowlist::parse("C1 a.rs\n# audited\nC2 b.rs\n", KNOWN).expect("valid");
-        assert!(a.stale([("C1", "a.rs"), ("C2", "b.rs")]).is_empty());
+        let a = Allowlist::parse("C4 a.rs\n# audited\nC2 b.rs\n", KNOWN).expect("valid");
+        assert!(a.stale([("C4", "a.rs"), ("C2", "b.rs")]).is_empty());
         assert_eq!(
-            a.stale([("C1", "a.rs"), ("C2", "a.rs")]),
+            a.stale([("C4", "a.rs"), ("C2", "a.rs")]),
             vec!["allowlist line 3: `C2 b.rs` suppresses no finding"]
         );
     }

@@ -14,13 +14,138 @@
 //! the escape hatch for dispatch patterns the name-based resolution would
 //! misread as recursion.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bound::{parse_expr, Expr};
 use crate::diag::{BoundRow, Finding, RuleId};
 use crate::model::{parse_annotation, AlgoBody, FileModel, FnDef};
-use crate::rules::{chain_calls, chain_start, FnIndex, NameClass};
 use crate::tree::{Delim, Spanned, Tok};
+
+/// `Ctx` methods that take one atomic step.
+const CTX_STEP_METHODS: [&str; 5] = ["invoke", "query_fd", "output", "decide", "yield_step"];
+
+/// `Ctx` methods that are local reads (no step).
+const CTX_LOCAL_METHODS: [&str; 4] = ["pid", "n_plus_1", "n", "now"];
+
+/// Keywords that terminate a backward postfix-chain walk.
+const CHAIN_STOP_KEYWORDS: [&str; 22] = [
+    "match", "if", "else", "return", "let", "break", "continue", "in", "loop", "while", "for",
+    "move", "async", "await", "mut", "ref", "unsafe", "dyn", "as", "impl", "fn", "where",
+];
+
+/// How a name resolves against the workspace.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum NameClass {
+    /// A `Ctx` step method: one atomic shared operation.
+    StepMethod,
+    /// A `Ctx` local method: no step.
+    LocalMethod,
+    /// An indexed `async fn` taking the context (its own bound applies).
+    AsyncCtx,
+    /// An indexed `async fn` not taking the context (no steps inside).
+    AsyncOther,
+    /// An indexed synchronous function: no step.
+    Sync,
+    /// Not indexed.
+    Unknown,
+}
+
+/// Name index over every scanned file.
+#[derive(Clone, Default, Debug)]
+pub struct FnIndex {
+    async_ctx: BTreeSet<String>,
+    async_other: BTreeSet<String>,
+    sync_fns: BTreeSet<String>,
+}
+
+impl FnIndex {
+    /// Builds the index from all file models.
+    pub fn build(files: &[FileModel]) -> FnIndex {
+        let mut index = FnIndex::default();
+        for file in files {
+            for f in &file.fns {
+                if f.body.is_empty() {
+                    continue; // bodiless trait declaration; an impl will index it
+                }
+                match (f.is_async, f.takes_ctx) {
+                    (true, true) => {
+                        index.async_ctx.insert(f.name.clone());
+                    }
+                    (true, false) => {
+                        index.async_other.insert(f.name.clone());
+                    }
+                    (false, _) => {
+                        index.sync_fns.insert(f.name.clone());
+                    }
+                }
+            }
+        }
+        index
+    }
+
+    /// Classifies a call target name. Step/local `Ctx` methods win, then
+    /// async definitions (the conservative choice under collisions), then
+    /// synchronous ones.
+    fn classify(&self, name: &str) -> NameClass {
+        if CTX_STEP_METHODS.contains(&name) {
+            NameClass::StepMethod
+        } else if CTX_LOCAL_METHODS.contains(&name) {
+            NameClass::LocalMethod
+        } else if self.async_ctx.contains(name) {
+            NameClass::AsyncCtx
+        } else if self.async_other.contains(name) {
+            NameClass::AsyncOther
+        } else if self.sync_fns.contains(name) {
+            NameClass::Sync
+        } else {
+            NameClass::Unknown
+        }
+    }
+}
+
+/// Whether `name` is a keyword as far as call detection goes.
+fn is_keyword(name: &str) -> bool {
+    CHAIN_STOP_KEYWORDS.contains(&name) || matches!(name, "fn" | "pub" | "use" | "struct" | "enum")
+}
+
+/// Walks backward from `await_dot` (the `.` of a `.await`) to the start of
+/// its postfix chain; returns the start index.
+fn chain_start(toks: &[Spanned], await_dot: usize) -> usize {
+    let mut j = await_dot;
+    while j > 0 {
+        let prev = &toks[j - 1];
+        let ok = match &prev.tok {
+            Tok::Ident(s) => !CHAIN_STOP_KEYWORDS.contains(&s.as_str()),
+            Tok::Punct('.') | Tok::Punct('?') | Tok::Punct(':') => true,
+            Tok::Group(Delim::Paren | Delim::Bracket, ..) => true,
+            Tok::Literal => true,
+            _ => false,
+        };
+        if !ok {
+            break;
+        }
+        j -= 1;
+    }
+    j
+}
+
+/// The calls in a chain segment: `(name, index_of_args_group)` for every
+/// `ident ( ... )` at this nesting level.
+fn chain_calls(toks: &[Spanned], start: usize, end: usize) -> Vec<(String, usize)> {
+    let mut calls = Vec::new();
+    let mut k = start;
+    while k + 1 < end {
+        if let (Some(name), Tok::Group(Delim::Paren, ..)) = (toks[k].ident(), &toks[k + 1].tok) {
+            if !is_keyword(name) {
+                calls.push((name.to_string(), k + 1));
+            }
+            k += 2;
+        } else {
+            k += 1;
+        }
+    }
+    calls
+}
 
 /// A step bound, or the reason there is none.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -390,7 +515,7 @@ mod tests {
     fn straight_line_steps_sum() {
         let (rows, findings) = bounds(
             "
-async fn two(ctx: &Ctx<()>) {
+async fn two(ctx: &mut Ctx<()>) {
     ctx.invoke(1).await;
     ctx.query_fd().await;
 }
@@ -404,8 +529,8 @@ async fn two(ctx: &Ctx<()>) {
     fn callee_bounds_compose() {
         let (rows, _) = bounds(
             "
-async fn read(ctx: &Ctx<()>) -> u64 { ctx.invoke(0).await }
-async fn twice(ctx: &Ctx<()>) -> u64 {
+async fn read(ctx: &mut Ctx<()>) -> u64 { ctx.invoke(0).await }
+async fn twice(ctx: &mut Ctx<()>) -> u64 {
     let a = read(ctx).await;
     let b = read(ctx).await;
     a + b
@@ -420,7 +545,7 @@ async fn twice(ctx: &Ctx<()>) -> u64 {
         let (rows, findings) = bounds(
             "
 // #[conform(wait_free)]
-async fn collect(ctx: &Ctx<()>) {
+async fn collect(ctx: &mut Ctx<()>) {
     // #[conform(bound = \"n_plus_1\")]
     for i in 0..9 {
         ctx.invoke(i).await;
@@ -440,7 +565,7 @@ async fn collect(ctx: &Ctx<()>) {
         let (rows, findings) = bounds(
             "
 // #[conform(wait_free)]
-async fn spin(ctx: &Ctx<()>) {
+async fn spin(ctx: &mut Ctx<()>) {
     loop {
         ctx.query_fd().await;
     }
@@ -457,7 +582,7 @@ async fn spin(ctx: &Ctx<()>) {
     fn unclaimed_unbounded_loop_is_reported_but_not_a_finding() {
         let (rows, findings) = bounds(
             "
-async fn spin(ctx: &Ctx<()>) {
+async fn spin(ctx: &mut Ctx<()>) {
     loop {
         ctx.query_fd().await;
     }
@@ -472,8 +597,8 @@ async fn spin(ctx: &Ctx<()>) {
     fn recursion_is_unbounded() {
         let (rows, _) = bounds(
             "
-async fn ping(ctx: &Ctx<()>) { pong(ctx).await }
-async fn pong(ctx: &Ctx<()>) { ping(ctx).await }
+async fn ping(ctx: &mut Ctx<()>) { pong(ctx).await }
+async fn pong(ctx: &mut Ctx<()>) { ping(ctx).await }
 ",
         );
         assert!(bound_of(&rows, "ping").unbounded.is_some());
@@ -485,7 +610,7 @@ async fn pong(ctx: &Ctx<()>) { ping(ctx).await }
         let (rows, findings) = bounds(
             "
 // #[conform(wait_free, bound = \"n_plus_1 + 2\")]
-async fn dispatch(ctx: &Ctx<()>) {
+async fn dispatch(ctx: &mut Ctx<()>) {
     loop {
         ctx.invoke(0).await;
     }
@@ -503,7 +628,7 @@ async fn dispatch(ctx: &Ctx<()>) {
     fn loops_with_no_steps_cost_nothing() {
         let (rows, findings) = bounds(
             "
-async fn tally(ctx: &Ctx<()>) -> u64 {
+async fn tally(ctx: &mut Ctx<()>) -> u64 {
     let mut acc = 0;
     for i in 0..10 {
         acc += i;
@@ -521,8 +646,8 @@ async fn tally(ctx: &Ctx<()>) -> u64 {
     fn while_condition_counts_one_extra_evaluation() {
         let (rows, _) = bounds(
             "
-async fn read(ctx: &Ctx<()>) -> u64 { ctx.invoke(0).await }
-async fn poll(ctx: &Ctx<()>) {
+async fn read(ctx: &mut Ctx<()>) -> u64 { ctx.invoke(0).await }
+async fn poll(ctx: &mut Ctx<()>) {
     // #[conform(bound = \"W\")]
     while read(ctx).await == 0 {
         ctx.yield_step().await;
@@ -539,7 +664,7 @@ async fn poll(ctx: &Ctx<()>) {
         let (rows, _) = bounds(
             "
 fn factory(v: u64) -> AlgoFn<()> {
-    algo(move |ctx| async move {
+    algo(move |mut ctx| async move {
         ctx.decide(v).await;
     })
 }
@@ -553,7 +678,7 @@ fn factory(v: u64) -> AlgoFn<()> {
         let (_, findings) = bounds(
             "
 // #[conform(wait_free, bound = \"2 ^ n\")]
-async fn oops(ctx: &Ctx<()>) { ctx.yield_step().await }
+async fn oops(ctx: &mut Ctx<()>) { ctx.yield_step().await }
 ",
         );
         assert!(

@@ -496,7 +496,7 @@ fn g() { t2::Builder::new(); }
     #[test]
     fn host_apis_in_algorithm_bodies_trip_c2_once() {
         let src = "
-async fn bad(ctx: &Ctx<()>) {
+async fn bad(ctx: &mut Ctx<()>) {
     let t = Instant::now();
     std::thread::sleep(t);
     let _ = std::fs::read(\"x\");

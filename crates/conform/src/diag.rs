@@ -8,18 +8,12 @@
 
 use std::fmt;
 
-/// A rule: a §3.1 model rule (C1, C3, C4), a determinism rule (one or
-/// more rows of [`crate::determinism::ROWS`]), or `parse`.
+/// A rule: the §3.1 model rule C4, a determinism rule (one or more rows
+/// of [`crate::determinism::ROWS`], C2 among them), or `parse`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum RuleId {
-    /// One `ctx`-mediated shared-memory/failure-detector operation per
-    /// await point, and no unawaited operation.
-    C1,
     /// No host APIs (threads, I/O, sleeping) inside algorithm bodies.
     C2,
-    /// No execution context or shared-object handle smuggled out of the
-    /// algorithm (aliasing, escape wrappers, inner closures).
-    C3,
     /// Every routine claiming `wait_free` has a static per-invocation step
     /// bound (annotated loop bounds, acyclic await graph).
     C4,
@@ -40,10 +34,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 10] = [
-        RuleId::C1,
+    pub const ALL: [RuleId; 8] = [
         RuleId::C2,
-        RuleId::C3,
         RuleId::C4,
         RuleId::Parse,
         RuleId::HashCollections,
@@ -56,9 +48,7 @@ impl RuleId {
     /// The stable identifier used in reports and allowlists.
     pub fn id(self) -> &'static str {
         match self {
-            RuleId::C1 => "C1",
             RuleId::C2 => "C2",
-            RuleId::C3 => "C3",
             RuleId::C4 => "C4",
             RuleId::Parse => "parse",
             RuleId::HashCollections => "hash-collections",
@@ -140,8 +130,8 @@ pub struct ConformReport {
     pub bounds: Vec<BoundRow>,
     /// Files scanned, sorted.
     pub files: Vec<String>,
-    /// How many of the scanned files hold algorithm code, which the model
-    /// rules check too.
+    /// How many of the scanned files hold algorithm code, which C2 and C4
+    /// check too.
     pub algorithm_files: usize,
 }
 
@@ -296,7 +286,7 @@ mod tests {
     #[test]
     fn findings_sort_by_file_then_line() {
         let f = |file: &str, line| Finding {
-            rule: RuleId::C1,
+            rule: RuleId::C4,
             file: file.into(),
             line,
             message: String::new(),

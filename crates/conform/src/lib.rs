@@ -6,41 +6,38 @@
 //! shared-memory or failure-detector operation, and wait-free routines
 //! (Theorems 2, 6, 10) take a bounded number of steps per invocation; and
 //! every run must replay from its schedule, failure pattern and detector
-//! history. The simulator enforces the step discipline at runtime — it
-//! grants one step per poll — but nothing stops *source* from quietly
-//! deviating: stashing a step future and awaiting it later, reading the
-//! host clock, leaking an object handle into a closure, or helping in an
-//! unbounded loop while claiming wait-freedom.
+//! history. The one-operation-per-step contract is a type: every `Ctx`
+//! operation borrows the context mutably, so the compiler rejects two
+//! operations behind one await or an operation on an aliased context, and
+//! the simulator grants one step per poll. What the type cannot see —
+//! reading the host clock, or helping in an unbounded loop while claiming
+//! wait-freedom — this crate checks in source.
 //!
-//! This crate closes that gap statically. It lexes and bracket-parses the
-//! sources with a purpose-built, dependency-free front end (no full Rust
-//! grammar — just enough structure to see items, bodies, postfix chains,
-//! imports and `.await` points) and enforces:
+//! It lexes and bracket-parses the sources with a purpose-built,
+//! dependency-free front end (no full Rust grammar — just enough structure
+//! to see items, bodies, postfix chains, imports and `.await` points) and
+//! enforces:
 //!
 //! * the **determinism rules** ([`determinism::ROWS`]) over every file of
 //!   [`SCANNED_TREES`]: no hash collections, wall clocks or OS entropy, no
 //!   threads spawned outside tests, no bare `unwrap()` in the simulator,
 //!   and **C2** — no host threads, I/O or sleeping in algorithm bodies;
-//! * **C1** — step atomicity: every `ctx`-mediated operation is awaited
-//!   where it is issued, and every await point mediates exactly one
-//!   shared operation;
-//! * **C3** — no execution context or shared-object handle smuggled out of
-//!   the algorithm (aliasing, escape wrappers, channels, closures);
-//! * **C4** — every routine annotated `// #[conform(wait_free)]` has a
-//!   static per-invocation step bound, computed over the await graph with
-//!   loop bounds taken from `// #[conform(bound = "…")]` annotations.
+//! * **C4**, the model rule — every routine annotated
+//!   `// #[conform(wait_free)]` has a static per-invocation step bound,
+//!   computed over the await graph with loop bounds taken from
+//!   `// #[conform(bound = "…")]` annotations.
 //!
-//! C1, C3 and C4, the model rules, check the algorithm files: the `src/`
-//! trees of [`ALGORITHM_CRATES`]. Findings are reported with file, line,
-//! rule id and a suggested fix, rendered either human-readably or as
-//! deterministic JSON (suitable for golden-file tests). Audited exceptions
-//! live in an [`Allowlist`] (`<rule-id> <path>` per line), the one
-//! allowlist type the static passes share.
+//! C2 and C4 check the algorithm files: the `src/` trees of
+//! [`ALGORITHM_CRATES`]. Findings are reported with file, line, rule id and
+//! a suggested fix, rendered either human-readably or as deterministic
+//! JSON (suitable for golden-file tests). Audited exceptions live in an
+//! [`Allowlist`] (`<rule-id> <path>` per line), the one allowlist type the
+//! static passes share.
 //!
 //! The analyzer runs through `analyze conform`, the `upsilon-analysis`
 //! binary, and CI; the `crates/conform/fixtures` crate holds deliberately
-//! nonconforming algorithms that pin down each rule as a negative golden
-//! test.
+//! nonconforming algorithms that pin down each algorithm-file rule as a
+//! negative golden test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,21 +50,20 @@ pub mod determinism;
 pub mod diag;
 pub mod lexer;
 pub mod model;
-pub mod rules;
 pub mod tree;
 
 pub use allow::Allowlist;
+pub use awaitgraph::FnIndex;
 pub use bound::{parse_expr, Expr};
 pub use diag::{BoundRow, ConformReport, Finding, RuleId};
 pub use model::{model_file, FileModel};
-pub use rules::FnIndex;
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
 /// Crate directories under `crates/` whose `src/` trees hold algorithm
-/// code governed by the §3.1 contract, which the model rules check.
+/// code governed by the §3.1 contract, which C2 and C4 check.
 ///
 /// `mem` is included beyond the protocol crates because the base-object
 /// routines (`Register::read`, the Afek et al. snapshot, …) are the very
@@ -80,7 +76,7 @@ pub const ALGORITHM_CRATES: &[&str] = &["agreement", "check", "converge", "extra
 /// `examples/`, except [`UNSCANNED`].
 pub const SCANNED_TREES: &[&str] = &["crates", "examples", "src", "tests"];
 
-/// The negative golden of the model rules, which must trip them.
+/// The negative golden of C2 and C4, which must trip them.
 pub const UNSCANNED: &str = "crates/conform/fixtures/";
 
 /// All known rule identifiers, for allowlist validation.
@@ -130,20 +126,6 @@ pub fn check_sources(
         models.extend(model);
     }
     let index = FnIndex::build(&models);
-    for m in &models {
-        for f in &m.fns {
-            if f.takes_ctx && !f.body.is_empty() {
-                rules::check_fn(f, &index, &mut findings);
-                let handles = rules::handle_set(&f.params, &f.body);
-                rules::check_escapes(&f.body, &handles, &f.file, &mut findings);
-            }
-        }
-        for a in &m.algos {
-            rules::check_algo(a, &index, &mut findings);
-            let handles = rules::handle_set(&[], &a.body);
-            rules::check_escapes(&a.body, &handles, &a.file, &mut findings);
-        }
-    }
     let (bounds, c4) = awaitgraph::compute(&models, &index);
     findings.extend(c4);
     report.bounds = bounds;
@@ -159,7 +141,7 @@ pub fn check_sources(
 }
 
 /// Scans every `.rs` file of the [`SCANNED_TREES`] under `root`: the
-/// determinism rules over all of them, the model rules over the algorithm
+/// determinism rules over all of them, C2 and C4 over the algorithm
 /// files.
 ///
 /// # Errors
@@ -262,12 +244,12 @@ mod tests {
         // A routine in one file calls a routine defined in another; the
         // index resolves it and the bound composes.
         let lib = "
-pub async fn base(ctx: &Ctx<()>) -> u64 { ctx.invoke(0).await }
+pub async fn base(ctx: &mut Ctx<()>) -> u64 { ctx.invoke(0).await }
 "
         .to_string();
         let user = "
 // #[conform(wait_free)]
-pub async fn twice(ctx: &Ctx<()>) -> u64 {
+pub async fn twice(ctx: &mut Ctx<()>) -> u64 {
     let a = base(ctx).await;
     let b = base(ctx).await;
     a + b
@@ -305,7 +287,7 @@ pub async fn twice(ctx: &Ctx<()>) -> u64 {
     #[test]
     fn allowlist_moves_findings_to_suppressed() {
         let src = "
-async fn bad(ctx: &Ctx<()>) {
+async fn bad(ctx: &mut Ctx<()>) {
     let v = std::env::var(\"N\");
     ctx.yield_step().await
 }

@@ -112,7 +112,7 @@ pub struct FnDef {
     pub ann: Option<Annotation>,
 }
 
-/// A discovered `algo(|ctx| async move { ... })` closure body.
+/// A discovered `algo(|mut ctx| async move { ... })` closure body.
 #[derive(Clone, Debug)]
 pub struct AlgoBody {
     /// Repository-relative file path.
@@ -225,7 +225,7 @@ fn walk(toks: &[Spanned], file: &str, model: &mut FileModel) {
                 pending_cfg_test = false;
             }
             Tok::Ident(kw) if kw == "algo" => {
-                // `algo ( ... |ctx| async move { body } ... )`
+                // `algo ( ... |mut ctx| async move { body } ... )`
                 if let Some(Spanned {
                     tok: Tok::Group(Delim::Paren, args, _),
                     ..
@@ -241,7 +241,7 @@ fn walk(toks: &[Spanned], file: &str, model: &mut FileModel) {
                         model.errors.push((
                             toks[i].line,
                             "algo(...) call without a recognizable \
-                             `|ctx| async move { ... }` closure"
+                             `|mut ctx| async move { ... }` closure"
                                 .to_string(),
                         ));
                     }
@@ -343,7 +343,7 @@ fn scan_fn(
 }
 
 /// Finds the `async { ... }` (or `async move { ... }`) block of a
-/// `|ctx| ...` closure among call arguments.
+/// `|mut ctx| ...` closure among call arguments.
 fn closure_body(args: &[Spanned]) -> Option<&[Spanned]> {
     // Match: `|` ... `ctx` ... `|` then the first brace group after an
     // `async` keyword.
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn finds_ctx_taking_async_fns() {
         let src = "
-pub async fn propose(ctx: &Ctx<ProcessSet>, v: u64) -> u64 {
+pub async fn propose(ctx: &mut Ctx<ProcessSet>, v: u64) -> u64 {
     ctx.decide(v).await
 }
 fn helper(x: u64) -> u64 { x }
@@ -399,7 +399,7 @@ fn helper(x: u64) -> u64 { x }
     fn finds_algo_closures_even_nested_in_factories() {
         let src = "
 pub fn algorithm(v: u64) -> AlgoFn<()> {
-    algo(move |ctx| async move {
+    algo(move |mut ctx| async move {
         ctx.decide(v).await;
     })
 }
@@ -413,11 +413,11 @@ pub fn algorithm(v: u64) -> AlgoFn<()> {
     #[test]
     fn skips_cfg_test_modules() {
         let src = "
-async fn real(ctx: &Ctx<()>) { ctx.yield_step().await }
+async fn real(ctx: &mut Ctx<()>) { ctx.yield_step().await }
 #[cfg(test)]
 mod tests {
-    async fn fake(ctx: &Ctx<()>) { ctx.yield_step().await }
-    fn harness() { algo(move |ctx| async move {}); }
+    async fn fake(ctx: &mut Ctx<()>) { ctx.yield_step().await }
+    fn harness() { algo(move |mut ctx| async move {}); }
 }
 ";
         let m = model_file("crates/agreement/src/x.rs", src);
@@ -430,7 +430,7 @@ mod tests {
     fn trait_declarations_have_no_body() {
         let src = "
 pub trait LeaderSource<D> {
-    async fn current_leader(&mut self, ctx: &Ctx<D>) -> ProcessId;
+    async fn current_leader(&mut self, ctx: &mut Ctx<D>) -> ProcessId;
 }
 ";
         let m = model_file("crates/agreement/src/x.rs", src);
@@ -443,8 +443,8 @@ pub trait LeaderSource<D> {
     fn annotations_attach_to_the_following_fn() {
         let src = "
 // #[conform(wait_free, bound = \"n_plus_1 + 1\")]
-pub async fn bounded(ctx: &Ctx<()>) { ctx.yield_step().await }
-pub async fn plain(ctx: &Ctx<()>) { ctx.yield_step().await }
+pub async fn bounded(ctx: &mut Ctx<()>) { ctx.yield_step().await }
+pub async fn plain(ctx: &mut Ctx<()>) { ctx.yield_step().await }
 ";
         let m = model_file("crates/mem/src/x.rs", src);
         let ann = m.fns[0].ann.as_ref().expect("annotated");

@@ -191,9 +191,10 @@ fn k_converge_static_bound_dominates_recorded_runs() {
                 let pid = ProcessId(i);
                 builder = builder.spawn(
                     pid,
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         let inst = ConvergeInstance::new(Key::new("kc"), n_plus_1, flavor);
-                        let (picked, _committed) = inst.converge(&ctx, 2, pid.index() as u64).await;
+                        let (picked, _committed) =
+                            inst.converge(&mut ctx, 2, pid.index() as u64).await;
                         ctx.decide(picked).await;
                     }),
                 );

@@ -87,7 +87,7 @@ impl ConvergeFaults {
 /// ```no_run
 /// # use upsilon_converge::ConvergeInstance;
 /// # use upsilon_sim::{Ctx, Key};
-/// # async fn algorithm(ctx: &Ctx<()>) {
+/// # async fn algorithm(ctx: &mut Ctx<()>) {
 /// let inst = ConvergeInstance::new(Key::new("converge").at(1), 4, Default::default());
 /// let (picked, committed) = inst.converge(ctx, 2, 7).await; // 2-converge(7)
 /// # let _ = (picked, committed); }
@@ -132,7 +132,7 @@ impl ConvergeInstance {
     /// paper's definition.
     // C-Termination: two updates and two scans of wait-free snapshots.
     // #[conform(wait_free)]
-    pub async fn converge<D, T>(&self, ctx: &Ctx<D>, k: usize, v: T) -> (T, bool)
+    pub async fn converge<D, T>(&self, ctx: &mut Ctx<D>, k: usize, v: T) -> (T, bool)
     where
         D: FdValue,
         T: Value + Ord,
@@ -177,7 +177,7 @@ impl ConvergeInstance {
 /// If some process commits `v`, every process picks `v`; if all inputs are
 /// equal, every process commits.
 // #[conform(wait_free)]
-pub async fn commit_adopt<D, T>(instance: &ConvergeInstance, ctx: &Ctx<D>, v: T) -> (T, bool)
+pub async fn commit_adopt<D, T>(instance: &ConvergeInstance, ctx: &mut Ctx<D>, v: T) -> (T, bool)
 where
     D: FdValue,
     T: Value + Ord,
@@ -214,9 +214,9 @@ mod tests {
             .spawn_all(move |pid| {
                 let results = Arc::clone(&results2);
                 let v = inputs[pid.index()];
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let inst = ConvergeInstance::new(Key::new("cv"), ctx.n_plus_1(), flavor);
-                    let out = inst.converge(&ctx, k, v).await;
+                    let out = inst.converge(&mut ctx, k, v).await;
                     results.lock().unwrap()[pid.index()] = Some(out);
                 })
             })
@@ -282,9 +282,9 @@ mod tests {
         let _ = SimBuilder::<()>::new(FailurePattern::failure_free(3))
             .spawn(
                 ProcessId(1),
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let inst = ConvergeInstance::new(Key::new("cv"), 3, SnapshotFlavor::Native);
-                    let out = inst.converge(&ctx, 1, 42).await;
+                    let out = inst.converge(&mut ctx, 1, 42).await;
                     *results2.lock().unwrap() = Some(out);
                 }),
             )

@@ -26,7 +26,7 @@ impl Upsilon1LeaderSource {
 }
 
 impl LeaderSource<ProcessSet> for Upsilon1LeaderSource {
-    async fn current_leader(&mut self, ctx: &Ctx<ProcessSet>) -> ProcessId {
+    async fn current_leader(&mut self, ctx: &mut Ctx<ProcessSet>) -> ProcessId {
         self.elector.step(ctx).await
     }
 }
@@ -34,7 +34,7 @@ impl LeaderSource<ProcessSet> for Upsilon1LeaderSource {
 /// Runs consensus using only a Υ¹ oracle (legal in `E_1`): every leader
 /// estimate comes from the timestamp-based extraction, never from Ω.
 pub async fn propose_with_upsilon1(
-    ctx: &Ctx<ProcessSet>,
+    ctx: &mut Ctx<ProcessSet>,
     cfg: OmegaConsensusConfig,
     v: u64,
 ) -> u64 {
@@ -44,8 +44,8 @@ pub async fn propose_with_upsilon1(
 
 /// Builds the pipeline algorithm for one process.
 pub fn upsilon1_consensus_algorithm(cfg: OmegaConsensusConfig, v: u64) -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move {
-        let d = propose_with_upsilon1(&ctx, cfg, v).await;
+    algo(move |mut ctx| async move {
+        let d = propose_with_upsilon1(&mut ctx, cfg, v).await;
         ctx.decide(d).await;
     })
 }

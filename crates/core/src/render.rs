@@ -95,10 +95,10 @@ mod tests {
         SimBuilder::<()>::new(pattern)
             .trace_level(TraceLevel::Full)
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let reg = crate::mem::Register::new(Key::new("r"), 0u64);
                     for i in 0..4 {
-                        reg.write(&ctx, i).await;
+                        reg.write(&mut ctx, i).await;
                     }
                     ctx.output(Output::Decide(pid.index() as u64)).await;
                 })

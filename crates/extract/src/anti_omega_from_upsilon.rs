@@ -48,10 +48,10 @@ fn least_active_member(u: ProcessSet, stamps: &[u64]) -> ProcessId {
 /// [`Output::Leader`] at every query. Validate with
 /// [`upsilon_fd::check_anti_omega`].
 pub fn upsilon_to_anti_omega_algorithm() -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move { extraction_loop(&ctx).await })
+    algo(move |mut ctx| async move { extraction_loop(&mut ctx).await })
 }
 
-async fn extraction_loop(ctx: &Ctx<ProcessSet>) {
+async fn extraction_loop(ctx: &mut Ctx<ProcessSet>) {
     let n_plus_1 = ctx.n_plus_1();
     let board = RegisterArray::<u64>::new(Key::new("hb"), n_plus_1, 0);
     let mut ts: u64 = 0;

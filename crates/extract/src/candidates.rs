@@ -38,16 +38,16 @@ impl Candidate for ActivityCandidate {
     fn algorithms(&self, n_plus_1: usize, set_size: usize) -> Vec<AlgoFn<ProcessSet>> {
         (0..n_plus_1)
             .map(|_| -> AlgoFn<ProcessSet> {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let board = RegisterArray::<u64>::new(Key::new("hb"), n_plus_1, 0);
                     let mut ts = 0u64;
                     let mut published = None;
                     // #[conform(bound = "B")]
                     loop {
                         ts += 1;
-                        board.write_mine(&ctx, ts).await;
+                        board.write_mine(&mut ctx, ts).await;
                         let _ = ctx.query_fd().await;
-                        let stamps = board.collect(&ctx).await;
+                        let stamps = board.collect(&mut ctx).await;
                         let l = top_m(&stamps, set_size);
                         if published != Some(l) {
                             ctx.output(Output::LeaderSet(l)).await;
@@ -76,7 +76,7 @@ impl Candidate for MirrorCandidate {
     fn algorithms(&self, n_plus_1: usize, set_size: usize) -> Vec<AlgoFn<ProcessSet>> {
         (0..n_plus_1)
             .map(|_| -> AlgoFn<ProcessSet> {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let mut published = None;
                     // #[conform(bound = "B")]
                     loop {
@@ -114,7 +114,7 @@ impl Candidate for StubbornCandidate {
     fn algorithms(&self, n_plus_1: usize, set_size: usize) -> Vec<AlgoFn<ProcessSet>> {
         (0..n_plus_1)
             .map(|_| -> AlgoFn<ProcessSet> {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let l: ProcessSet = (0..set_size).map(ProcessId).collect();
                     ctx.output(Output::LeaderSet(l)).await;
                     // #[conform(bound = "B")]

@@ -41,12 +41,12 @@ pub fn extraction_algorithm<D>(phi: PhiMap<D>) -> AlgoFn<D>
 where
     D: FdValue + Eq,
 {
-    algo(move |ctx| async move { extraction_loop(&ctx, &phi).await })
+    algo(move |mut ctx| async move { extraction_loop(&mut ctx, &phi).await })
 }
 
 /// Publishes `set` as the current emulated Υ^f output if it differs from
 /// the last published value.
-async fn publish<D: FdValue>(ctx: &Ctx<D>, last: &mut Option<ProcessSet>, set: ProcessSet) {
+async fn publish<D: FdValue>(ctx: &mut Ctx<D>, last: &mut Option<ProcessSet>, set: ProcessSet) {
     if *last != Some(set) {
         ctx.output(Output::LeaderSet(set)).await;
         *last = Some(set);
@@ -59,7 +59,7 @@ async fn publish<D: FdValue>(ctx: &Ctx<D>, last: &mut Option<ProcessSet>, set: P
 // run restarts through, B the heartbeat iterations of its longest round;
 // the dynamic cross-check binds both from run data.
 // #[conform(wait_free)]
-async fn extraction_loop<D>(ctx: &Ctx<D>, phi: &PhiMap<D>)
+async fn extraction_loop<D>(ctx: &mut Ctx<D>, phi: &PhiMap<D>)
 where
     D: FdValue + Eq,
 {

@@ -71,7 +71,7 @@ mod tests {
         SimBuilder::<ProcessSet>::new(pattern)
             .oracle(DummyOracle::new(u))
             .spawn_all(|_| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     ctx.query_fd().await;
                 })
             })

@@ -28,7 +28,7 @@ use upsilon_sim::{algo, AlgoFn, Ctx, Key, Output, ProcessId, ProcessSet};
 /// leader via [`Output::Leader`] whenever it changes. Validate with
 /// [`upsilon_fd::check_omega`].
 pub fn upsilon1_to_omega_algorithm() -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move { extraction_loop(&ctx).await })
+    algo(move |mut ctx| async move { extraction_loop(&mut ctx).await })
 }
 
 /// Elects the smallest id among the `n` processes with the highest
@@ -64,7 +64,7 @@ impl Upsilon1Elector {
     }
 
     /// One election iteration: heartbeat, query Υ¹, elect.
-    pub async fn step(&mut self, ctx: &Ctx<ProcessSet>) -> ProcessId {
+    pub async fn step(&mut self, ctx: &mut Ctx<ProcessSet>) -> ProcessId {
         let n_plus_1 = ctx.n_plus_1();
         let all = ProcessSet::all(n_plus_1);
         // Ever-growing timestamp heartbeat.
@@ -85,7 +85,7 @@ impl Upsilon1Elector {
     }
 }
 
-async fn extraction_loop(ctx: &Ctx<ProcessSet>) {
+async fn extraction_loop(ctx: &mut Ctx<ProcessSet>) {
     let mut elector = Upsilon1Elector::new(ctx.n_plus_1());
     let mut published: Option<ProcessId> = None;
     // #[conform(bound = "B")]

@@ -75,7 +75,8 @@ impl Oracle<ProcessId> for AntiOmegaOracle {
 /// Finite-run surrogate of the anti-Ω specification: some correct process
 /// does not appear among the sampled outputs in the second half of the run
 /// (the infinite spec says "eventually never output"; on a finite prefix we
-/// demand the avoidance be visible for at least half the observations).
+/// demand the avoidance be visible for the later half of the observations
+/// in `(time, process)` order, whatever the order of the list).
 pub fn check_anti_omega(
     pattern: &FailurePattern,
     samples: &[(Time, ProcessId, ProcessId)],
@@ -83,7 +84,9 @@ pub fn check_anti_omega(
     if samples.is_empty() {
         return Err("no samples to check".to_string());
     }
-    let tail = &samples[samples.len() / 2..];
+    let mut by_time: Vec<_> = samples.iter().collect();
+    by_time.sort_by_key(|(t, p, _)| (*t, *p));
+    let tail = &by_time[by_time.len() / 2..];
     let seen_in_tail: ProcessSet = tail.iter().map(|(_, _, out)| *out).collect();
     let witness = pattern.correct().difference(seen_in_tail).min();
     witness.ok_or_else(|| {

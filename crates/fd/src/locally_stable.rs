@@ -13,7 +13,7 @@
 //! exactly why Theorem 10 is stated for stable detectors.
 
 use crate::noise::noise_set_at_least;
-use crate::spec::SpecViolation;
+use crate::spec::{latest_samples, SpecViolation};
 use upsilon_sim::{FailurePattern, FdValue, Oracle, ProcessId, ProcessSet, Time};
 
 /// A Υ-shaped oracle that is only *locally* stable: after `stabilize_at`,
@@ -83,7 +83,8 @@ impl Oracle<ProcessSet> for LocallyStableUpsilonOracle {
 
 /// Checks the *locally stable* kernel: each correct process's samples end
 /// in a constant value (values may differ across processes). Returns the
-/// per-process final values.
+/// per-process final values: each process's latest sample by time (of
+/// equal times, the later in the list).
 ///
 /// The finite surrogate accepts any observation whose per-process sample
 /// sequences are non-empty; "eventually constant" holds trivially of finite
@@ -97,10 +98,10 @@ pub fn check_locally_stable<D: FdValue>(
     pattern: &FailurePattern,
     samples: &[(Time, ProcessId, D)],
 ) -> Result<Vec<Option<D>>, SpecViolation> {
-    let mut finals: Vec<Option<D>> = vec![None; pattern.n_plus_1()];
-    for (_, p, v) in samples {
-        finals[p.index()] = Some(v.clone());
-    }
+    let finals: Vec<Option<D>> = latest_samples(pattern.n_plus_1(), samples)
+        .into_iter()
+        .map(|last| last.map(|(_, v)| v.clone()))
+        .collect();
     for p in pattern.correct() {
         if finals[p.index()].is_none() {
             return Err(SpecViolation::NoSamples(p));

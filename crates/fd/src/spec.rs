@@ -11,7 +11,8 @@
 //! correct process must have at least one sample; each correct process's
 //! samples must *end* in a common value `U`; the report records when the
 //! common suffix starts and how many post-stabilization samples support it,
-//! so callers can demand arbitrarily strong evidence.
+//! so callers can demand arbitrarily strong evidence. "End" is by time, not
+//! by list position: a verdict does not depend on the order of the list.
 
 use std::fmt;
 use upsilon_sim::{FailurePattern, FdValue, ProcessId, ProcessSet, Time};
@@ -82,6 +83,25 @@ pub fn held_variable_samples<D: FdValue>(
     extended
 }
 
+/// Each process's latest sample by time (of equal times, the later in the
+/// list), indexed by process: the final values of a finite observation,
+/// whatever the order of the list. Samples naming a process outside the
+/// `n_plus_1` are ignored.
+pub(crate) fn latest_samples<D>(
+    n_plus_1: usize,
+    samples: &[(Time, ProcessId, D)],
+) -> Vec<Option<(Time, &D)>> {
+    let mut latest = vec![None; n_plus_1];
+    for (t, p, v) in samples {
+        if let Some(slot) = latest.get_mut(p.index()) {
+            if slot.is_none_or(|(at, _)| at <= *t) {
+                *slot = Some((*t, v));
+            }
+        }
+    }
+    latest
+}
+
 /// Checks the *stable* kernel shared by Υ, Υ^f, Ω, Ω_k, ◇P, …: eventually
 /// the same value is permanently output at every correct process (§6.2).
 ///
@@ -94,16 +114,12 @@ pub fn check_eventually_stable<D: FdValue>(
     samples: &[(Time, ProcessId, D)],
 ) -> Result<StabilityReport<D>, SpecViolation> {
     let correct = pattern.correct();
-    let mut final_value: Option<D> = None;
+    let latest = latest_samples(pattern.n_plus_1(), samples);
+    let mut final_value: Option<&D> = None;
     for p in correct {
-        let last = samples
-            .iter()
-            .filter(|(_, q, _)| *q == p)
-            .map(|(_, _, v)| v)
-            .next_back()
-            .ok_or(SpecViolation::NoSamples(p))?;
-        match &final_value {
-            None => final_value = Some(last.clone()),
+        let (_, last) = latest[p.index()].ok_or(SpecViolation::NoSamples(p))?;
+        match final_value {
+            None => final_value = Some(last),
             Some(v) if v == last => {}
             Some(v) => {
                 return Err(SpecViolation::NotStable(format!(
@@ -112,7 +128,9 @@ pub fn check_eventually_stable<D: FdValue>(
             }
         }
     }
-    let value = final_value.expect("at least one correct process exists");
+    let value = final_value
+        .expect("at least one correct process exists")
+        .clone();
 
     // stable_from = just after the last sample at a correct process that
     // differs from the common final value.
@@ -123,16 +141,13 @@ pub fn check_eventually_stable<D: FdValue>(
         .max()
         .unwrap_or(Time::ZERO);
 
-    let tail_samples_min = correct
-        .iter()
-        .map(|p| {
-            samples
-                .iter()
-                .filter(|(t, q, _)| *q == p && *t >= stable_from)
-                .count()
-        })
-        .min()
-        .unwrap_or(0);
+    let mut tail = vec![0usize; pattern.n_plus_1()];
+    for (_, q, _) in samples.iter().filter(|(t, _, _)| *t >= stable_from) {
+        if let Some(n) = tail.get_mut(q.index()) {
+            *n += 1;
+        }
+    }
+    let tail_samples_min = correct.iter().map(|p| tail[p.index()]).min().unwrap_or(0);
 
     Ok(StabilityReport {
         value,

@@ -82,7 +82,7 @@ impl<T: Value> AfekSnapshot<T> {
     }
 
     /// Reads all `size` registers, one step each.
-    async fn collect<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<AfekCell<T>> {
+    async fn collect<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Vec<AfekCell<T>> {
         let mut out = Vec::with_capacity(self.size);
         // #[conform(bound = "n_plus_1")]
         for i in 0..self.size {
@@ -94,7 +94,7 @@ impl<T: Value> AfekSnapshot<T> {
 
 impl<T: Value> crate::snapshot::Snapshot<T> for AfekSnapshot<T> {
     // #[conform(wait_free)]
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
+    async fn update<D: FdValue>(&self, ctx: &mut Ctx<D>, v: T) {
         let embedded = self.scan(ctx).await;
         let me = ctx.pid().index();
         let current = self.slot(me).read(ctx).await;
@@ -114,7 +114,7 @@ impl<T: Value> crate::snapshot::Snapshot<T> for AfekSnapshot<T> {
     // collect is clean or some process moved twice, so the retry loop runs
     // at most n_plus_1 + 1 times.
     // #[conform(wait_free)]
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>> {
+    async fn scan<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Vec<Option<T>> {
         let mut first = self.collect(ctx).await;
         let mut moved = vec![false; self.size];
         // #[conform(bound = "n_plus_1 + 1")]
@@ -152,11 +152,11 @@ mod tests {
     fn solo_update_and_scan() {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(1))
             .spawn_all(|_| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 1);
-                    assert_eq!(snap.scan(&ctx).await, vec![None]);
-                    snap.update(&ctx, 7).await;
-                    assert_eq!(snap.scan(&ctx).await, vec![Some(7)]);
+                    assert_eq!(snap.scan(&mut ctx).await, vec![None]);
+                    snap.update(&mut ctx, 7).await;
+                    assert_eq!(snap.scan(&mut ctx).await, vec![Some(7)]);
                 })
             })
             .run();
@@ -168,11 +168,11 @@ mod tests {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(4))
             .adversary(SeededRandom::new(5))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 4);
-                    snap.update(&ctx, pid.index() as u64 + 1).await;
+                    snap.update(&mut ctx, pid.index() as u64 + 1).await;
                     loop {
-                        let s = snap.scan(&ctx).await;
+                        let s = snap.scan(&mut ctx).await;
                         if non_bot_count(&s) == 4 {
                             ctx.decide(s.iter().flatten().sum()).await;
                             return;
@@ -193,11 +193,11 @@ mod tests {
                 .adversary(SeededRandom::new(seed))
                 .spawn_all(move |pid| {
                     let scans = Arc::clone(&scans2);
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         let snap = AfekSnapshot::<u64>::new(Key::new("S"), 3);
                         for round in 1..4u64 {
-                            snap.update(&ctx, pid.index() as u64 * 10 + round).await;
-                            let s = snap.scan(&ctx).await;
+                            snap.update(&mut ctx, pid.index() as u64 * 10 + round).await;
+                            let s = snap.scan(&mut ctx).await;
                             scans.lock().unwrap().push(s);
                         }
                     })
@@ -224,14 +224,14 @@ mod tests {
             .build();
         let outcome = SimBuilder::<()>::new(pattern)
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 2);
                     if pid.index() == 0 {
                         loop {
-                            snap.update(&ctx, 1).await;
+                            snap.update(&mut ctx, 1).await;
                         }
                     } else {
-                        let s = snap.scan(&ctx).await;
+                        let s = snap.scan(&mut ctx).await;
                         ctx.decide(non_bot_count(&s) as u64).await;
                     }
                 })
@@ -250,9 +250,9 @@ mod tests {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
             .spawn(
                 ProcessId(0),
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = AfekSnapshot::<u64>::new(Key::new("S"), 3);
-                    let _ = snap.scan(&ctx).await;
+                    let _ = snap.scan(&mut ctx).await;
                 }),
             )
             .run();

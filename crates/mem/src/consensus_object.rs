@@ -103,7 +103,7 @@ impl Consensus {
     /// # Panics
     ///
     /// Panics (a type violation) if the caller is outside the access set.
-    pub async fn propose<D: FdValue>(&self, ctx: &Ctx<D>, v: u64) -> u64 {
+    pub async fn propose<D: FdValue>(&self, ctx: &mut Ctx<D>, v: u64) -> u64 {
         let allowed = self.allowed;
         ctx.invoke(&self.key, || ConsensusObject::new(allowed), Propose(v))
             .await
@@ -121,9 +121,9 @@ mod tests {
             let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
                 .adversary(SeededRandom::new(seed))
                 .spawn_all(|pid| {
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         let obj = Consensus::new(Key::new("cons"), ProcessSet::all(3));
-                        let d = obj.propose(&ctx, pid.index() as u64 + 100).await;
+                        let d = obj.propose(&mut ctx, pid.index() as u64 + 100).await;
                         ctx.decide(d).await;
                     })
                 })

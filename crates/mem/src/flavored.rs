@@ -53,7 +53,7 @@ impl<T: Value> Snapshot<T> for FlavoredSnapshot<T> {
     // scan costs n_plus_1 * (n_plus_1 + 2) reads, plus one read and one
     // write for the embedded update.
     // #[conform(wait_free, bound = "n_plus_1 * (n_plus_1 + 2) + 2")]
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
+    async fn update<D: FdValue>(&self, ctx: &mut Ctx<D>, v: T) {
         match self {
             FlavoredSnapshot::Native(s) => s.update(ctx, v).await,
             FlavoredSnapshot::RegisterBased(s) => s.update(ctx, v).await,
@@ -61,7 +61,7 @@ impl<T: Value> Snapshot<T> for FlavoredSnapshot<T> {
     }
 
     // #[conform(wait_free, bound = "n_plus_1 * (n_plus_1 + 2)")]
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>> {
+    async fn scan<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Vec<Option<T>> {
         match self {
             FlavoredSnapshot::Native(s) => s.scan(ctx).await,
             FlavoredSnapshot::RegisterBased(s) => s.scan(ctx).await,
@@ -79,11 +79,11 @@ mod tests {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
             .adversary(SeededRandom::new(9))
             .spawn_all(move |pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = FlavoredSnapshot::<u64>::new(flavor, Key::new("S"), 3);
-                    snap.update(&ctx, pid.index() as u64 + 1).await;
+                    snap.update(&mut ctx, pid.index() as u64 + 1).await;
                     loop {
-                        let s = snap.scan(&ctx).await;
+                        let s = snap.scan(&mut ctx).await;
                         if non_bot_count(&s) == 3 {
                             ctx.decide(s.iter().flatten().sum()).await;
                             return;

@@ -77,7 +77,7 @@ impl<T: Value> ObjectType for RegisterObject<T> {
 /// ```no_run
 /// # use upsilon_mem::Register;
 /// # use upsilon_sim::{Ctx, Key};
-/// # async fn algo(ctx: &Ctx<()>) {
+/// # async fn algo(ctx: &mut Ctx<()>) {
 /// let d: Register<Option<u64>> = Register::new(Key::new("D"), None);
 /// d.write(ctx, Some(7)).await;             // one atomic step
 /// assert_eq!(d.read(ctx).await, Some(7));  // one atomic step
@@ -102,7 +102,7 @@ impl<T: Value> Register<T> {
     }
 
     /// Reads the register. One atomic step.
-    pub async fn read<D: FdValue>(&self, ctx: &Ctx<D>) -> T {
+    pub async fn read<D: FdValue>(&self, ctx: &mut Ctx<D>) -> T {
         let init = self.initial.clone();
         match ctx
             .invoke(&self.key, || RegisterObject::new(init), RegOp::Read)
@@ -114,7 +114,7 @@ impl<T: Value> Register<T> {
     }
 
     /// Writes `v` to the register. One atomic step.
-    pub async fn write<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
+    pub async fn write<D: FdValue>(&self, ctx: &mut Ctx<D>, v: T) {
         let init = self.initial.clone();
         match ctx
             .invoke(&self.key, || RegisterObject::new(init), RegOp::Write(v))
@@ -169,12 +169,12 @@ impl<T: Value> RegisterArray<T> {
     }
 
     /// Handle to the calling process's own slot.
-    pub fn mine<D: FdValue>(&self, ctx: &Ctx<D>) -> Register<T> {
+    pub fn mine<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Register<T> {
         self.slot(ctx.pid().index())
     }
 
     /// Writes the caller's own slot. One atomic step.
-    pub async fn write_mine<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
+    pub async fn write_mine<D: FdValue>(&self, ctx: &mut Ctx<D>, v: T) {
         self.mine(ctx).write(ctx, v).await
     }
 
@@ -182,14 +182,14 @@ impl<T: Value> RegisterArray<T> {
     // The bound override breaks the name-based await graph's apparent
     // `read -> read` cycle: this delegates to `Register::read` (one step).
     // #[conform(bound = "1")]
-    pub async fn read<D: FdValue>(&self, ctx: &Ctx<D>, i: usize) -> T {
+    pub async fn read<D: FdValue>(&self, ctx: &mut Ctx<D>, i: usize) -> T {
         self.slot(i).read(ctx).await
     }
 
     /// Reads every slot in index order (a *collect*: `size` steps, not
     /// atomic as a whole — use a snapshot object when atomicity across slots
     /// matters).
-    pub async fn collect<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<T> {
+    pub async fn collect<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Vec<T> {
         let mut out = Vec::with_capacity(self.size);
         // #[conform(bound = "n_plus_1")]
         for i in 0..self.size {
@@ -226,13 +226,13 @@ mod tests {
     fn register_read_write_through_ctx() {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let r = Register::new(Key::new("r"), 0u64);
                     if pid.index() == 0 {
-                        r.write(&ctx, 42).await;
+                        r.write(&mut ctx, 42).await;
                     } else {
                         loop {
-                            if r.read(&ctx).await == 42 {
+                            if r.read(&mut ctx).await == 42 {
                                 ctx.decide(42).await;
                                 return;
                             }
@@ -253,11 +253,11 @@ mod tests {
     fn array_collect_reads_every_slot() {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let arr = RegisterArray::new(Key::new("a"), 3, 0u64);
-                    arr.write_mine(&ctx, pid.index() as u64 + 1).await;
+                    arr.write_mine(&mut ctx, pid.index() as u64 + 1).await;
                     loop {
-                        let vals = arr.collect(&ctx).await;
+                        let vals = arr.collect(&mut ctx).await;
                         if vals.iter().all(|&v| v > 0) {
                             ctx.decide(vals.iter().sum()).await;
                             return;

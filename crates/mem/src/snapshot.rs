@@ -31,7 +31,7 @@ use upsilon_sim::{Access, Ctx, FdValue, Key, ObjectType, ProcessId};
 /// ```no_run
 /// # use upsilon_mem::{NativeSnapshot, Snapshot};
 /// # use upsilon_sim::{Ctx, Key};
-/// # async fn algo(ctx: &Ctx<()>) {
+/// # async fn algo(ctx: &mut Ctx<()>) {
 /// let snap = NativeSnapshot::<u64>::new(Key::new("A"), 4);
 /// snap.update(ctx, 7).await;                 // one atomic step
 /// let contents = snap.scan(ctx).await;       // one atomic step (native)
@@ -41,11 +41,11 @@ use upsilon_sim::{Access, Ctx, FdValue, Key, ObjectType, ProcessId};
 #[allow(async_fn_in_trait)] // step futures are driven on one thread; no Send bound wanted
 pub trait Snapshot<T: Value> {
     /// Writes `v` into the caller's position.
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T);
+    async fn update<D: FdValue>(&self, ctx: &mut Ctx<D>, v: T);
 
     /// Returns the contents of all positions, atomically (every two scans
     /// are related by containment).
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>>;
+    async fn scan<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Vec<Option<T>>;
 }
 
 /// Which snapshot implementation a protocol instantiates.
@@ -155,7 +155,7 @@ impl<T: Value> NativeSnapshot<T> {
 }
 
 impl<T: Value> Snapshot<T> for NativeSnapshot<T> {
-    async fn update<D: FdValue>(&self, ctx: &Ctx<D>, v: T) {
+    async fn update<D: FdValue>(&self, ctx: &mut Ctx<D>, v: T) {
         let size = self.size;
         let resp = ctx
             .invoke(
@@ -170,7 +170,7 @@ impl<T: Value> Snapshot<T> for NativeSnapshot<T> {
         }
     }
 
-    async fn scan<D: FdValue>(&self, ctx: &Ctx<D>) -> Vec<Option<T>> {
+    async fn scan<D: FdValue>(&self, ctx: &mut Ctx<D>) -> Vec<Option<T>> {
         let size = self.size;
         let resp = ctx
             .invoke(&self.key, || SnapshotObject::new(size), SnapOp::Scan)
@@ -221,11 +221,11 @@ mod tests {
     fn native_snapshot_update_then_scan() {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = NativeSnapshot::<u64>::new(Key::new("A"), 3);
-                    snap.update(&ctx, pid.index() as u64 * 10).await;
+                    snap.update(&mut ctx, pid.index() as u64 * 10).await;
                     loop {
-                        let s = snap.scan(&ctx).await;
+                        let s = snap.scan(&mut ctx).await;
                         if non_bot_count(&s) == 3 {
                             ctx.decide(s.iter().flatten().sum()).await;
                             return;
@@ -248,11 +248,12 @@ mod tests {
             .adversary(SeededRandom::new(77))
             .spawn_all(move |pid| {
                 let scans = Arc::clone(&scans2);
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = NativeSnapshot::<u64>::new(Key::new("A"), 4);
                     for round in 0..5u64 {
-                        snap.update(&ctx, pid.index() as u64 * 100 + round).await;
-                        let s = snap.scan(&ctx).await;
+                        snap.update(&mut ctx, pid.index() as u64 * 100 + round)
+                            .await;
+                        let s = snap.scan(&mut ctx).await;
                         scans.lock().unwrap().push(s);
                     }
                 })

@@ -27,14 +27,14 @@ fn record_history(
         .adversary(SeededRandom::new(seed))
         .spawn_all(move |pid| {
             let history = Arc::clone(&history2);
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let snap = FlavoredSnapshot::<u64>::new(flavor, Key::new("S"), ctx.n_plus_1());
                 for r in 0..rounds {
                     let v = pid.index() as u64 * 1_000 + r;
                     // Never hold the lock across a step: a lock held there
                     // would deadlock the lockstep scheduler.
                     let invoke = ctx.now();
-                    snap.update(&ctx, v).await;
+                    snap.update(&mut ctx, v).await;
                     let response = ctx.now();
                     history.lock().unwrap().push(OpRecord {
                         process: pid,
@@ -44,7 +44,7 @@ fn record_history(
                         resp: SnapResp::Ack,
                     });
                     let invoke = ctx.now();
-                    let s = snap.scan(&ctx).await;
+                    let s = snap.scan(&mut ctx).await;
                     let response = ctx.now();
                     history.lock().unwrap().push(OpRecord {
                         process: pid,
@@ -99,15 +99,15 @@ proptest! {
             .spawn_all(move |_| {
                 let result = Arc::clone(&result2);
                 let values = values2.clone();
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = FlavoredSnapshot::<u64>::new(
                         SnapshotFlavor::RegisterBased, Key::new("S"), 1);
                     for v in &values {
-                        snap.update(&ctx, *v).await;
-                        let s = snap.scan(&ctx).await;
+                        snap.update(&mut ctx, *v).await;
+                        let s = snap.scan(&mut ctx).await;
                         assert_eq!(s, vec![Some(*v)]);
                     }
-                    let s = snap.scan(&ctx).await;
+                    let s = snap.scan(&mut ctx).await;
                     *result.lock().unwrap() = s;
                 })
             })
@@ -127,18 +127,18 @@ proptest! {
             .adversary(SeededRandom::new(seed))
             .spawn_all(move |pid| {
                 let observed = Arc::clone(&observed2);
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let reg = Register::new(Key::new("r"), 0u64);
                     if pid.index() == 0 {
                         for i in 1..=writes {
-                            reg.write(&ctx, i).await;
+                            reg.write(&mut ctx, i).await;
                         }
                     } else {
                         // Read until the writer is certainly done, then
                         // record the stable value.
                         let mut last = 0;
                         for _ in 0..writes * 10 {
-                            last = reg.read(&ctx).await;
+                            last = reg.read(&mut ctx).await;
                         }
                         observed.lock().unwrap().push(last);
                     }
@@ -162,15 +162,15 @@ proptest! {
             .adversary(SeededRandom::new(seed))
             .spawn_all(move |pid| {
                 let scans = Arc::clone(&scans2);
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = FlavoredSnapshot::<u64>::new(
                         SnapshotFlavor::RegisterBased, Key::new("S"), 4);
                     for r in 0..2u64 {
-                        snap.update(&ctx, pid.index() as u64 + r * 10).await;
+                        snap.update(&mut ctx, pid.index() as u64 + r * 10).await;
                         // Take the scan *before* touching the shared Vec: a
                         // lock held across a step would deadlock the
                         // lockstep scheduler (see `upsilon_sim::Ctx` docs).
-                        let s = snap.scan(&ctx).await;
+                        let s = snap.scan(&mut ctx).await;
                         scans.lock().unwrap().push(s);
                     }
                 })

@@ -158,9 +158,9 @@ fn run_converge(n_plus_1: usize, k: usize, distinct: usize, seed: u64) -> RunOut
         .spawn_all(move |pid| {
             let results = Arc::clone(&results2);
             let v = inputs2[pid.index()];
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let inst = ConvergeInstance::new(Key::new("cv"), n_plus_1, SnapshotFlavor::Native);
-                let out = inst.converge(&ctx, k, v).await;
+                let out = inst.converge(&mut ctx, k, v).await;
                 results.lock().expect("converge results poisoned")[pid.index()] = Some(out);
             })
         })

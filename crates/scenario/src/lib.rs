@@ -51,17 +51,16 @@ pub fn scenarios_dir() -> PathBuf {
         .join("scenarios")
 }
 
-/// Loads and validates one scenario file; errors carry the file path and
-/// the span-bearing diagnostic.
+/// Loads and validates one scenario file, and checks that the document's
+/// `name` matches the file stem (that is how orphaned or renamed files are
+/// caught); errors carry the file path and the span-bearing diagnostic.
 pub fn load_file(path: &Path) -> Result<ScenarioDoc, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    ScenarioDoc::parse(&text).map_err(|d| format!("{}: {d}", path.display()))
-}
-
-/// [`load_file`], then checks that the document's `name` matches `stem`
-/// (that is how orphaned or renamed files are caught).
-fn load_stem(path: &Path, stem: &str) -> Result<ScenarioDoc, String> {
-    let doc = load_file(path)?;
+    let doc = ScenarioDoc::parse(&text).map_err(|d| format!("{}: {d}", path.display()))?;
+    let stem = path
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or_default();
     if doc.name != stem {
         return Err(format!(
             "{}: scenario name `{}` does not match file stem `{stem}`",
@@ -72,10 +71,10 @@ fn load_stem(path: &Path, stem: &str) -> Result<ScenarioDoc, String> {
     Ok(doc)
 }
 
-/// Loads `scenarios/<name>.toml` from the checked-in registry and checks
-/// that the document's `name` matches the file stem.
+/// Loads `scenarios/<name>.toml` from the checked-in registry (see
+/// [`load_file`]).
 pub fn load(name: &str) -> Result<ScenarioDoc, String> {
-    load_stem(&scenarios_dir().join(format!("{name}.toml")), name)
+    load_file(&scenarios_dir().join(format!("{name}.toml")))
 }
 
 /// Loads every `.toml` under the checked-in registry, sorted by file name.
@@ -94,11 +93,7 @@ pub fn load_all_in(dir: &Path) -> Result<Vec<(PathBuf, ScenarioDoc)>, String> {
     paths.sort();
     let mut docs = Vec::with_capacity(paths.len());
     for path in paths {
-        let stem = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or_default();
-        let doc = load_stem(&path, stem)?;
+        let doc = load_file(&path)?;
         docs.push((path, doc));
     }
     Ok(docs)

@@ -1,8 +1,9 @@
 //! The `upsilon-scenario` binary writes through a fallible sink: a closed
 //! stdout ends the run with exit code 1 and a message, never a panic. A
 //! removed flag or an unknown experiment id is a bad command line (exit
-//! 2), a scenario file with an unresolvable cell fails `validate`, and a
-//! sharded campaign waits for every shard and names each one that failed.
+//! 2), a scenario file with an unresolvable cell or a name other than its
+//! file stem fails `validate`, and a sharded campaign waits for every shard
+//! and names each one that failed.
 
 use std::process::{Command, Stdio};
 
@@ -73,6 +74,46 @@ fn validate_fails_on_an_out_of_range_axis_and_names_the_file() {
         "{fail}"
     );
     assert!(out.stdout.is_empty(), "no file validated");
+}
+
+/// Runs `upsilon-scenario <sub> renamed.toml` on a copy of
+/// `scenarios/fig1.toml` (whose `name` is `fig1`), and returns the exit
+/// code and stderr.
+fn on_a_renamed_fig1(sub: &str) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("upsilon-cli-{sub}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("renamed.toml");
+    let fig1 = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fig1.toml");
+    std::fs::copy(&fig1, &file).expect("copy of fig1.toml");
+    let out = Command::new(env!("CARGO_BIN_EXE_upsilon-scenario"))
+        .arg(sub)
+        .arg(&file)
+        .output()
+        .expect("spawns");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    assert!(
+        out.stdout.is_empty(),
+        "{sub}: nothing may be validated or run"
+    );
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A scenario's `name` must match its file stem, for an explicit path as
+/// for the checked-in registry.
+#[test]
+fn a_file_whose_name_is_not_its_stem_fails_validate_and_run() {
+    for sub in ["validate", "run"] {
+        let (code, stderr) = on_a_renamed_fig1(sub);
+        assert_eq!(code, Some(1), "{sub}: {stderr}");
+        assert!(
+            stderr
+                .contains("renamed.toml: scenario name `fig1` does not match file stem `renamed`"),
+            "{sub}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //!             SimBuilder::<()>::new(FailurePattern::failure_free(2))
 //!                 .adversary(SeededRandom::new(seed))
 //!                 .spawn_all(|pid| {
-//!                     algo(move |ctx| async move {
+//!                     algo(move |mut ctx| async move {
 //!                         ctx.decide(pid.index() as u64).await;
 //!                     })
 //!                 })

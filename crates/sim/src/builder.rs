@@ -41,7 +41,7 @@ pub type AlgoFn<D> = Box<dyn FnOnce(Ctx<D>) -> AlgoFuture + Send>;
 ///
 /// let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
 ///     .spawn_all(|pid| {
-///         algo(move |ctx| async move {
+///         algo(move |mut ctx| async move {
 ///             ctx.decide(pid.index() as u64).await;
 ///         })
 ///     })
@@ -87,7 +87,7 @@ impl<D: FdValue> Oracle<D> for NoOracleConfigured<D> {
 ///
 /// let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
 ///     .spawn_all(|pid| {
-///         algo(move |ctx| async move {
+///         algo(move |mut ctx| async move {
 ///             ctx.decide(pid.index() as u64).await;
 ///         })
 ///     })

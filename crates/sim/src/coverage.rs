@@ -285,7 +285,7 @@ mod tests {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .adversary(Scripted::new(schedule))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let k = Key::new("c");
                     ctx.invoke(&k, Cell::default, Op::Write(pid.index() as u64))
                         .await;
@@ -345,7 +345,7 @@ mod tests {
     fn reads_commute_and_produce_no_coverage() {
         let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|_| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     ctx.invoke(&Key::new("c"), Cell::default, Op::Read).await;
                 })
             })

@@ -52,7 +52,7 @@
 //!
 //! let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
 //!     .adversary(SeededRandom::new(42))
-//!     .spawn_all(|pid| algo(move |ctx| async move {
+//!     .spawn_all(|pid| algo(move |mut ctx| async move {
 //!         let me = pid.index() as u64;
 //!         let other = 1 - pid.index();
 //!         ctx.invoke(&Key::new("c").at(pid.index() as u64), Cell::default, Op::Write(me)).await;

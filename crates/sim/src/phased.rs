@@ -128,7 +128,7 @@ mod tests {
 
     fn spin_all(n: usize) -> SimBuilder<()> {
         SimBuilder::<()>::new(FailurePattern::failure_free(n)).spawn_all(|pid| {
-            crate::builder::algo(move |ctx| async move {
+            crate::builder::algo(move |mut ctx| async move {
                 loop {
                     ctx.output(Output::Value(pid.index() as u64)).await;
                 }
@@ -181,7 +181,7 @@ mod tests {
                 Phase::steps(ProcessSet::singleton(ProcessId(0)), 2),
             ]))
             .spawn_all(|_| {
-                crate::builder::algo(move |ctx| async move {
+                crate::builder::algo(move |mut ctx| async move {
                     loop {
                         ctx.yield_step().await;
                     }

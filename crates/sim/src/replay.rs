@@ -322,7 +322,7 @@ mod tests {
         };
         let outcome = SimBuilder::<()>::replay(&tok)
             .spawn_all(|_| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     loop {
                         ctx.yield_step().await;
                     }

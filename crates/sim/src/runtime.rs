@@ -12,6 +12,12 @@
 //! requires — and the whole run is deterministic given the adversary's
 //! choices.
 //!
+//! Every step-taking `Ctx` operation borrows the context mutably, and its
+//! future holds that borrow until the step is taken. So a process has at
+//! most one operation in flight — §3.1's one shared-memory or
+//! failure-detector operation per atomic step — and the compiler, not a
+//! source audit, rejects two operations behind one await.
+//!
 //! A crash drops the process's suspended future (crash-stop, §3.1): no code
 //! of a crashed process runs again, so a `Ctx` operation only ever returns
 //! the value of a step that was granted.
@@ -83,10 +89,41 @@ impl<D: FdValue> ProcCell<D> {
 
 /// The per-process execution context handed to algorithm code.
 ///
-/// All methods that take a step are `async` and return the step's value.
-/// A process crashed by the failure pattern simply takes no further step:
-/// the engine drops its suspended future, so the pending operation never
-/// returns.
+/// All methods that take a step are `async`, take `&mut self` and return
+/// the step's value. A process crashed by the failure pattern simply takes
+/// no further step: the engine drops its suspended future, so the pending
+/// operation never returns.
+///
+/// # The step contract is a borrow
+///
+/// A step future holds the context's one mutable borrow until its step is
+/// taken, so two operations cannot share an await point — this does not
+/// compile (E0499, `ctx` borrowed mutably twice):
+///
+/// ```compile_fail
+/// use std::future::Future;
+/// use upsilon_sim::{Ctx, ProcessId};
+///
+/// async fn both<A: Future, B: Future>(a: A, b: B) -> (A::Output, B::Output) {
+///     (a.await, b.await)
+/// }
+///
+/// async fn two_ops_one_await(ctx: &mut Ctx<ProcessId>) -> ProcessId {
+///     let ((), leader) = both(ctx.yield_step(), ctx.query_fd()).await;
+///     leader
+/// }
+/// ```
+///
+/// The same two operations, each behind its own await, do:
+///
+/// ```
+/// use upsilon_sim::{Ctx, ProcessId};
+///
+/// async fn one_op_per_await(ctx: &mut Ctx<ProcessId>) -> ProcessId {
+///     let ((), leader) = (ctx.yield_step().await, ctx.query_fd().await);
+///     leader
+/// }
+/// ```
 ///
 /// # Deadlock hazard: external locks across steps
 ///
@@ -103,7 +140,7 @@ impl<D: FdValue> ProcCell<D> {
 pub struct Ctx<D: FdValue> {
     pid: ProcessId,
     n_plus_1: usize,
-    now: Cell<Time>,
+    now: Time,
     cell: Rc<ProcCell<D>>,
     world: Rc<RefCell<World<D>>>,
 }
@@ -112,7 +149,7 @@ impl<D: FdValue> std::fmt::Debug for Ctx<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("pid", &self.pid)
-            .field("now", &self.now.get())
+            .field("now", &self.now)
             .finish_non_exhaustive()
     }
 }
@@ -127,7 +164,7 @@ impl<D: FdValue> Ctx<D> {
         Ctx {
             pid,
             n_plus_1,
-            now: Cell::new(Time::ZERO),
+            now: Time::ZERO,
             cell,
             world,
         }
@@ -152,7 +189,7 @@ impl<D: FdValue> Ctx<D> {
     ///
     /// Algorithms may read this between steps; it does not take a step.
     pub fn now(&self) -> Time {
-        self.now.get()
+        self.now
     }
 
     /// Core step primitive: waits for a grant, runs `f` atomically against
@@ -161,13 +198,13 @@ impl<D: FdValue> Ctx<D> {
     /// The wait *is* `Pending`: the scheduler's next `poll` of this process
     /// delivers the grant through its [`ProcCell`].
     async fn step<R: Clone + 'static>(
-        &self,
+        &mut self,
         f: impl FnOnce(&mut World<D>, ProcessId, Time) -> (StepKind<D>, R),
     ) -> R {
         let cell = &self.cell;
         let t =
             std::future::poll_fn(|_cx| cell.grant.take().map_or(Poll::Pending, Poll::Ready)).await;
-        self.now.set(t);
+        self.now = t;
         if let Some(prev) = cell.replay.take() {
             // Fast-forward replay: this step already happened in the run
             // being restored. Return its recorded result without re-running
@@ -188,7 +225,7 @@ impl<D: FdValue> Ctx<D> {
     /// Applies `op` to the shared object of type `O` named `key`, creating
     /// it with `init` on first touch. One atomic step.
     pub async fn invoke<O: ObjectType>(
-        &self,
+        &mut self,
         key: &Key,
         init: impl FnOnce() -> O,
         op: O::Op,
@@ -220,7 +257,7 @@ impl<D: FdValue> Ctx<D> {
 
     /// Queries this process's failure-detector module: returns `H(p, t)` for
     /// the current step's time `t`. One atomic step (a *query step*, §3.3).
-    pub async fn query_fd(&self) -> D {
+    pub async fn query_fd(&mut self) -> D {
         self.step(|world, pid, t| {
             let v = world.oracle.output(pid, t);
             (StepKind::Query(v.clone()), v)
@@ -233,19 +270,19 @@ impl<D: FdValue> Ctx<D> {
     /// Reduction algorithms use this to publish the current value of the
     /// emulated failure-detector variable (`D-output` of §3.5); agreement
     /// algorithms use it to decide.
-    pub async fn output(&self, out: Output) {
+    pub async fn output(&mut self, out: Output) {
         self.step(move |_world, _pid, _t| (StepKind::Output(out), ()))
             .await
     }
 
     /// Decides `v` — sugar for `output(Output::Decide(v))`.
-    pub async fn decide(&self, v: u64) {
+    pub async fn decide(&mut self, v: u64) {
         self.output(Output::Decide(v)).await
     }
 
     /// Takes a step that touches nothing shared. Used to model idle spinning
     /// and to keep custom adversary constructions honest about step counts.
-    pub async fn yield_step(&self) {
+    pub async fn yield_step(&mut self) {
         self.step(|_world, _pid, _t| (StepKind::NoOp, ())).await
     }
 }

@@ -68,28 +68,6 @@ pub enum StepKind<D> {
     NoOp,
 }
 
-impl<D> StepKind<D> {
-    /// The id of the static conformance rule (`upsilon-conform`) that
-    /// accounts for this step kind under the §3.1 model contract:
-    ///
-    /// * shared-object operations and failure-detector queries are the
-    ///   ctx-mediated atomic steps whose one-op-per-await shape rule C1
-    ///   enforces;
-    /// * outputs and yields consume a scheduler grant without touching
-    ///   anything shared — they matter only for wait-freedom accounting,
-    ///   which rule C4's await-graph step bounds cover.
-    ///
-    /// The mapping gives dynamic step counts and static findings a common
-    /// vocabulary: `RuleId::from_id` in `upsilon-conform` round-trips every
-    /// value this returns (asserted by a test there).
-    pub fn conform_rule(&self) -> &'static str {
-        match self {
-            StepKind::Op { .. } | StepKind::Query(_) => "C1",
-            StepKind::Output(_) | StepKind::NoOp => "C4",
-        }
-    }
-}
-
 /// One recorded event of a run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Event<D> {

@@ -82,7 +82,7 @@ fn simulation_batches_are_deterministic_across_worker_counts() {
                     SimBuilder::<()>::new(FailurePattern::failure_free(3))
                         .adversary(SeededRandom::new(seed))
                         .spawn_all(|pid| {
-                            algo(move |ctx| async move {
+                            algo(move |mut ctx| async move {
                                 ctx.yield_step().await;
                                 ctx.decide(pid.index() as u64).await;
                             })

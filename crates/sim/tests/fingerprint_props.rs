@@ -71,7 +71,7 @@ fn fingerprint_of(n: usize, plans: &[Vec<PlannedOp>], script: &[usize]) -> u64 {
         let plan = plan.clone();
         builder = builder.spawn(
             ProcessId(i),
-            algo(move |ctx| {
+            algo(move |mut ctx| {
                 let plan = plan.clone();
                 async move {
                     for (key, write) in plan {

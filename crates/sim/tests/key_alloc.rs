@@ -103,7 +103,7 @@ fn naming_an_object_allocates_nothing() {
 fn memory_lookup_allocates_nothing() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 for r in 0..4 {
                     let key = deepest(r, 1, pid.index() as u64);
                     ctx.invoke(&key, Cell64::default, r).await;

@@ -40,7 +40,7 @@ fn counter_key() -> Key {
 fn steps_are_counted_and_attributed() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 for _ in 0..5 {
                     ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
                         .await;
@@ -81,7 +81,7 @@ impl Drop for DropGuard {
 /// Increments the shared counter until it reaches 50; with a probe, counts
 /// each resumption and holds the probe's drop guard.
 fn incrementer(probe: Option<Probe>) -> AlgoFn<()> {
-    algo(move |ctx| async move {
+    algo(move |mut ctx| async move {
         let _guard = probe.as_ref().map(|pr| DropGuard(Arc::clone(&pr.dropped)));
         loop {
             let v = ctx
@@ -188,7 +188,7 @@ fn identical_seeds_produce_identical_traces() {
             .adversary(SeededRandom::new(seed))
             .trace_level(TraceLevel::Full)
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     for _ in 0..20 {
                         ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
                             .await;
@@ -212,7 +212,7 @@ fn budget_exhaustion_stops_non_terminating_algorithms() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .max_steps(100)
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 loop {
                     ctx.yield_step().await;
                 }
@@ -229,7 +229,7 @@ fn stop_predicate_ends_run_when_everyone_published() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
         .stop_when(|view| view.last_output.iter().all(|o| o.is_some()))
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 loop {
                     ctx.output(Output::Value(pid.index() as u64)).await;
                     ctx.yield_step().await;
@@ -248,7 +248,7 @@ fn scripted_adversary_runs_exact_prefix() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .adversary(Scripted::new(script))
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 loop {
                     ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
                         .await;
@@ -275,7 +275,7 @@ fn solo_runs_are_possible() {
             v.eligible.contains(solo).then_some(solo)
         }))
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 loop {
                     ctx.yield_step().await;
                 }
@@ -292,7 +292,7 @@ fn non_participating_processes_are_never_scheduled() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
         .spawn(
             ProcessId(0),
-            algo(|ctx| async move {
+            algo(|mut ctx| async move {
                 for _ in 0..7 {
                     ctx.yield_step().await;
                 }
@@ -308,7 +308,7 @@ fn fd_query_steps_record_history_samples() {
     let outcome = SimBuilder::<u64>::new(FailurePattern::failure_free(2))
         .oracle(DummyOracle::new(99u64))
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let v = ctx.query_fd().await;
                 assert_eq!(v, 99);
             })
@@ -331,7 +331,7 @@ fn full_trace_level_records_op_details() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(1))
         .trace_level(TraceLevel::Full)
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 ctx.invoke(&counter_key(), Counter::default, CounterOp::Incr)
                     .await;
             })
@@ -353,7 +353,7 @@ fn panics_in_algorithms_propagate_by_default() {
     let result = std::panic::catch_unwind(|| {
         SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     ctx.yield_step().await;
                     if pid == ProcessId(1) {
                         panic!("deliberate test panic");
@@ -371,7 +371,7 @@ fn panics_can_be_suppressed() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .propagate_panics(false)
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 ctx.yield_step().await;
                 if pid == ProcessId(0) {
                     panic!("deliberate test panic");
@@ -390,7 +390,7 @@ fn weighted_scheduler_biases_step_counts() {
         .adversary(WeightedRandom::new(5, vec![1, 20]))
         .max_steps(600)
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 loop {
                     ctx.yield_step().await;
                 }
@@ -408,7 +408,7 @@ fn crash_at_time_zero_means_no_steps_ever() {
         .build();
     let outcome = SimBuilder::<()>::new(pattern)
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 for _ in 0..3 {
                     ctx.yield_step().await;
                 }
@@ -432,7 +432,7 @@ fn eligible_set_shrinks_after_crash() {
             v.eligible.min()
         }))
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 loop {
                     ctx.yield_step().await;
                 }
@@ -456,7 +456,7 @@ fn recorded_schedules_replay_to_identical_runs() {
             .adversary(adversary)
             .trace_level(TraceLevel::Full)
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     for i in 0..6u64 {
                         ctx.invoke(
                             &Key::new("c").at(pid.index() as u64),
@@ -506,7 +506,7 @@ fn adversary_scheduling_a_finished_process_is_rejected() {
     let _ = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .adversary(FnAdversary(|_: &SchedView<'_>| Some(ProcessId(0))))
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 if pid.index() == 0 {
                     ctx.yield_step().await;
                     return; // p1 finishes after one step
@@ -524,7 +524,7 @@ fn adversary_scheduling_a_finished_process_is_rejected() {
 fn querying_without_an_oracle_panics_clearly() {
     let _ = SimBuilder::<u64>::new(FailurePattern::failure_free(1))
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let _ = ctx.query_fd().await;
             })
         })
@@ -536,7 +536,7 @@ fn now_tracks_the_granted_time() {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .adversary(RoundRobin::new())
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 ctx.yield_step().await;
                 // Round-robin: p1 moves at t=0, p2 at t=1.
                 assert_eq!(ctx.now(), Time(pid.index() as u64));

@@ -53,7 +53,7 @@ impl ObjectType for Cell {
 /// Ring process `i` of `n`: repeatedly publishes to its own cell and polls
 /// its successor's; once it sees a value it decides it. Every step reads or
 /// writes shared state, so any restore glitch changes the trace.
-async fn ring_process(ctx: Ctx<()>, i: usize, n: usize, rounds: usize) {
+async fn ring_process(mut ctx: Ctx<()>, i: usize, n: usize, rounds: usize) {
     let me = i as u64;
     let next = ((i + 1) % n) as u64;
     for r in 0..rounds {
@@ -151,7 +151,7 @@ fn counts(starts: &[AtomicU64; 3]) -> [u64; 3] {
 #[should_panic(expected = "boom")]
 fn a_panic_inside_a_step_is_raised_by_that_step() {
     let algos: SessionAlgos<()> = Arc::new(|| {
-        vec![Some(algo(|ctx: Ctx<()>| async move {
+        vec![Some(algo(|mut ctx: Ctx<()>| async move {
             ctx.decide(1).await;
             panic!("boom");
         }))]

@@ -120,7 +120,7 @@ impl InstanceSpec {
             }
             SwarmProtocol::Echo => {
                 let algos = to_algorithms(&cfg.proposals, move |v| {
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         ctx.decide(v).await;
                     })
                 });
@@ -137,9 +137,9 @@ impl InstanceSpec {
                 let n_plus_1 = self.n_plus_1;
                 let flavor = cfg.flavor;
                 let algos = to_algorithms(&cfg.proposals, move |v| {
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         let inst = ConvergeInstance::new(Key::new("swarm-cv"), n_plus_1, flavor);
-                        let (picked, _committed) = inst.converge(&ctx, k, v).await;
+                        let (picked, _committed) = inst.converge(&mut ctx, k, v).await;
                         ctx.decide(picked).await;
                     })
                 });

@@ -94,13 +94,13 @@ fn converge_jobs(corpus: &mut Vec<Job>) {
                             .adversary(SeededRandom::new(seed))
                             .spawn_all(move |pid| {
                                 let v = inputs[pid.index()];
-                                algo(move |ctx| async move {
+                                algo(move |mut ctx| async move {
                                     let inst = ConvergeInstance::new(
                                         Key::new("cv"),
                                         ctx.n_plus_1(),
                                         flavor,
                                     );
-                                    let (picked, committed) = inst.converge(&ctx, k, v).await;
+                                    let (picked, committed) = inst.converge(&mut ctx, k, v).await;
                                     ctx.decide(picked * 2 + u64::from(committed)).await;
                                 })
                             })
@@ -260,15 +260,15 @@ fn memory_jobs(corpus: &mut Vec<Job>) {
                     .adversary(SeededRandom::new(seed))
                     .max_steps(50_000)
                     .spawn_all(move |pid| {
-                        algo(move |ctx| async move {
+                        algo(move |mut ctx| async move {
                             let snap = FlavoredSnapshot::<u64>::new(
                                 flavor,
                                 Key::new("ds"),
                                 ctx.n_plus_1(),
                             );
                             for round in 0..4u64 {
-                                snap.update(&ctx, round * 10 + pid.index() as u64).await;
-                                let view = snap.scan(&ctx).await;
+                                snap.update(&mut ctx, round * 10 + pid.index() as u64).await;
+                                let view = snap.scan(&mut ctx).await;
                                 let sum: u64 = view.iter().flatten().sum();
                                 ctx.output(Output::Value(sum)).await;
                             }
@@ -290,11 +290,12 @@ fn memory_jobs(corpus: &mut Vec<Job>) {
                 .adversary(SeededRandom::new(seed))
                 .max_steps(50_000)
                 .spawn_all(move |pid| {
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         let arr = RegisterArray::<u64>::new(Key::new("ra"), ctx.n_plus_1(), 0);
                         for ts in 1..=5u64 {
-                            arr.write_mine(&ctx, ts * 100 + pid.index() as u64).await;
-                            let seen = arr.collect(&ctx).await;
+                            arr.write_mine(&mut ctx, ts * 100 + pid.index() as u64)
+                                .await;
+                            let seen = arr.collect(&mut ctx).await;
                             let top = seen.into_iter().max().unwrap_or(0);
                             ctx.output(Output::Value(top)).await;
                         }

@@ -19,7 +19,7 @@ fn panicky_run(steps_before_panic: u64) -> Run<()> {
         .adversary(RoundRobin::new())
         .propagate_panics(false)
         .spawn_all(move |pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 if pid == ProcessId(0) {
                     for _ in 0..steps_before_panic {
                         ctx.yield_step().await;
@@ -102,7 +102,7 @@ fn inline_panic_propagates_by_default() {
         SimBuilder::<()>::new(FailurePattern::failure_free(2))
             .adversary(RoundRobin::new())
             .spawn_all(|pid| {
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     ctx.yield_step().await;
                     if pid == ProcessId(1) {
                         panic!("deliberate inline panic");

@@ -30,11 +30,11 @@ fn converge_factory(inputs: &[u64], k: usize, faults: ConvergeFaults) -> AlgoFac
         inputs
             .iter()
             .map(|&v| {
-                Some(algo(move |ctx| async move {
+                Some(algo(move |mut ctx| async move {
                     let inst =
                         ConvergeInstance::new(Key::new("cv"), n_plus_1, SnapshotFlavor::Native)
                             .with_faults(faults);
-                    let (picked, committed) = inst.converge(&ctx, k, v).await;
+                    let (picked, committed) = inst.converge(&mut ctx, k, v).await;
                     if committed {
                         ctx.decide(picked).await;
                     } else {
@@ -254,10 +254,10 @@ fn snapshot_containment_every_interleaving() {
     let factory: AlgoFactory<()> = Arc::new(|| {
         (0..N)
             .map(|i| {
-                Some(algo(move |ctx| async move {
+                Some(algo(move |mut ctx| async move {
                     let snap = NativeSnapshot::<u64>::new(Key::new("S"), N);
-                    snap.update(&ctx, i as u64 + 1).await;
-                    let scan = snap.scan(&ctx).await;
+                    snap.update(&mut ctx, i as u64 + 1).await;
+                    let scan = snap.scan(&mut ctx).await;
                     let mask = (0..N)
                         .filter(|&j| scan[j].is_some())
                         .fold(0u64, |m, j| m | 1 << j);

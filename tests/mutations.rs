@@ -16,14 +16,14 @@ use weakest_failure_detector::sim::{
 /// under a lock-step schedule all n+1 distinct proposals survive and get
 /// decided.
 fn fig1_without_commit_gate(v: u64) -> AlgoFn<ProcessSet> {
-    algo(move |ctx| async move {
+    algo(move |mut ctx| async move {
         let n = ctx.n();
         let inst = ConvergeInstance::new(
             Key::new("n-conv").at(1),
             ctx.n_plus_1(),
             SnapshotFlavor::Native,
         );
-        let (picked, _committed_ignored) = inst.converge(&ctx, n, v).await;
+        let (picked, _committed_ignored) = inst.converge(&mut ctx, n, v).await;
         // BUG: decide unconditionally.
         ctx.decide(picked).await;
     })
@@ -33,18 +33,18 @@ fn fig1_without_commit_gate(v: u64) -> AlgoFn<ProcessSet> {
 /// skipping commit–adopt. Before Ω stabilizes, two processes can trust two
 /// different leaders and decide two values.
 fn consensus_without_commit_adopt(v: u64) -> AlgoFn<upsilon_sim_pid::Pid> {
-    algo(move |ctx| async move {
+    algo(move |mut ctx| async move {
         let me = ctx.pid();
         let prop = Register::<Option<u64>>::new(Key::new("prop"), None);
         let leader = ctx.query_fd().await;
         if leader == me {
-            prop.write(&ctx, Some(v)).await;
+            prop.write(&mut ctx, Some(v)).await;
             // BUG: decide own proposal without any agreement layer.
             ctx.decide(v).await;
             return;
         }
         loop {
-            if let Some(w) = prop.read(&ctx).await {
+            if let Some(w) = prop.read(&mut ctx).await {
                 // BUG: decide whatever the first observed "leader" wrote.
                 ctx.decide(w).await;
                 return;
@@ -119,16 +119,16 @@ fn wrong_clean_threshold_breaks_c_agreement() {
     use upsilon_core::mem::{distinct_values, NativeSnapshot, Snapshot};
 
     fn broken_converge(v: u64) -> AlgoFn<()> {
-        algo(move |ctx| async move {
+        algo(move |mut ctx| async move {
             let n = ctx.n_plus_1();
             let s1 = NativeSnapshot::<u64>::new(Key::new("s1"), n);
             let s2 = NativeSnapshot::<(u64, bool)>::new(Key::new("s2"), n);
-            s1.update(&ctx, v).await;
-            let scan1 = s1.scan(&ctx).await;
+            s1.update(&mut ctx, v).await;
+            let scan1 = s1.scan(&mut ctx).await;
             // BUG: threshold is k + 1 = 2 instead of k = 1.
             let clean = distinct_values(&scan1).len() <= 2;
-            s2.update(&ctx, (v, clean)).await;
-            let scan2 = s2.scan(&ctx).await;
+            s2.update(&mut ctx, (v, clean)).await;
+            let scan2 = s2.scan(&mut ctx).await;
             let all_clean = scan2.iter().flatten().all(|(_, c)| *c);
             let picked = if all_clean { (v, true) } else { (v, false) };
             ctx.output(weakest_failure_detector::sim::Output::Value(
@@ -190,7 +190,7 @@ fn run_condition_validator_catches_fabricated_traces() {
     let run = SimBuilder::<()>::new(FailurePattern::failure_free(2))
         .adversary(RoundRobin::new())
         .spawn_all(|_| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 for _ in 0..5 {
                     ctx.yield_step().await;
                 }

@@ -109,10 +109,10 @@ proptest! {
             .spawn_all(move |pid| {
                 let results = Arc::clone(&results2);
                 let v = inputs2[pid.index()];
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let inst = ConvergeInstance::new(
                         Key::new("cv"), ctx.n_plus_1(), SnapshotFlavor::Native);
-                    let out = inst.converge(&ctx, k, v).await;
+                    let out = inst.converge(&mut ctx, k, v).await;
                     results.lock().unwrap()[pid.index()] = Some(out);
                 })
             })
@@ -160,11 +160,11 @@ proptest! {
             .adversary(SeededRandom::new(seed))
             .spawn_all(move |pid| {
                 let scans = Arc::clone(&scans2);
-                algo(move |ctx| async move {
+                algo(move |mut ctx| async move {
                     let snap = FlavoredSnapshot::<u64>::new(flavor, Key::new("S"), 3);
                     for r in 0..rounds as u64 {
-                        snap.update(&ctx, pid.index() as u64 * 100 + r).await;
-                        let s = snap.scan(&ctx).await;
+                        snap.update(&mut ctx, pid.index() as u64 * 100 + r).await;
+                        let s = snap.scan(&mut ctx).await;
                         scans.lock().unwrap().push(s);
                     }
                 })

@@ -20,9 +20,10 @@ fn distinct_decisions_under(schedule: &[ProcessId]) -> usize {
     let outcome = SimBuilder::<()>::new(FailurePattern::failure_free(3))
         .adversary(Scripted::new(schedule.to_vec()))
         .spawn_all(|pid| {
-            algo(move |ctx| async move {
+            algo(move |mut ctx| async move {
                 let inst = ConvergeInstance::new(Key::new("cv"), 3, SnapshotFlavor::Native);
-                let (picked, _ignored_commit) = inst.converge(&ctx, 2, pid.index() as u64).await;
+                let (picked, _ignored_commit) =
+                    inst.converge(&mut ctx, 2, pid.index() as u64).await;
                 ctx.decide(picked).await;
             })
         })
@@ -40,9 +41,9 @@ fn record_replay_shrink_loop() {
             SimBuilder::<()>::new(FailurePattern::failure_free(3))
                 .adversary(SeededRandom::new(seed))
                 .spawn_all(|pid| {
-                    algo(move |ctx| async move {
+                    algo(move |mut ctx| async move {
                         let inst = ConvergeInstance::new(Key::new("cv"), 3, SnapshotFlavor::Native);
-                        let (picked, _c) = inst.converge(&ctx, 2, pid.index() as u64).await;
+                        let (picked, _c) = inst.converge(&mut ctx, 2, pid.index() as u64).await;
                         ctx.decide(picked).await;
                     })
                 })
