@@ -623,17 +623,12 @@ type ResolveMemo = BTreeMap<OpSig, Option<Arc<ResolvedOp>>>;
 
 fn footprint_of<D: FdValue>(run: &Run<D>, memory: &Memory, memo: &mut ResolveMemo) -> Footprint {
     match &run.events().last().expect("step child has an event").kind {
-        StepKind::Op {
-            object,
-            access,
-            sig,
-            ..
-        } => Footprint::Obj {
+        kind @ StepKind::Op { object, access, .. } => Footprint::Obj {
             key: *memory
                 .name_of(*object)
                 .expect("every allocated object is named"),
             access: *access,
-            sig: sig.as_ref().and_then(|s| {
+            sig: kind.sig().and_then(|s| {
                 if let Some(cached) = memo.get(s) {
                     return cached.clone();
                 }

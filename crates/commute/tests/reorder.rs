@@ -122,24 +122,15 @@ fn cross_check(workload: Workload) -> usize {
         if e1.pid == e2.pid {
             continue;
         }
-        let (
-            StepKind::Op {
-                object: o1,
-                sig: s1,
-                ..
-            },
-            StepKind::Op {
-                object: o2,
-                sig: s2,
-                ..
-            },
-        ) = (&e1.kind, &e2.kind)
+        let (StepKind::Op { object: o1, .. }, StepKind::Op { object: o2, .. }) =
+            (&e1.kind, &e2.kind)
         else {
             continue;
         };
+        let (s1, s2) = (e1.kind.sig(), e2.kind.sig());
         // The matrix speaks about pairs on one object; steps on different
         // objects commute trivially and are not its claim.
-        if o1 != o2 || !sigs_commute(s1.as_ref(), s2.as_ref()) {
+        if o1 != o2 || !sigs_commute(s1, s2) {
             continue;
         }
         swaps += 1;
@@ -232,7 +223,7 @@ fn matrix_only_refines_the_lattice() {
         .events()
         .iter()
         .filter_map(|e| match &e.kind {
-            StepKind::Op { access, sig, .. } => sig.clone().map(|s| (*access, s)),
+            StepKind::Op { access, .. } => e.kind.sig().map(|s| (*access, s.clone())),
             _ => None,
         })
         .collect();

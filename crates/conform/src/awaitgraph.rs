@@ -277,7 +277,8 @@ fn row(name: &str, file: &str, line: u32, wait_free: bool, cost: Cost) -> BoundR
 impl<'a> Graph<'a> {
     fn algo_cost(&mut self, a: &AlgoBody) -> Cost {
         let mut visiting = Vec::new();
-        self.body_cost(&a.body, &a.file, &mut visiting)
+        // Discovery only accepts `algo` closures whose parameter is `ctx`.
+        self.body_cost(&a.body, &a.file, &[CLOSURE_CTX], &mut visiting)
     }
 
     /// The bound of one definition: annotation override, else body walk.
@@ -305,7 +306,9 @@ impl<'a> Graph<'a> {
         }
         let body = def.body.clone();
         let file = def.file.clone();
-        self.body_cost(&body, &file, visiting)
+        let ctx = ctx_params(&def.params);
+        let ctx: Vec<&str> = ctx.iter().map(String::as_str).collect();
+        self.body_cost(&body, &file, &ctx, visiting)
     }
 
     /// Bound of a callee name: maximum over all same-name definitions.
@@ -345,8 +348,16 @@ impl<'a> Graph<'a> {
         acc
     }
 
-    /// Sum of step costs over a token list, with loop multiplication.
-    fn body_cost(&mut self, toks: &[Spanned], file: &str, visiting: &mut Vec<String>) -> Cost {
+    /// Sum of step costs over a token list, with loop multiplication. `ctx`
+    /// names the routine's execution-context bindings: an awaited call to
+    /// an unindexed routine takes steps exactly when it is handed one.
+    fn body_cost(
+        &mut self,
+        toks: &[Spanned],
+        file: &str,
+        ctx: &[&str],
+        visiting: &mut Vec<String>,
+    ) -> Cost {
         let mut total = Cost::zero();
         let mut pending: Option<Expr> = None;
         let mut i = 0usize;
@@ -383,7 +394,7 @@ impl<'a> Graph<'a> {
                         i += 1;
                         continue;
                     };
-                    let inner = self.body_cost(children, file, visiting);
+                    let inner = self.body_cost(children, file, ctx, visiting);
                     total = total + self.looped(inner, pending.take(), toks[i].line, "loop");
                     i += 2;
                 }
@@ -392,10 +403,10 @@ impl<'a> Graph<'a> {
                     while j < toks.len() && !matches!(&toks[j].tok, Tok::Group(Delim::Brace, ..)) {
                         j += 1;
                     }
-                    let cond = self.body_cost(&toks[i + 1..j.min(toks.len())], file, visiting);
+                    let cond = self.body_cost(&toks[i + 1..j.min(toks.len())], file, ctx, visiting);
                     let inner = match toks.get(j).map(|t| &t.tok) {
                         Some(Tok::Group(Delim::Brace, children, _)) => {
-                            self.body_cost(children, file, visiting)
+                            self.body_cost(children, file, ctx, visiting)
                         }
                         _ => Cost::zero(),
                     };
@@ -415,10 +426,11 @@ impl<'a> Graph<'a> {
                         k += 1;
                     }
                     // The iterator expression is evaluated once.
-                    let iter_cost = self.body_cost(&toks[j + 1..k.min(toks.len())], file, visiting);
+                    let iter_cost =
+                        self.body_cost(&toks[j + 1..k.min(toks.len())], file, ctx, visiting);
                     let inner = match toks.get(k).map(|t| &t.tok) {
                         Some(Tok::Group(Delim::Brace, children, _)) => {
-                            self.body_cost(children, file, visiting)
+                            self.body_cost(children, file, ctx, visiting)
                         }
                         _ => Cost::zero(),
                     };
@@ -438,7 +450,7 @@ impl<'a> Graph<'a> {
                             }
                             NameClass::Unknown => {
                                 if matches!(&toks[group_idx].tok,
-                                    Tok::Group(_, children, _) if flat_has_ctx(children))
+                                    Tok::Group(_, children, _) if mentions_any(children, ctx))
                                 {
                                     Cost::Unbounded {
                                         line,
@@ -457,8 +469,23 @@ impl<'a> Graph<'a> {
                     pending = None;
                     i += 1;
                 }
+                // A nested `algo(|mut ctx| ...)` closure brings its own
+                // context into scope.
+                Tok::Ident(kw) if kw == "algo" && !ctx.contains(&CLOSURE_CTX) => {
+                    if let Some(Spanned {
+                        tok: Tok::Group(Delim::Paren, children, _),
+                        ..
+                    }) = toks.get(i + 1)
+                    {
+                        let ctx: Vec<&str> = ctx.iter().copied().chain([CLOSURE_CTX]).collect();
+                        total = total + self.body_cost(children, file, &ctx, visiting);
+                        i += 2;
+                    } else {
+                        i += 1;
+                    }
+                }
                 Tok::Group(_, children, _) => {
-                    let inner = self.body_cost(children, file, visiting);
+                    let inner = self.body_cost(children, file, ctx, visiting);
                     total = total + inner;
                     i += 1;
                 }
@@ -486,10 +513,43 @@ impl<'a> Graph<'a> {
     }
 }
 
-fn flat_has_ctx(toks: &[Spanned]) -> bool {
+/// The parameter name model discovery requires of an `algo` closure.
+const CLOSURE_CTX: &str = "ctx";
+
+/// The names of the parameters whose type mentions `Ctx` (`c: &mut
+/// Ctx<()>` gives `c`), from a definition's parameter-list tokens.
+fn ctx_params(params: &[Spanned]) -> Vec<String> {
+    let mut segments = Vec::new();
+    let (mut depth, mut start) = (0u32, 0usize);
+    for (i, t) in params.iter().enumerate() {
+        match &t.tok {
+            Tok::Punct('<') => depth += 1,
+            Tok::Punct('>') => depth = depth.saturating_sub(1),
+            Tok::Punct(',') if depth == 0 => {
+                segments.push(&params[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    segments.push(&params[start..]);
+    segments
+        .into_iter()
+        .filter_map(|segment| {
+            let colon = segment.iter().position(|t| t.is_punct(':'))?;
+            let name = segment[..colon]
+                .iter()
+                .filter_map(Spanned::ident)
+                .rfind(|s| !matches!(*s, "mut" | "ref"))?;
+            mentions_any(&segment[colon + 1..], &["Ctx"]).then(|| name.to_string())
+        })
+        .collect()
+}
+
+fn mentions_any(toks: &[Spanned], names: &[&str]) -> bool {
     toks.iter().any(|t| match &t.tok {
-        Tok::Ident(s) => s == "ctx",
-        Tok::Group(_, children, _) => flat_has_ctx(children),
+        Tok::Ident(s) => names.contains(&s.as_str()),
+        Tok::Group(_, children, _) => mentions_any(children, names),
         _ => false,
     })
 }
@@ -509,6 +569,55 @@ mod tests {
 
     fn bound_of<'a>(rows: &'a [BoundRow], name: &str) -> &'a BoundRow {
         rows.iter().find(|r| r.name == name).expect("row exists")
+    }
+
+    /// An awaited call to an unindexed routine takes steps when it is
+    /// handed the routine's own `Ctx`-typed parameter, whatever its name;
+    /// another value named `ctx` is no context.
+    #[test]
+    fn context_is_the_ctx_typed_parameter_not_the_name_ctx() {
+        let claimed = |params: &str, arg: &str| {
+            bounds(&format!(
+                "
+// #[conform(wait_free)]
+async fn claimed({params}) {{
+    loop {{
+        unindexed_helper({arg}).await;
+    }}
+}}
+"
+            ))
+        };
+        for (params, arg) in [("c: &mut Ctx<()>", "c"), ("ctx: &mut Ctx<()>", "ctx")] {
+            let (rows, findings) = claimed(params, arg);
+            assert!(bound_of(&rows, "claimed").bound.is_none(), "{params}");
+            assert_eq!(findings.len(), 1, "{params}: {findings:?}");
+            assert!(
+                findings[0]
+                    .message
+                    .contains("unindexed routine `unindexed_helper`"),
+                "{params}: {findings:?}"
+            );
+        }
+        let (rows, findings) = claimed("c: &mut Ctx<()>, ctx: u64", "ctx");
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(bound_of(&rows, "claimed").bound.as_deref(), Some("0"));
+    }
+
+    #[test]
+    fn ctx_params_reads_bindings_and_types() {
+        let names = |src: &str| {
+            let model = model_file("crates/mem/src/t.rs", src);
+            ctx_params(&model.fns[0].params)
+        };
+        assert_eq!(names("async fn f(c: &mut Ctx<()>) {}"), vec!["c"]);
+        assert_eq!(
+            names(
+                "async fn f(mut a: Ctx<D>, m: BTreeMap<u64, u64>, b: &mut upsilon_sim::Ctx<D>) {}"
+            ),
+            vec!["a", "b"]
+        );
+        assert!(names("async fn f(&self, ctx: u64) {}").is_empty());
     }
 
     #[test]

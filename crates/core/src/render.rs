@@ -48,12 +48,12 @@ pub fn render_timeline<D: FdValue>(run: &Run<D>, memory: Option<&Memory>, window
     ) {
         for ev in range {
             let what = match &ev.kind {
-                StepKind::Op { object, detail, .. } => {
+                StepKind::Op { object, .. } => {
                     let name = memory
                         .and_then(|m| m.name_of(*object))
                         .map(|k| k.to_string())
                         .unwrap_or_else(|| object.to_string());
-                    match detail {
+                    match ev.kind.detail() {
                         Some(d) => format!("op {name}: {d}"),
                         None => format!("op {name}"),
                     }

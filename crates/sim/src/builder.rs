@@ -281,18 +281,27 @@ impl<D: FdValue> SimBuilder<D> {
 /// (§3.3–3.4) live here and nowhere else, so a session records exactly the
 /// run a one-shot replay of its schedule would.
 ///
-/// Invariant between grants: every crash due by `t` has been delivered.
+/// Liveness is three process sets, so the eligible set is two set
+/// differences: `participants − crashed − known_finished`.
+///
+/// Invariant between grants: every crash due by `t` has been delivered,
+/// and `next_crash` is the earliest crash time of the pattern among the
+/// processes not yet in `crashed` (`None` if there is none).
 pub(crate) struct Drive<D: FdValue> {
     pub(crate) engine: InlineEngine<D>,
     /// The run recorded so far; `finished` is maintained grant by grant and
     /// `stop` is written by whichever loop owns the drive.
     pub(crate) run: Run<D>,
     pub(crate) last_output: Vec<Option<Output>>,
+    /// Processes that run an algorithm.
+    pub(crate) participants: ProcessSet,
+    /// Processes whose crash has been delivered.
+    pub(crate) crashed: ProcessSet,
     /// Processes whose grant went unused because their algorithm had
     /// already returned: no longer eligible.
-    pub(crate) known_finished: Vec<bool>,
-    /// Processes whose crash has been delivered.
-    pub(crate) stopped: Vec<bool>,
+    pub(crate) known_finished: ProcessSet,
+    /// The earliest undelivered crash time of the pattern.
+    pub(crate) next_crash: Option<Time>,
     /// The time the next granted step carries.
     pub(crate) t: Time,
 }
@@ -318,6 +327,10 @@ impl<D: FdValue> Drive<D> {
             trace_level,
             record_sigs,
         };
+        let participants = (0..algos.len())
+            .filter(|&i| algos[i].is_some())
+            .map(ProcessId)
+            .collect();
         let engine = InlineEngine::launch(world, algos);
         let n_plus_1 = pattern.n_plus_1();
         // Borrow every accumulator from the arena: clear (capacity kept)
@@ -342,31 +355,24 @@ impl<D: FdValue> Drive<D> {
                 stop: StopReason::AllDone,
             },
             last_output: seize(&mut arena.last_output, n_plus_1, None),
-            known_finished: seize(&mut arena.known_finished, n_plus_1, false),
-            stopped: seize(&mut arena.stopped, n_plus_1, false),
+            participants,
+            crashed: ProcessSet::EMPTY,
+            known_finished: ProcessSet::EMPTY,
+            next_crash: None,
             t: Time::ZERO,
         };
+        drive.schedule_crashes();
         drive.deliver_crashes();
         drive
     }
 
-    /// Whether process `i` may be granted a step: it has an algorithm, has
+    /// Every process that may be granted a step: it has an algorithm, has
     /// not crashed, and has not been found finished.
     #[inline(always)]
-    pub(crate) fn eligible(&self, i: usize) -> bool {
-        self.engine.has_algo(ProcessId(i)) && !self.stopped[i] && !self.known_finished[i]
-    }
-
-    /// Every eligible process.
-    #[inline(always)]
     pub(crate) fn eligible_set(&self) -> ProcessSet {
-        let mut eligible = ProcessSet::new();
-        for i in 0..self.run.pattern.n_plus_1() {
-            if self.eligible(i) {
-                eligible.insert(ProcessId(i));
-            }
-        }
-        eligible
+        self.participants
+            .difference(self.crashed)
+            .difference(self.known_finished)
     }
 
     /// Grants eligible `p` one step at `t` and records it: the event, an
@@ -400,7 +406,7 @@ impl<D: FdValue> Drive<D> {
                 true
             }
             None => {
-                self.known_finished[i] = true;
+                self.known_finished.insert(p);
                 false
             }
         };
@@ -415,20 +421,41 @@ impl<D: FdValue> Drive<D> {
 
     /// Delivers the crash of `p` now (run condition 1: a crashed process
     /// takes no step at or after its crash time): its future is dropped.
+    /// The caller recomputes `next_crash` if `p`'s crash was pending.
     pub(crate) fn stop(&mut self, p: ProcessId) {
-        self.stopped[p.index()] = true;
+        self.crashed.insert(p);
         self.run.crash_observed[p.index()] = Some(self.t);
         self.engine.stop(p);
     }
 
-    /// Delivers every pattern crash due by the current time.
+    /// Recomputes `next_crash` from the pattern and `crashed` — after the
+    /// pattern or the crashed set changed other than by a delivery.
+    pub(crate) fn schedule_crashes(&mut self) {
+        let pattern = &self.run.pattern;
+        self.next_crash = (0..pattern.n_plus_1())
+            .filter(|&i| !self.crashed.contains(ProcessId(i)))
+            .filter_map(|i| pattern.crash_time(ProcessId(i)))
+            .min();
+    }
+
+    /// Delivers every pattern crash due by the current time. Free until the
+    /// clock reaches the next undelivered crash time.
     #[inline(always)]
     fn deliver_crashes(&mut self) {
+        if self.next_crash.is_some_and(|c| c <= self.t) {
+            self.deliver_due_crashes();
+        }
+    }
+
+    #[cold]
+    fn deliver_due_crashes(&mut self) {
         for i in 0..self.run.pattern.n_plus_1() {
-            if !self.stopped[i] && self.run.pattern.is_crashed_at(ProcessId(i), self.t) {
-                self.stop(ProcessId(i));
+            let p = ProcessId(i);
+            if !self.crashed.contains(p) && self.run.pattern.is_crashed_at(p, self.t) {
+                self.stop(p);
             }
         }
+        self.schedule_crashes();
     }
 }
 
@@ -554,8 +581,6 @@ impl<D: FdValue> RunCell<D> {
             + d.run.steps_by.capacity() * std::mem::size_of::<u64>()
             + d.run.finished.capacity()
             + d.last_output.capacity() * std::mem::size_of::<Option<Output>>()
-            + d.known_finished.capacity()
-            + d.stopped.capacity()
             + d.run.crash_observed.capacity() * std::mem::size_of::<Option<Time>>()
     }
 
@@ -575,15 +600,11 @@ impl<D: FdValue> RunCell<D> {
             engine,
             run,
             last_output,
-            known_finished,
-            stopped,
             ..
         } = self.drive;
-        // Hand the scheduler-local accumulators back to the arena (contents
+        // Hand the scheduler-local accumulator back to the arena (contents
         // are stale; the next run clears them before use).
         arena.last_output = last_output;
-        arena.known_finished = known_finished;
-        arena.stopped = stopped;
 
         let shutdown = engine.shutdown();
         if self.propagate_panics {

@@ -182,15 +182,10 @@ fn walk_pairs<'m, 'r, D: FdValue>(
     #[allow(clippy::type_complexity)]
     let mut last: Vec<(&'m Key, Fnv64, ProcessId, Access, Option<&'r OpSig>)> = Vec::new();
     for ev in run.events() {
-        let StepKind::Op {
-            object,
-            access,
-            sig,
-            ..
-        } = &ev.kind
-        else {
+        let StepKind::Op { object, access, .. } = &ev.kind else {
             continue;
         };
+        let sig = ev.kind.sig();
         let Some(key) = memory.name_of(*object) else {
             continue;
         };
@@ -198,15 +193,15 @@ fn walk_pairs<'m, 'r, D: FdValue>(
             Some(entry) => {
                 let conflicts = entry.2 != ev.pid
                     && entry.3.conflicts_with(*access)
-                    && !opsig::sigs_commute(entry.4, sig.as_ref());
+                    && !opsig::sigs_commute(entry.4, sig);
                 if conflicts {
                     emit(key, entry.1, entry.2, entry.3, ev.pid, *access);
                 }
                 entry.2 = ev.pid;
                 entry.3 = *access;
-                entry.4 = sig.as_ref();
+                entry.4 = sig;
             }
-            None => last.push((key, key_prefix(key), ev.pid, *access, sig.as_ref())),
+            None => last.push((key, key_prefix(key), ev.pid, *access, sig)),
         }
     }
 }

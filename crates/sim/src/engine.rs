@@ -112,11 +112,6 @@ impl<D: FdValue> InlineEngine<D> {
         }
     }
 
-    /// Whether `p` runs an algorithm at all.
-    pub(crate) fn has_algo(&self, p: ProcessId) -> bool {
-        self.procs[p.index()].is_some()
-    }
-
     /// Lets `p` take one step at time `t`. Returns `Some(kind)` if the
     /// process took the step, `None` if its algorithm had already returned
     /// (the caller marks `p` finished and re-schedules).

@@ -46,22 +46,17 @@ fn proc_digest<D: FdValue>(run: &Run<D>, memory: &Memory, p: ProcessId) -> u64 {
     let mut w = Fnv64::new();
     for ev in run.events_of(p) {
         match &ev.kind {
-            StepKind::Op {
-                object,
-                access,
-                sig,
-                detail,
-            } => {
+            StepKind::Op { object, access, .. } => {
                 // Memory only grows, so every object a recorded op touched
                 // is named in the final memory.
                 let key = memory
                     .name_of(*object)
                     .expect("an op's object is allocated in the run's memory");
                 let _ = write!(w, "O/{key}/{access}");
-                if let Some(sig) = sig {
+                if let Some(sig) = ev.kind.sig() {
                     let _ = write!(w, "/{sig:?}");
                 }
-                if let Some(detail) = detail {
+                if let Some(detail) = ev.kind.detail() {
                     let _ = write!(w, "/{detail}");
                 }
             }

@@ -112,4 +112,6 @@ pub use sched::{
 };
 pub use session::{Session, SessionAlgos, SessionSave, SessionStep};
 pub use time::Time;
-pub use trace::{Event, InducedTrace, Output, Run, RunArena, StepKind, StopReason, TraceLevel};
+pub use trace::{
+    Event, InducedTrace, OpNote, Output, Run, RunArena, StepKind, StopReason, TraceLevel,
+};

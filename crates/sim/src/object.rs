@@ -16,7 +16,6 @@
 use crate::coverage::Fnv64;
 use crate::process::ProcessId;
 use std::any::{Any, TypeId};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
@@ -166,8 +165,10 @@ impl Key {
 }
 
 impl PartialEq for Key {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.indices() == other.indices()
+        // Unused index slots are always zero, so whole arrays compare.
+        self.len == other.len && self.index == other.index && self.name == other.name
     }
 }
 
@@ -265,28 +266,153 @@ impl<O: ObjectType> AnyObject for O {
     }
 }
 
+/// A content hash of an object's identity `(TypeId, name bytes, indices)`,
+/// mixed a word at a time (the multiply-rotate step of FxHash). It never
+/// reads an address, so a key hashes alike wherever its name is stored.
+/// The hash only places ids in the index's slots; ids themselves are
+/// assigned in creation order, so no run depends on it.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline(always)]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+
+    #[inline(always)]
+    fn of(ty: TypeId, key: &Key) -> u64 {
+        let mut h = KeyHasher::default();
+        ty.hash(&mut h);
+        let mut chunks = key.name.as_bytes().chunks_exact(8);
+        for c in &mut chunks {
+            h.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        // The length separates names whose tails differ only by zero bytes.
+        let mut tail = (key.name.len() as u64) << 56;
+        for (j, &b) in chunks.remainder().iter().enumerate() {
+            tail |= u64::from(b) << (8 * j);
+        }
+        h.add(tail);
+        for &i in key.indices() {
+            h.add(i);
+        }
+        h.0
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+}
+
+/// What the index records of one allocated object: its name, its type and
+/// the hash of the two.
+#[derive(Clone)]
+struct Entry {
+    key: Key,
+    ty: TypeId,
+    hash: u64,
+}
+
+/// The object index of a [`Memory`]: an open-addressed, linearly probed
+/// table of object ids keyed by [`KeyHasher`], beside the per-object
+/// [`Entry`] list it points into. The table is at most half full, so a
+/// lookup ends after a probe or two; a hit is confirmed by one comparison
+/// against the entry's key and type.
+#[derive(Clone, Default)]
+struct Index {
+    /// Object ids; [`Index::EMPTY`] marks a free slot. The length is zero
+    /// or a power of two.
+    slots: Vec<u32>,
+    /// One entry per object, in id order.
+    entries: Vec<Entry>,
+}
+
+impl Index {
+    const EMPTY: u32 = u32::MAX;
+
+    #[inline(always)]
+    fn find(&self, ty: TypeId, key: &Key, hash: u64) -> Option<ObjectId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let id = self.slots[at];
+            if id == Self::EMPTY {
+                return None;
+            }
+            let e = &self.entries[id as usize];
+            if e.hash == hash && e.ty == ty && e.key == *key {
+                return Some(ObjectId(id));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Records the next object id under `(ty, key)`, which must be absent.
+    fn insert(&mut self, ty: TypeId, key: Key, hash: u64) {
+        let id = self.entries.len() as u32;
+        self.entries.push(Entry { key, ty, hash });
+        if self.entries.len() * 2 > self.slots.len() {
+            let size = (self.slots.len() * 2).max(8);
+            self.slots.clear();
+            self.slots.resize(size, Self::EMPTY);
+            for id in 0..self.entries.len() as u32 {
+                self.place(id);
+            }
+        } else {
+            self.place(id);
+        }
+    }
+
+    fn place(&mut self, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.entries[id as usize].hash as usize & mask;
+        while self.slots[at] != Self::EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = id;
+    }
+}
+
 /// The shared memory of a run: the collection of all allocated objects.
 ///
 /// Only one process executes a step at a time (lockstep), so interior
 /// operations need no further synchronization beyond the owning mutex.
 ///
+/// Objects are found through one index: an open-addressed table probed by
+/// a content hash of `(TypeId, name, indices)`, whose hits are confirmed
+/// against the object's recorded key and type. No ordered map is involved,
+/// and nothing iterates the table, so its layout never reaches a result.
+///
 /// Storage is copy-on-write: objects sit behind [`Arc`]s, so [`Clone`]
 /// (taken once per snapshot by the explorer) is a handful of
 /// reference-count bumps, and an object's state is physically duplicated
 /// only the first time it is mutated while a snapshot still shares it. The
-/// name list and the key index are shared the same way; the first object
-/// created after a snapshot copies them, and since a [`Key`] is `Copy` that
-/// copy allocates the containers' own storage, never a key.
+/// index is shared the same way; the first object created after a snapshot
+/// copies it, and since a [`Key`] is `Copy` that copy allocates the
+/// containers' own storage, never a key.
 /// [`Clone::clone_from`] reuses the destination's object table, so a
 /// session that re-takes or rewinds to a snapshot allocates nothing.
 pub struct Memory {
-    // BTreeMap, not HashMap: iteration order must not depend on the hasher —
-    // the determinism rules of `analyze conform` enforce this workspace-wide.
-    // One flat index: a `Key` is `Copy`, so the per-step lookup builds its
-    // `(TypeId, Key)` probe on the stack and resolves it in a single search.
-    by_key: Arc<BTreeMap<(TypeId, Key), ObjectId>>,
+    index: Arc<Index>,
     objects: Vec<Arc<dyn AnyObject>>,
-    names: Arc<Vec<Key>>,
 }
 
 // Inlined as the derived `Clone` would be: sessions (generic, so compiled
@@ -295,43 +421,41 @@ impl Clone for Memory {
     #[inline]
     fn clone(&self) -> Self {
         Memory {
-            by_key: Arc::clone(&self.by_key),
+            index: Arc::clone(&self.index),
             objects: self.objects.clone(),
-            names: Arc::clone(&self.names),
         }
     }
 
     #[inline]
     fn clone_from(&mut self, source: &Self) {
-        self.by_key.clone_from(&source.by_key);
+        self.index.clone_from(&source.index);
         self.objects.clone_from(&source.objects);
-        self.names.clone_from(&source.names);
     }
 }
 
 impl Memory {
     pub(crate) fn new() -> Self {
         Memory {
-            by_key: Arc::new(BTreeMap::new()),
+            index: Arc::new(Index::default()),
             objects: Vec::new(),
-            names: Arc::new(Vec::new()),
         }
     }
 
     /// Resolves (creating if absent) the object of type `O` named `key`.
+    #[inline]
     pub(crate) fn resolve<O: ObjectType>(
         &mut self,
         key: &Key,
         init: impl FnOnce() -> O,
     ) -> ObjectId {
-        let probe = (TypeId::of::<O>(), *key);
-        if let Some(&id) = self.by_key.get(&probe) {
+        let ty = TypeId::of::<O>();
+        let hash = KeyHasher::of(ty, key);
+        if let Some(id) = self.index.find(ty, key, hash) {
             return id;
         }
         let id = ObjectId(self.objects.len() as u32);
         self.objects.push(Arc::new(init()));
-        Arc::make_mut(&mut self.names).push(*key);
-        Arc::make_mut(&mut self.by_key).insert(probe, id);
+        Arc::make_mut(&mut self.index).insert(ty, *key, hash);
         id
     }
 
@@ -364,13 +488,14 @@ impl Memory {
     /// Post-run inspection: a typed view of the object named `key`, if it was
     /// ever created.
     pub fn get<O: ObjectType>(&self, key: &Key) -> Option<&O> {
-        let id = *self.by_key.get(&(TypeId::of::<O>(), *key))?;
+        let ty = TypeId::of::<O>();
+        let id = self.index.find(ty, key, KeyHasher::of(ty, key))?;
         self.objects[id.0 as usize].as_any().downcast_ref::<O>()
     }
 
     /// The display name of an allocated object.
     pub fn name_of(&self, id: ObjectId) -> Option<&Key> {
-        self.names.get(id.0 as usize)
+        self.index.entries.get(id.0 as usize).map(|e| &e.key)
     }
 
     /// Number of objects allocated during the run.
@@ -394,7 +519,14 @@ impl Memory {
             .objects
             .iter()
             .enumerate()
-            .map(|(i, o)| format!("{}:{}={}", self.names[i], o.type_name(), o.debug_state()))
+            .map(|(i, o)| {
+                format!(
+                    "{}:{}={}",
+                    self.index.entries[i].key,
+                    o.type_name(),
+                    o.debug_state()
+                )
+            })
             .collect();
         lines.sort();
         lines.join("\n")
@@ -410,7 +542,7 @@ impl Memory {
         let mut acc = 0u64;
         for (i, o) in self.objects.iter().enumerate() {
             let mut w = Fnv64::new();
-            let _ = write!(w, "{}:{}=", self.names[i], o.type_name());
+            let _ = write!(w, "{}:{}=", self.index.entries[i].key, o.type_name());
             let _ = o.write_state(&mut w);
             // Whitened so the commutative sum does not cancel structure.
             let h = w.finish();
@@ -421,10 +553,13 @@ impl Memory {
 
     /// Iterates over `(id, key, type name)` for every allocated object.
     pub fn inventory(&self) -> impl Iterator<Item = (ObjectId, &Key, &'static str)> + '_ {
-        self.objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (ObjectId(i as u32), &self.names[i], o.type_name()))
+        self.objects.iter().enumerate().map(|(i, o)| {
+            (
+                ObjectId(i as u32),
+                &self.index.entries[i].key,
+                o.type_name(),
+            )
+        })
     }
 }
 
@@ -439,6 +574,9 @@ impl fmt::Debug for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::collections::BTreeMap;
 
     /// A toy fetch-and-add object for exercising the framework.
     #[derive(Clone, Debug, Default)]
@@ -525,6 +663,120 @@ mod tests {
         assert_ne!(a, b);
         assert!(mem.get::<Counter>(&Key::new("x")).is_some());
         assert!(mem.get::<Other>(&Key::new("x")).is_some());
+    }
+
+    /// Two object types that record the id the index is expected to hand
+    /// out, so `Memory::get` can be checked against the model.
+    #[derive(Clone, Debug)]
+    struct TypeA(u32);
+    #[derive(Clone, Debug)]
+    struct TypeB(u32);
+
+    impl ObjectType for TypeA {
+        type Op = ();
+        type Resp = ();
+        fn invoke(&mut self, _: ProcessId, _: ()) {}
+    }
+
+    impl ObjectType for TypeB {
+        type Op = ();
+        type Resp = ();
+        fn invoke(&mut self, _: ProcessId, _: ()) {}
+    }
+
+    /// Names that stress the content hash: equal lengths, the 8-byte chunk
+    /// boundary, and tails that differ only by a zero byte.
+    const NAMES: [&str; 9] = [
+        "R",
+        "ab",
+        "ba",
+        "a\0",
+        "abcdefgh",
+        "abcdefgi",
+        "abcdefghi",
+        "abcdefghj",
+        "",
+    ];
+
+    /// A key from generated parts: a name, up to four indices drawn from a
+    /// small range (so the same name recurs with different indices) or
+    /// pushed to the edge of `u64`.
+    fn model_key(name: u8, indices: &[u64]) -> Key {
+        let mut key = Key::new(NAMES[name as usize % NAMES.len()]);
+        for &i in indices.iter().take(MAX_INDICES) {
+            key = key.at(if i >= 3 { u64::MAX - i } else { i });
+        }
+        key
+    }
+
+    type Model = BTreeMap<(bool, Key), u32>;
+
+    fn resolve_in(mem: &mut Memory, model: &mut Model, type_b: bool, key: Key) -> ObjectId {
+        let next = model.len() as u32;
+        let want = *model.entry((type_b, key)).or_insert(next);
+        if type_b {
+            mem.resolve(&key, || TypeB(want))
+        } else {
+            mem.resolve(&key, || TypeA(want))
+        }
+    }
+
+    fn matches_model(mem: &Memory, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!(mem.len(), model.len());
+        for (&(type_b, key), &id) in model {
+            let got = if type_b {
+                mem.get::<TypeB>(&key).map(|o| o.0)
+            } else {
+                mem.get::<TypeA>(&key).map(|o| o.0)
+            };
+            prop_assert_eq!(got, Some(id));
+            prop_assert_eq!(mem.name_of(ObjectId(id)), Some(&key));
+            // The same key under the other type is its own object, or none.
+            let other = if type_b {
+                mem.get::<TypeA>(&key).map(|o| o.0)
+            } else {
+                mem.get::<TypeB>(&key).map(|o| o.0)
+            };
+            prop_assert_eq!(other, model.get(&(!type_b, key)).copied());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random resolves, interleaved with saves (`clone`) and rewinds
+        /// (`clone_from`) to any earlier save, hand out exactly the ids a
+        /// `BTreeMap` keyed by `(type, key)` would, and `get` finds every
+        /// object the model holds.
+        #[test]
+        fn index_matches_a_btreemap_model(
+            ops in proptest::collection::vec(
+                (0u8..10, 0u8..9, proptest::collection::vec(0u64..6, 0..5), proptest::bool::ANY),
+                1..120,
+            ),
+        ) {
+            let mut mem = Memory::new();
+            let mut model = Model::new();
+            let mut saves: Vec<(Memory, Model)> = Vec::new();
+            for (what, name, indices, type_b) in ops {
+                match what {
+                    0 => saves.push((mem.clone(), model.clone())),
+                    1 if !saves.is_empty() => {
+                        let (saved, saved_model) = &saves[indices.len() % saves.len()];
+                        mem.clone_from(saved);
+                        model = saved_model.clone();
+                    }
+                    _ => {
+                        let key = model_key(name, &indices);
+                        let id = resolve_in(&mut mem, &mut model, type_b, key);
+                        prop_assert_eq!(Some(&id.0), model.get(&(type_b, key)));
+                    }
+                }
+                matches_model(&mem, &model)?;
+            }
+            for (saved, saved_model) in &saves {
+                matches_model(saved, saved_model)?;
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::opsig::OpSig;
 use crate::oracle::{FdValue, Oracle};
 use crate::process::ProcessId;
 use crate::time::Time;
-use crate::trace::{Output, StepKind, TraceLevel};
+use crate::trace::{OpNote, Output, StepKind, TraceLevel};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -236,18 +236,17 @@ impl<D: FdValue> Ctx<D> {
             let sig = world
                 .record_sigs
                 .then(|| OpSig::new(std::any::type_name::<O>(), format!("{op:?}")));
-            let detail_prefix = match world.trace_level {
-                TraceLevel::Full => Some(format!("{op:?}")),
-                TraceLevel::Steps => None,
-            };
+            let detail_prefix = (world.trace_level == TraceLevel::Full).then(|| format!("{op:?}"));
             let resp = world.memory.invoke::<O>(id, pid, op);
             let detail = detail_prefix.map(|p| format!("{p} -> {resp:?}").into_boxed_str());
+            // A run that records neither payload allocates nothing here.
+            let note =
+                (sig.is_some() || detail.is_some()).then(|| Box::new(OpNote { sig, detail }));
             (
                 StepKind::Op {
                     object: id,
                     access,
-                    sig,
-                    detail,
+                    note,
                 },
                 resp,
             )

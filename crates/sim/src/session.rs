@@ -41,7 +41,7 @@ use crate::failure::FailurePattern;
 use crate::fingerprint::trace_fingerprint;
 use crate::object::Memory;
 use crate::oracle::{FdValue, Oracle};
-use crate::process::ProcessId;
+use crate::process::{ProcessId, ProcessSet};
 use crate::runtime::Reply;
 use crate::time::Time;
 use crate::trace::{Event, Output, Run, RunArena, StepKind, StopReason, TraceLevel};
@@ -75,8 +75,6 @@ struct ProcSave {
     last_output: Option<Output>,
     crash_observed: Option<Time>,
     crash_at: Option<Time>,
-    known_finished: bool,
-    stopped: bool,
     finished: bool,
 }
 
@@ -84,6 +82,8 @@ struct ProcSave {
 #[derive(Clone, Copy, Debug)]
 struct Mark {
     t: Time,
+    crashed: ProcessSet,
+    known_finished: ProcessSet,
     total_steps: u64,
     events_len: usize,
     outputs_len: usize,
@@ -197,7 +197,7 @@ impl<D: FdValue> Session<D> {
 
     /// Whether `p` may be granted a step right now.
     pub fn eligible(&self, p: ProcessId) -> bool {
-        self.drive.eligible(p.index())
+        self.drive.eligible_set().contains(p)
     }
 
     /// Runs `f` against the current shared memory.
@@ -265,6 +265,7 @@ impl<D: FdValue> Session<D> {
         );
         pattern.set_crash_at(p, t);
         self.drive.stop(p);
+        self.drive.schedule_crashes();
         self.recompute_stop();
     }
 
@@ -308,28 +309,32 @@ impl<D: FdValue> Session<D> {
         // liveness moved past the save point go stale; everyone else's
         // future already *is* the saved one. A process dead at the save
         // point is never granted again from it and needs no future.
+        let m = save.mark;
+        let halted_at_save = m.crashed.union(m.known_finished);
+        let halted_now = d.crashed.union(d.known_finished);
         for (i, p) in save.procs.iter().enumerate() {
+            let pid = ProcessId(i);
             assert!(
                 self.logs[i].len() >= p.log_len,
                 "rewind target must be an ancestor of the current state"
             );
-            let dead_at_save = p.stopped || p.known_finished || p.finished;
-            let dead_now = d.stopped[i] || d.known_finished[i] || d.run.finished[i];
+            let dead_at_save = halted_at_save.contains(pid) || p.finished;
+            let dead_now = halted_now.contains(pid) || d.run.finished[i];
             let untouched = self.logs[i].len() == p.log_len && dead_now == dead_at_save;
             self.logs[i].truncate(p.log_len);
-            if d.engine.has_algo(ProcessId(i)) && !dead_at_save && !untouched {
+            if d.participants.contains(pid) && !dead_at_save && !untouched {
                 self.stale[i] = true;
             }
-            d.run.pattern.restore_crash_time(ProcessId(i), p.crash_at);
+            d.run.pattern.restore_crash_time(pid, p.crash_at);
             d.run.steps_by[i] = p.steps_by;
             d.run.finished[i] = p.finished;
             d.run.crash_observed[i] = p.crash_observed;
             d.last_output[i] = p.last_output;
-            d.known_finished[i] = p.known_finished;
-            d.stopped[i] = p.stopped;
             self.query_counts[i] = p.query_count;
         }
-        let m = save.mark;
+        d.crashed = m.crashed;
+        d.known_finished = m.known_finished;
+        d.schedule_crashes();
         d.run.events.truncate(m.events_len);
         d.run.outputs.truncate(m.outputs_len);
         d.run.fd_samples.truncate(m.fd_len);
@@ -368,6 +373,8 @@ impl<D: FdValue> Session<D> {
         let d = &self.drive;
         Mark {
             t: d.t,
+            crashed: d.crashed,
+            known_finished: d.known_finished,
             total_steps: d.run.total_steps,
             events_len: d.run.events.len(),
             outputs_len: d.run.outputs.len(),
@@ -385,8 +392,6 @@ impl<D: FdValue> Session<D> {
             last_output: d.last_output[i],
             crash_observed: d.run.crash_observed[i],
             crash_at: d.run.pattern.crash_time(ProcessId(i)),
-            known_finished: d.known_finished[i],
-            stopped: d.stopped[i],
             finished: d.run.finished[i],
         }
     }
@@ -420,11 +425,10 @@ impl<D: FdValue> Session<D> {
     /// length in every replay the explorer performs, so the only other
     /// reachable reason is an exhausted budget).
     fn recompute_stop(&mut self) {
-        let any_eligible = (0..self.n_plus_1()).any(|i| self.drive.eligible(i));
-        self.drive.run.stop = if any_eligible {
-            StopReason::BudgetExhausted
-        } else {
+        self.drive.run.stop = if self.drive.eligible_set().is_empty() {
             StopReason::AllDone
+        } else {
+            StopReason::BudgetExhausted
         };
     }
 }

@@ -44,7 +44,11 @@ impl fmt::Display for Output {
 }
 
 /// What happened within one granted step.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// Kept small because every granted step records one: 24 bytes for a
+/// `ProcessSet`-valued detector, so an [`Event`] is 40. The op payloads that
+/// most runs never ask for live behind one optional box, [`OpNote`].
+#[derive(Clone, PartialEq)]
 pub enum StepKind<D> {
     /// An operation on a shared object.
     Op {
@@ -52,13 +56,9 @@ pub enum StepKind<D> {
         object: ObjectId,
         /// How the operation touched the object (for conflict analysis).
         access: Access,
-        /// The operation's signature (type name plus `Debug` rendering),
-        /// when [`record_op_sigs`](crate::SimBuilder::record_op_sigs) is on
-        /// — feeds the per-op-pair commutativity refinement of conflict
-        /// analysis (see [`crate::commute`]).
-        sig: Option<OpSig>,
-        /// `Debug`-rendered operation and response, when full tracing is on.
-        detail: Option<Box<str>>,
+        /// The operation's signature and rendering, present only when the
+        /// run records either (see [`OpNote`]); `None` costs no allocation.
+        note: Option<Box<OpNote>>,
     },
     /// A failure-detector query step; carries `H(p, t)`.
     Query(D),
@@ -66,6 +66,57 @@ pub enum StepKind<D> {
     Output(Output),
     /// A step that touches nothing shared (used by algorithms to yield).
     NoOp,
+}
+
+/// The optional payload of an [`StepKind::Op`] event, allocated only when
+/// [`record_op_sigs`](crate::SimBuilder::record_op_sigs) is on or the run
+/// records at [`TraceLevel::Full`]; at least one field is `Some`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct OpNote {
+    /// The operation's signature (type name plus `Debug` rendering) —
+    /// feeds the per-op-pair commutativity refinement of conflict analysis
+    /// (see [`crate::commute`]).
+    pub sig: Option<OpSig>,
+    /// `Debug`-rendered operation and response, at [`TraceLevel::Full`].
+    pub detail: Option<Box<str>>,
+}
+
+impl<D> StepKind<D> {
+    /// The recorded signature of an `Op` step, if the run recorded one.
+    pub fn sig(&self) -> Option<&OpSig> {
+        match self {
+            StepKind::Op { note: Some(n), .. } => n.sig.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// The rendered operation and response of an `Op` step, at
+    /// [`TraceLevel::Full`].
+    pub fn detail(&self) -> Option<&str> {
+        match self {
+            StepKind::Op { note: Some(n), .. } => n.detail.as_deref(),
+            _ => None,
+        }
+    }
+}
+
+// Written out, not derived, so an `Op` prints `sig` and `detail` as fields
+// of its own: trace goldens hash `{run:?}`, and the note is a layout choice.
+impl<D: fmt::Debug> fmt::Debug for StepKind<D> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StepKind::Op { object, access, .. } => f
+                .debug_struct("Op")
+                .field("object", object)
+                .field("access", access)
+                .field("sig", &self.sig())
+                .field("detail", &self.detail())
+                .finish(),
+            StepKind::Query(v) => f.debug_tuple("Query").field(v).finish(),
+            StepKind::Output(o) => f.debug_tuple("Output").field(o).finish(),
+            StepKind::NoOp => f.write_str("NoOp"),
+        }
+    }
 }
 
 /// One recorded event of a run.
@@ -145,8 +196,6 @@ pub struct RunArena<D> {
     pub(crate) finished: Vec<bool>,
     pub(crate) crash_observed: Vec<Option<Time>>,
     pub(crate) last_output: Vec<Option<Output>>,
-    pub(crate) known_finished: Vec<bool>,
-    pub(crate) stopped: Vec<bool>,
 }
 
 impl<D> RunArena<D> {
@@ -160,8 +209,6 @@ impl<D> RunArena<D> {
             finished: Vec::new(),
             crash_observed: Vec::new(),
             last_output: Vec::new(),
-            known_finished: Vec::new(),
-            stopped: Vec::new(),
         }
     }
 
@@ -494,6 +541,37 @@ mod tests {
         assert!(tr.same_sigma(&other), "σ-equality ignores times");
         other.sigma = vec![(ProcessId(1), Output::Decide(3))];
         assert!(!tr.same_sigma(&other));
+    }
+
+    /// The hot event stays 40 bytes: an `Op`'s rarely used payloads sit
+    /// behind one optional box, so a step records time, pid and 24 bytes of
+    /// kind. Growing either type shows up here, not as a slowdown.
+    #[test]
+    fn event_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<StepKind<ProcessSet>>(), 24);
+        assert_eq!(std::mem::size_of::<Event<ProcessSet>>(), 40);
+    }
+
+    #[test]
+    fn op_debug_renders_note_fields_inline() {
+        let kind = |note| StepKind::<u8>::Op {
+            object: ObjectId(2),
+            access: Access::Read,
+            note,
+        };
+        assert_eq!(
+            format!("{:?}", kind(None)),
+            "Op { object: ObjectId(2), access: Read, sig: None, detail: None }"
+        );
+        let note = OpNote {
+            sig: Some(OpSig::new("T", "Get".to_string())),
+            detail: Some("Get -> 1".into()),
+        };
+        assert_eq!(
+            format!("{:?}", kind(Some(Box::new(note)))),
+            "Op { object: ObjectId(2), access: Read, sig: Some(OpSig { type_name: \"T\", \
+             op: \"Get\" }), detail: Some(\"Get -> 1\") }"
+        );
     }
 
     #[test]

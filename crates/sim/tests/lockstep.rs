@@ -338,13 +338,9 @@ fn full_trace_level_records_op_details() {
         })
         .run();
     let ev = &outcome.run.events()[0];
-    match &ev.kind {
-        StepKind::Op {
-            detail: Some(d), ..
-        } => {
-            assert!(d.contains("Incr"), "detail should render the op: {d}");
-        }
-        other => panic!("expected detailed op event, got {other:?}"),
+    match ev.kind.detail() {
+        Some(d) => assert!(d.contains("Incr"), "detail should render the op: {d}"),
+        None => panic!("expected detailed op event, got {:?}", ev.kind),
     }
 }
 

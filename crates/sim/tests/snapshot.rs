@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use upsilon_sim::{
-    algo, Access, Ctx, FailurePattern, Key, NullOracle, ObjectType, ProcessId, ReplayToken,
-    Session, SessionAlgos, SimBuilder, TraceLevel,
+    algo, Access, Ctx, FailurePattern, Key, NullOracle, ObjectType, ProcessId, ReplayToken, Run,
+    Session, SessionAlgos, SessionStep, SimBuilder, Time, TraceLevel,
 };
 
 /// A one-value register; `Write` overwrites, `Read` returns the content.
@@ -498,5 +498,123 @@ proptest! {
             }
         }
         prop_assert_eq!(format!("{:?}", run), format!("{:?}", replay.run().run));
+    }
+}
+
+/// [`ring_algos`] with process `absent` (if any) left without an algorithm.
+fn partial_ring(n: usize, rounds: usize, absent: Option<usize>) -> SessionAlgos<()> {
+    Arc::new(move || {
+        (0..n)
+            .map(|i| (Some(i) != absent).then(|| algo(move |ctx| ring_process(ctx, i, n, rounds))))
+            .collect()
+    })
+}
+
+/// Everything a recorded run holds except its stop reason, which a replay
+/// reads differently once a grant went unused (see below).
+fn record(run: &Run<()>) -> String {
+    let n = run.n_plus_1();
+    format!(
+        "{:?} {:?} {:?} {:?} {:?} {} {:?} {:?}",
+        run.pattern(),
+        run.events(),
+        run.outputs(),
+        run.fd_samples(),
+        run.steps_by(),
+        run.total_steps(),
+        (0..n)
+            .map(|i| run.finished(ProcessId(i)))
+            .collect::<Vec<_>>(),
+        (0..n)
+            .map(|i| run.crash_observed(ProcessId(i)))
+            .collect::<Vec<_>>(),
+    )
+}
+
+proptest! {
+    /// Steps (including unused grants to finished processes), mid-run
+    /// crashes, saves and rewinds to random ancestors, over a pattern that
+    /// may crash one process later in the run. After every operation a
+    /// process is eligible exactly when it has an algorithm, its crash is
+    /// not due by now, and no grant to it went unused — the last tracked
+    /// beside the session and rolled back with each rewind — and the
+    /// recorded run is the one-shot replay of its own schedule.
+    #[test]
+    fn session_liveness_matches_the_run(
+        absent in proptest::option::of(0usize..3),
+        pattern_crash in proptest::option::of((0usize..3, 0u64..30)),
+        ops in proptest::collection::vec((0u8..10, 0usize..3, 0usize..8), 0..60),
+    ) {
+        let n = 3;
+        let mut pattern = FailurePattern::builder(n);
+        if let Some((p, t)) = pattern_crash {
+            pattern = pattern.crash(ProcessId(p), Time(t));
+        }
+        let mut session = Session::new(
+            pattern.build(),
+            partial_ring(n, 3, absent),
+            Box::new(NullOracle),
+            TraceLevel::Full,
+            true,
+        );
+        let mut unused = [false; 3];
+        let mut saves = Vec::new();
+        for (what, who, arg) in ops {
+            let p = ProcessId(who);
+            match what {
+                0 => {
+                    let run = session.run();
+                    let crashed = (0..n)
+                        .filter(|&i| run.pattern().crash_time(ProcessId(i)).is_some())
+                        .count();
+                    if crashed < n - 1 && run.pattern().crash_time(p).is_none() {
+                        session.crash(p);
+                    }
+                }
+                1 => saves.push((session.save(), unused)),
+                2 if !saves.is_empty() => {
+                    let keep = arg % saves.len() + 1;
+                    saves.truncate(keep);
+                    let (save, at_save) = &saves[keep - 1];
+                    session.rewind(save);
+                    unused = *at_save;
+                }
+                _ => {
+                    if session.eligible(p) && session.step(p) == SessionStep::NoStep {
+                        unused[who] = true;
+                    }
+                }
+            }
+            let run = session.run();
+            let now = Time(run.total_steps());
+            for (i, &went_unused) in unused.iter().enumerate() {
+                let q = ProcessId(i);
+                let crashed = run.pattern().is_crashed_at(q, now);
+                prop_assert_eq!(run.crash_observed(q).is_some(), crashed);
+                let expect = Some(i) != absent && !crashed && !went_unused;
+                prop_assert_eq!(session.eligible(q), expect);
+            }
+            let token = ReplayToken {
+                n_plus_1: n,
+                crashes: (0..n).map(|i| run.pattern().crash_time(ProcessId(i))).collect(),
+                fd_choices: vec![Vec::new(); n],
+                schedule: run.schedule(),
+            };
+            let mut replay = SimBuilder::<()>::replay(&token)
+                .trace_level(TraceLevel::Full)
+                .record_op_sigs(true);
+            for (i, a) in partial_ring(n, 3, absent)().into_iter().enumerate() {
+                if let Some(a) = a {
+                    replay = replay.spawn(ProcessId(i), a);
+                }
+            }
+            let replayed = replay.run().run;
+            prop_assert_eq!(record(run), record(&replayed));
+            // A replay never grants a finished process, so it reads the same
+            // stop reason whenever no grant of the session went unused.
+            if !unused.iter().any(|&u| u) {
+                prop_assert_eq!(run.stop_reason(), replayed.stop_reason());
+            }
+        }
     }
 }

@@ -156,7 +156,7 @@ fn full_pack_residency_is_pinned() {
         assert_eq!(report.instances, INSTANCES);
         assert_eq!(
             (report.packed_bytes, report.arena_bytes),
-            (2_195_456, 7_962_624),
+            (2_097_152, 5_242_880),
             "workers {workers}"
         );
         assert!(report.bytes_per_instance() <= 4096);
